@@ -26,7 +26,7 @@ consistency check, not a proof.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -533,6 +533,8 @@ class DeltaComparison:
     ``paired`` couples the routes through one seed at matched resolution,
     where they must coincide path for path; the KS and exceedance columns
     compare independent draws with the direct route on a refined grid.
+    ``rescaled_terminal`` holds the first terminal coordinate of every
+    rescaled-route path, the sample the thresholds are set from.
     """
 
     delta: float
@@ -541,6 +543,7 @@ class DeltaComparison:
     ks_pvalue: float
     n_paths: int
     exceedance: tuple
+    rescaled_terminal: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -640,6 +643,7 @@ def short_time_report(
                 ks_pvalue=float(ks.pvalue),
                 n_paths=n_paths,
                 exceedance=tuple(rows),
+                rescaled_terminal=resc_term,
             )
         )
     return ShortTimeReport(tuple(comps))

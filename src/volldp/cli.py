@@ -83,15 +83,21 @@ def _write_manifest(out_dir: str, command: str, config_text: str, seed: int,
 
 
 def _cmd_kernel_table(cfg, out_dir: str) -> None:
-    grid, bank = cfg.grid, cfg.bank
-    nodes = grid.nodes
-    for ell, kernel in enumerate(bank, start=1):
-        rows = []
-        for t in nodes:
-            for s in nodes:
-                rows.append((t, s, kernel.eval(t, s)))
+    import numpy as np
+
+    from .kernels import eval_lower_triangle
+
+    nodes = cfg.grid.nodes
+    n = nodes.size
+    tt, ss = np.meshgrid(nodes, nodes, indexing="ij")
+    below = np.tri(n, n, -1, dtype=bool)  # s < t; K vanishes elsewhere
+    for ell, kernel in enumerate(cfg.bank, start=1):
+        values = np.zeros((n, n))
+        values[below] = eval_lower_triangle(kernel, nodes, 0.0, lag=1)[:, 0]
         _write_csv(
-            os.path.join(out_dir, f"kernel_{ell}.csv"), ("t", "s", "value"), rows
+            os.path.join(out_dir, f"kernel_{ell}.csv"),
+            ("t", "s", "value"),
+            zip(tt.ravel(), ss.ravel(), values.ravel()),
         )
 
 
@@ -283,29 +289,25 @@ def _cmd_verify_ldp(cfg, out_dir: str) -> None:
 
 def _cmd_short_time(cfg, out_dir: str) -> None:
     from .errors import ConfigurationError
-    from .asymptotics import short_time_report, short_time_values
+    from .asymptotics import short_time_report
 
     if cfg.schedule is None:
         raise ConfigurationError(
             "short-time needs a [schedule] section with an eta sequence"
         )
     opts = cfg.short_time
-    rows = []
-    for i, entry in enumerate(cfg.schedule):
-        terminal = short_time_values(
-            cfg.coeffs, cfg.bank, cfg.grid, entry, opts.n_paths,
-            cfg.seed + 2 * i, correlated=opts.correlated,
-        )[:, -1, 0]
-        rows.extend(
-            (entry.delta, k, terminal[k]) for k in range(opts.n_paths)
-        )
-    _write_csv(
-        os.path.join(out_dir, "samples.csv"), ("delta", "path_id", "value"), rows
-    )
     report = short_time_report(
         cfg.coeffs, cfg.bank, cfg.grid, cfg.schedule, opts.n_paths, cfg.seed,
         quantiles=opts.quantiles, refine=opts.refine,
         correlated=opts.correlated,
+    )
+    # the report's rescaled route ran at seed + 2 i: these are its samples
+    rows = []
+    for comp in report.comparisons:
+        terminal = comp.rescaled_terminal
+        rows.extend((comp.delta, k, terminal[k]) for k in range(opts.n_paths))
+    _write_csv(
+        os.path.join(out_dir, "samples.csv"), ("delta", "path_id", "value"), rows
     )
     payload = {
         "all_consistent": report.all_consistent(),

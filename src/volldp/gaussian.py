@@ -16,7 +16,10 @@ where w_ij is the cell average of K(t_i, .) over cell j (a 4-node
 Gauss-Legendre value) and A_i is the calibrated power-law amplitude of the
 kernel in the cell adjacent to the diagonal.  The adjacent-cell integral is
 thereby exact for power-law kernels, which keeps the sampled covariance
-faithful to the continuous one even at the first grid nodes.
+faithful to the continuous one even at the first grid nodes.  All cell
+values come from one chunked evaluation of the kernel on the grid's lower
+triangle (``kernels.eval_lower_triangle``); A_1, whose cell starts at the
+origin, is calibrated at the cell midpoint for kernels singular there.
 
 Randomness is counter-based: path k reads a dedicated counter range of a
 Philox stream keyed by the seed, so path sets are reproducible and
@@ -34,7 +37,14 @@ from scipy.stats import ks_2samp
 
 from .errors import ConfigurationError, DomainError, QuadratureError
 from .grids import JointSample, PathSample, TimeGrid
-from .kernels import KernelBank, VolterraKernel, kernel_l2_slice
+from .kernels import (
+    KernelBank,
+    VolterraKernel,
+    edge_coefficient,
+    eval_lower_triangle,
+    kernel_l2_slice,
+    origin_cell_weight,
+)
 
 _GL4 = np.polynomial.legendre.leggauss(4)
 
@@ -117,19 +127,18 @@ def discretize_kernel(kernel: VolterraKernel, grid: TimeGrid) -> KernelDiscretiz
         )
     kappa = kernel.singular_exponent
     xg, wg = _GL4
+    # all cells j <= i - 2 of all rows at once: (pair, Gauss node) values
+    vals = eval_lower_triangle(kernel, t, 0.5 * dt * (xg + 1.0), lag=2)
+    # add the Gauss nodes left to right (no matrix product), so every weight
+    # is one fixed sequence of roundings whatever the chunking
+    cell = wg[0] * vals[:, 0]
+    for q in range(1, xg.size):
+        cell += wg[q] * vals[:, q]
+    cell *= 0.5
     weights = np.zeros((n + 1, n))
-    for i in range(2, n + 1):
-        cells = np.arange(i - 1)
-        u = t[cells][None, :] + 0.5 * dt * (xg[:, None] + 1.0)
-        vals = kernel.eval(t[i], u)
-        weights[i, : i - 1] = 0.5 * np.sum(wg[:, None] * vals, axis=0)
+    weights[np.tri(n + 1, n, -2, dtype=bool)] = cell
     edge = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        val = kernel.eval(t[i], t[i - 1])
-        if np.isfinite(val):
-            edge[i] = val / dt**kappa
-        else:
-            edge[i] = kernel.eval(t[i], t[i] - 0.5 * dt) / (0.5 * dt) ** kappa
+    edge[1:] = edge_coefficient(kernel, t[1:], t[:-1], dt)
     kappa_c = dt ** (kappa + 1.0) / (kappa + 1.0)
     kappa_v = dt ** (2.0 * kappa + 1.0) / (2.0 * kappa + 1.0)
     return KernelDiscretization(
@@ -264,8 +273,10 @@ def covariance_matrix(
 ) -> CovarianceBlocks:
     """Covariance blocks  k(t, s) = int_0^min(t,s) K(t, u) K(s, u) du.
 
-    Uses the same singularity-splitting rule as ``kernel_l2_slice`` so the
-    diagonal coincides with the slice norm exactly.  Raises
+    Uses the same singularity-splitting rule as ``kernel_l2_slice`` (the
+    diagonal-adjacent cell against the calibrated power law, the first cell
+    against the origin power law, midpoints elsewhere) so the diagonal
+    coincides with the slice norm up to rounding.  Raises
     ``QuadratureError`` when a block comes out non-finite or fails the
     positive-semidefiniteness tolerance (min eigenvalue >= -1e-10 * trace).
     """
@@ -276,6 +287,7 @@ def covariance_matrix(
     blocks = np.zeros((p, n, n))
     for ell, kernel in enumerate(bank):
         kappa = kernel.singular_exponent
+        w0 = origin_cell_weight(kernel)
         for j in range(1, n + 1):
             s = t[j]
             h = s / n_quad
@@ -283,8 +295,9 @@ def covariance_matrix(
             upper = t[j:]
             vals_i = kernel.eval(upper[:, None], mids[None, :])
             vals_j = kernel.eval(s, mids)
+            vals_j[0] *= w0  # first cell [0, h] against the origin power law
             interior = (vals_i @ vals_j) * h
-            a_edge = _edge_for(kernel, s, h)
+            a_edge = float(edge_coefficient(kernel, s, s - h, h))
             entries = interior.copy()
             # singular cell [s - h, s]
             entries[0] += a_edge**2 * h ** (2 * kappa + 1) / (2 * kappa + 1)
@@ -306,14 +319,6 @@ def covariance_matrix(
                 f"min eig {eigs[0]:.3e} < {-tol:.3e}"
             )
     return CovarianceBlocks(grid=grid, blocks=blocks)
-
-
-def _edge_for(kernel: VolterraKernel, s: float, h: float) -> float:
-    kappa = kernel.singular_exponent
-    val = kernel.eval(s, s - h)
-    if np.isfinite(val):
-        return float(val) / h**kappa
-    return float(kernel.eval(s, s - 0.5 * h)) / (0.5 * h) ** kappa
 
 
 def empirical_covariance(samples: list, component: str = "volterra") -> np.ndarray:

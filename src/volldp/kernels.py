@@ -8,28 +8,44 @@ sampling, rate functionals, short-time rescaling) consumes kernels through
 the small interface implemented in this module:
 
 * pointwise evaluation with exact zero above the diagonal,
+* chunked evaluation on the lower triangle of a grid
+  (``eval_lower_triangle``), the one grid evaluator behind discretization
+  and kernel tables,
 * the slice norm  int_0^t K(t, s)^2 ds  by singularity-splitting quadrature,
 * the L^2 modulus of continuity in the first argument,
 * parabolic rescaling  K^eta(t, s) = sqrt(eta) K(eta t, eta s),
 * the distance of a rescaled kernel to a candidate limit kernel.
 
+The Molchan-Golosov kernel is evaluated in closed form through the Gauss
+hypergeometric function; the fractional Ornstein-Uhlenbeck kernel by a
+fixed-order memory integral over it.
+
 All quadratures split off the cell adjacent to the diagonal and integrate
 it against the local power law A (t - s)^(H - 1/2), with A calibrated so the
-power law matches the kernel at the cell edge.  For plain power-law kernels
-the adjacent cell is therefore exact; for the log-corrected family the
-slowly varying factor is frozen at the cell edge.
+power law matches the kernel at the cell edge (``edge_coefficient``).  For
+plain power-law kernels the adjacent cell is therefore exact; for the
+log-corrected family the slowly varying factor is frozen at the cell edge.
+Kernels that are also singular at the origin, K(t, s) ~ A0 s^kappa0 as
+s -> 0 (``origin_exponent``; the Molchan-Golosov and fractional OU
+families), have their first cell [0, h] integrated against that power law
+with A0 calibrated at the cell midpoint (``origin_cell_weight``); for
+kappa0 = 0 this is the plain midpoint rule.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import beta as _beta
+from scipy.special import hyp2f1
 
 from .errors import ConfigurationError, DomainError
 from .grids import TimeGrid
 
 _GL32 = np.polynomial.legendre.leggauss(32)
+
+# Largest number of (t, s) points handed to one ``eval`` call by the grid
+# evaluator; bounds the transient memory of a kernel's own evaluation.
+_EVAL_CHUNK = 16384
 
 
 def _as_array(x):
@@ -82,6 +98,14 @@ class VolterraKernel:
     def singular_exponent(self) -> float:
         """Exponent kappa of the diagonal power law (t - s)^kappa."""
         return self.hurst - 0.5
+
+    @property
+    def origin_exponent(self) -> float:
+        """Exponent kappa0 of the power law K(t, s) ~ A0 s^kappa0 as s -> 0.
+
+        0 for kernels that stay bounded at the origin.
+        """
+        return 0.0
 
     def eval(self, t, s):
         """Evaluate K(t, s) with broadcasting; exactly 0 for s >= t."""
@@ -161,18 +185,26 @@ class LogFbmKernel(VolterraKernel):
 class MolchanGolosovKernel(VolterraKernel):
     """Finite-interval fractional Brownian motion kernel (Molchan-Golosov form).
 
-    For H > 1/2:
+    Defined for H > 1/2 by
         K(t, s) = c_H s^(1/2 - H) int_s^t (u - s)^(H - 3/2) u^(H - 1/2) du
-    For H < 1/2:
+    and for H < 1/2 by
         K(t, s) = c_H [ (t/s)^(H - 1/2) (t - s)^(H - 1/2)
                         - (H - 1/2) s^(1/2 - H)
-                          int_s^t u^(H - 3/2) (u - s)^(H - 1/2) du ]
-    and K = 1 for H = 1/2.  The inner integrals are computed on a fixed
-    32-node Gauss-Legendre rule after substituting w = (u - s)^q with the
-    exponent q chosen to absorb the endpoint singularity exactly.
+                          int_s^t u^(H - 3/2) (u - s)^(H - 1/2) du ],
+    with K = 1 for H = 1/2.  Both cases are evaluated in the closed form
+    (Decreusefond and Ustunel, Potential Analysis 10, 1999)
+        K(t, s) = C (t - s)^(H - 1/2) 2F1(H - 1/2, 1/2 - H; H + 1/2; 1 - t/s)
+    with C = c_H for H < 1/2 and C = c_H / (H - 1/2) for H > 1/2.  Besides
+    the diagonal singularity the kernel blows up like s^(-|H - 1/2|) as
+    s -> 0 on either side of 1/2 (``origin_exponent``); the value at s = 0
+    itself is clamped to 0.
     """
 
     family = "molchan_golosov"
+
+    @property
+    def origin_exponent(self) -> float:
+        return -abs(self.hurst - 0.5)
 
     def _c_h(self) -> float:
         h = self.hurst
@@ -189,33 +221,17 @@ class MolchanGolosovKernel(VolterraKernel):
 
     def _raw_nonbrownian(self, t, s):
         h = self.hurst
-        xg, wg = _GL32
+        c = self._c_h() if h < 0.5 else self._c_h() / (h - 0.5)
         pos = s > 0.0
         tp, sp = t[pos], s[pos]
-        if h > 0.5:
-            # w = (u - s)^(H - 1/2):  integral = 1/(H - 1/2) int_0^W u^(H-1/2) dw
-            q = h - 0.5
-            wmax = (tp - sp) ** q
-            w = 0.5 * wmax[..., None] * (xg + 1.0)
-            u = sp[..., None] + w ** (1.0 / q)
-            inner = (0.5 * wmax / q) * np.sum(wg * u ** (h - 0.5), axis=-1)
-            out_pos = self._c_h() * sp ** (0.5 - h) * inner
-        else:
-            # w = (u - s)^(H + 1/2):  integral = 1/(H + 1/2) int_0^W u^(H-3/2) dw
-            q = h + 0.5
-            wmax = (tp - sp) ** q
-            w = 0.5 * wmax[..., None] * (xg + 1.0)
-            u = sp[..., None] + w ** (1.0 / q)
-            inner = (0.5 * wmax / q) * np.sum(wg * u ** (h - 1.5), axis=-1)
-            out_pos = self._c_h() * (
-                (tp / sp) ** (h - 0.5) * (tp - sp) ** (h - 0.5)
-                - (h - 0.5) * sp ** (0.5 - h) * inner
-            )
         res = np.zeros_like(t)
-        res[pos] = out_pos
-        # s = 0: zero for H < 1/2 (the prefactor vanishes); for H > 1/2 the
-        # kernel has an integrable blow-up there and is never evaluated at
-        # s = 0 by the quadratures, so clamp to 0 rather than return inf.
+        res[pos] = (
+            c * (tp - sp) ** (h - 0.5)
+            * hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1.0 - tp / sp)
+        )
+        # s = 0: the kernel has an integrable s^(-|H - 1/2|) blow-up there;
+        # the quadratures never evaluate it at s = 0 (the origin cell is
+        # calibrated at its midpoint), so clamp to 0 rather than return inf.
         return self.scale * res
 
 
@@ -224,10 +240,13 @@ class FractionalOUKernel(VolterraKernel):
     """Kernel of a fractional Ornstein-Uhlenbeck driver.
 
     K(t, s) = K_H(t, s) - a int_s^t e^(-a (t - u)) K_H(u, s) du with K_H the
-    Molchan-Golosov fractional Brownian kernel and a > 0 the mean-reversion
-    speed.  The memory integral substitutes u = s + (t - s) v^(1/(H + 1/2)),
-    whose Jacobian cancels the (u - s)^(H - 1/2) endpoint singularity of
-    K_H, and then applies a fixed 32-node Gauss-Legendre rule in v.
+    Molchan-Golosov fractional Brownian kernel (closed form) and a > 0 the
+    mean-reversion speed.  The memory integral substitutes
+    u = s + (t - s) v^(1/(H + 1/2)), whose Jacobian cancels the
+    (u - s)^(H - 1/2) endpoint singularity of K_H, and then applies a fixed
+    32-node Gauss-Legendre rule in v, so each point costs 32 closed-form
+    evaluations of K_H.  The kernel inherits the s^(-|H - 1/2|) blow-up of
+    K_H at the origin (``origin_exponent``) and its clamp K(t, 0) = 0.
     """
 
     mean_reversion: float = 1.0
@@ -240,6 +259,10 @@ class FractionalOUKernel(VolterraKernel):
             raise ConfigurationError(
                 f"mean_reversion must be positive, got {self.mean_reversion}"
             )
+
+    @property
+    def origin_exponent(self) -> float:
+        return -abs(self.hurst - 0.5)
 
     def _base(self) -> MolchanGolosovKernel:
         return MolchanGolosovKernel(
@@ -293,6 +316,10 @@ class RescaledKernel(VolterraKernel):
         if not (0.0 < self.eta <= 1.0):
             raise ConfigurationError(f"eta must lie in (0, 1], got {self.eta}")
         super().__post_init__()
+
+    @property
+    def origin_exponent(self) -> float:
+        return self.base.origin_exponent
 
     def _raw(self, t, s):
         return np.sqrt(self.eta) * self.base.eval(self.eta * t, self.eta * s)
@@ -358,51 +385,99 @@ def eval_kernel(kernel: VolterraKernel, t, s):
     return kernel.eval(t, s)
 
 
-def _edge_coefficient(kernel: VolterraKernel, t: float, h: float) -> float:
-    """Local power-law amplitude A with K(t, s) ~ A (t - s)^kappa near s = t.
+def eval_lower_triangle(
+    kernel: VolterraKernel, nodes, offsets, lag: int = 0
+) -> np.ndarray:
+    """K(nodes[i], nodes[j] + offsets[q]) for every node pair j <= i - lag.
 
-    Calibrated by matching the kernel at the cell edge s = t - h; when that
-    value is not finite (kernels with an extra singularity at s = 0) the
-    midpoint of the cell is used instead.
+    Returns shape (P, Q): one row per pair (i, j) in the row-major order of
+    ``np.tril_indices(len(nodes), -lag)`` (lag >= 0), one column per offset.
+    The flattened (i, j, q) points go to ``kernel.eval`` in chunks of at
+    most ``_EVAL_CHUNK`` points, so the transient memory of the evaluation
+    (32 quadrature nodes per point for the fractional OU kernel) stays
+    bounded whatever the grid size.
     """
+    nodes = _as_array(nodes)
+    offsets = np.atleast_1d(_as_array(offsets))
+    n_q = offsets.size
+    n_rows = max(nodes.size - lag, 0)
+    # row r holds the pairs (lag + r, 0 .. r) and starts at pair r (r + 1) / 2
+    rows = np.arange(n_rows)
+    starts = rows * (rows + 1) // 2
+    n_pairs = n_rows * (n_rows + 1) // 2
+    out = np.empty((n_pairs, n_q))
+    step = max(_EVAL_CHUNK // n_q, 1)
+    for first in range(0, n_pairs, step):
+        pairs = np.arange(first, min(first + step, n_pairs))
+        r = np.searchsorted(starts, pairs, side="right") - 1
+        t = np.repeat(nodes[r + lag], n_q)
+        s = (nodes[pairs - starts[r], None] + offsets).reshape(-1)
+        out[first : first + pairs.size] = kernel.eval(t, s).reshape(-1, n_q)
+    return out
+
+
+def edge_coefficient(kernel: VolterraKernel, t, lo, h: float):
+    """Local power-law amplitudes A with K(t, s) ~ A (t - s)^kappa near s = t.
+
+    Vectorized over diagonal-adjacent cells [lo, t] of width h.  A is
+    calibrated by matching the kernel at the cell edge s = lo, or at the
+    cell midpoint s = t - h/2 where that value is not finite or where the
+    edge is the origin (lo <= 0) of a kernel singular there: the value at
+    s = 0 is a clamp, not the kernel.
+    """
+    t, lo = _as_array(t), _as_array(lo)
     kappa = kernel.singular_exponent
-    val = kernel.eval(t, t - h)
-    if np.isfinite(val):
-        return float(val) / h**kappa
-    val = kernel.eval(t, t - 0.5 * h)
-    return float(val) / (0.5 * h) ** kappa
+    val = _as_array(kernel.eval(t, lo))
+    amp = np.array(val / h**kappa)  # writable, also for scalar input
+    redo = ~np.isfinite(val)
+    if kernel.origin_exponent != 0.0:
+        redo |= lo <= 0.0
+    if np.any(redo):
+        tr = t[redo]
+        amp[redo] = kernel.eval(tr, tr - 0.5 * h) / (0.5 * h) ** kappa
+    return amp
+
+
+def origin_cell_weight(kernel: VolterraKernel) -> float:
+    """Midpoint-rule factor of the first cell [0, h] of a slice product.
+
+    Integrating K(t, s) K(t', s) over [0, h] against A0 A0' s^(2 kappa0),
+    with each amplitude calibrated at the midpoint h/2, gives the midpoint
+    value times h 4^kappa0 / (2 kappa0 + 1): exactly 1 for kappa0 = 0.
+    """
+    k0 = kernel.origin_exponent
+    return 4.0**k0 / (2.0 * k0 + 1.0)
 
 
 def kernel_l2_slice(kernel: VolterraKernel, t: float, n_quad: int = 256) -> float:
     """Slice norm int_0^t K(t, s)^2 ds by singularity-splitting quadrature.
 
     The cell [t - h, t] adjacent to the diagonal (h = t / n_quad) is
-    integrated exactly against the calibrated power law; the remainder uses
-    the composite midpoint rule.
+    integrated exactly against the calibrated power law, the first cell
+    against the origin power law; the remainder uses the composite
+    midpoint rule.
     """
     if n_quad < 2:
         raise DomainError(f"n_quad must be >= 2, got {n_quad}")
     if t < 0 or t > kernel.horizon * (1 + 1e-12):
         raise DomainError(f"t={t} outside [0, {kernel.horizon}]")
-    if t == 0.0:
-        return 0.0
-    h = t / n_quad
-    mids = (np.arange(n_quad - 1) + 0.5) * h
-    interior = float(np.sum(kernel.eval(t, mids) ** 2)) * h
-    a_edge = _edge_coefficient(kernel, t, h)
-    kappa = kernel.singular_exponent
-    last = a_edge**2 * h ** (2 * kappa + 1) / (2 * kappa + 1)
-    return interior + last
+    return _l2_between(kernel, t, 0.0, n_quad)
 
 
 def _l2_between(kernel, t: float, lo: float, n_quad: int) -> float:
-    """int_lo^t K(t, s)^2 ds with the singular cell at the upper end."""
+    """int_lo^t K(t, s)^2 ds with the singular cell at the upper end.
+
+    For lo = 0 the first cell follows the origin-cell rule.
+    """
     if t <= lo:
         return 0.0
     h = (t - lo) / n_quad
     mids = lo + (np.arange(n_quad - 1) + 0.5) * h
-    interior = float(np.sum(kernel.eval(t, mids) ** 2)) * h
-    a_edge = _edge_coefficient(kernel, t, h)
+    sq = kernel.eval(t, mids) ** 2
+    if lo <= 0.0:
+        sq[0] *= origin_cell_weight(kernel)
+    interior = float(np.sum(sq)) * h
+    a_edge = float(edge_coefficient(kernel, t, t - h, h))
     kappa = kernel.singular_exponent
     return interior + a_edge**2 * h ** (2 * kappa + 1) / (2 * kappa + 1)
 
@@ -437,7 +512,7 @@ def modulus_of_continuity(
             diff = kernel.eval(t1, mids) - kernel.eval(t2, mids)
             total += float(np.sum(diff**2)) * h
             # cell [t1 - h, t1]: K(t1, .) by power law, K(t2, .) frozen
-            a1 = _edge_coefficient(kernel, t1, h)
+            a1 = float(edge_coefficient(kernel, t1, t1 - h, h))
             k2bar = float(kernel.eval(t2, t1 - 0.5 * h))
             total += (
                 a1**2 * h ** (2 * kappa + 1) / (2 * kappa + 1)
@@ -607,7 +682,3 @@ class ScalingSchedule:
             rule="log_fbm",
         )
 
-
-@lru_cache(maxsize=None)
-def _cached_slice(kernel: VolterraKernel, t: float, n_quad: int) -> float:
-    return kernel_l2_slice(kernel, t, n_quad)

@@ -130,7 +130,11 @@ def gamma_functional(x: CameronMartinPath, a_path: np.ndarray) -> float:
 
 
 def _inverse_diffusion(coeffs: ModelCoefficients, y: np.ndarray):
-    """a(y), and a(y)^(-1) applied via solves; raises on singular nodes."""
+    """a(y) itself, checked for inversion; raises on singular nodes.
+
+    Returns a, not its inverse: callers apply a(y)^(-1) through
+    ``np.linalg.solve``.
+    """
     a = coeffs.a(y)
     dets = np.linalg.det(a)
     if np.any(np.abs(dets) < _DET_TOL) or not np.all(np.isfinite(dets)):

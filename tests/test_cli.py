@@ -492,6 +492,31 @@ class TestShortTime:
         report = open(os.path.join(out, "report.txt")).read()
         assert "delta" in report
 
+    def test_samples_are_the_rescaled_route(self, tmp_path):
+        from volldp.asymptotics import short_time_values
+
+        out = str(tmp_path / "out")
+        extra = (
+            "[schedule]\nrule = self_similar\neta = 0.5, 0.25\n"
+            "[short-time]\nn_paths = 1000\nrefine = 2\n"
+        )
+        text = _one_factor_text(n_steps=8, out=out, extra=extra).replace(
+            "hurst = 0.5", "hurst = 0.4"
+        )
+        path = _ini(tmp_path, text)
+        assert main(["short-time", "--config", path]) == 0
+        _, rows = _read_csv(os.path.join(out, "samples.csv"))
+        cfg = parse_config(text)
+        for i, entry in enumerate(cfg.schedule):
+            want = short_time_values(
+                cfg.coeffs, cfg.bank, cfg.grid, entry, 1000, cfg.seed + 2 * i,
+                correlated=cfg.short_time.correlated,
+            )[:, -1, 0]
+            got = rows[1000 * i : 1000 * (i + 1)]
+            assert [row[0] for row in got] == [entry.delta] * 1000
+            assert [row[1] for row in got] == list(range(1000))
+            assert np.array_equal([row[2] for row in got], want)
+
     def test_requires_schedule(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         path = _ini(tmp_path, _one_factor_text(n_steps=8, out=out))

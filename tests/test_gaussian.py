@@ -65,6 +65,21 @@ def test_covariance_diagonal_matches_slice_norm():
             assert cov.blocks[ell][i, i] == pytest.approx(want, rel=5e-3)
 
 
+@pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7, 0.9])
+def test_molchan_golosov_covariance_is_fbm_covariance(hurst):
+    # the Molchan-Golosov driver is a standard fBm, so its covariance is
+    # (t^2H + s^2H - |t - s|^2H) / 2 in closed form; the first cell of
+    # every column carries the s^(-|H - 1/2|) blow-up at the origin
+    kernel = make_kernel("molchan_golosov", hurst=hurst, scale=1.0, horizon=1.0)
+    grid = TimeGrid(1.0, 8)
+    cov = covariance_matrix(KernelBank((kernel,)), grid).blocks[0]
+    t = grid.nodes[1:, None]
+    s = grid.nodes[None, 1:]
+    h2 = 2 * hurst
+    want = 0.5 * (t**h2 + s**h2 - np.abs(t - s) ** h2)
+    assert np.allclose(cov, want, rtol=5e-3, atol=0.0)
+
+
 def test_covariance_dense_is_block_diagonal():
     bank = KernelBank((rl_kernel(0.3), rl_kernel(0.75)))
     grid = TimeGrid(1.0, 5)

@@ -2,17 +2,21 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from volldp.errors import ConfigurationError, DomainError
+from volldp.gaussian import discretize_kernel
 from volldp.grids import TimeGrid
 from volldp.kernels import (
     KernelBank,
     ScaleEntry,
     ScalingSchedule,
+    edge_coefficient,
     eval_kernel,
+    eval_lower_triangle,
     kernel_l2_slice,
     limit_kernel_error,
     make_kernel,
@@ -137,10 +141,47 @@ def test_finite_interval_kernel_against_direct_quadrature():
                     (t / s) ** (h - 0.5) * (t - s) ** (h - 0.5)
                     - (h - 0.5) * s ** (0.5 - h) * inner
                 )
-            # the H < 1/2 branch keeps a residual smooth integrand evaluated
-            # by fixed-order quadrature, so allow its quadrature error there
-            tol = 1e-9 if h > 0.5 else 2e-6
-            assert k.eval(t, s) == pytest.approx(want, rel=tol)
+            assert k.eval(t, s) == pytest.approx(want, rel=1e-9)
+
+
+def _molchan_golosov_oracle(h, t, s):
+    """The defining integral of the Molchan-Golosov kernel at 30 digits.
+
+    Integrates in v = u - s, split at geometrically shrinking points so the
+    adaptive rule resolves the endpoint singularity v^(H - 3/2) or
+    v^(H - 1/2) and, for small s, the u^(H - 3/2) peak near v = 0.
+    """
+    with mpmath.workdps(30):
+        h, t, s = mpmath.mpf(h), mpmath.mpf(t), mpmath.mpf(s)
+        pts = [0] + [(t - s) * mpmath.mpf(10) ** -k for k in range(36, -1, -3)]
+        if h > 0.5:
+            c = mpmath.sqrt(h * (2 * h - 1) / mpmath.beta(2 - 2 * h, h - 0.5))
+            inner = mpmath.quad(lambda v: v ** (h - 1.5) * (s + v) ** (h - 0.5), pts)
+            return float(c * s ** (0.5 - h) * inner)
+        c = mpmath.sqrt(2 * h / ((1 - 2 * h) * mpmath.beta(1 - 2 * h, h + 0.5)))
+        inner = mpmath.quad(lambda v: (s + v) ** (h - 1.5) * v ** (h - 0.5), pts)
+        return float(c * ((t / s) ** (h - 0.5) * (t - s) ** (h - 0.5)
+                          - (h - 0.5) * s ** (0.5 - h) * inner))
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7, 0.9])
+def test_molchan_golosov_against_high_precision_integral(hurst):
+    # near the origin the kernel blows up like s^(-|H - 1/2|); the points
+    # reach s = 1e-5 there and s -> t at the diagonal
+    k = make_kernel("molchan_golosov", hurst=hurst, scale=1.0, horizon=1.0)
+    points = [(1.0, 1e-5), (0.5, 1e-5), (1.0, 1e-3), (0.8, 0.3), (0.6, 0.59)]
+    for t, s in points:
+        want = _molchan_golosov_oracle(hurst, t, s)
+        assert k.eval(t, s) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7, 0.9])
+def test_molchan_golosov_slice_is_fbm_variance(hurst):
+    # K is normalized so that Bhat is a standard fBm: the slice norm is
+    # t^(2H), which tests the origin-cell rule against a closed form
+    k = make_kernel("molchan_golosov", hurst=hurst, scale=1.0, horizon=1.0)
+    for t in (1.0 / 32, 0.3, 1.0):
+        assert kernel_l2_slice(k, t) == pytest.approx(t ** (2 * hurst), rel=5e-3)
 
 
 def test_mean_reverting_kernel_against_direct_quadrature():
@@ -214,6 +255,72 @@ def test_l2_slice_against_adaptive_quadrature():
         fine = abs(kernel_l2_slice(kernel, t, n_quad=2048) - want)
         assert fine <= want * tol
         assert fine <= coarse + 1e-12
+
+
+def test_eval_lower_triangle_matches_pointwise_eval():
+    # 3 offsets on the lower triangle of 201 nodes: about 60,000 points,
+    # which crosses several chunk boundaries
+    nodes = TimeGrid(1.0, 200).nodes
+    offsets = np.array([0.0, 0.001, 0.004])
+    for k in (rl_kernel(0.3),
+              make_kernel("molchan_golosov", hurst=0.3, scale=1.0, horizon=1.0)):
+        for lag in (0, 1, 2):
+            ii, jj = np.tril_indices(nodes.size, -lag)
+            want = k.eval(nodes[ii][:, None], nodes[jj][:, None] + offsets)
+            got = eval_lower_triangle(k, nodes, offsets, lag=lag)
+            assert np.array_equal(got, want)
+
+
+def _row_loop_discretization(kernel, grid):
+    """Convolution weights built one row at a time (the reference layout)."""
+    n, dt, t = grid.n_steps, grid.dt, grid.nodes
+    kappa = kernel.singular_exponent
+    xg, wg = np.polynomial.legendre.leggauss(4)
+    weights = np.zeros((n + 1, n))
+    for i in range(2, n + 1):
+        cells = np.arange(i - 1)
+        u = t[cells][None, :] + 0.5 * dt * (xg[:, None] + 1.0)
+        vals = kernel.eval(t[i], u)
+        weights[i, : i - 1] = 0.5 * np.sum(wg[:, None] * vals, axis=0)
+    edge = np.zeros(n + 1)
+    for i in range(1, n + 1):
+        edge[i] = kernel.eval(t[i], t[i - 1]) / dt**kappa
+    return weights, edge
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 100])
+def test_discretization_matches_row_loop_bitwise(n_steps):
+    kernels = [
+        rl_kernel(0.3, scale=1.3),
+        rl_kernel(0.75),
+        rescale_kernel(rl_kernel(0.35), 0.1),
+        make_kernel("log_fbm", hurst=0.4, scale=1.0, horizon=0.9,
+                    log_exponent=2.0),
+    ]
+    for kernel in kernels:
+        grid = TimeGrid(0.9, n_steps)
+        weights, edge = _row_loop_discretization(kernel, grid)
+        disc = discretize_kernel(kernel, grid)
+        assert np.array_equal(disc.mean_weights, weights)
+        assert np.array_equal(disc.edge_coeff, edge)
+
+
+@pytest.mark.parametrize("family", ["molchan_golosov", "fractional_ou"])
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_first_cell_amplitude_of_origin_singular_kernels(family, hurst):
+    # the first cell is both the origin cell and the diagonal cell; its
+    # amplitude comes from the cell midpoint, not from the clamp K(t, 0) = 0
+    extra = {"mean_reversion": 1.0} if family == "fractional_ou" else {}
+    kernel = make_kernel(family, hurst=hurst, scale=1.0, horizon=1.0, **extra)
+    grid = TimeGrid(1.0, 32)
+    disc = discretize_kernel(kernel, grid)
+    assert disc.edge_coeff[1] > 0.0
+    t1 = grid.nodes[1]
+    assert float(edge_coefficient(kernel, t1, 0.0, grid.dt)) == disc.edge_coeff[1]
+    # measured -3.7 % (MG, H = 0.3) to -10.06 % (MG, H = 0.7): the
+    # one-cell power law misses the s^(-|H - 1/2|) blow-up at the origin
+    want = kernel_l2_slice(kernel, grid.nodes[1])
+    assert disc.row_l2()[1] == pytest.approx(want, rel=0.11)
 
 
 def test_l2_slice_nondecreasing_in_t():
