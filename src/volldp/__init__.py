@@ -30,7 +30,6 @@ from .kernels import (
     ScaleEntry,
     ScalingSchedule,
     VolterraKernel,
-    eval_kernel,
     kernel_l2_slice,
     limit_kernel_error,
     make_kernel,
@@ -93,7 +92,6 @@ from .asymptotics import (
     ldp_slope,
     short_time_direct,
     short_time_report,
-    short_time_sample,
     short_time_values,
     tilted_estimate,
 )

@@ -32,7 +32,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import ConfigurationError, DomainError, OptimizationError, ValidationError
-from .grids import PathSample, TimeGrid
+from .grids import TimeGrid
 from .kernels import KernelBank, ScaleEntry, ScalingSchedule, rescale_kernel
 from .model import ModelCoefficients, euler_paths_array
 from .ratefn import RateSolution
@@ -407,47 +407,18 @@ def short_time_direct(
     return values[:, ::refine, :] * (scale.epsilon / np.sqrt(delta))
 
 
-def short_time_sample(
-    coeffs: ModelCoefficients,
-    bank: KernelBank,
-    grid: TimeGrid,
-    n_index: int,
-    schedule: ScalingSchedule,
-    n_paths: int,
-    seed: int,
-    correlated: bool = True,
-) -> list:
-    """Renormalized short-time paths at entry ``n_index`` of a schedule.
-
-    Returns a list of PathSample on the reference grid; each holds
-    eps_n / sqrt(delta_n) * Z(delta_n t) simulated through the
-    rescaled-kernel route.
-    """
-    entry = (
-        schedule.entry(n_index)
-        if isinstance(schedule, ScalingSchedule)
-        else _as_entry(schedule)
-    )
-    values = short_time_values(
-        coeffs, bank, grid, entry, n_paths, seed, correlated=correlated
-    )
-    return [PathSample(grid, values[k]) for k in range(n_paths)]
-
-
 # ---------------------------------------------------------------------------
 # equivalence diagnostics
 # ---------------------------------------------------------------------------
 
 
 def _as_values(sample) -> np.ndarray:
-    if isinstance(sample, np.ndarray):
-        if sample.ndim != 3:
-            raise ValidationError(
-                f"path set must have shape (n, N + 1, d), got {sample.shape}"
-            )
-        return sample
-    values = [s.values if isinstance(s, PathSample) else np.asarray(s) for s in sample]
-    return np.stack(values, axis=0)
+    sample = np.asarray(sample)
+    if sample.ndim != 3:
+        raise ValidationError(
+            f"path set must have shape (n, N + 1, d), got {sample.shape}"
+        )
+    return sample
 
 
 @dataclass(frozen=True)
@@ -480,9 +451,9 @@ def equivalence_diagnostic(
 ) -> EquivalenceReport:
     """Compare two path sets pair by pair and at the terminal marginal.
 
-    Accepts arrays of shape (n, N + 1, d) or lists of PathSample on matched
-    grids with matched counts.  Path k of one set is compared with path k of
-    the other through the sup over grid nodes of the Euclidean distance;
+    Takes two arrays of shape (n, N + 1, d) on matched grids with matched
+    counts.  Path k of one set is compared with path k of the other
+    through the sup over grid nodes of the Euclidean distance;
     the report carries the frequency of exceedances at each delta together
     with a two-sample KS test of the first terminal coordinate.  The paired
     column is meaningful for coupled samples (shared driver noise); for

@@ -380,11 +380,6 @@ class KernelBank:
 # ---------------------------------------------------------------------------
 
 
-def eval_kernel(kernel: VolterraKernel, t, s):
-    """Pointwise kernel evaluation (alias for ``kernel.eval``)."""
-    return kernel.eval(t, s)
-
-
 def eval_lower_triangle(
     kernel: VolterraKernel, nodes, offsets, lag: int = 0
 ) -> np.ndarray:

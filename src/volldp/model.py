@@ -256,6 +256,23 @@ class ModelCoefficients:
 # ---------------------------------------------------------------------------
 
 
+def _require_nonsingular(a, what: str) -> None:
+    """Raise ``SingularDiffusionError`` if a matrix of ``a`` (..., d, d) is singular.
+
+    The package's one singularity rule: the determinant is not finite, or
+    |det| < 1e-12.
+    """
+    with np.errstate(invalid="ignore"):
+        dets = np.abs(np.linalg.det(a)).ravel()
+    key = np.where(np.isfinite(dets), dets, -1.0)
+    worst = int(np.argmin(key))
+    if key[worst] < _DET_TOL:
+        at = f" at node {worst}" if np.ndim(a) > 2 else ""
+        raise SingularDiffusionError(
+            f"{what} singular{at}: |det| = {dets[worst]:.3e} < {_DET_TOL}"
+        )
+
+
 @dataclass
 class DiffusionMatrixPath:
     """a(phi(t)) and its inverse at every grid node, with spectral records."""
@@ -270,20 +287,14 @@ class DiffusionMatrixPath:
 def diffusion_path(coeffs: ModelCoefficients, phi: PathSample) -> DiffusionMatrixPath:
     """Evaluate a = sigma sigma^T and a^(-1) along a volatility path.
 
-    Raises ``SingularDiffusionError`` when |det a| < 1e-12 at any node.
+    Raises ``SingularDiffusionError`` when a is singular at any node.
     """
     if phi.dim != coeffs.p:
         raise DomainError(
             f"path dimension {phi.dim} does not match factor count {coeffs.p}"
         )
     a = coeffs.a(phi.values)
-    dets = np.linalg.det(a)
-    if np.any(np.abs(dets) < _DET_TOL):
-        worst = int(np.argmin(np.abs(dets)))
-        raise SingularDiffusionError(
-            f"diffusion matrix singular at node {worst}: |det| = "
-            f"{abs(dets[worst]):.3e} < {_DET_TOL}"
-        )
+    _require_nonsingular(a, "diffusion matrix")
     a_inv = np.linalg.inv(a)
     eigs = np.linalg.eigvalsh(a)
     return DiffusionMatrixPath(

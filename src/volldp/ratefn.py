@@ -18,17 +18,26 @@ and the induced variational problems:
     I_T(z)   = inf_f 1/2 |f|^2 + 1/2 (z - Phi(f,fhat)(T) - M)^T A^(-1) (...)
                with A = int a(fhat) dt,  M = int mu(fhat) dt    (terminal)
 
-The terminal inner problem is the closed-form Euler-Lagrange quadratic; no
-inner iteration happens anywhere.  The outer minimization runs a
-bounded-memory quasi-Newton method with backtracking line search, gradients
-assembled by adjoint accumulation through the chain f -> fhat -> Phi -> J,
+All four are one objective F(f) = 1/2 |f|^2 + (inner quadratic), which
+differs only in the block span at which sigma_tilde reads fhat (None: no Phi
+term, I_X; N / m: block left ends, I_Z^m; 1: every node, I_Z and I_T) and in
+whether the inner quadratic is pathwise or terminal.  Each yields a weight
+w: pathwise w_j = a_j^(-1) r_j with r = xdot - mu - Phidot, terminal
+w = A^(-1) q held at every node.  In both, d/d(mu_j + Phidot_j) = -w_j dt and
+d/d(sigma_j) = -w_j (sigma_j^T w_j)^T dt, so the adjoint gradient and the
+Wiener-direction control sigma^T w are written once.  The terminal inner
+problem is the closed-form Euler-Lagrange quadratic; no inner iteration
+happens anywhere.  The outer minimization runs a bounded-memory
+quasi-Newton method with backtracking line search, gradients assembled by
+adjoint accumulation through the chain f -> fhat -> Phi -> inner,
 multi-start (zero start plus Gaussian seeds), and projection of iterates
-onto the energy ball |f|^2 <= C_x with C_x = int (xdot - mu(0))^T a^(-1)(0)
-(xdot - mu(0)) dt, inside which the minimizer is guaranteed to live.
+onto the energy ball |f|^2 <= 2 F(0), inside which the minimizer is
+guaranteed to live; for the pathwise functionals 2 F(0) is
+C_x = int (xdot - mu(0))^T a^(-1)(0) (xdot - mu(0)) dt.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +45,7 @@ from .errors import DomainError, OptimizationError, SingularDiffusionError
 from .gaussian import discretize_kernel
 from .grids import PathSample, TimeGrid
 from .kernels import KernelBank
-from .model import ModelCoefficients
-
-_DET_TOL = 1e-12
+from .model import ModelCoefficients, _require_nonsingular
 
 
 class MultistartSpreadWarning(RuntimeWarning):
@@ -129,31 +136,24 @@ def gamma_functional(x: CameronMartinPath, a_path: np.ndarray) -> float:
     return 0.5 * float(np.einsum("ji,jik,jk->", xd, a_path, xd)) * x.grid.dt
 
 
-def _inverse_diffusion(coeffs: ModelCoefficients, y: np.ndarray):
-    """a(y) itself, checked for inversion; raises on singular nodes.
-
-    Returns a, not its inverse: callers apply a(y)^(-1) through
-    ``np.linalg.solve``.
-    """
-    a = coeffs.a(y)
-    dets = np.linalg.det(a)
-    if np.any(np.abs(dets) < _DET_TOL) or not np.all(np.isfinite(dets)):
-        raise SingularDiffusionError(
-            "diffusion matrix singular along the volatility path "
-            f"(min |det| = {np.min(np.abs(dets)):.3e})"
-        )
-    return a
-
-
 def j_rate(x: CameronMartinPath, phi: PathSample, coeffs: ModelCoefficients) -> float:
     """J(x | phi) = 1/2 int (xdot - mu(phi))^T a(phi)^(-1) (xdot - mu(phi)) dt."""
     if x.grid != phi.grid:
         raise DomainError("x and phi live on different grids")
     y = phi.values[: x.grid.n_steps]
-    a = _inverse_diffusion(coeffs, y)
+    a = coeffs.a(y)
+    _require_nonsingular(a, "diffusion matrix")
     resid = x.derivative - coeffs.mu(y)
     w = np.linalg.solve(a, resid[..., None])[..., 0]
     return 0.5 * float(np.sum(resid * w)) * x.grid.dt
+
+
+def _lift(hat_w, dmat) -> np.ndarray:
+    """fhat at every node, (N + 1, p), from per-factor hat weights."""
+    fhat = np.empty((dmat.shape[0] + 1, dmat.shape[1]))
+    for ell, c in enumerate(hat_w):
+        fhat[:, ell] = c @ dmat[:, ell]
+    return fhat
 
 
 def hat_map(f: CameronMartinPath, bank: KernelBank) -> PathSample:
@@ -166,17 +166,22 @@ def hat_map(f: CameronMartinPath, bank: KernelBank) -> PathSample:
         raise DomainError(
             f"control has {f.dim} components, bank has {bank.n_factors}"
         )
-    out = np.empty((f.grid.n_steps + 1, f.dim))
-    for ell, kernel in enumerate(bank):
-        c = discretize_kernel(kernel, f.grid).hat_weights
-        out[:, ell] = c @ f.derivative[:, ell]
-    return PathSample(f.grid, out)
+    hat_w = [discretize_kernel(kernel, f.grid).hat_weights for kernel in bank]
+    return PathSample(f.grid, _lift(hat_w, f.derivative))
 
 
-def _block_left_indices(grid: TimeGrid, m: int) -> np.ndarray:
-    grid.require_divisible(m)
-    span = grid.n_steps // m
-    return (np.arange(grid.n_steps) // span) * span
+def _phi(coeffs: ModelCoefficients, g: np.ndarray, dmat: np.ndarray, span):
+    """Per-step sigma_tilde and Phidot_j = sigma_tilde_j fdot_j, (N, d).
+
+    sigma_tilde is read from the node values ``g`` at the left end of each
+    block of ``span`` steps and held across the block; span None means no
+    correlation term (sigma_tilde None, Phidot = 0).
+    """
+    n = dmat.shape[0]
+    if span is None:
+        return None, np.zeros((n, coeffs.d))
+    sigt = np.repeat(coeffs.sigma_tilde(g[:n:span]), span, axis=0)
+    return sigt, np.einsum("jil,jl->ji", sigt, dmat)
 
 
 def phi_m(
@@ -192,24 +197,17 @@ def phi_m(
         raise DomainError("f and g live on different grids")
     if f.dim != coeffs.p or g.dim != coeffs.p:
         raise DomainError("f and g must have one component per factor")
-    left = _block_left_indices(f.grid, m)
-    sigt = coeffs.sigma_tilde(g.values[left])
-    steps = np.einsum("jil,jl->ji", sigt, f.derivative) * f.grid.dt
-    out = np.zeros((f.grid.n_steps + 1, coeffs.d))
-    out[1:] = np.cumsum(steps, axis=0)
-    return PathSample(f.grid, out)
+    f.grid.require_divisible(m)
+    phidot = _phi(coeffs, g.values, f.derivative, f.grid.n_steps // m)[1]
+    return CameronMartinPath(f.grid, phidot).as_path()
 
 
 def phi_map(
     f: CameronMartinPath, bank: KernelBank, coeffs: ModelCoefficients
 ) -> PathSample:
     """Correlation integral Phi_i(f, fhat)(t) = sum_l int sigmat_il(fhat) fdot_l ds."""
-    fhat = hat_map(f, bank)
-    sigt = coeffs.sigma_tilde(fhat.values[: f.grid.n_steps])
-    steps = np.einsum("jil,jl->ji", sigt, f.derivative) * f.grid.dt
-    out = np.zeros((f.grid.n_steps + 1, coeffs.d))
-    out[1:] = np.cumsum(steps, axis=0)
-    return PathSample(f.grid, out)
+    phidot = _phi(coeffs, hat_map(f, bank).values, f.derivative, 1)[1]
+    return CameronMartinPath(f.grid, phidot).as_path()
 
 
 def j_m_correlated(
@@ -363,202 +361,127 @@ def _multistart(value_grad, shape, dt, radius_sq, cfg: OptimizerConfig):
 # ---------------------------------------------------------------------------
 
 
-class _PathwiseProblem:
-    """Shared machinery of the pathwise objectives.
+class _Objective:
+    """F(f) = 1/2 |f|^2 + inner quadratic, for all four rate functionals.
 
-    ``block_index`` is None for the uncorrelated functional (no Phi term),
-    otherwise the per-step node index at which sigma_tilde reads the lifted
-    path: arange(N) for the exact functional, block left endpoints for the
-    frozen-block one.
+    ``span`` is the block length, in steps, over which sigma_tilde is frozen
+    at the lifted control: None for I_X (no Phi term), N // m for I_Z^m, and
+    1 for I_Z and I_T.  Exactly one of ``xdot`` (pathwise target, (N, d))
+    and ``z`` (terminal point, (d,)) is given.
     """
 
-    def __init__(self, x, bank, coeffs, block_index):
-        self.grid = x.grid
-        self.coeffs = coeffs
-        self.xdot = x.derivative
-        self.dt = x.grid.dt
-        self.n = x.grid.n_steps
-        self.p = coeffs.p
-        self.d = coeffs.d
-        self.block_index = block_index
-        self.hat_w = [
-            discretize_kernel(kernel, x.grid).hat_weights for kernel in bank
-        ]
-        if x.dim != coeffs.d:
-            raise DomainError(
-                f"target path has dimension {x.dim}, model has d = {coeffs.d}"
-            )
-
-    def lift(self, dmat):
-        fhat = np.empty((self.n + 1, self.p))
-        for ell in range(self.p):
-            fhat[:, ell] = self.hat_w[ell] @ dmat[:, ell]
-        return fhat
-
-    def value_grad(self, flat):
-        dmat = flat.reshape(self.n, self.p)
-        co = self.coeffs
-        fhat = self.lift(dmat)
-        y = fhat[: self.n]
-        mu = co.mu(y)
-        sig = co.sigma(y)
-        a = sig @ np.swapaxes(sig, -1, -2)
-        dets = np.linalg.det(a)
-        if not np.all(np.isfinite(dets)) or np.any(np.abs(dets) < _DET_TOL):
-            return np.inf, np.zeros_like(flat)
-        resid = self.xdot - mu
-        if self.block_index is not None:
-            yg = fhat[self.block_index]
-            sigt = co.sigma_tilde(yg)
-            resid = resid - np.einsum("jil,jl->ji", sigt, dmat)
-        w = np.linalg.solve(a, resid[..., None])[..., 0]
-        value = 0.5 * np.sum(dmat * dmat) * self.dt + 0.5 * np.sum(resid * w) * self.dt
-
-        sw = np.einsum("jik,ji->jk", sig, w)
-        dmu = co.mu.jacobian(y)
-        dsig = co.sigma.jacobian(y)
-        s_nodes = np.zeros((self.n + 1, self.p))
-        s_nodes[: self.n] -= np.einsum("ji,jim->jm", w, dmu) * self.dt
-        s_nodes[: self.n] -= np.einsum("ji,jikm,jk->jm", w, dsig, sw) * self.dt
-        grad = dmat * self.dt
-        if self.block_index is not None:
-            dsigt = co.sigma_tilde.jacobian(yg)
-            rows = -np.einsum("ji,jilm,jl->jm", w, dsigt, dmat) * self.dt
-            np.add.at(s_nodes, self.block_index, rows)
-            grad -= np.einsum("jil,ji->jl", sigt, w) * self.dt
-        for ell in range(self.p):
-            grad[:, ell] += self.hat_w[ell].T @ s_nodes[:, ell]
-        return value, grad.reshape(-1)
-
-    def inner_drift(self, dmat):
-        """Wiener-direction control sigma(fhat)^(-1)(xdot - mu - Phidot)."""
-        co = self.coeffs
-        fhat = self.lift(dmat)
-        y = fhat[: self.n]
-        sig = co.sigma(y)
-        resid = self.xdot - co.mu(y)
-        if self.block_index is not None:
-            sigt = co.sigma_tilde(fhat[self.block_index])
-            resid = resid - np.einsum("jil,jl->ji", sigt, dmat)
-        return np.linalg.solve(sig, resid[..., None])[..., 0]
-
-
-class _TerminalProblem:
-    """Terminal rate objective with the Euler-Lagrange inner solution."""
-
-    def __init__(self, z, bank, coeffs, grid):
-        self.z = np.atleast_1d(np.asarray(z, dtype=float))
-        if self.z.shape != (coeffs.d,):
-            raise DomainError(
-                f"terminal point has shape {self.z.shape}, expected ({coeffs.d},)"
-            )
+    def __init__(self, grid, bank, coeffs, span, xdot=None, z=None):
         self.grid = grid
         self.coeffs = coeffs
+        self.span = span
+        self.xdot = xdot
+        self.z = z
         self.n = grid.n_steps
         self.p = coeffs.p
-        self.d = coeffs.d
         self.dt = grid.dt
-        self.hat_w = [discretize_kernel(k, grid).hat_weights for k in bank]
+        self.hat_w = [discretize_kernel(kernel, grid).hat_weights for kernel in bank]
 
-    def lift(self, dmat):
-        fhat = np.empty((self.n + 1, self.p))
-        for ell in range(self.p):
-            fhat[:, ell] = self.hat_w[ell] @ dmat[:, ell]
-        return fhat
+    def inner(self, dmat):
+        """(fhat, sigma_tilde per step, w, sigma^T w, inner value) at ``dmat``.
 
-    def _pieces(self, dmat):
+        Pathwise, w_j = a_j^(-1) r_j with r = xdot - mu - Phidot and the
+        inner value 1/2 sum r.w dt (so sigma^T w = sigma^(-1) r); terminal,
+        w = A^(-1) q at every node with q = z - int (mu + Phidot) dt,
+        A = int a dt and value 1/2 q.w.  sigma^T w is the Wiener-direction
+        control.  Raises ``SingularDiffusionError`` where a (or A) is
+        singular.
+        """
         co = self.coeffs
-        fhat = self.lift(dmat)
+        fhat = _lift(self.hat_w, dmat)
         y = fhat[: self.n]
         mu = co.mu(y)
         sig = co.sigma(y)
-        sigt = co.sigma_tilde(y)
-        a_total = np.einsum("jik,jlk->il", sig, sig) * self.dt
-        m_total = mu.sum(axis=0) * self.dt
-        phi_t = np.einsum("jil,jl->i", sigt, dmat) * self.dt
-        q = self.z - phi_t - m_total
-        return fhat, y, mu, sig, sigt, a_total, q
+        sigt, phidot = _phi(co, fhat, dmat, self.span)
+        if self.z is None:
+            a = sig @ np.swapaxes(sig, -1, -2)
+            _require_nonsingular(a, "diffusion matrix")
+            resid = (self.xdot - mu) - phidot
+            w = np.linalg.solve(a, resid[..., None])[..., 0]
+            value = 0.5 * np.sum(resid * w) * self.dt
+        else:
+            a_total = np.einsum("jik,jlk->il", sig, sig) * self.dt
+            _require_nonsingular(a_total, "time-integrated diffusion matrix")
+            q = self.z - phidot.sum(axis=0) * self.dt - mu.sum(axis=0) * self.dt
+            w_total = np.linalg.solve(a_total, q)
+            value = 0.5 * float(q @ w_total)
+            w = np.broadcast_to(w_total, (self.n, co.d))
+        return fhat, sigt, w, np.einsum("jik,ji->jk", sig, w), value
 
     def value_grad(self, flat):
-        dmat = flat.reshape(self.n, self.p)
-        co = self.coeffs
-        fhat, y, mu, sig, sigt, a_total, q = self._pieces(dmat)
-        if not np.all(np.isfinite(a_total)):
-            return np.inf, np.zeros_like(flat)
-        eigs = np.linalg.eigvalsh(a_total)
-        if eigs[0] < _DET_TOL:
-            return np.inf, np.zeros_like(flat)
-        w = np.linalg.solve(a_total, q)
-        value = 0.5 * np.sum(dmat * dmat) * self.dt + 0.5 * float(q @ w)
+        """Objective and its adjoint gradient; +inf where a is singular.
 
-        sw = np.einsum("jik,i->jk", sig, w)
+        Both inner problems share d/d(mu_j + Phidot_j) = -w_j dt and
+        d/d(sigma_j) = -w_j (sigma_j^T w_j)^T dt.
+        """
+        dmat = flat.reshape(self.n, self.p)
+        try:
+            fhat, sigt, w, sw, inner = self.inner(dmat)
+        except SingularDiffusionError:
+            return np.inf, np.zeros_like(flat)
+        co, dt = self.coeffs, self.dt
+        value = 0.5 * np.sum(dmat * dmat) * dt + inner
+        y = fhat[: self.n]
+
         dmu = co.mu.jacobian(y)
         dsig = co.sigma.jacobian(y)
-        dsigt = co.sigma_tilde.jacobian(y)
         s_nodes = np.zeros((self.n + 1, self.p))
-        s_nodes[: self.n] -= np.einsum("i,jim->jm", w, dmu) * self.dt
-        s_nodes[: self.n] -= np.einsum("i,jilm,jl->jm", w, dsigt, dmat) * self.dt
-        s_nodes[: self.n] -= np.einsum("i,jikm,jk->jm", w, dsig, sw) * self.dt
-        grad = dmat * self.dt - np.einsum("jil,i->jl", sigt, w) * self.dt
+        s_nodes[: self.n] -= np.einsum("ji,jim->jm", w, dmu) * dt
+        s_nodes[: self.n] -= np.einsum("ji,jikm,jk->jm", w, dsig, sw) * dt
+        grad = dmat * dt
+        if sigt is not None:
+            span = self.span
+            dsigt = np.repeat(
+                co.sigma_tilde.jacobian(fhat[: self.n : span]), span, axis=0
+            )
+            rows = -np.einsum("ji,jilm,jl->jm", w, dsigt, dmat) * dt
+            s_nodes[: self.n : span] += rows.reshape(-1, span, self.p).sum(axis=1)
+            grad -= np.einsum("jil,ji->jl", sigt, w) * dt
         for ell in range(self.p):
             grad[:, ell] += self.hat_w[ell].T @ s_nodes[:, ell]
         return value, grad.reshape(-1)
 
-    def inner_drift(self, dmat):
-        """sigma(fhat)^T A^(-1) q: Wiener control of the inner quadratic."""
-        _, y, _, sig, _, a_total, q = self._pieces(dmat)
-        eigs = np.linalg.eigvalsh(a_total)
-        if eigs[0] < _DET_TOL:
-            raise SingularDiffusionError(
-                f"time-integrated diffusion matrix is singular "
-                f"(min eig = {eigs[0]:.3e})"
-            )
-        w = np.linalg.solve(a_total, q)
-        return np.einsum("jik,i->jk", sig, w)
 
+def _solve(objective, opt: OptimizerConfig) -> RateSolution:
+    """Minimize over the ball |f|^2 <= 2 F(0) and collect the solution.
 
-def _radius_sq(x: CameronMartinPath, coeffs: ModelCoefficients) -> float:
-    """Search-ball energy C_x = int (xdot - mu(0))^T a(0)^(-1) (xdot - mu(0)) dt."""
-    y0 = np.zeros((1, coeffs.p))
-    a0 = coeffs.a(y0)[0]
-    mu0 = coeffs.mu(y0)[0]
-    resid = x.derivative - mu0
-    w = np.linalg.solve(a0, resid.T).T
-    return float(np.sum(resid * w)) * x.grid.dt
-
-
-def _finish(problem, best, spread, upper, coeffs, with_phi):
-    x_best, f_best, g_best, iters, converged, crit = best
-    dmat = x_best.reshape(problem.n, problem.p)
-    control = CameronMartinPath(problem.grid, dmat)
-    fhat = PathSample(problem.grid, problem.lift(dmat))
-    if with_phi:
-        sigt_nodes = (
-            problem.block_index
-            if isinstance(problem, _PathwiseProblem)
-            else np.arange(problem.n)
-        )
-        if sigt_nodes is None:
-            phi_vals = np.zeros((problem.n + 1, coeffs.d))
-        else:
-            sigt = coeffs.sigma_tilde(fhat.values[sigt_nodes])
-            steps = np.einsum("jil,jl->ji", sigt, dmat) * problem.dt
-            phi_vals = np.zeros((problem.n + 1, coeffs.d))
-            phi_vals[1:] = np.cumsum(steps, axis=0)
-    else:
-        phi_vals = np.zeros((problem.n + 1, coeffs.d))
+    2 F(0) is C_x for the pathwise functionals and 2 I_T's value at f = 0
+    for the terminal one; a singular diffusion at f = 0 raises
+    ``SingularDiffusionError``.
+    """
+    n, p, grid = objective.n, objective.p, objective.grid
+    upper = objective.inner(np.zeros((n, p)))[-1]
+    best, spread = _multistart(
+        objective.value_grad, (n, p), grid.dt, 2.0 * upper, opt
+    )
+    x_best, f_best, _, iters, converged, crit = best
+    dmat = x_best.reshape(n, p)
+    fhat, _, _, drift, _ = objective.inner(dmat)
+    phidot = _phi(objective.coeffs, fhat, dmat, objective.span)[1]
     return RateSolution(
         value=max(float(f_best), 0.0),
-        control=control,
-        hat_path=fhat,
-        phi_path=PathSample(problem.grid, phi_vals),
+        control=CameronMartinPath(grid, dmat),
+        hat_path=PathSample(grid, fhat),
+        phi_path=CameronMartinPath(grid, phidot).as_path(),
         iterations=iters,
         grad_norm=float(crit),
         converged=converged,
         upper_bound_used=upper,
         multistart_spread=spread,
-        inner_drift=problem.inner_drift(dmat),
+        inner_drift=drift,
     )
+
+
+def _pathwise(x: CameronMartinPath, bank, coeffs, span, opt) -> RateSolution:
+    if x.dim != coeffs.d:
+        raise DomainError(
+            f"target path has dimension {x.dim}, model has d = {coeffs.d}"
+        )
+    return _solve(_Objective(x.grid, bank, coeffs, span, xdot=x.derivative), opt)
 
 
 def i_uncorrelated(
@@ -568,13 +491,7 @@ def i_uncorrelated(
     opt: OptimizerConfig = OptimizerConfig(),
 ) -> RateSolution:
     """Rate of the uncorrelated model: inf_f 1/2 |f|^2 + J(x | fhat)."""
-    problem = _PathwiseProblem(x, bank, coeffs, block_index=None)
-    radius_sq = _radius_sq(x, coeffs)
-    upper = problem.value_grad(np.zeros(problem.n * problem.p))[0]
-    best, spread = _multistart(
-        problem.value_grad, (problem.n, problem.p), x.grid.dt, radius_sq, opt
-    )
-    return _finish(problem, best, spread, upper, coeffs, with_phi=False)
+    return _pathwise(x, bank, coeffs, None, opt)
 
 
 def i_z_m(
@@ -585,14 +502,8 @@ def i_z_m(
     opt: OptimizerConfig = OptimizerConfig(),
 ) -> RateSolution:
     """Frozen-block correlated rate inf_f 1/2 |f|^2 + J(x - Phi^m(f, fhat) | fhat)."""
-    idx = _block_left_indices(x.grid, m)
-    problem = _PathwiseProblem(x, bank, coeffs, block_index=idx)
-    radius_sq = _radius_sq(x, coeffs)
-    upper = problem.value_grad(np.zeros(problem.n * problem.p))[0]
-    best, spread = _multistart(
-        problem.value_grad, (problem.n, problem.p), x.grid.dt, radius_sq, opt
-    )
-    return _finish(problem, best, spread, upper, coeffs, with_phi=True)
+    x.grid.require_divisible(m)
+    return _pathwise(x, bank, coeffs, x.grid.n_steps // m, opt)
 
 
 def i_z(
@@ -602,14 +513,7 @@ def i_z(
     opt: OptimizerConfig = OptimizerConfig(),
 ) -> RateSolution:
     """Correlated rate inf_f 1/2 |f|^2 + J(x - Phi(f, fhat) | fhat) on the C_x ball."""
-    idx = np.arange(x.grid.n_steps)
-    problem = _PathwiseProblem(x, bank, coeffs, block_index=idx)
-    radius_sq = _radius_sq(x, coeffs)
-    upper = problem.value_grad(np.zeros(problem.n * problem.p))[0]
-    best, spread = _multistart(
-        problem.value_grad, (problem.n, problem.p), x.grid.dt, radius_sq, opt
-    )
-    return _finish(problem, best, spread, upper, coeffs, with_phi=True)
+    return _pathwise(x, bank, coeffs, 1, opt)
 
 
 def terminal_rate(
@@ -620,15 +524,9 @@ def terminal_rate(
     opt: OptimizerConfig = OptimizerConfig(),
 ) -> RateSolution:
     """Terminal rate I_T(z); the inner problem is the closed quadratic form."""
-    problem = _TerminalProblem(z, bank, coeffs, grid)
-    zero = np.zeros(problem.n * problem.p)
-    upper = problem.value_grad(zero)[0]
-    if not np.isfinite(upper):
-        raise SingularDiffusionError(
-            "time-integrated diffusion matrix is singular at f = 0"
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.shape != (coeffs.d,):
+        raise DomainError(
+            f"terminal point has shape {z.shape}, expected ({coeffs.d},)"
         )
-    radius_sq = 2.0 * upper
-    best, spread = _multistart(
-        problem.value_grad, (problem.n, problem.p), grid.dt, radius_sq, opt
-    )
-    return _finish(problem, best, spread, upper, coeffs, with_phi=True)
+    return _solve(_Objective(grid, bank, coeffs, 1, z=z), opt)

@@ -14,8 +14,8 @@ from .grids import TimeGrid
 from .kernels import KernelBank, make_kernel
 from .model import ConstantMap, ExpLinearMap, ModelCoefficients, euler_paths_array
 from .ratefn import (
-    CameronMartinPath, OptimizerConfig, _PathwiseProblem, _TerminalProblem,
-    gamma_functional, terminal_rate,
+    CameronMartinPath, OptimizerConfig, _Objective, gamma_functional,
+    terminal_rate,
 )
 
 
@@ -112,14 +112,10 @@ def _random_problem(rng, grid, bank, kind):
     )
     coeffs = ModelCoefficients(d=d, p=p, mu=mu, sigma=sigma, sigma_tilde=sigt)
     if kind == "terminal":
-        return _TerminalProblem(rng.standard_normal(d), bank, coeffs, grid)
-    index = {
-        "plain": None,
-        "exact": np.arange(grid.n_steps),
-        "blocks": (np.arange(grid.n_steps) // 2) * 2,
-    }[kind]
-    x = CameronMartinPath(grid, rng.standard_normal((grid.n_steps, d)))
-    return _PathwiseProblem(x, bank, coeffs, index)
+        return _Objective(grid, bank, coeffs, 1, z=rng.standard_normal(d))
+    span = {"plain": None, "exact": 1, "blocks": 2}[kind]
+    xdot = rng.standard_normal((grid.n_steps, d))
+    return _Objective(grid, bank, coeffs, span, xdot=xdot)
 
 
 def _check_gradients(rng):

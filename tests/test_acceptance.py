@@ -36,8 +36,7 @@ from volldp.model import ModelCoefficients, make_map
 from volldp.ratefn import (
     CameronMartinPath,
     OptimizerConfig,
-    _PathwiseProblem,
-    _TerminalProblem,
+    _Objective,
     gamma_functional,
     hat_map,
     i_z,
@@ -502,18 +501,14 @@ def _suite_gradient_consistency(rng) -> int:
             )
         coeffs = ModelCoefficients.one_factor(base, rho)
         kind = int(rng.integers(3))
-        if kind == 0:
-            problem = _PathwiseProblem(
-                CameronMartinPath.straight_line(grid, rng.normal(size=1)),
-                bank, coeffs, None,
-            )
-        elif kind == 1:
-            problem = _PathwiseProblem(
-                CameronMartinPath.straight_line(grid, rng.normal(size=1)),
-                bank, coeffs, np.repeat(np.arange(4), 2),
+        if kind < 2:
+            # I_X, or I_Z^m with m = 4 blocks of two steps
+            x = CameronMartinPath.straight_line(grid, rng.normal(size=1))
+            problem = _Objective(
+                grid, bank, coeffs, (None, 2)[kind], xdot=x.derivative
             )
         else:
-            problem = _TerminalProblem(rng.normal(size=1), bank, coeffs, grid)
+            problem = _Objective(grid, bank, coeffs, 1, z=rng.normal(size=1))
         flat = rng.normal(scale=0.7, size=8)
         _, grad = problem.value_grad(flat)
         i = int(rng.integers(8))

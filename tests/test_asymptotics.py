@@ -13,7 +13,6 @@ from volldp.asymptotics import (
     ldp_slope,
     short_time_direct,
     short_time_report,
-    short_time_sample,
     short_time_values,
     tilted_estimate,
 )
@@ -363,18 +362,6 @@ def test_short_time_coupled_routes_agree(unit_grid):
     assert np.max(np.abs(a - b)) < 1e-12
 
 
-def test_short_time_sample_wraps_schedule(unit_grid):
-    coeffs = exp_vol_coeffs(0.3, amplitude=0.3)
-    bank = rl_bank(0.35)
-    sched = ScalingSchedule.self_similar([0.5, 0.25], 0.35)
-    paths = short_time_sample(coeffs, bank, unit_grid, 1, sched, 20, seed=3)
-    assert len(paths) == 20
-    assert isinstance(paths[0], PathSample)
-    values = short_time_values(coeffs, bank, unit_grid, sched.entry(1), 20,
-                               seed=3)
-    assert np.array_equal(np.stack([p.values for p in paths]), values)
-
-
 # ---------------------------------------------------------------------------
 # distributional diagnostics
 # ---------------------------------------------------------------------------
@@ -388,14 +375,6 @@ def test_equivalence_diagnostic_identical_samples(unit_grid):
     assert all(f == 0.0 for f in rep.exceedance)
     assert rep.ks_pvalue == pytest.approx(1.0)
     assert rep.n_paths == 500
-
-
-def test_equivalence_diagnostic_accepts_path_lists(unit_grid):
-    rng = np.random.default_rng(1)
-    values = rng.normal(size=(40, unit_grid.n_steps + 1, 1))
-    paths = [PathSample(unit_grid, v) for v in values]
-    rep = equivalence_diagnostic(paths, values)
-    assert rep.max_sup_distance == 0.0
 
 
 def test_equivalence_diagnostic_shape_mismatch(unit_grid):

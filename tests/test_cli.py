@@ -360,6 +360,14 @@ class TestRateCommands:
         _, rows = _read_csv(os.path.join(out, "value.csv"))
         assert rows[0][0] == pytest.approx(0.125, rel=1e-6)
 
+    def test_rate_singular_diffusion_exit_code(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        extra = self.OPT + "[rate]\nfunctional = i_z\nz = 1.0\n"
+        text = _one_factor_text(n_steps=8, out=out, extra=extra)
+        path = _ini(tmp_path, text.replace("values = 1.0", "values = 0.0"))
+        assert main(["rate", "--config", path]) == 5
+        assert "error[NUMERIC]" in capsys.readouterr().err
+
     def test_terminal_rate_brownian_value_and_manifest(self, tmp_path):
         # Independent 2-d driving noise with identity volatility: the
         # terminal rate at z is |z|^2 / (2 T), here 1.0.

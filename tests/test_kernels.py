@@ -15,7 +15,6 @@ from volldp.kernels import (
     ScaleEntry,
     ScalingSchedule,
     edge_coefficient,
-    eval_kernel,
     eval_lower_triangle,
     kernel_l2_slice,
     limit_kernel_error,
@@ -78,11 +77,6 @@ def test_eval_domain_errors():
         k.eval(1.5, 0.2)
     with pytest.raises(DomainError):
         k.eval(0.5, -0.2)
-
-
-def test_eval_kernel_helper_matches_method():
-    k = rl_kernel(0.35)
-    assert eval_kernel(k, 0.9, 0.4) == k.eval(0.9, 0.4)
 
 
 def test_parameter_validation():

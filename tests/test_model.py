@@ -141,6 +141,14 @@ def test_diffusion_path_singular_matrix():
         diffusion_path(coeffs, PathSample(grid, np.zeros((3, 2))))
 
 
+def test_diffusion_path_rejects_nan_determinant():
+    coeffs = exp_vol_coeffs(0.2)
+    grid = TimeGrid(1.0, 2)
+    values = np.array([[0.0], [np.nan], [0.0]])
+    with pytest.raises(SingularDiffusionError, match="node 1"):
+        diffusion_path(coeffs, PathSample(grid, values))
+
+
 def test_diffusion_path_dimension_mismatch():
     coeffs = exp_vol_coeffs(0.2)
     grid = TimeGrid(1.0, 2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from volldp.errors import ConfigurationError, DomainError
+from volldp.errors import ConfigurationError, DomainError, SingularDiffusionError
 from volldp.gaussian import discretize_kernel, terminal_variance_bound
 from volldp.grids import PathSample, TimeGrid
 from volldp.kernels import KernelBank
@@ -21,7 +21,8 @@ from volldp.ratefn import (
     phi_map,
     terminal_rate,
 )
-from volldp.ratefn import _PathwiseProblem, _TerminalProblem
+from volldp.model import ModelCoefficients, make_map
+from volldp.ratefn import _Objective
 
 from conftest import affine_vol_coeffs, constant_coeffs, exp_vol_coeffs, rl_bank
 
@@ -434,20 +435,23 @@ def finite_difference(fun, x0, step=1e-5):
     return grad
 
 
-@pytest.mark.parametrize("block_index_kind", ["none", "exact", "frozen"])
-def test_pathwise_gradients_match_finite_differences(block_index_kind):
+@pytest.mark.parametrize("kind", ["none", "exact", "frozen", "terminal"])
+def test_pathwise_gradients_match_finite_differences(kind):
+    # none / exact / frozen: sigma_tilde read nowhere, at every node, at the
+    # left ends of two blocks; terminal: the I_T objective, whose adjoint is
+    # the pathwise one with the inner weight held across the steps
     grid = TimeGrid(1.0, 8)
-    coeffs = exp_vol_coeffs(0.5, amplitude=0.3)
     bank = rl_bank(0.35)
-    x = CameronMartinPath.straight_line(grid, [0.6])
-    if block_index_kind == "none":
-        block = None
-    elif block_index_kind == "exact":
-        block = np.arange(8)
+    if kind == "terminal":
+        coeffs = exp_vol_coeffs(-0.4, amplitude=0.3)
+        problem = _Objective(grid, bank, coeffs, 1, z=np.array([0.8]))
+        rng = np.random.default_rng(13)
     else:
-        block = np.repeat(np.array([0, 4]), 4)
-    problem = _PathwiseProblem(x, bank, coeffs, block)
-    rng = np.random.default_rng(12)
+        coeffs = exp_vol_coeffs(0.5, amplitude=0.3)
+        span = {"none": None, "exact": 1, "frozen": 4}[kind]
+        xdot = CameronMartinPath.straight_line(grid, [0.6]).derivative
+        problem = _Objective(grid, bank, coeffs, span, xdot=xdot)
+        rng = np.random.default_rng(12)
     for _ in range(25):
         flat = rng.normal(scale=0.7, size=8)
         _, grad = problem.value_grad(flat)
@@ -456,18 +460,79 @@ def test_pathwise_gradients_match_finite_differences(block_index_kind):
         assert np.max(np.abs(grad - fd)) / denom < 1e-4
 
 
-def test_terminal_gradients_match_finite_differences():
-    grid = TimeGrid(1.0, 8)
-    coeffs = exp_vol_coeffs(-0.4, amplitude=0.3)
-    bank = rl_bank(0.35)
-    problem = _TerminalProblem(np.array([0.8]), bank, coeffs, grid)
-    rng = np.random.default_rng(13)
-    for _ in range(25):
-        flat = rng.normal(scale=0.7, size=8)
-        _, grad = problem.value_grad(flat)
-        fd = finite_difference(lambda v: problem.value_grad(v)[0], flat)
-        denom = max(1.0, np.max(np.abs(fd)))
-        assert np.max(np.abs(grad - fd)) / denom < 1e-4
+# ---------------------------------------------------------------------------
+# inner drift and singular diffusions
+# ---------------------------------------------------------------------------
+
+
+def two_factor_coeffs():
+    """d = p = 2 model with state-dependent sigma, sigma_tilde and mu."""
+    return ModelCoefficients(
+        d=2, p=2,
+        mu=make_map("affine", (2,), 2, constant=np.array([0.05, -0.02]),
+                    linear=np.array([[0.1, 0.0], [0.0, -0.2]])),
+        sigma=make_map("exp_linear", (2, 2), 2,
+                       amplitude=np.array([[0.4, 0.1], [0.05, 0.3]]),
+                       weights=np.full((2, 2, 2), 0.3)),
+        sigma_tilde=make_map("exp_linear", (2, 2), 2,
+                             amplitude=np.array([[-0.2, 0.1], [0.1, 0.15]]),
+                             weights=np.full((2, 2, 2), -0.2)),
+    )
+
+
+@pytest.mark.parametrize("functional", ["i_x", "i_z_m", "i_z", "i_t"])
+def test_inner_drift_reproduces_the_target(functional):
+    # sigma(fhat) ydot + mu(fhat) + Phidot = xdot at every step; for I_T the
+    # time integral of the same reaches z
+    grid = TimeGrid(1.0, 16)
+    bank = KernelBank((rl_bank(0.3)[0], rl_bank(0.7)[0]))
+    coeffs = two_factor_coeffs()
+    rng = np.random.default_rng(21)
+    xdot = rng.normal(size=(16, 2))
+    z = rng.normal(size=2)
+    m = 4
+    span = {"i_x": None, "i_z_m": 16 // m, "i_z": 1, "i_t": 1}[functional]
+    if functional == "i_t":
+        problem = _Objective(grid, bank, coeffs, span, z=z)
+    else:
+        problem = _Objective(grid, bank, coeffs, span, xdot=xdot)
+    for _ in range(10):
+        f = CameronMartinPath(grid, rng.normal(scale=0.7, size=(16, 2)))
+        drift = problem.inner(f.derivative)[3]
+        fhat = hat_map(f, bank)
+        y = fhat.values[:16]
+        if functional == "i_x":
+            phi = np.zeros((17, 2))
+        elif functional == "i_z_m":
+            phi = phi_m(f, fhat, m, coeffs).values
+        else:
+            phi = phi_map(f, bank, coeffs).values
+        rate = (
+            np.einsum("jik,jk->ji", coeffs.sigma(y), drift)
+            + coeffs.mu(y)
+            + np.diff(phi, axis=0) / grid.dt
+        )
+        if functional == "i_t":
+            assert np.max(np.abs(rate.sum(axis=0) * grid.dt - z)) < 1e-12
+        else:
+            assert np.max(np.abs(rate - xdot)) < 1e-12
+
+
+@pytest.mark.parametrize("level", [0.0, 1e-7])
+@pytest.mark.parametrize("functional", ["i_x", "i_z_m", "i_z", "i_t"])
+def test_singular_diffusion_raises_typed_error(unit_grid, functional, level):
+    coeffs = constant_coeffs(1, 1, sigma=[[level]])
+    bank = rl_bank(0.4)
+    x = CameronMartinPath.straight_line(unit_grid, [0.5])
+    with pytest.raises(SingularDiffusionError):
+        if functional == "i_x":
+            i_uncorrelated(x, bank, coeffs, FAST_OPT)
+        elif functional == "i_z_m":
+            i_z_m(x, 4, bank, coeffs, FAST_OPT)
+        elif functional == "i_z":
+            i_z(x, bank, coeffs, FAST_OPT)
+        else:
+            terminal_rate(np.array([0.5]), bank, coeffs, unit_grid, FAST_OPT)
 
 
 def test_rate_functions_reject_dimension_mismatch(unit_grid):
