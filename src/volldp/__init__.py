@@ -13,6 +13,7 @@ The package is organized bottom-up:
 from .errors import (
     ConfigurationError,
     DomainError,
+    NonFinitePathError,
     OptimizationError,
     QuadratureError,
     SingularDiffusionError,

@@ -6,6 +6,14 @@ control (the estimator stays unbiased for any shift; a good shift makes the
 event typical).  The decay rate is then read off as the slope of
 -log p(eps) against 1 / eps^2.
 
+Both tail estimators cut the path range into fixed counter blocks of 8,192
+paths.  A block's driver draws depend only on (seed, path index), so the
+blocks run on a small thread pool in any order; each returns partial sums
+(hits, weight sums, the largest log-weight, the non-finite count), and the
+partials are added in block order, which makes every estimate bitwise
+independent of the number of threads.  A path with a non-finite terminal
+value makes the estimator raise ``NonFinitePathError``.
+
 Short-time side: the process observed on a shrinking horizon delta * T and
 renormalized by eps / sqrt(delta) is simulated through two routes that are
 equal in law at matched resolution:
@@ -25,13 +33,23 @@ vanishing of the exceedance rates at every scale, so the report is a
 consistency check, not a proof.
 """
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigurationError, DomainError, OptimizationError, ValidationError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    NonFinitePathError,
+    OptimizationError,
+    ValidationError,
+)
+from .gaussian import discretize_kernel
 from .grids import TimeGrid
 from .kernels import KernelBank, ScaleEntry, ScalingSchedule, rescale_kernel
 from .model import ModelCoefficients, euler_paths_array
@@ -39,6 +57,9 @@ from .ratefn import RateSolution
 
 _MIN_TAIL_PATHS = 1000
 _LOG_WEIGHT_CAP = 700.0
+# Paths per counter block of the tail estimators: the unit of work handed to
+# a worker thread and of the block-order reduction.
+_BLOCK_PATHS = 8192
 
 # ---------------------------------------------------------------------------
 # events
@@ -109,13 +130,19 @@ class PathSupNorm:
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """Monte Carlo tail probability with its standard error."""
+    """Monte Carlo tail probability with its standard error.
+
+    ``n_nonfinite`` counts paths whose terminal value was not finite; the
+    estimators raise ``NonFinitePathError`` instead of returning an
+    estimate with any such path.
+    """
 
     prob: float
     stderr: float
     n_paths: int
     n_hits: int
     epsilon: float
+    n_nonfinite: int = 0
 
     @property
     def log_prob(self) -> float:
@@ -147,6 +174,68 @@ def _warn_if_degenerate(hits: int, n_paths: int) -> None:
         )
 
 
+def pool_size(n_paths: int, threads: int | None = None) -> int:
+    """Worker threads the tail estimators use for ``n_paths`` paths.
+
+    ``threads`` when given, otherwise the CPUs this process may run on;
+    never more than the number of counter blocks, so a one-block run uses
+    no pool.
+    """
+    if threads is None:
+        threads = len(os.sched_getaffinity(0))
+    elif threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    return min(threads, -(-n_paths // _BLOCK_PATHS))
+
+
+class _BlockSums(NamedTuple):
+    """Partial sums of one counter block (or of all blocks, once reduced)."""
+
+    hits: int
+    nonfinite: int
+    weight_sum: float = 0.0
+    weight_sq: float = 0.0
+    max_log_weight: float = -np.inf
+
+
+def _run_blocks(bank, grid, n_paths: int, threads, block) -> _BlockSums:
+    """Apply ``block(first_path, count)`` to every counter block; reduce.
+
+    The path range is cut into fixed blocks of ``_BLOCK_PATHS`` paths.  A
+    block's draws depend only on (seed, path index), and its partial sums
+    are added in block order, so the result is bitwise the same whatever
+    the number of worker threads and the order in which blocks finish.
+    """
+    for kernel in bank:  # fill the discretization cache before any worker
+        discretize_kernel(kernel, grid)
+    firsts = range(0, n_paths, _BLOCK_PATHS)
+    counts = [min(_BLOCK_PATHS, n_paths - first) for first in firsts]
+    workers = pool_size(n_paths, threads)
+    if workers == 1:
+        parts = list(map(block, firsts, counts))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(block, firsts, counts))
+    hits, nonfinite, weight_sum, weight_sq, max_log_weight = parts[0]
+    for part in parts[1:]:
+        hits += part.hits
+        nonfinite += part.nonfinite
+        weight_sum += part.weight_sum
+        weight_sq += part.weight_sq
+        max_log_weight = max(max_log_weight, part.max_log_weight)
+    if nonfinite:
+        raise NonFinitePathError(
+            f"{nonfinite} of {n_paths} simulated paths have a non-finite "
+            "terminal value (the Euler scheme overflowed); the tail estimate "
+            "would count them as misses"
+        )
+    return _BlockSums(hits, nonfinite, weight_sum, weight_sq, max_log_weight)
+
+
+def _count_nonfinite(values: np.ndarray) -> int:
+    return int(np.count_nonzero(~np.all(np.isfinite(values[:, -1, :]), axis=1)))
+
+
 def estimate_tail_prob(
     coeffs: ModelCoefficients,
     bank: KernelBank,
@@ -156,24 +245,28 @@ def estimate_tail_prob(
     n_paths: int,
     seed: int,
     correlated: bool = True,
-    batch_size: int = 65536,
+    threads: int | None = None,
 ) -> TailEstimate:
-    """Crude Monte Carlo estimate of P(Z^eps in event) with binomial error."""
+    """Crude Monte Carlo estimate of P(Z^eps in event) with binomial error.
+
+    Paths run in counter blocks on up to ``threads`` worker threads (see
+    ``pool_size``); the estimate does not depend on the thread count.
+    """
     _validate_tail_args(n_paths)
-    hits = 0
-    done = 0
-    while done < n_paths:
-        block = min(batch_size, n_paths - done)
+
+    def block(first: int, count: int) -> _BlockSums:
         values, _, _ = euler_paths_array(
-            coeffs, bank, grid, epsilon, block, seed,
-            correlated=correlated, first_path=done,
+            coeffs, bank, grid, epsilon, count, seed,
+            correlated=correlated, first_path=first,
         )
-        hits += int(np.count_nonzero(event.indicator(values)))
-        done += block
-    prob = hits / n_paths
+        hits = int(np.count_nonzero(event.indicator(values)))
+        return _BlockSums(hits, _count_nonfinite(values))
+
+    sums = _run_blocks(bank, grid, n_paths, threads, block)
+    prob = sums.hits / n_paths
     stderr = float(np.sqrt(prob * (1.0 - prob) / n_paths))
-    _warn_if_degenerate(hits, n_paths)
-    return TailEstimate(prob, stderr, n_paths, hits, epsilon)
+    _warn_if_degenerate(sums.hits, n_paths)
+    return TailEstimate(prob, stderr, n_paths, sums.hits, epsilon, sums.nonfinite)
 
 
 def tilted_estimate(
@@ -186,13 +279,14 @@ def tilted_estimate(
     n_paths: int,
     seed: int,
     correlated: bool = True,
-    batch_size: int = 65536,
+    threads: int | None = None,
 ) -> TailEstimate:
     """Importance-sampled estimate under the minimizing-control shift.
 
     Both driver families are shifted by the optimal controls scaled by
     1 / eps; each path is reweighted by the exact Gaussian likelihood ratio,
-    so the estimator is unbiased at every resolution.
+    so the estimator is unbiased at every resolution.  Paths run in counter
+    blocks as in ``estimate_tail_prob``.
     """
     _validate_tail_args(n_paths)
     if not control.converged:
@@ -208,41 +302,43 @@ def tilted_estimate(
     f_sq = float(np.sum(fdot**2)) * dt
     y_sq = float(np.sum(ydot**2)) * dt
     const = (f_sq + y_sq) / (2.0 * epsilon**2)
+    brownian_shift = fdot * dt / epsilon
+    wiener_shift = ydot * dt / epsilon
 
-    weighted_sum = 0.0
-    weighted_sq = 0.0
-    hits = 0
-    done = 0
-    while done < n_paths:
-        block = min(batch_size, n_paths - done)
+    def block(first: int, count: int) -> _BlockSums:
         values, incr, dw = euler_paths_array(
-            coeffs, bank, grid, epsilon, block, seed,
-            correlated=correlated, first_path=done,
-            brownian_shift=fdot * dt / epsilon,
-            wiener_shift=ydot * dt / epsilon,
+            coeffs, bank, grid, epsilon, count, seed,
+            correlated=correlated, first_path=first,
+            brownian_shift=brownian_shift,
+            wiener_shift=wiener_shift,
         )
         log_w = (
             const
             - np.einsum("jl,kjl->k", fdot, incr) / epsilon
             - np.einsum("ji,kji->k", ydot, dw) / epsilon
         )
-        if np.max(log_w) > _LOG_WEIGHT_CAP:
-            warnings.warn(
-                "likelihood-ratio exponent exceeds the overflow threshold; "
-                "the tilted estimate may be unusable at this noise level",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         ind = event.indicator(values)
-        contrib = np.where(ind, np.exp(log_w), 0.0)
-        weighted_sum += float(np.sum(contrib))
-        weighted_sq += float(np.sum(contrib**2))
-        hits += int(np.count_nonzero(ind))
-        done += block
-    prob = weighted_sum / n_paths
-    var = max(weighted_sq / n_paths - prob**2, 0.0)
+        w = np.exp(log_w[ind])
+        return _BlockSums(
+            int(np.count_nonzero(ind)),
+            _count_nonfinite(values),
+            float(np.sum(w)),
+            float(np.sum(w**2)),
+            float(np.max(log_w)),
+        )
+
+    sums = _run_blocks(bank, grid, n_paths, threads, block)
+    if sums.max_log_weight > _LOG_WEIGHT_CAP:
+        warnings.warn(
+            "likelihood-ratio exponent exceeds the overflow threshold; "
+            "the tilted estimate may be unusable at this noise level",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    prob = sums.weight_sum / n_paths
+    var = max(sums.weight_sq / n_paths - prob**2, 0.0)
     stderr = float(np.sqrt(var / n_paths))
-    return TailEstimate(prob, stderr, n_paths, hits, epsilon)
+    return TailEstimate(prob, stderr, n_paths, sums.hits, epsilon, sums.nonfinite)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ Subcommands
 
 Every run writes its artifacts atomically (temp file, then rename) into the
 output directory together with ``manifest.json`` (config hash, seed,
-package version, command, overrides) so results can be reproduced
-bit-identically.  All numbers are printed with 17 significant digits.
+package version, command, overrides, and ``threads_effective``, the
+worker-pool size of the tail estimators, 1 for commands without a pool) so
+results can be reproduced bit-identically.  All numbers are printed with 17
+significant digits.
 Exit codes: 0 success, otherwise the failing error category (CONFIG 2,
 DOMAIN 3, VALIDATION 4, NUMERIC 5, INTERNAL 6).
 """
@@ -64,7 +66,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _write_manifest(out_dir: str, command: str, config_text: str, seed: int,
-                    overrides: dict) -> None:
+                    overrides: dict, threads_effective: int) -> None:
     from . import __version__
 
     payload = {
@@ -73,6 +75,7 @@ def _write_manifest(out_dir: str, command: str, config_text: str, seed: int,
         "seed": seed,
         "version": __version__,
         "overrides": {k: v for k, v in sorted(overrides.items()) if v is not None},
+        "threads_effective": threads_effective,
     }
     _write_json(os.path.join(out_dir, "manifest.json"), payload)
 
@@ -234,11 +237,13 @@ def _cmd_terminal_rate(cfg, out_dir: str, z_override) -> None:
     _solution_outputs(out_dir, solution, cfg.grid)
 
 
-def _cmd_verify_ldp(cfg, out_dir: str) -> None:
+def _cmd_verify_ldp(cfg, out_dir: str, threads) -> int:
+    """Run the noise sweep; returns the worker-pool size the estimators used."""
     import numpy as np
 
     from .asymptotics import (
-        TerminalHalfSpace, estimate_tail_prob, ldp_slope, tilted_estimate,
+        TerminalHalfSpace, estimate_tail_prob, ldp_slope, pool_size,
+        tilted_estimate,
     )
     from .ratefn import terminal_rate
 
@@ -254,11 +259,12 @@ def _cmd_verify_ldp(cfg, out_dir: str) -> None:
             est = tilted_estimate(
                 cfg.coeffs, cfg.bank, cfg.grid, eps, event, solution,
                 opts.n_paths, seed, correlated=opts.correlated,
+                threads=threads,
             )
         else:
             est = estimate_tail_prob(
                 cfg.coeffs, cfg.bank, cfg.grid, eps, event, opts.n_paths,
-                seed, correlated=opts.correlated,
+                seed, correlated=opts.correlated, threads=threads,
             )
         estimates.append(est)
     rows = [
@@ -285,6 +291,7 @@ def _cmd_verify_ldp(cfg, out_dir: str) -> None:
             "n_paths": opts.n_paths,
         },
     )
+    return pool_size(opts.n_paths, threads)
 
 
 def _cmd_short_time(cfg, out_dir: str) -> None:
@@ -380,7 +387,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override the config seed")
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--threads", type=int, default=None,
-                         help="cap BLAS/OpenMP threads (best effort)")
+                         help="worker threads of the tail estimators (default: "
+                              "the CPUs available); also exported as the "
+                              "BLAS/OpenMP thread cap")
         if name == "terminal-rate":
             cmd.add_argument("--z", default=None,
                              help="comma-separated terminal point")
@@ -398,8 +407,8 @@ def _apply_thread_cap(threads) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # Apply the thread cap before any numerical module is imported so the
-    # environment variables can still influence BLAS pool sizes.
+    # The BLAS/OpenMP variables reach only pools sized after this point;
+    # numpy, loaded with the package, has already sized its own.
     _apply_thread_cap(args.threads)
 
     from .errors import VolldpError
@@ -427,6 +436,7 @@ def main(argv=None) -> int:
         if getattr(args, "z", None) is not None:
             z_override = tuple(float(tok) for tok in args.z.split(","))
 
+        threads_effective = 1
         if args.command == "kernel-table":
             _cmd_kernel_table(cfg, out_dir)
         elif args.command == "simulate":
@@ -436,7 +446,7 @@ def main(argv=None) -> int:
         elif args.command == "terminal-rate":
             _cmd_terminal_rate(cfg, out_dir, z_override)
         elif args.command == "verify-ldp":
-            _cmd_verify_ldp(cfg, out_dir)
+            threads_effective = _cmd_verify_ldp(cfg, out_dir, args.threads)
         elif args.command == "short-time":
             _cmd_short_time(cfg, out_dir)
         _write_manifest(
@@ -446,6 +456,7 @@ def main(argv=None) -> int:
                 "out": args.out,
                 "threads": args.threads,
             },
+            threads_effective,
         )
         return 0
     except FileNotFoundError as exc:

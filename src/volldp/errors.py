@@ -45,3 +45,9 @@ class OptimizationError(VolldpError):
     """The rate-functional minimizer could not produce a usable answer."""
 
     category = "NUMERIC"
+
+
+class NonFinitePathError(VolldpError):
+    """Simulated paths came out non-finite (the Euler scheme overflowed)."""
+
+    category = "NUMERIC"

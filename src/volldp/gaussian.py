@@ -25,7 +25,10 @@ Randomness is counter-based: path k reads a dedicated counter range of a
 Philox stream keyed by the seed, so path sets are reproducible and
 independent of batch size or generation order.  Normals are produced from
 64-bit uniforms through the inverse normal CDF so each path consumes a
-fixed, layout-stable number of words.
+fixed, layout-stable number of words.  The tail estimators rely on this:
+they draw fixed counter blocks of paths (``first_path`` is the block's
+first path) on worker threads and add the per-block partial sums in block
+order, so their results do not depend on the thread count.
 """
 
 from dataclasses import dataclass
@@ -66,9 +69,16 @@ def path_normals(seed: int, first_path: int, n_paths: int, n_draws: int) -> np.n
     stride = (n_draws + 3) // 4
     bg = np.random.Philox(key=int(seed) & ((1 << 64) - 1))
     bg.advance(first_path * stride)
-    raw = bg.random_raw(n_paths * stride * 4).reshape(n_paths, stride * 4)
-    u = ((raw[:, :n_draws] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    raw = bg.random_raw(n_paths * stride * 4).reshape(n_paths, stride * 4)[:, :n_draws]
+    # ((word >> 11) + 0.5) * 2^-53 with the roundings of that expression,
+    # each step written over the words: the uniforms and normals live in the
+    # buffer of the raw draws (the uint64 -> float64 step goes through a
+    # temporary numpy frees at once)
+    raw >>= np.uint64(11)
+    u = raw.view(np.float64)
+    np.add(raw, 0.5, out=u)
+    u *= 2.0**-53
+    return ndtri(u, out=u)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Uniform time grids and sampled-path containers."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -18,16 +18,11 @@ exactly Gaussian, and exp(Z) is a martingale for mu = 0 already at the
 discrete level.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    SingularDiffusionError,
-    ValidationError,
-)
+from .errors import ConfigurationError, DomainError, SingularDiffusionError
 from .gaussian import bank_discretizations, draw_driver_arrays
 from .grids import JointSample, PathSample, TimeGrid
 from .kernels import KernelBank
@@ -507,20 +502,15 @@ def euler_paths_array(
     dw = extras.reshape(n_paths, n, d) * np.sqrt(dt)
     if brownian_shift is not None:
         # The V variables shift through dB only (conditionally on dB the
-        # auxiliary residual is centered), so rebuild them and the
-        # convolution from the shifted increments.
-        increments = increments + brownian_shift[None, :, :]
-        discs = bank_discretizations(bank, grid)
-        singular = singular.copy()
-        volterra = np.empty_like(volterra)
-        for ell, disc in enumerate(discs):
-            rho = disc.kappa_c / dt
-            singular[:, :, ell] += rho * brownian_shift[None, :, ell]
-            volterra[:, :, ell] = disc.convolve_increments(
-                increments[:, :, ell], singular[:, :, ell]
-            )
+        # auxiliary residual is centered), and Bhat is linear in (dB, V):
+        # Bhat(dB + h) = Bhat(dB) + hhat with hhat = hat_weights @ (h / dt),
+        # so the shifted drivers need no second convolution.
+        increments += brownian_shift
+        for ell, disc in enumerate(bank_discretizations(bank, grid)):
+            singular[:, :, ell] += disc.kappa_c / dt * brownian_shift[:, ell]
+            volterra[:, :, ell] += disc.hat_weights @ (brownian_shift[:, ell] / dt)
     if wiener_shift is not None:
-        dw = dw + wiener_shift[None, :, :]
+        dw += wiener_shift
 
     y = vol_arg_scale * volterra[:, :-1, :]          # (n_paths, N, p)
     sig = coeffs.sigma(y)                            # (n_paths, N, d, d)

@@ -11,6 +11,7 @@ from volldp.asymptotics import (
     equivalence_diagnostic,
     estimate_tail_prob,
     ldp_slope,
+    pool_size,
     short_time_direct,
     short_time_report,
     short_time_values,
@@ -19,6 +20,7 @@ from volldp.asymptotics import (
 from volldp.errors import (
     ConfigurationError,
     DomainError,
+    NonFinitePathError,
     OptimizationError,
     ValidationError,
 )
@@ -29,11 +31,10 @@ from volldp.ratefn import (
     CameronMartinPath,
     OptimizerConfig,
     RateSolution,
-    i_z,
     terminal_rate,
 )
 
-from conftest import affine_vol_coeffs, constant_coeffs, exp_vol_coeffs, rl_bank
+from conftest import constant_coeffs, exp_vol_coeffs, rl_bank
 
 FAST_OPT = OptimizerConfig(n_starts=2)
 
@@ -126,14 +127,52 @@ def test_tail_prob_determinism():
 
 
 def test_tail_prob_batching_invariance():
+    # 20,000 paths are three counter blocks, the last one partial; one and
+    # two worker threads must reduce them to the same bits
     coeffs = exp_vol_coeffs(0.5, amplitude=0.3)
     bank = rl_bank(0.35)
     grid = TimeGrid(1.0, 8)
     a = estimate_tail_prob(coeffs, bank, grid, 0.5, TerminalHalfSpace(0.2),
-                           3000, seed=7, batch_size=1024)
+                           20_000, seed=7, threads=1)
     b = estimate_tail_prob(coeffs, bank, grid, 0.5, TerminalHalfSpace(0.2),
-                           3000, seed=7, batch_size=100000)
+                           20_000, seed=7, threads=2)
     assert a.n_hits == b.n_hits
+    assert (a.prob, a.stderr) == (b.prob, b.stderr)
+
+
+def test_tail_prob_counter_blocks_match_one_batch():
+    # the blocked estimate counts exactly the hits of one unblocked batch
+    coeffs = exp_vol_coeffs(0.5, amplitude=0.3)
+    bank = rl_bank(0.35)
+    grid = TimeGrid(1.0, 8)
+    event = TerminalHalfSpace(0.2)
+    est = estimate_tail_prob(coeffs, bank, grid, 0.5, event, 20_000, seed=7)
+    values, _, _ = euler_paths_array(coeffs, bank, grid, 0.5, 20_000, 7)
+    assert est.n_hits == int(np.count_nonzero(event.indicator(values)))
+
+
+def test_tail_estimators_reject_nonfinite_paths():
+    # exponential volatility with weight 120 overflows the Euler scheme on
+    # 69 of these 2,000 paths; counting them as misses would bias the estimate
+    coeffs = exp_vol_coeffs(-0.5, weight=120)
+    bank = rl_bank(0.3)
+    grid = TimeGrid(1.0, 32)
+    event = TerminalHalfSpace(0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinitePathError, match="69 of 2000"):
+            estimate_tail_prob(coeffs, bank, grid, 1.0, event, 2000, seed=3)
+        with pytest.raises(NonFinitePathError, match="69 of 2000"):
+            tilted_estimate(coeffs, bank, grid, 1.0, event,
+                            zero_control_solution(grid), 2000, seed=3)
+
+
+def test_pool_size_is_capped_by_the_block_count():
+    assert pool_size(8192, threads=4) == 1
+    assert pool_size(8193, threads=4) == 2
+    assert pool_size(100_000, threads=3) == 3
+    assert pool_size(100_000) >= 1
+    with pytest.raises(ConfigurationError):
+        pool_size(100_000, threads=0)
 
 
 def test_tail_prob_sample_size_floor(unit_grid):
@@ -185,6 +224,21 @@ def test_tilted_with_zero_control_equals_crude(unit_grid):
     tilt = tilted_estimate(coeffs, bank, unit_grid, 0.5, event,
                            zero_control_solution(unit_grid), 4000, seed=11)
     assert tilt.prob == pytest.approx(crude.prob, rel=1e-12)
+
+
+def test_tilted_thread_count_invariance():
+    coeffs = exp_vol_coeffs(-0.5, amplitude=0.3)
+    bank = rl_bank(0.35)
+    grid = TimeGrid(1.0, 8)
+    event = TerminalHalfSpace(0.4)
+    control = terminal_rate(np.array([0.4]), bank, coeffs, grid, FAST_OPT)
+    a, b = (
+        tilted_estimate(coeffs, bank, grid, 0.4, event, control, 20_000,
+                        seed=5, threads=threads)
+        for threads in (1, 2)
+    )
+    assert a.n_hits == b.n_hits > 0
+    assert (a.prob, a.stderr) == (b.prob, b.stderr)
 
 
 def test_tilted_requires_converged_control(unit_grid):

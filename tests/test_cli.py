@@ -58,10 +58,11 @@ def _read_csv(path):
 
 
 def _snapshot(out_dir):
-    return {
-        name: open(os.path.join(out_dir, name), "rb").read()
-        for name in sorted(os.listdir(out_dir))
-    }
+    snapshot = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as handle:
+            snapshot[name] = handle.read()
+    return snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +467,50 @@ class TestVerifyLdp:
             abs(summary["slope"] - summary["target_rate"])
             / summary["target_rate"]
         )
+
+    def test_thread_count_does_not_change_results(self, tmp_path):
+        # 10,000 paths are two counter blocks, so --threads 2 runs a pool
+        extra = (
+            "[optimizer]\nn_starts = 2\n"
+            "[verify-ldp]\n"
+            "threshold = 0.5\n"
+            "epsilons = 0.5, 0.4, 0.3\n"
+            "n_paths = 10000\n"
+            "estimator = tilted\n"
+        )
+        path = _ini(tmp_path, _one_factor_text(n_steps=8, extra=extra))
+        outputs = {}
+        for threads in (1, 2):
+            out = str(tmp_path / f"t{threads}")
+            assert main(["verify-ldp", "--config", path, "--out", out,
+                         "--threads", str(threads)]) == 0
+            outputs[threads] = _snapshot(out)
+            manifest = json.loads(outputs[threads]["manifest.json"])
+            assert manifest["overrides"]["threads"] == threads
+            assert manifest["threads_effective"] == threads
+        for name in ("ldp.csv", "summary.json"):
+            assert outputs[1][name] == outputs[2][name], name
+
+    def test_nonfinite_paths_exit_code(self, tmp_path, capsys):
+        # exponential volatility with weight 120 overflows the Euler scheme
+        text = _one_factor_text(n_steps=32, seed=3, rho=-0.5, extra=(
+            "[optimizer]\nn_starts = 2\n"
+            "[verify-ldp]\n"
+            "threshold = 0.5\n"
+            "epsilons = 1.0, 0.9, 0.8\n"
+            "n_paths = 2000\n"
+            "estimator = crude\n"
+        ))
+        text = text.replace("hurst = 0.5", "hurst = 0.3").replace(
+            "family = constant\nvalues = 1.0",
+            "family = exp_linear\namplitude = 0.3\nweights = 120.0",
+        )
+        path = _ini(tmp_path, text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["verify-ldp", "--config", path,
+                         "--out", str(tmp_path / "o")])
+        assert code == 5
+        assert "error[NUMERIC]: 69 of 2000" in capsys.readouterr().err
 
 
 class TestShortTime:

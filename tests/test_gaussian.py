@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
-from volldp.errors import DomainError, QuadratureError
+from volldp.errors import DomainError
 from volldp.gaussian import (
     covariance_matrix,
     draw_driver_arrays,
@@ -151,6 +152,20 @@ def test_path_normals_counter_layout():
     b = path_normals(seed=3, first_path=2, n_paths=3, n_draws=17)
     assert np.array_equal(a[2:], b)
     assert a.shape == (5, 17)
+
+
+@pytest.mark.parametrize("n_draws", [3, 192, 193])
+@pytest.mark.parametrize("first_path", [0, 5])
+def test_path_normals_match_reference_expression(n_draws, first_path):
+    # the in-place conversion must give the bits of the plain expression
+    stride = (n_draws + 3) // 4
+    bg = np.random.Philox(key=11)
+    bg.advance(first_path * stride)
+    raw = bg.random_raw(6 * stride * 4).reshape(6, stride * 4)
+    u = ((raw[:, :n_draws] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    want = ndtri(u)
+    got = path_normals(seed=11, first_path=first_path, n_paths=6, n_draws=n_draws)
+    assert np.array_equal(got, want)
 
 
 def test_increment_replay_bitwise():

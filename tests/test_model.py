@@ -8,13 +8,11 @@ from volldp.errors import (
     DomainError,
     SingularDiffusionError,
 )
-from volldp.gaussian import replay_volterra
+from volldp.gaussian import discretize_kernel, draw_driver_arrays, replay_volterra
 from volldp.grids import PathSample, TimeGrid
-from volldp.kernels import KernelBank
+from volldp.kernels import KernelBank, make_kernel
 from volldp.model import (
-    AffineMap,
     ConstantMap,
-    ExpLinearMap,
     ModelCoefficients,
     ProbeLattice,
     diffusion_path,
@@ -309,6 +307,39 @@ def test_correlated_noise_decomposition():
                      + np.sqrt(1 - rho**2) * dw.sum(axis=1))
     )[:, 0]
     assert np.allclose(values[:, -1, 0], z_want, atol=1e-12)
+
+
+def test_brownian_shift_by_linearity_matches_reconvolution():
+    # Bhat(dB + h) is Bhat(dB) plus the convolution of the shift alone;
+    # the reference convolves the shifted increments again
+    bank = KernelBank((
+        rl_bank(0.3)[0],
+        make_kernel("molchan_golosov", hurst=0.7, scale=1.0, horizon=1.0),
+    ))
+    coeffs = constant_coeffs(1, 2, sigma=[[0.5]], sigma_tilde=[[0.3, -0.2]])
+    grid = TimeGrid(1.0, 16)
+    rng = np.random.default_rng(4)
+    shift = rng.normal(size=(16, 2)) * grid.dt
+    _, increments, _, singular, volterra = euler_paths_array(
+        coeffs, bank, grid, 0.5, 40, seed=9, first_path=3,
+        brownian_shift=shift, return_drivers=True,
+    )
+    dB, V, _, _ = draw_driver_arrays(bank, grid, 40, 9, first_path=3,
+                                     extra_draws=16)
+    want = np.empty_like(volterra)
+    for ell, kernel in enumerate(bank):
+        disc = discretize_kernel(kernel, grid)
+        want[:, :, ell] = disc.convolve_increments(
+            dB[:, :, ell] + shift[:, ell],
+            V[:, :, ell] + disc.kappa_c / grid.dt * shift[:, ell],
+        )
+    assert np.array_equal(increments, dB + shift)
+    scale = np.max(np.abs(want))
+    np.testing.assert_allclose(volterra, want, rtol=1e-13, atol=1e-13 * scale)
+    np.testing.assert_allclose(
+        singular, V + np.array([discretize_kernel(k, grid).kappa_c for k in bank])
+        / grid.dt * shift, rtol=1e-13, atol=1e-13 * np.max(np.abs(V)),
+    )
 
 
 def test_simulate_wrappers_and_replay():

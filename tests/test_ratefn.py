@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from volldp.errors import ConfigurationError, DomainError, SingularDiffusionError
+from volldp.errors import DomainError, SingularDiffusionError
 from volldp.gaussian import discretize_kernel, terminal_variance_bound
 from volldp.grids import PathSample, TimeGrid
 from volldp.kernels import KernelBank
