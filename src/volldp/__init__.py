@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
     VolldpError,
 )
-from .grids import JointSample, PathSample, TimeGrid
+from .grids import PathSample, TimeGrid
 from .kernels import (
     FractionalOUKernel,
     KernelBank,
@@ -46,22 +46,21 @@ from .gaussian import (
     marginal_ks_check,
     path_normals,
     replay_volterra,
-    sample_joint_paths,
     sample_volterra_cholesky,
     terminal_variance_bound,
 )
 from .model import (
     AffineMap,
     ConstantMap,
+    EulerPaths,
     ExpLinearMap,
     ModelCoefficients,
     ProbeLattice,
+    Scaling,
     ValidationReport,
     diffusion_path,
     euler_paths_array,
     make_map,
-    simulate_correlated,
-    simulate_uncorrelated,
     validate_coefficients,
 )
 from .ratefn import (

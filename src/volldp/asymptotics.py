@@ -19,9 +19,14 @@ renormalized by eps / sqrt(delta) is simulated through two routes that are
 equal in law at matched resolution:
 
 * rescaled -- unit horizon, kernel K^eta(t, s) = sqrt(eta) K(eta t, eta s),
-  variance drift scaled by delta and noise by sqrt(delta);
+  under ``Scaling.short_time(delta)``: variance drift scaled by delta and
+  noise by sqrt(delta);
 * direct -- the original kernel on the short horizon with a finer grid,
-  subsampled back to the reference nodes.
+  under ``Scaling.short_time(1.0)``, subsampled back to the reference nodes.
+
+Both routes and both tail estimators (``Scaling.small_noise(eps)``) run the
+one Euler scheme, ``model.euler_paths_array``; every path set is an array
+of shape (n, N + 1, d).
 
 ``equivalence_diagnostic`` measures the sup-distance between two path sets
 pair by pair, which is informative only when the sets are coupled through
@@ -52,7 +57,7 @@ from .errors import (
 from .gaussian import discretize_kernel
 from .grids import TimeGrid
 from .kernels import KernelBank, ScaleEntry, ScalingSchedule, rescale_kernel
-from .model import ModelCoefficients, euler_paths_array
+from .model import ModelCoefficients, Scaling, euler_paths_array
 from .ratefn import RateSolution
 
 _MIN_TAIL_PATHS = 1000
@@ -253,12 +258,13 @@ def estimate_tail_prob(
     ``pool_size``); the estimate does not depend on the thread count.
     """
     _validate_tail_args(n_paths)
+    scaling = Scaling.small_noise(epsilon)
 
     def block(first: int, count: int) -> _BlockSums:
-        values, _, _ = euler_paths_array(
-            coeffs, bank, grid, epsilon, count, seed,
+        values = euler_paths_array(
+            coeffs, bank, grid, scaling, count, seed,
             correlated=correlated, first_path=first,
-        )
+        ).values
         hits = int(np.count_nonzero(event.indicator(values)))
         return _BlockSums(hits, _count_nonfinite(values))
 
@@ -289,6 +295,7 @@ def tilted_estimate(
     blocks as in ``estimate_tail_prob``.
     """
     _validate_tail_args(n_paths)
+    scaling = Scaling.small_noise(epsilon)
     if not control.converged:
         raise OptimizationError(
             "tilting requires a converged minimizing control "
@@ -306,12 +313,14 @@ def tilted_estimate(
     wiener_shift = ydot * dt / epsilon
 
     def block(first: int, count: int) -> _BlockSums:
-        values, incr, dw = euler_paths_array(
-            coeffs, bank, grid, epsilon, count, seed,
+        paths = euler_paths_array(
+            coeffs, bank, grid, scaling, count, seed,
             correlated=correlated, first_path=first,
             brownian_shift=brownian_shift,
             wiener_shift=wiener_shift,
         )
+        values, incr, dw = paths.values, paths.increments, paths.dw
+        del paths  # V and Bhat are not read past this point
         log_w = (
             const
             - np.einsum("jl,kjl->k", fdot, incr) / epsilon
@@ -425,16 +434,9 @@ def _require_driftless(coeffs: ModelCoefficients) -> None:
 
 
 def _as_entry(scale) -> ScaleEntry:
-    if isinstance(scale, ScaleEntry):
-        return scale
-    if isinstance(scale, ScalingSchedule):
-        if len(scale) == 1:
-            return scale.entry(0)
-        raise ConfigurationError(
-            "pass a single ScaleEntry (schedule.entry(i)); the schedule has "
-            f"{len(scale)} entries"
-        )
-    raise ConfigurationError(f"not a scaling entry: {scale!r}")
+    if not isinstance(scale, ScaleEntry):
+        raise ConfigurationError(f"not a scaling entry: {scale!r}")
+    return scale
 
 
 def short_time_values(
@@ -449,22 +451,18 @@ def short_time_values(
     """Renormalized short-time paths via the rescaled-kernel route.
 
     Simulates on the unit-horizon reference grid with the kernel rescaled by
-    eta, the variance drift scaled by delta and the noise by sqrt(delta)
-    (the exact time change of the short-horizon dynamics), then multiplies
-    by eps / sqrt(delta).  Returns values of shape (n_paths, N + 1, d).
+    eta under ``Scaling.short_time(delta)`` (the exact time change of the
+    short-horizon dynamics), then multiplies by eps / sqrt(delta).  Returns
+    values of shape (n_paths, N + 1, d).
     """
     _require_driftless(coeffs)
     scale = _as_entry(scale)
     delta = scale.delta
     rescaled = KernelBank(tuple(rescale_kernel(k, scale.eta) for k in bank))
-    values, _, _ = euler_paths_array(
-        coeffs, rescaled, grid, 1.0, n_paths, seed,
+    values = euler_paths_array(
+        coeffs, rescaled, grid, Scaling.short_time(delta), n_paths, seed,
         correlated=correlated,
-        drift_mu_scale=0.0,
-        drift_var_scale=delta,
-        noise_scale=np.sqrt(delta),
-        vol_arg_scale=1.0,
-    )
+    ).values
     return values * (scale.epsilon / np.sqrt(delta))
 
 
@@ -480,9 +478,10 @@ def short_time_direct(
 ) -> np.ndarray:
     """Renormalized short-time paths simulated directly on the short horizon.
 
-    Runs the original dynamics on [0, delta * T] with ``refine`` times the
-    reference resolution and subsamples back to the reference nodes, so the
-    output is comparable entry by entry with ``short_time_values``.  At
+    Runs the original dynamics (``Scaling.short_time(1.0)``) on
+    [0, delta * T] with ``refine`` times the reference resolution and
+    subsamples back to the reference nodes, so the output is comparable
+    entry by entry with ``short_time_values``.  At
     refine = 1 and a shared seed the two routes consume identical driver
     draws and coincide path for path up to rounding.
     """
@@ -492,14 +491,10 @@ def short_time_direct(
         raise ConfigurationError("refine must be a positive integer")
     delta = scale.delta
     fine = TimeGrid(grid.horizon * delta, grid.n_steps * refine)
-    values, _, _ = euler_paths_array(
-        coeffs, bank, fine, 1.0, n_paths, seed,
+    values = euler_paths_array(
+        coeffs, bank, fine, Scaling.short_time(1.0), n_paths, seed,
         correlated=correlated,
-        drift_mu_scale=0.0,
-        drift_var_scale=1.0,
-        noise_scale=1.0,
-        vol_arg_scale=1.0,
-    )
+    ).values
     return values[:, ::refine, :] * (scale.epsilon / np.sqrt(delta))
 
 
@@ -686,8 +681,7 @@ def short_time_report(
             coeffs, bank, grid, entry, n_paths, seed_b, refine, correlated
         )[:, -1, 0]
         resc_term = resc[:, -1, 0]
-        method = "asymp" if n_paths >= 1000 else "auto"
-        ks = stats.ks_2samp(resc_term, direct, method=method)
+        ks = stats.ks_2samp(resc_term, direct, method="asymp")
         rows = []
         for q in quantiles:
             thr = float(np.quantile(resc_term, q))

@@ -12,12 +12,16 @@ Subcommands
 
 Every run writes its artifacts atomically (temp file, then rename) into the
 output directory together with ``manifest.json`` (config hash, seed,
-package version, command, overrides, and ``threads_effective``, the
-worker-pool size of the tail estimators, 1 for commands without a pool) so
-results can be reproduced bit-identically.  All numbers are printed with 17
-significant digits.
+package version, command, overrides, ``threads_effective``, the
+worker-pool size of the tail estimators, 1 for commands without a pool, and
+``status``) so results can be reproduced bit-identically.  All numbers are
+printed with 17 significant digits.
 Exit codes: 0 success, otherwise the failing error category (CONFIG 2,
-DOMAIN 3, VALIDATION 4, NUMERIC 5, INTERNAL 6).
+DOMAIN 3, VALIDATION 4, NUMERIC 5, INTERNAL 6).  A failure prints one line,
+``error[CATEGORY]: message``; an exception that is not a package error
+(``LinAlgError``, ``MemoryError``, ...) is INTERNAL.  Once the output
+directory exists the manifest is written on failure too, with ``status``
+"error" and the error's category and message.
 """
 
 import argparse
@@ -66,7 +70,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _write_manifest(out_dir: str, command: str, config_text: str, seed: int,
-                    overrides: dict, threads_effective: int) -> None:
+                    overrides: dict, threads_effective: int, error) -> None:
+    """``error`` is None for a successful run, else its category and message."""
     from . import __version__
 
     payload = {
@@ -76,7 +81,10 @@ def _write_manifest(out_dir: str, command: str, config_text: str, seed: int,
         "version": __version__,
         "overrides": {k: v for k, v in sorted(overrides.items()) if v is not None},
         "threads_effective": threads_effective,
+        "status": "ok" if error is None else "error",
     }
+    if error is not None:
+        payload["error"] = error
     _write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
@@ -105,17 +113,17 @@ def _cmd_kernel_table(cfg, out_dir: str) -> None:
 
 
 def _cmd_simulate(cfg, out_dir: str) -> None:
-    import numpy as np
-
-    from .model import euler_paths_array
+    from .model import Scaling, euler_paths_array
 
     opts = cfg.simulate
     # One draw feeds both files so drivers.csv holds the exact noise that
     # produced paths.csv, row for row.
-    values, increments, _, _, volterra = euler_paths_array(
-        cfg.coeffs, cfg.bank, cfg.grid, opts.epsilon, opts.n_paths, cfg.seed,
-        correlated=opts.correlated, convolve_per_path=True, return_drivers=True,
+    paths = euler_paths_array(
+        cfg.coeffs, cfg.bank, cfg.grid, Scaling.small_noise(opts.epsilon),
+        opts.n_paths, cfg.seed, correlated=opts.correlated,
+        convolve_per_path=True,
     )
+    values = paths.values
     d = cfg.coeffs.d
     header = ("path_id", "t") + tuple(f"z_{i + 1}" for i in range(d))
     rows = []
@@ -125,8 +133,7 @@ def _cmd_simulate(cfg, out_dir: str) -> None:
     _write_csv(os.path.join(out_dir, "paths.csv"), header, rows)
     if opts.emit_drivers:
         p = cfg.coeffs.p
-        brownian = np.zeros_like(volterra)
-        brownian[:, 1:, :] = np.cumsum(increments, axis=1)
+        brownian, volterra = paths.brownian, paths.volterra
         header = (
             ("path_id", "t")
             + tuple(f"b_{l + 1}" for l in range(p))
@@ -237,13 +244,11 @@ def _cmd_terminal_rate(cfg, out_dir: str, z_override) -> None:
     _solution_outputs(out_dir, solution, cfg.grid)
 
 
-def _cmd_verify_ldp(cfg, out_dir: str, threads) -> int:
-    """Run the noise sweep; returns the worker-pool size the estimators used."""
+def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
     import numpy as np
 
     from .asymptotics import (
-        TerminalHalfSpace, estimate_tail_prob, ldp_slope, pool_size,
-        tilted_estimate,
+        TerminalHalfSpace, estimate_tail_prob, ldp_slope, tilted_estimate,
     )
     from .ratefn import terminal_rate
 
@@ -291,7 +296,6 @@ def _cmd_verify_ldp(cfg, out_dir: str, threads) -> int:
             "n_paths": opts.n_paths,
         },
     )
-    return pool_size(opts.n_paths, threads)
 
 
 def _cmd_short_time(cfg, out_dir: str) -> None:
@@ -411,8 +415,10 @@ def main(argv=None) -> int:
     # numpy, loaded with the package, has already sized its own.
     _apply_thread_cap(args.threads)
 
-    from .errors import VolldpError
+    from .errors import ConfigurationError, VolldpError
 
+    manifest = None  # the manifest's fields, once the output directory exists
+    error = None
     try:
         if args.command == "selftest":
             out_dir = args.out
@@ -431,12 +437,21 @@ def main(argv=None) -> int:
             cfg = _reseeded(cfg, seed)
         out_dir = args.out if args.out is not None else cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
+        overrides = {"z": None, "out": args.out, "threads": args.threads}
+        manifest = {
+            "out_dir": out_dir, "command": args.command,
+            "config_text": config_text, "seed": seed, "overrides": overrides,
+            "threads_effective": 1,
+        }
 
         z_override = None
         if getattr(args, "z", None) is not None:
-            z_override = tuple(float(tok) for tok in args.z.split(","))
+            try:
+                z_override = tuple(float(tok) for tok in args.z.split(","))
+            except ValueError as exc:
+                raise ConfigurationError(f"--z: {exc}") from exc
+            overrides["z"] = list(z_override)
 
-        threads_effective = 1
         if args.command == "kernel-table":
             _cmd_kernel_table(cfg, out_dir)
         elif args.command == "simulate":
@@ -446,25 +461,28 @@ def main(argv=None) -> int:
         elif args.command == "terminal-rate":
             _cmd_terminal_rate(cfg, out_dir, z_override)
         elif args.command == "verify-ldp":
-            threads_effective = _cmd_verify_ldp(cfg, out_dir, args.threads)
+            from .asymptotics import pool_size
+
+            manifest["threads_effective"] = pool_size(
+                cfg.verify_ldp.n_paths, args.threads
+            )
+            _cmd_verify_ldp(cfg, out_dir, args.threads)
         elif args.command == "short-time":
             _cmd_short_time(cfg, out_dir)
-        _write_manifest(
-            out_dir, args.command, config_text, seed,
-            {
-                "z": list(z_override) if z_override is not None else None,
-                "out": args.out,
-                "threads": args.threads,
-            },
-            threads_effective,
-        )
-        return 0
     except FileNotFoundError as exc:
-        print(f"error[CONFIG]: {exc}", file=sys.stderr)
-        return _EXIT_CODES["CONFIG"]
+        error = {"category": "CONFIG", "message": str(exc)}
     except VolldpError as exc:
-        print(f"error[{exc.category}]: {exc}", file=sys.stderr)
-        return _EXIT_CODES.get(exc.category, _EXIT_CODES["INTERNAL"])
+        error = {"category": exc.category, "message": str(exc)}
+    except Exception as exc:  # every other failure is INTERNAL
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        error = {"category": "INTERNAL", "message": message}
+    if error is not None:
+        print(f"error[{error['category']}]: {error['message']}", file=sys.stderr)
+    if manifest is not None:
+        _write_manifest(**manifest, error=error)
+    if error is None:
+        return 0
+    return _EXIT_CODES.get(error["category"], _EXIT_CODES["INTERNAL"])
 
 
 def _reseeded(cfg, seed: int):

@@ -21,6 +21,12 @@ values come from one chunked evaluation of the kernel on the grid's lower
 triangle (``kernels.eval_lower_triangle``); A_1, whose cell starts at the
 origin, is calibrated at the cell midpoint for kernels singular there.
 
+A path set is a stack of arrays with the path on the leading axis: dB and V
+of shape (n, N, p), Bhat of shape (n, N + 1, p).  ``replay_volterra``
+recomputes Bhat from stored dB and V arrays bit for bit, provided the draw
+convolved one path at a time (``per_path_convolve``); the batched product
+of the Monte Carlo blocks may differ from it in the last ulp.
+
 Randomness is counter-based: path k reads a dedicated counter range of a
 Philox stream keyed by the seed, so path sets are reproducible and
 independent of batch size or generation order.  Normals are produced from
@@ -39,7 +45,7 @@ from scipy.special import ndtri
 from scipy.stats import ks_2samp
 
 from .errors import ConfigurationError, DomainError, QuadratureError
-from .grids import JointSample, PathSample, TimeGrid
+from .grids import TimeGrid
 from .kernels import (
     KernelBank,
     VolterraKernel,
@@ -204,13 +210,21 @@ def draw_driver_arrays(
     increments = incr_z * np.sqrt(dt)
     discs = bank_discretizations(bank, grid)
     singular = np.empty_like(increments)
-    volterra = np.empty((n_paths, n + 1, p))
     for ell, disc in enumerate(discs):
         rho = disc.kappa_c / dt
         resid = disc.kappa_v - disc.kappa_c**2 / dt
         resid = np.sqrt(resid) if resid > 0.0 else 0.0
         singular[:, :, ell] = rho * increments[:, :, ell] + resid * edge_z[:, :, ell]
-        if per_path_convolve:
+    volterra = _convolve(discs, increments, singular, per_path_convolve)
+    return increments, singular, volterra, extras
+
+
+def _convolve(discs, increments, singular, per_path: bool) -> np.ndarray:
+    """Bhat (n, N + 1, p) from dB and V (n, N, p), factor by factor."""
+    n_paths, n, p = increments.shape
+    volterra = np.empty((n_paths, n + 1, p))
+    for ell, disc in enumerate(discs):
+        if per_path:
             for k in range(n_paths):
                 volterra[k, :, ell] = disc.convolve_increments(
                     increments[k, None, :, ell], singular[k, None, :, ell]
@@ -219,43 +233,20 @@ def draw_driver_arrays(
             volterra[:, :, ell] = disc.convolve_increments(
                 increments[:, :, ell], singular[:, :, ell]
             )
-    return increments, singular, volterra, extras
+    return volterra
 
 
-def sample_joint_paths(
-    bank: KernelBank, grid: TimeGrid, n_paths: int, seed: int
-) -> list:
-    """Draw joint (B, Bhat) paths; returns a list of ``JointSample``."""
-    increments, singular, volterra, _ = draw_driver_arrays(
-        bank, grid, n_paths, seed, per_path_convolve=True
-    )
-    brownian = np.zeros_like(volterra)
-    brownian[:, 1:, :] = np.cumsum(increments, axis=1)
-    return [
-        JointSample(
-            grid=grid,
-            brownian=PathSample(grid, brownian[k]),
-            volterra=PathSample(grid, volterra[k]),
-            increments=increments[k],
-            singular_increments=singular[k],
-        )
-        for k in range(n_paths)
-    ]
+def replay_volterra(
+    bank: KernelBank, grid: TimeGrid, increments: np.ndarray, singular: np.ndarray
+) -> np.ndarray:
+    """Recompute Bhat (n, N + 1, p) from stored dB and V arrays (n, N, p).
 
-
-def replay_volterra(bank: KernelBank, sample: JointSample) -> np.ndarray:
-    """Recompute Bhat from the stored increments of a ``JointSample``.
-
-    The result must match ``sample.volterra.values`` bit for bit; tests use
-    this to pin down the convolution contract.
+    Convolves one path at a time, as ``draw_driver_arrays(...,
+    per_path_convolve=True)`` does, so the result matches the Bhat stored
+    by such a draw bit for bit; tests use this to pin down the convolution
+    contract.
     """
-    discs = bank_discretizations(bank, sample.grid)
-    out = np.empty_like(sample.volterra.values)
-    for ell, disc in enumerate(discs):
-        out[:, ell] = disc.convolve_increments(
-            sample.increments[None, :, ell], sample.singular_increments[None, :, ell]
-        )[0]
-    return out
+    return _convolve(bank_discretizations(bank, grid), increments, singular, True)
 
 
 # ---------------------------------------------------------------------------
@@ -331,23 +322,20 @@ def covariance_matrix(
     return CovarianceBlocks(grid=grid, blocks=blocks)
 
 
-def empirical_covariance(samples: list, component: str = "volterra") -> np.ndarray:
+def empirical_covariance(paths: np.ndarray) -> np.ndarray:
     """Unbiased sample covariance per factor across paths, node pair by pair.
 
-    Returns an array of shape (p, N + 1, N + 1).  Requires at least two
-    samples on a common grid; ``component`` selects ``"volterra"`` or
-    ``"brownian"``.
+    ``paths`` is one path set of shape (n, N + 1, p), for instance the Bhat
+    or B array of a draw; returns an array of shape (p, N + 1, N + 1).
+    Requires n >= 2.
     """
-    if component not in ("volterra", "brownian"):
-        raise DomainError(f"unknown component {component!r}")
-    if len(samples) < 2:
+    paths = np.asarray(paths, dtype=float)
+    if paths.ndim != 3:
+        raise DomainError(f"path set must have shape (n, N + 1, p), got {paths.shape}")
+    n_samp, n_nodes, p = paths.shape
+    if n_samp < 2:
         raise DomainError("empirical covariance needs at least two samples")
-    grid = samples[0].grid
-    if any(s.grid != grid for s in samples):
-        raise DomainError("samples live on different grids")
-    stacked = np.stack([getattr(s, component).values for s in samples])  # (n, N+1, p)
-    n_samp, n_nodes, p = stacked.shape
-    centered = stacked - stacked.mean(axis=0)
+    centered = paths - paths.mean(axis=0)
     out = np.empty((p, n_nodes, n_nodes))
     for ell in range(p):
         x = centered[:, :, ell]

@@ -1,4 +1,4 @@
-"""Uniform time grids and sampled-path containers."""
+"""Uniform time grids and the single-path container."""
 
 from dataclasses import dataclass
 
@@ -44,7 +44,11 @@ class TimeGrid:
 
 @dataclass
 class PathSample:
-    """One sampled path: values[i] is the state vector at grid node i."""
+    """One path on a grid: values[i] is the state vector at grid node i.
+
+    The rate functionals use it for single deterministic paths; a set of
+    sampled paths is an array of shape (n, N + 1, dim).
+    """
 
     grid: TimeGrid
     values: np.ndarray  # shape (N + 1, dim)
@@ -66,25 +70,3 @@ class PathSample:
     @property
     def terminal(self) -> np.ndarray:
         return self.values[-1]
-
-
-@dataclass
-class JointSample:
-    """A joint draw of the driving Brownian motion and its Volterra convolution.
-
-    ``increments`` holds the per-step Brownian increments (one row per step,
-    one column per factor).  ``singular_increments`` holds the per-step
-    auxiliary Gaussians used for the kernel-singular adjacent cell; together
-    the two arrays reproduce the stored ``volterra`` values exactly through
-    the discrete convolution weights (see ``gaussian.replay_volterra``).
-    """
-
-    grid: TimeGrid
-    brownian: PathSample
-    volterra: PathSample
-    increments: np.ndarray           # (N, p)
-    singular_increments: np.ndarray  # (N, p)
-
-    @property
-    def n_factors(self) -> int:
-        return self.increments.shape[1]

@@ -15,16 +15,21 @@ functional optimizer differentiates through them).
 Simulation uses the left-endpoint Euler scheme in Ito convention; the
 per-step conditional law of the increment given the volatility path is then
 exactly Gaussian, and exp(Z) is a martingale for mu = 0 already at the
-discrete level.
+discrete level.  ``euler_paths_array`` runs that one scheme under a
+``Scaling``: ``Scaling.small_noise(eps)`` is the equation above, and
+``Scaling.short_time(delta)`` is the time change of the short horizon
+delta * T to the unit one.  It returns one array per quantity, an
+``EulerPaths`` record of the paths and of the drivers that produced them.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularDiffusionError
 from .gaussian import bank_discretizations, draw_driver_arrays
-from .grids import JointSample, PathSample, TimeGrid
+from .grids import PathSample, TimeGrid
 from .kernels import KernelBank
 
 _DET_TOL = 1e-12
@@ -451,47 +456,82 @@ def validate_coefficients(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Scaling:
+    """Noise scaling of the Euler scheme.
+
+    A step reads (drift mu - noise_var / 2 * ito) dt + sqrt(noise_var) *
+    noise, with the coefficients evaluated at vol_arg * Bhat.  The two
+    constructors are the two regimes of the asymptotics: small noise eps,
+    and the time change of the short horizon delta * T to the unit one.
+    """
+
+    noise_var: float
+    vol_arg: float
+    drift: float
+
+    @classmethod
+    def small_noise(cls, eps: float) -> "Scaling":
+        """Ito correction eps^2, noise eps, volatility argument eps * Bhat."""
+        if not eps > 0.0:
+            raise DomainError(f"epsilon must be positive, got {eps}")
+        return cls(eps**2, eps, 1.0)
+
+    @classmethod
+    def short_time(cls, delta: float) -> "Scaling":
+        """Driftless time change: Ito correction delta, noise sqrt(delta).
+
+        ``short_time(1.0)`` runs the original dynamics unscaled (the direct
+        short-time route on the short horizon).
+        """
+        return cls(delta, 1.0, 0.0)
+
+
+class EulerPaths(NamedTuple):
+    """A path set and the driver realization that produced it.
+
+    values (n, N + 1, d); increments dB and singular V (n, N, p); dw (n, N,
+    d); volterra Bhat (n, N + 1, p).
+    """
+
+    values: np.ndarray
+    increments: np.ndarray
+    dw: np.ndarray
+    singular: np.ndarray
+    volterra: np.ndarray
+
+    @property
+    def brownian(self) -> np.ndarray:
+        """B at every node, (n, N + 1, p), starting at 0."""
+        out = np.zeros_like(self.volterra)
+        out[:, 1:, :] = np.cumsum(self.increments, axis=1)
+        return out
+
+
 def euler_paths_array(
     coeffs: ModelCoefficients,
     bank: KernelBank,
     grid: TimeGrid,
-    epsilon: float,
+    scaling: Scaling,
     n_paths: int,
     seed: int,
     correlated: bool = True,
-    drift_mu_scale: float = 1.0,
-    drift_var_scale=None,
-    noise_scale=None,
-    vol_arg_scale=None,
     first_path: int = 0,
     brownian_shift=None,
     wiener_shift=None,
     convolve_per_path: bool = False,
-    return_drivers: bool = False,
-):
-    """Vectorized Euler scheme; returns (values, increments, w_increments).
+) -> EulerPaths:
+    """Vectorized Euler scheme for paths [first_path, first_path + n_paths).
 
-    values has shape (n_paths, N + 1, d).  The generalized scalings cover the
-    small-noise family (defaults: Ito correction eps^2, noise eps, volatility
-    argument eps * Bhat) and the short-time identity (drift delta, noise
-    sqrt(delta), volatility argument Bhat itself).  ``brownian_shift`` /
-    ``wiener_shift`` add a deterministic per-step drift (N, p) / (N, d) to
-    the increments before the scheme runs -- the exponential-tilting hook.
-
-    ``return_drivers`` extends the result to (values, increments,
-    w_increments, singular_increments, volterra) so callers can pair each
-    path with the exact driver realization that produced it;
-    ``convolve_per_path`` makes those Bhat values replay-exact.
+    ``brownian_shift`` / ``wiener_shift`` add a deterministic per-step
+    drift (N, p) / (N, d) to the increments before the scheme runs -- the
+    exponential-tilting hook.  ``convolve_per_path`` makes the returned Bhat
+    replay-exact (see ``gaussian.replay_volterra``).
     """
-    if epsilon <= 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
     if bank.n_factors != coeffs.p:
         raise ConfigurationError(
             f"kernel bank has {bank.n_factors} factors, coefficients expect {coeffs.p}"
         )
-    drift_var_scale = epsilon**2 if drift_var_scale is None else drift_var_scale
-    noise_scale = epsilon if noise_scale is None else noise_scale
-    vol_arg_scale = epsilon if vol_arg_scale is None else vol_arg_scale
     n, d, p = grid.n_steps, coeffs.d, coeffs.p
     dt = grid.dt
 
@@ -512,7 +552,7 @@ def euler_paths_array(
     if wiener_shift is not None:
         dw += wiener_shift
 
-    y = vol_arg_scale * volterra[:, :-1, :]          # (n_paths, N, p)
+    y = scaling.vol_arg * volterra[:, :-1, :]        # (n_paths, N, p)
     sig = coeffs.sigma(y)                            # (n_paths, N, d, d)
     mu = coeffs.mu(y)                                # (n_paths, N, d)
     ito = np.sum(sig**2, axis=-1)
@@ -521,63 +561,8 @@ def euler_paths_array(
         sigt = coeffs.sigma_tilde(y)                 # (n_paths, N, d, p)
         ito = ito + np.sum(sigt**2, axis=-1)
         noise = noise + np.einsum("knil,knl->kni", sigt, increments)
-    steps = (drift_mu_scale * mu - 0.5 * drift_var_scale * ito) * dt
-    steps += noise_scale * noise
+    steps = (scaling.drift * mu - 0.5 * scaling.noise_var * ito) * dt
+    steps += np.sqrt(scaling.noise_var) * noise
     values = np.zeros((n_paths, n + 1, d))
     values[:, 1:, :] = np.cumsum(steps, axis=1)
-    if return_drivers:
-        return values, increments, dw, singular, volterra
-    return values, increments, dw
-
-
-def simulate_uncorrelated(
-    coeffs: ModelCoefficients,
-    bank: KernelBank,
-    grid: TimeGrid,
-    epsilon: float,
-    n_paths: int,
-    seed: int,
-) -> list:
-    """Small-noise paths of the uncorrelated model X; list of PathSample."""
-    values, _, _ = euler_paths_array(
-        coeffs, bank, grid, epsilon, n_paths, seed, correlated=False,
-        convolve_per_path=True,
-    )
-    return [PathSample(grid, values[k]) for k in range(n_paths)]
-
-
-def simulate_correlated(
-    coeffs: ModelCoefficients,
-    bank: KernelBank,
-    grid: TimeGrid,
-    epsilon: float,
-    n_paths: int,
-    seed: int,
-) -> list:
-    """Small-noise paths of the correlated model Z with their drivers.
-
-    Returns a list of (PathSample, JointSample) pairs; element k of the
-    joint sample is the exact realization of (B, Bhat) that drove path k, so
-    downstream diagnostics can condition on the noise.  The Brownian
-    increments are shared between the Volterra convolution and the
-    sigma_tilde diffusion term; the Wiener noise W is independent.  With the
-    same seed, sigma_tilde = 0 reproduces ``simulate_uncorrelated`` path for
-    path (identical draw layout).
-    """
-    values, increments, _, singular, volterra = euler_paths_array(
-        coeffs, bank, grid, epsilon, n_paths, seed, correlated=True,
-        convolve_per_path=True, return_drivers=True,
-    )
-    brownian = np.zeros_like(volterra)
-    brownian[:, 1:, :] = np.cumsum(increments, axis=1)
-    out = []
-    for k in range(n_paths):
-        joint = JointSample(
-            grid=grid,
-            brownian=PathSample(grid, brownian[k]),
-            volterra=PathSample(grid, volterra[k]),
-            increments=increments[k],
-            singular_increments=singular[k],
-        )
-        out.append((PathSample(grid, values[k]), joint))
-    return out
+    return EulerPaths(values, increments, dw, singular, volterra)

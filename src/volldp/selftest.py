@@ -8,11 +8,13 @@ quick field diagnostic, not a replacement for the full test suite.
 import numpy as np
 
 from .gaussian import (
-    covariance_matrix, discretize_kernel, replay_volterra, sample_joint_paths,
+    covariance_matrix, discretize_kernel, draw_driver_arrays, replay_volterra,
 )
 from .grids import TimeGrid
 from .kernels import KernelBank, make_kernel
-from .model import ConstantMap, ExpLinearMap, ModelCoefficients, euler_paths_array
+from .model import (
+    ConstantMap, ExpLinearMap, ModelCoefficients, Scaling, euler_paths_array,
+)
 from .ratefn import (
     CameronMartinPath, OptimizerConfig, _Objective, gamma_functional,
     terminal_rate,
@@ -35,10 +37,12 @@ def _check_flat_sampler_identity(rng):
     bank = KernelBank(
         (make_kernel("riemann_liouville", hurst=0.5, scale=1.0, horizon=1.0),)
     )
-    for sample in sample_joint_paths(bank, grid, 4, seed=int(rng.integers(1 << 30))):
-        gap = np.max(np.abs(sample.volterra.values - sample.brownian.values))
-        if gap > 1e-12:
-            return f"flat kernel must reproduce the Brownian path (gap {gap:.2e})"
+    increments, _, volterra, _ = draw_driver_arrays(
+        bank, grid, 4, seed=int(rng.integers(1 << 30)), per_path_convolve=True
+    )
+    gap = np.max(np.abs(volterra[:, 1:] - np.cumsum(increments, axis=1)))
+    if gap > 1e-12:
+        return f"flat kernel must reproduce the Brownian path (gap {gap:.2e})"
     return None
 
 
@@ -47,9 +51,11 @@ def _check_replay(rng):
     bank = KernelBank(
         (make_kernel("riemann_liouville", hurst=0.35, scale=1.0, horizon=1.0),)
     )
-    for sample in sample_joint_paths(bank, grid, 3, seed=int(rng.integers(1 << 30))):
-        if not np.array_equal(replay_volterra(bank, sample), sample.volterra.values):
-            return "stored increments must replay the path bit for bit"
+    increments, singular, volterra, _ = draw_driver_arrays(
+        bank, grid, 3, seed=int(rng.integers(1 << 30)), per_path_convolve=True
+    )
+    if not np.array_equal(replay_volterra(bank, grid, increments, singular), volterra):
+        return "stored increments must replay the path bit for bit"
     return None
 
 
@@ -164,9 +170,10 @@ def _check_martingale(rng):
     )
     base = ExpLinearMap(np.array([[0.3]]), np.array([[[0.8]]]))
     coeffs = ModelCoefficients.one_factor(base, rho=-0.4)
-    values, _, _ = euler_paths_array(
-        coeffs, bank, grid, 0.5, 20_000, seed=int(rng.integers(1 << 30))
-    )
+    values = euler_paths_array(
+        coeffs, bank, grid, Scaling.small_noise(0.5), 20_000,
+        seed=int(rng.integers(1 << 30)),
+    ).values
     w = np.exp(values[:, -1, 0])
     gap = abs(w.mean() - 1.0)
     budget = 4.0 * w.std() / np.sqrt(w.size)

@@ -26,7 +26,7 @@ from volldp.errors import (
 )
 from volldp.grids import PathSample, TimeGrid
 from volldp.kernels import ScaleEntry, ScalingSchedule
-from volldp.model import euler_paths_array
+from volldp.model import Scaling, euler_paths_array
 from volldp.ratefn import (
     CameronMartinPath,
     OptimizerConfig,
@@ -37,13 +37,6 @@ from volldp.ratefn import (
 from conftest import constant_coeffs, exp_vol_coeffs, rl_bank
 
 FAST_OPT = OptimizerConfig(n_starts=2)
-
-
-def unit_schedule():
-    return ScalingSchedule(
-        eta=(1.0,), epsilon=(1.0,), delta=(1.0,),
-        speed_exponent_hurst=0.5, rule="custom",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +140,9 @@ def test_tail_prob_counter_blocks_match_one_batch():
     grid = TimeGrid(1.0, 8)
     event = TerminalHalfSpace(0.2)
     est = estimate_tail_prob(coeffs, bank, grid, 0.5, event, 20_000, seed=7)
-    values, _, _ = euler_paths_array(coeffs, bank, grid, 0.5, 20_000, 7)
+    values = euler_paths_array(
+        coeffs, bank, grid, Scaling.small_noise(0.5), 20_000, 7
+    ).values
     assert est.n_hits == int(np.count_nonzero(event.indicator(values)))
 
 
@@ -369,7 +364,9 @@ def test_short_time_unit_scale_reduces_to_plain_dynamics(unit_grid):
     bank = rl_bank(0.35)
     entry = ScaleEntry(eta=1.0, epsilon=1.0, delta=1.0)
     values = short_time_values(coeffs, bank, unit_grid, entry, 50, seed=5)
-    plain, _, _ = euler_paths_array(coeffs, bank, unit_grid, 1.0, 50, seed=5)
+    plain = euler_paths_array(
+        coeffs, bank, unit_grid, Scaling.small_noise(1.0), 50, seed=5
+    ).values
     assert np.array_equal(values, plain)
 
 

@@ -57,6 +57,11 @@ def _read_csv(path):
     return header, rows
 
 
+def _manifest(out_dir):
+    with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def _snapshot(out_dir):
     snapshot = {}
     for name in sorted(os.listdir(out_dir)):
@@ -194,6 +199,12 @@ class TestCliErrors:
         code = main(["terminal-rate", "--config", path, "--z", "1.0,2.0"])
         assert code == 2
         assert "d = 1" in capsys.readouterr().err
+
+    def test_terminal_rate_unparsable_target(self, tmp_path, capsys):
+        path = _ini(tmp_path, _one_factor_text(out=str(tmp_path / "o")))
+        code = main(["terminal-rate", "--config", path, "--z", "1.0,abc"])
+        assert code == 2
+        assert "error[CONFIG]: --z" in capsys.readouterr().err
 
     def test_thread_cap_rejects_nonpositive(self, tmp_path):
         path = _ini(tmp_path, _one_factor_text())
@@ -427,6 +438,7 @@ n_starts = 2
         ).hexdigest()
         assert manifest["overrides"]["z"] == [1.0, 1.0]
         assert manifest["overrides"]["out"] == out
+        assert manifest["status"] == "ok" and "error" not in manifest
 
 
 class TestVerifyLdp:
@@ -506,11 +518,46 @@ class TestVerifyLdp:
             "family = exp_linear\namplitude = 0.3\nweights = 120.0",
         )
         path = _ini(tmp_path, text)
+        out = str(tmp_path / "o")
         with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["verify-ldp", "--config", path,
-                         "--out", str(tmp_path / "o")])
+            code = main(["verify-ldp", "--config", path, "--out", out])
         assert code == 5
         assert "error[NUMERIC]: 69 of 2000" in capsys.readouterr().err
+        # the failed run still explains itself
+        manifest = _manifest(out)
+        assert manifest["status"] == "error"
+        assert manifest["error"]["category"] == "NUMERIC"
+        assert manifest["error"]["message"].startswith("69 of 2000")
+        assert manifest["threads_effective"] == 1
+
+    def test_internal_error_exit_code_and_manifest(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # an exception that is not a package error is INTERNAL: one stderr
+        # line, exit 6, and a manifest with the pool size fixed before the
+        # sweep (10,000 paths are two counter blocks)
+        import volldp.cli
+
+        def broken(cfg, out_dir, threads):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(volldp.cli, "_cmd_verify_ldp", broken)
+        extra = (
+            "[verify-ldp]\nthreshold = 0.5\nepsilons = 0.5, 0.4, 0.3\n"
+            "n_paths = 10000\n"
+        )
+        path = _ini(tmp_path, _one_factor_text(extra=extra))
+        out = str(tmp_path / "o")
+        code = main(["verify-ldp", "--config", path, "--out", out,
+                     "--threads", "2"])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err == "error[INTERNAL]: LinAlgError: Singular matrix\n"
+        manifest = _manifest(out)
+        assert manifest["status"] == "error"
+        assert manifest["error"] == {
+            "category": "INTERNAL", "message": "LinAlgError: Singular matrix"
+        }
+        assert manifest["threads_effective"] == 2
 
 
 class TestShortTime:

@@ -13,7 +13,6 @@ from volldp.gaussian import (
     marginal_ks_check,
     path_normals,
     replay_volterra,
-    sample_joint_paths,
     sample_volterra_cholesky,
     terminal_variance_bound,
 )
@@ -111,26 +110,35 @@ def test_covariance_is_positive_semidefinite():
 # ---------------------------------------------------------------------------
 
 
+def _draw(bank, grid, n_paths, seed):
+    """(dB, V, Bhat) of a draw convolved path by path (replay-exact)."""
+    return draw_driver_arrays(bank, grid, n_paths, seed, per_path_convolve=True)[:3]
+
+
+def _brownian(increments):
+    """B at every node (n, N + 1, p) from its increments (n, N, p)."""
+    n_paths, n, p = increments.shape
+    out = np.zeros((n_paths, n + 1, p))
+    out[:, 1:, :] = np.cumsum(increments, axis=1)
+    return out
+
+
 def test_flat_kernel_reproduces_brownian_motion():
     bank = rl_bank(0.5)
     grid = TimeGrid(1.0, 32)
-    samples = sample_joint_paths(bank, grid, 16, seed=5)
-    for joint in samples:
-        assert np.allclose(
-            joint.volterra.values, joint.brownian.values, atol=1e-12
-        )
+    increments, _, volterra = _draw(bank, grid, 16, 5)
+    assert np.allclose(volterra, _brownian(increments), atol=1e-12)
 
 
 def test_sampler_determinism():
     bank = mixed_bank()
     grid = TimeGrid(0.9, 12)
-    a = sample_joint_paths(bank, grid, 4, seed=42)
-    b = sample_joint_paths(bank, grid, 4, seed=42)
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.volterra.values, sb.volterra.values)
-        assert np.array_equal(sa.increments, sb.increments)
-    c = sample_joint_paths(bank, grid, 4, seed=43)
-    assert not np.array_equal(a[0].increments, c[0].increments)
+    a_incr, _, a_volterra = _draw(bank, grid, 4, 42)
+    b_incr, _, b_volterra = _draw(bank, grid, 4, 42)
+    assert np.array_equal(a_volterra, b_volterra)
+    assert np.array_equal(a_incr, b_incr)
+    c_incr = _draw(bank, grid, 4, 43)[0]
+    assert not np.array_equal(a_incr[0], c_incr[0])
 
 
 def test_first_path_block_consistency():
@@ -171,9 +179,9 @@ def test_path_normals_match_reference_expression(n_draws, first_path):
 def test_increment_replay_bitwise():
     bank = mixed_bank()
     grid = TimeGrid(0.9, 14)
-    for joint in sample_joint_paths(bank, grid, 3, seed=17):
-        rebuilt = replay_volterra(bank, joint)
-        assert np.array_equal(rebuilt, joint.volterra.values)
+    increments, singular, volterra = _draw(bank, grid, 3, 17)
+    rebuilt = replay_volterra(bank, grid, increments, singular)
+    assert np.array_equal(rebuilt, volterra)
 
 
 def test_terminal_variance_matches_quadrature():
@@ -196,8 +204,8 @@ def test_empirical_covariance_fidelity():
     bank = rl_bank(0.75)
     grid = TimeGrid(1.0, 16)
     n = 30_000
-    samples = sample_joint_paths(bank, grid, n, seed=2024)
-    emp = empirical_covariance(samples, component="volterra")
+    volterra = _draw(bank, grid, n, 2024)[2]
+    emp = empirical_covariance(volterra)
     want = covariance_matrix(bank, grid).blocks[0]
     got = emp[0][1:, 1:]
     se = np.sqrt(
@@ -209,24 +217,21 @@ def test_empirical_covariance_fidelity():
 def test_empirical_covariance_validation():
     bank = rl_bank(0.4)
     grid = TimeGrid(1.0, 6)
-    samples = sample_joint_paths(bank, grid, 4, seed=1)
+    volterra = _draw(bank, grid, 4, 1)[2]
     with pytest.raises(DomainError):
-        empirical_covariance(samples[:1])
+        empirical_covariance(volterra[:1])
     with pytest.raises(DomainError):
-        empirical_covariance([])
-    other = sample_joint_paths(bank, TimeGrid(1.0, 7), 4, seed=1)
+        empirical_covariance(volterra[:0])
     with pytest.raises(DomainError):
-        empirical_covariance([samples[0], other[0]])
-    with pytest.raises(DomainError):
-        empirical_covariance(samples, component="nope")
+        empirical_covariance(volterra[0])
 
 
 def test_empirical_covariance_brownian_component():
     bank = rl_bank(0.3)
     grid = TimeGrid(1.0, 6)
     n = 50_000
-    samples = sample_joint_paths(bank, grid, n, seed=77)
-    emp = empirical_covariance(samples, component="brownian")[0]
+    increments = _draw(bank, grid, n, 77)[0]
+    emp = empirical_covariance(_brownian(increments))[0]
     t = grid.nodes
     want = np.minimum.outer(t, t)
     se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / n)
@@ -237,8 +242,8 @@ def test_empirical_covariance_brownian_component():
 def test_marginal_gaussianity_proxy():
     bank = rl_bank(0.3)
     grid = TimeGrid(1.0, 12)
-    samples = sample_joint_paths(bank, grid, 50_000, seed=31)
-    terminal = np.array([s.volterra.values[-1, 0] for s in samples])
+    volterra = _draw(bank, grid, 50_000, 31)[2]
+    terminal = volterra[:, -1, 0]
     z = (terminal - terminal.mean()) / terminal.std()
     assert abs(stats.skew(z)) < 0.05
     assert abs(stats.kurtosis(z, fisher=True)) < 0.1
@@ -291,8 +296,8 @@ def test_cholesky_route_matches_hybrid_route_marginals():
     bank = rl_bank(0.75)
     grid = TimeGrid(1.0, 16)
     n = 4000
-    hybrid = sample_joint_paths(bank, grid, n, seed=101)
-    hyb_term = np.array([s.volterra.values[-1, 0] for s in hybrid])
+    hybrid = _draw(bank, grid, n, 101)[2]
+    hyb_term = hybrid[:, -1, 0]
     chol = sample_volterra_cholesky(bank, grid, n, seed=707)
     result = stats.ks_2samp(hyb_term, chol[:, -1, 0])
     assert result.pvalue > 0.01

@@ -15,11 +15,10 @@ from volldp.model import (
     ConstantMap,
     ModelCoefficients,
     ProbeLattice,
+    Scaling,
     diffusion_path,
     euler_paths_array,
     make_map,
-    simulate_correlated,
-    simulate_uncorrelated,
     validate_coefficients,
 )
 
@@ -208,7 +207,9 @@ def test_euler_zero_coefficients_give_zero_paths():
     coeffs = constant_coeffs(1, 1, sigma=[[0.0]])
     bank = rl_bank(0.4)
     grid = TimeGrid(1.0, 8)
-    values, _, _ = euler_paths_array(coeffs, bank, grid, 0.5, 6, seed=3)
+    values = euler_paths_array(
+        coeffs, bank, grid, Scaling.small_noise(0.5), 6, seed=3
+    ).values
     assert np.all(values == 0.0)
 
 
@@ -217,19 +218,35 @@ def test_euler_validation_errors():
     bank = rl_bank(0.4)
     grid = TimeGrid(1.0, 4)
     with pytest.raises(DomainError):
-        euler_paths_array(coeffs, bank, grid, 0.0, 4, seed=0)
+        Scaling.small_noise(0.0)
     two_factor = KernelBank((rl_bank(0.4)[0], rl_bank(0.6)[0]))
     with pytest.raises(ConfigurationError):
-        euler_paths_array(coeffs, two_factor, grid, 0.5, 4, seed=0)
+        euler_paths_array(
+            coeffs, two_factor, grid, Scaling.small_noise(0.5), 4, seed=0
+        )
+
+
+def test_scaling_constructors():
+    # sqrt(fl(e^2)) == e exactly in binary64, so small_noise(e) runs the
+    # scheme with noise e itself
+    rng = np.random.default_rng(5)
+    for e in rng.uniform(1e-3, 10.0, size=1000).tolist():
+        s = Scaling.small_noise(e)
+        assert (s.noise_var, s.vol_arg, s.drift) == (e**2, e, 1.0)
+        assert np.sqrt(s.noise_var) == e
+    for delta in (1e-3, 0.05, 1.0):
+        s = Scaling.short_time(delta)
+        assert (s.noise_var, s.vol_arg, s.drift) == (delta, 1.0, 0.0)
 
 
 def test_euler_determinism():
     coeffs = exp_vol_coeffs(-0.3)
     bank = rl_bank(0.35)
     grid = TimeGrid(1.0, 12)
-    a, _, _ = euler_paths_array(coeffs, bank, grid, 0.4, 5, seed=11)
-    b, _, _ = euler_paths_array(coeffs, bank, grid, 0.4, 5, seed=11)
-    assert np.array_equal(a, b)
+    scaling = Scaling.small_noise(0.4)
+    a = euler_paths_array(coeffs, bank, grid, scaling, 5, seed=11)
+    b = euler_paths_array(coeffs, bank, grid, scaling, 5, seed=11)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_constant_volatility_terminal_law():
@@ -238,8 +255,8 @@ def test_constant_volatility_terminal_law():
     bank = rl_bank(0.5)
     grid = TimeGrid(1.0, 16)
     eps, n = 0.7, 40_000
-    values, _, _ = euler_paths_array(coeffs, bank, grid, eps, n, seed=21,
-                                     correlated=False)
+    values = euler_paths_array(coeffs, bank, grid, Scaling.small_noise(eps), n,
+                               seed=21, correlated=False).values
     z = values[:, -1, 0]
     mean_want, var_want = -0.5 * eps**2, eps**2
     mean_se = eps / np.sqrt(n)
@@ -253,7 +270,9 @@ def test_discrete_exponential_martingale():
     bank = rl_bank(0.35)
     grid = TimeGrid(1.0, 32)
     eps, n = 0.5, 60_000
-    values, _, _ = euler_paths_array(coeffs, bank, grid, eps, n, seed=9)
+    values = euler_paths_array(
+        coeffs, bank, grid, Scaling.small_noise(eps), n, seed=9
+    ).values
     w = np.exp(values[:, -1, 0])
     se = w.std(ddof=1) / np.sqrt(n)
     assert abs(w.mean() - 1.0) <= 3 * se
@@ -265,14 +284,15 @@ def test_uncorrelated_ignores_sigma_tilde():
     base = exp_vol_coeffs(0.7, amplitude=0.3)
     grid = TimeGrid(1.0, 10)
     bank = rl_bank(0.4)
-    a, _, _ = euler_paths_array(base, bank, grid, 0.5, 6, seed=13,
-                                correlated=False)
+    scaling = Scaling.small_noise(0.5)
+    a = euler_paths_array(base, bank, grid, scaling, 6, seed=13,
+                          correlated=False).values
     total = ConstantMap(np.zeros((1, 1)), 1)
-    b, _, _ = euler_paths_array(
+    b = euler_paths_array(
         ModelCoefficients(d=1, p=1, mu=base.mu, sigma=base.sigma,
                           sigma_tilde=total),
-        bank, grid, 0.5, 6, seed=13, correlated=False,
-    )
+        bank, grid, scaling, 6, seed=13, correlated=False,
+    ).values
     assert np.array_equal(a, b)
 
 
@@ -280,10 +300,11 @@ def test_zero_sigma_tilde_correlated_matches_uncorrelated():
     coeffs = exp_vol_coeffs(0.0, amplitude=0.3)
     bank = rl_bank(0.35)
     grid = TimeGrid(1.0, 12)
-    a, _, _ = euler_paths_array(coeffs, bank, grid, 0.5, 8, seed=7,
-                                correlated=True)
-    b, _, _ = euler_paths_array(coeffs, bank, grid, 0.5, 8, seed=7,
-                                correlated=False)
+    scaling = Scaling.small_noise(0.5)
+    a = euler_paths_array(coeffs, bank, grid, scaling, 8, seed=7,
+                          correlated=True).values
+    b = euler_paths_array(coeffs, bank, grid, scaling, 8, seed=7,
+                          correlated=False).values
     assert np.max(np.abs(a - b)) == 0.0
 
 
@@ -296,8 +317,8 @@ def test_correlated_noise_decomposition():
     grid = TimeGrid(1.0, 8)
     eps = 0.6
     values, increments, dw, _, _ = euler_paths_array(
-        coeffs, bank, grid, eps, 500, seed=19, correlated=True,
-        return_drivers=True,
+        coeffs, bank, grid, Scaling.small_noise(eps), 500, seed=19,
+        correlated=True,
     )
     # reconstruct Z_T by hand from the stored increments
     s = 0.5
@@ -321,8 +342,8 @@ def test_brownian_shift_by_linearity_matches_reconvolution():
     rng = np.random.default_rng(4)
     shift = rng.normal(size=(16, 2)) * grid.dt
     _, increments, _, singular, volterra = euler_paths_array(
-        coeffs, bank, grid, 0.5, 40, seed=9, first_path=3,
-        brownian_shift=shift, return_drivers=True,
+        coeffs, bank, grid, Scaling.small_noise(0.5), 40, seed=9, first_path=3,
+        brownian_shift=shift,
     )
     dB, V, _, _ = draw_driver_arrays(bank, grid, 40, 9, first_path=3,
                                      extra_draws=16)
@@ -342,25 +363,24 @@ def test_brownian_shift_by_linearity_matches_reconvolution():
     )
 
 
-def test_simulate_wrappers_and_replay():
+def test_euler_paths_shapes_and_replay():
     coeffs = exp_vol_coeffs(-0.5, amplitude=0.2)
     bank = rl_bank(0.3)
     grid = TimeGrid(1.0, 10)
-    paths = simulate_uncorrelated(coeffs, bank, grid, 0.4, 3, seed=23)
-    assert len(paths) == 3
-    assert paths[0].values.shape == (11, 1)
+    scaling = Scaling.small_noise(0.4)
+    plain = euler_paths_array(coeffs, bank, grid, scaling, 3, seed=23,
+                              correlated=False, convolve_per_path=True)
+    assert plain.values.shape == (3, 11, 1)
 
-    pairs = simulate_correlated(coeffs, bank, grid, 0.4, 3, seed=23)
-    assert len(pairs) == 3
-    for price, joint in pairs:
-        assert price.values.shape == (11, 1)
-        rebuilt = replay_volterra(bank, joint)
-        assert np.array_equal(rebuilt, joint.volterra.values)
-        # brownian is the running sum of the stored increments (up to the
-        # rounding of cumulative summation)
-        assert joint.brownian.values[0, 0] == 0.0
-        assert np.allclose(
-            joint.brownian.values[1:] - joint.brownian.values[:-1],
-            joint.increments,
-            atol=1e-14,
-        )
+    paths = euler_paths_array(coeffs, bank, grid, scaling, 3, seed=23,
+                              convolve_per_path=True)
+    assert paths.values.shape == (3, 11, 1)
+    rebuilt = replay_volterra(bank, grid, paths.increments, paths.singular)
+    assert np.array_equal(rebuilt, paths.volterra)
+    # brownian is the running sum of the stored increments (up to the
+    # rounding of cumulative summation)
+    brownian = paths.brownian
+    assert np.all(brownian[:, 0, :] == 0.0)
+    assert np.allclose(
+        brownian[:, 1:] - brownian[:, :-1], paths.increments, atol=1e-14
+    )
