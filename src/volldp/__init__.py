@@ -58,7 +58,6 @@ from .model import (
     ProbeLattice,
     Scaling,
     ValidationReport,
-    diffusion_path,
     euler_paths_array,
     make_map,
     validate_coefficients,

@@ -272,6 +272,8 @@ def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
                 seed, correlated=opts.correlated, threads=threads,
             )
         estimates.append(est)
+    # fit first: a degenerate level fails here, before any artifact exists
+    fit = ldp_slope(estimates)
     rows = [
         (e.epsilon, e.prob, e.stderr, -np.log(e.prob), e.epsilon**-2)
         for e in estimates
@@ -281,7 +283,6 @@ def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
         ("epsilon", "p_hat", "stderr", "minus_log_p", "eps_inv_sq"),
         rows,
     )
-    fit = ldp_slope(estimates)
     target = solution.value
     _write_json(
         os.path.join(out_dir, "summary.json"),
@@ -401,25 +402,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_thread_cap(threads) -> None:
+    from .errors import ConfigurationError
+
     if threads is None:
         return
     if threads < 1:
-        raise SystemExit("--threads must be >= 1")
+        raise ConfigurationError("--threads must be >= 1")
     for var in _THREAD_ENV_VARS:
         os.environ[var] = str(threads)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # The BLAS/OpenMP variables reach only pools sized after this point;
-    # numpy, loaded with the package, has already sized its own.
-    _apply_thread_cap(args.threads)
 
     from .errors import ConfigurationError, VolldpError
 
     manifest = None  # the manifest's fields, once the output directory exists
     error = None
     try:
+        # The BLAS/OpenMP variables reach only pools sized after this point;
+        # numpy, loaded with the package, has already sized its own.
+        _apply_thread_cap(args.threads)
         if args.command == "selftest":
             out_dir = args.out
             if out_dir is not None:

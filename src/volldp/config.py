@@ -43,7 +43,6 @@ _REQUIRED = object()
 
 _KERNEL_PARAM_NAMES = {
     "hurst", "scale", "horizon", "log_exponent", "mean_reversion",
-    "holder_c", "holder_alpha",
 }
 
 

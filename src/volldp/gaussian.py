@@ -20,6 +20,9 @@ faithful to the continuous one even at the first grid nodes.  All cell
 values come from one chunked evaluation of the kernel on the grid's lower
 triangle (``kernels.eval_lower_triangle``); A_1, whose cell starts at the
 origin, is calibrated at the cell midpoint for kernels singular there.
+The cell moments Cov(dB, V) and Var(V) are ``kernels.cell_moments``, and
+the covariance behind the Cholesky oracle is ``kernels.slice_products``
+column by column: both are the kernels module's one power-law rule.
 
 A path set is a stack of arrays with the path on the leading axis: dB and V
 of shape (n, N, p), Bhat of shape (n, N + 1, p).  ``replay_volterra``
@@ -49,10 +52,11 @@ from .grids import TimeGrid
 from .kernels import (
     KernelBank,
     VolterraKernel,
+    cell_moments,
     edge_coefficient,
     eval_lower_triangle,
     kernel_l2_slice,
-    origin_cell_weight,
+    slice_products,
 )
 
 _GL4 = np.polynomial.legendre.leggauss(4)
@@ -155,8 +159,7 @@ def discretize_kernel(kernel: VolterraKernel, grid: TimeGrid) -> KernelDiscretiz
     weights[np.tri(n + 1, n, -2, dtype=bool)] = cell
     edge = np.zeros(n + 1)
     edge[1:] = edge_coefficient(kernel, t[1:], t[:-1], dt)
-    kappa_c = dt ** (kappa + 1.0) / (kappa + 1.0)
-    kappa_v = dt ** (2.0 * kappa + 1.0) / (2.0 * kappa + 1.0)
+    kappa_c, kappa_v = cell_moments(kappa, dt)
     return KernelDiscretization(
         grid=grid,
         kappa=kappa,
@@ -274,12 +277,11 @@ def covariance_matrix(
 ) -> CovarianceBlocks:
     """Covariance blocks  k(t, s) = int_0^min(t,s) K(t, u) K(s, u) du.
 
-    Uses the same singularity-splitting rule as ``kernel_l2_slice`` (the
-    diagonal-adjacent cell against the calibrated power law, the first cell
-    against the origin power law, midpoints elsewhere) so the diagonal
-    coincides with the slice norm up to rounding.  Raises
-    ``QuadratureError`` when a block comes out non-finite or fails the
-    positive-semidefiniteness tolerance (min eigenvalue >= -1e-10 * trace).
+    Column j is one call of ``kernels.slice_products`` at s = t_j for all
+    t >= t_j, the rule of ``kernel_l2_slice``, so the diagonal is the slice
+    norm.  Raises ``QuadratureError`` when a block comes out non-finite or
+    fails the positive-semidefiniteness tolerance (min eigenvalue
+    >= -1e-10 * trace).
     """
     if n_quad < 2:
         raise DomainError(f"n_quad must be >= 2, got {n_quad}")
@@ -287,26 +289,8 @@ def covariance_matrix(
     t = grid.nodes
     blocks = np.zeros((p, n, n))
     for ell, kernel in enumerate(bank):
-        kappa = kernel.singular_exponent
-        w0 = origin_cell_weight(kernel)
         for j in range(1, n + 1):
-            s = t[j]
-            h = s / n_quad
-            mids = (np.arange(n_quad - 1) + 0.5) * h
-            upper = t[j:]
-            vals_i = kernel.eval(upper[:, None], mids[None, :])
-            vals_j = kernel.eval(s, mids)
-            vals_j[0] *= w0  # first cell [0, h] against the origin power law
-            interior = (vals_i @ vals_j) * h
-            a_edge = float(edge_coefficient(kernel, s, s - h, h))
-            entries = interior.copy()
-            # singular cell [s - h, s]
-            entries[0] += a_edge**2 * h ** (2 * kappa + 1) / (2 * kappa + 1)
-            if upper.size > 1:
-                frozen = kernel.eval(upper[1:], s - h)
-                entries[1:] += (
-                    frozen * a_edge * h ** (kappa + 1) / (kappa + 1)
-                )
+            entries = slice_products(kernel, t[j], t[j:], n_quad)
             blocks[ell, j - 1, j - 1 :] = entries
             blocks[ell, j - 1 :, j - 1] = entries
     if not np.all(np.isfinite(blocks)):

@@ -11,8 +11,10 @@ the small interface implemented in this module:
 * chunked evaluation on the lower triangle of a grid
   (``eval_lower_triangle``), the one grid evaluator behind discretization
   and kernel tables,
-* the slice norm  int_0^t K(t, s)^2 ds  by singularity-splitting quadrature,
-* the L^2 modulus of continuity in the first argument,
+* slice products  int_lo^s K(t, u) K(s, u) du  by singularity-splitting
+  quadrature (``slice_products``), the one rule behind the slice norm, the
+  covariance of the Gaussian driver and the L^2 modulus of continuity in
+  the first argument,
 * parabolic rescaling  K^eta(t, s) = sqrt(eta) K(eta t, eta s),
 * the distance of a rescaled kernel to a candidate limit kernel.
 
@@ -22,14 +24,16 @@ fixed-order memory integral over it.
 
 All quadratures split off the cell adjacent to the diagonal and integrate
 it against the local power law A (t - s)^(H - 1/2), with A calibrated so the
-power law matches the kernel at the cell edge (``edge_coefficient``).  For
-plain power-law kernels the adjacent cell is therefore exact; for the
-log-corrected family the slowly varying factor is frozen at the cell edge.
+power law matches the kernel at the cell edge (``edge_coefficient``) and
+its cell integrals from ``cell_moments``.  For plain power-law kernels the
+adjacent cell is therefore exact; for the log-corrected family the slowly
+varying factor is frozen at the cell edge.
 Kernels that are also singular at the origin, K(t, s) ~ A0 s^kappa0 as
 s -> 0 (``origin_exponent``; the Molchan-Golosov and fractional OU
 families), have their first cell [0, h] integrated against that power law
 with A0 calibrated at the cell midpoint (``origin_cell_weight``); for
-kappa0 = 0 this is the plain midpoint rule.
+kappa0 = 0 this is the plain midpoint rule.  ``slice_products`` is the one
+place this rule is written.
 """
 
 from dataclasses import dataclass
@@ -65,18 +69,11 @@ class VolterraKernel:
         Multiplicative constant C > 0.
     horizon : float
         Largest admissible time argument T > 0.
-    holder_c, holder_alpha : float
-        Calibrated constants bounding the L^2 modulus of continuity,
-        M(delta) <= holder_c * delta^holder_alpha.  They are carried as
-        metadata (the modulus operation measures the left side; tests and
-        the validator compare against this bound).
     """
 
     hurst: float
     scale: float
     horizon: float
-    holder_c: float = 0.0
-    holder_alpha: float = 1.0
 
     family = "abstract"
 
@@ -87,10 +84,6 @@ class VolterraKernel:
             raise ConfigurationError(f"scale must be positive, got {self.scale}")
         if not (self.horizon > 0.0):
             raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
-        if self.holder_c < 0.0:
-            raise ConfigurationError("holder_c must be nonnegative")
-        if not (0.0 < self.holder_alpha <= 2.0):
-            raise ConfigurationError("holder_alpha must lie in (0, 2]")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -128,9 +121,6 @@ class VolterraKernel:
 
     def _raw(self, t, s):  # pragma: no cover - overridden
         raise NotImplementedError
-
-    def __call__(self, t, s):
-        return self.eval(t, s)
 
 
 @dataclass(frozen=True)
@@ -433,6 +423,18 @@ def edge_coefficient(kernel: VolterraKernel, t, lo, h: float):
     return amp
 
 
+def cell_moments(kappa: float, h):
+    """(int_0^h u^kappa du, int_0^h u^(2 kappa) du) of the power law u^kappa.
+
+    They weigh the calibrated power law of a diagonal-adjacent cell of
+    width h; in the hybrid scheme they are Cov(dB, V) and Var(V).
+    """
+    return (
+        h ** (kappa + 1.0) / (kappa + 1.0),
+        h ** (2.0 * kappa + 1.0) / (2.0 * kappa + 1.0),
+    )
+
+
 def origin_cell_weight(kernel: VolterraKernel) -> float:
     """Midpoint-rule factor of the first cell [0, h] of a slice product.
 
@@ -444,37 +446,41 @@ def origin_cell_weight(kernel: VolterraKernel) -> float:
     return 4.0**k0 / (2.0 * k0 + 1.0)
 
 
-def kernel_l2_slice(kernel: VolterraKernel, t: float, n_quad: int = 256) -> float:
-    """Slice norm int_0^t K(t, s)^2 ds by singularity-splitting quadrature.
+def slice_products(
+    kernel: VolterraKernel, s: float, upper, n_quad: int, lo: float = 0.0
+) -> np.ndarray:
+    """int_lo^s K(t, u) K(s, u) du for every t in ``upper`` (upper[0] == s).
 
-    The cell [t - h, t] adjacent to the diagonal (h = t / n_quad) is
-    integrated exactly against the calibrated power law, the first cell
-    against the origin power law; the remainder uses the composite
-    midpoint rule.
+    Singularity-splitting quadrature on n_quad cells of width
+    h = (s - lo) / n_quad: the midpoint rule on all cells but the last, the
+    first one weighted by ``origin_cell_weight`` when lo <= 0; the cell
+    [s - h, s] against the calibrated power law A (s - u)^kappa of
+    ``edge_coefficient``, with K(t, .) for t > s frozen at the cell edge
+    s - h.  Returns zeros when s <= lo.
     """
+    upper = np.atleast_1d(_as_array(upper))
+    if s <= lo:
+        return np.zeros(upper.size)
+    h = (s - lo) / n_quad
+    mids = lo + (np.arange(n_quad - 1) + 0.5) * h
+    vals_s = kernel.eval(s, mids)
+    if lo <= 0.0:
+        vals_s[0] *= origin_cell_weight(kernel)
+    out = (kernel.eval(upper[:, None], mids[None, :]) @ vals_s) * h
+    a_edge = float(edge_coefficient(kernel, s, s - h, h))
+    m1, m2 = cell_moments(kernel.singular_exponent, h)
+    out[0] += a_edge**2 * m2
+    out[1:] += kernel.eval(upper[1:], s - h) * a_edge * m1
+    return out
+
+
+def kernel_l2_slice(kernel: VolterraKernel, t: float, n_quad: int = 256) -> float:
+    """Slice norm int_0^t K(t, s)^2 ds, the diagonal of ``slice_products``."""
     if n_quad < 2:
         raise DomainError(f"n_quad must be >= 2, got {n_quad}")
     if t < 0 or t > kernel.horizon * (1 + 1e-12):
         raise DomainError(f"t={t} outside [0, {kernel.horizon}]")
-    return _l2_between(kernel, t, 0.0, n_quad)
-
-
-def _l2_between(kernel, t: float, lo: float, n_quad: int) -> float:
-    """int_lo^t K(t, s)^2 ds with the singular cell at the upper end.
-
-    For lo = 0 the first cell follows the origin-cell rule.
-    """
-    if t <= lo:
-        return 0.0
-    h = (t - lo) / n_quad
-    mids = lo + (np.arange(n_quad - 1) + 0.5) * h
-    sq = kernel.eval(t, mids) ** 2
-    if lo <= 0.0:
-        sq[0] *= origin_cell_weight(kernel)
-    interior = float(np.sum(sq)) * h
-    a_edge = float(edge_coefficient(kernel, t, t - h, h))
-    kappa = kernel.singular_exponent
-    return interior + a_edge**2 * h ** (2 * kappa + 1) / (2 * kappa + 1)
+    return float(slice_products(kernel, t, t, n_quad)[0])
 
 
 def modulus_of_continuity(
@@ -509,12 +515,9 @@ def modulus_of_continuity(
             # cell [t1 - h, t1]: K(t1, .) by power law, K(t2, .) frozen
             a1 = float(edge_coefficient(kernel, t1, t1 - h, h))
             k2bar = float(kernel.eval(t2, t1 - 0.5 * h))
-            total += (
-                a1**2 * h ** (2 * kappa + 1) / (2 * kappa + 1)
-                - 2 * a1 * k2bar * h ** (kappa + 1) / (kappa + 1)
-                + k2bar**2 * h
-            )
-        total += _l2_between(kernel, t2, t1, n_quad)
+            m1, m2 = cell_moments(kappa, h)
+            total += a1**2 * m2 - 2 * a1 * k2bar * m1 + k2bar**2 * h
+        total += float(slice_products(kernel, t2, t2, n_quad, lo=t1)[0])
         worst = max(worst, total)
     return worst
 
@@ -533,8 +536,6 @@ def rescale_kernel(kernel: VolterraKernel, eta: float) -> VolterraKernel:
         hurst=kernel.hurst,
         scale=kernel.scale,
         horizon=kernel.horizon / eta,
-        holder_c=kernel.holder_c,
-        holder_alpha=kernel.holder_alpha,
         base=kernel,
         eta=eta,
     )
@@ -556,12 +557,11 @@ def limit_kernel_error(
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     scaled = rescale_kernel(kernel, eta)
     nodes = grid.nodes
-    tt, ss = np.meshgrid(nodes, nodes, indexing="ij")
-    mask = ss < tt
-    diff = scaled.eval(tt[mask], ss[mask]) / epsilon - limit.eval(
-        tt[mask], ss[mask]
+    diff = (
+        eval_lower_triangle(scaled, nodes, 0.0, lag=1)[:, 0] / epsilon
+        - eval_lower_triangle(limit, nodes, 0.0, lag=1)[:, 0]
     )
-    return float(np.max(np.abs(diff))) if diff.size else 0.0
+    return float(np.max(np.abs(diff)))
 
 
 # ---------------------------------------------------------------------------

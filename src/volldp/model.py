@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularDiffusionError
 from .gaussian import bank_discretizations, draw_driver_arrays
-from .grids import PathSample, TimeGrid
+from .grids import TimeGrid
 from .kernels import KernelBank
 
 _DET_TOL = 1e-12
@@ -252,7 +252,7 @@ class ModelCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# diffusion matrix along a path
+# singularity of the diffusion matrix
 # ---------------------------------------------------------------------------
 
 
@@ -271,39 +271,6 @@ def _require_nonsingular(a, what: str) -> None:
         raise SingularDiffusionError(
             f"{what} singular{at}: |det| = {dets[worst]:.3e} < {_DET_TOL}"
         )
-
-
-@dataclass
-class DiffusionMatrixPath:
-    """a(phi(t)) and its inverse at every grid node, with spectral records."""
-
-    grid: TimeGrid
-    a: np.ndarray        # (N + 1, d, d)
-    a_inv: np.ndarray    # (N + 1, d, d)
-    lambda_min: np.ndarray
-    lambda_max: np.ndarray
-
-
-def diffusion_path(coeffs: ModelCoefficients, phi: PathSample) -> DiffusionMatrixPath:
-    """Evaluate a = sigma sigma^T and a^(-1) along a volatility path.
-
-    Raises ``SingularDiffusionError`` when a is singular at any node.
-    """
-    if phi.dim != coeffs.p:
-        raise DomainError(
-            f"path dimension {phi.dim} does not match factor count {coeffs.p}"
-        )
-    a = coeffs.a(phi.values)
-    _require_nonsingular(a, "diffusion matrix")
-    a_inv = np.linalg.inv(a)
-    eigs = np.linalg.eigvalsh(a)
-    return DiffusionMatrixPath(
-        grid=phi.grid,
-        a=a,
-        a_inv=a_inv,
-        lambda_min=eigs[:, 0],
-        lambda_max=eigs[:, -1],
-    )
 
 
 # ---------------------------------------------------------------------------

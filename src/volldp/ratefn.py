@@ -140,6 +140,10 @@ def j_rate(x: CameronMartinPath, phi: PathSample, coeffs: ModelCoefficients) -> 
     """J(x | phi) = 1/2 int (xdot - mu(phi))^T a(phi)^(-1) (xdot - mu(phi)) dt."""
     if x.grid != phi.grid:
         raise DomainError("x and phi live on different grids")
+    if phi.dim != coeffs.p:
+        raise DomainError(
+            f"path dimension {phi.dim} does not match factor count {coeffs.p}"
+        )
     y = phi.values[: x.grid.n_steps]
     a = coeffs.a(y)
     _require_nonsingular(a, "diffusion matrix")

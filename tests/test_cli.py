@@ -7,6 +7,7 @@ messages, and output artifacts can be checked without spawning a shell.
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -57,9 +58,13 @@ def _read_csv(path):
     return header, rows
 
 
-def _manifest(out_dir):
-    with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as handle:
+def _read_json(path):
+    with open(path, encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def _manifest(out_dir):
+    return _read_json(os.path.join(out_dir, "manifest.json"))
 
 
 def _snapshot(out_dir):
@@ -118,6 +123,16 @@ class TestParseConfig:
         text = _one_factor_text().replace("scale = 1.0", "scale = 1.0\nbogus = 2")
         with pytest.raises(ConfigurationError, match="'bogus'"):
             parse_config(text)
+
+    def test_holder_constants_are_unknown_kernel_parameters(self):
+        for name in ("holder_c", "holder_alpha"):
+            text = _one_factor_text().replace(
+                "scale = 1.0", f"scale = 1.0\n{name} = 1.0"
+            )
+            with pytest.raises(
+                ConfigurationError, match=f"'{name}': unknown kernel parameter"
+            ):
+                parse_config(text)
 
     def test_block_count_must_divide_steps(self):
         text = _one_factor_text(
@@ -206,10 +221,11 @@ class TestCliErrors:
         assert code == 2
         assert "error[CONFIG]: --z" in capsys.readouterr().err
 
-    def test_thread_cap_rejects_nonpositive(self, tmp_path):
+    def test_thread_cap_rejects_nonpositive(self, tmp_path, capsys):
         path = _ini(tmp_path, _one_factor_text())
-        with pytest.raises(SystemExit, match="--threads"):
-            main(["selftest", "--threads", "0", "--config", path])
+        assert main(["selftest", "--threads", "0", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err == "error[CONFIG]: --threads must be >= 1\n"
 
     def test_thread_cap_sets_environment(self, tmp_path):
         saved = {
@@ -313,8 +329,7 @@ class TestSimulate:
         _, rows_a = _read_csv(os.path.join(out_a, "paths.csv"))
         _, rows_b = _read_csv(os.path.join(out_b, "paths.csv"))
         assert rows_a != rows_b
-        manifest = json.load(open(os.path.join(out_b, "manifest.json")))
-        assert manifest["seed"] == 99
+        assert _manifest(out_b)["seed"] == 99
 
 
 class TestRateCommands:
@@ -338,7 +353,7 @@ class TestRateCommands:
         assert header == ["t_left", "fdot_1"]
         assert len(rows) == 8
 
-        diag = json.load(open(os.path.join(out, "diagnostics.json")))
+        diag = _read_json(os.path.join(out, "diagnostics.json"))
         assert diag["converged"] is True
         assert diag["value"] == pytest.approx(value)
         assert {
@@ -417,7 +432,8 @@ n_starts = 2
 """
         out = str(tmp_path / "out")
         path = _ini(tmp_path, text)
-        config_text = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as handle:
+            config_text = handle.read()
         assert main(
             ["terminal-rate", "--config", path, "--out", out, "--z", "1.0,1.0"]
         ) == 0
@@ -429,7 +445,7 @@ n_starts = 2
 
         from volldp import __version__
 
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = _manifest(out)
         assert manifest["command"] == "terminal-rate"
         assert manifest["seed"] == 5
         assert manifest["version"] == __version__
@@ -467,7 +483,7 @@ class TestVerifyLdp:
             assert 0.0 < p_hat < 1.0 and stderr > 0.0
             assert minus_log_p == pytest.approx(-math.log(p_hat))
 
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = _read_json(os.path.join(out, "summary.json"))
         assert summary["estimator"] == "crude"
         assert summary["n_paths"] == 2000
         # Constant unit volatility, threshold b: the rate is b^2 / (2 T).
@@ -502,6 +518,28 @@ class TestVerifyLdp:
             assert manifest["threads_effective"] == threads
         for name in ("ldp.csv", "summary.json"):
             assert outputs[1][name] == outputs[2][name], name
+
+    def test_degenerate_level_fails_before_any_artifact(self, tmp_path,
+                                                          capsys):
+        # threshold 3 is 6 to 10 standard deviations out: no path hits it
+        text = _one_factor_text(extra=(
+            "[optimizer]\nn_starts = 2\n"
+            "[verify-ldp]\n"
+            "threshold = 3.0\n"
+            "epsilons = 0.5, 0.4, 0.3\n"
+            "n_paths = 2000\n"
+            "estimator = crude\n"
+        ))
+        path = _ini(tmp_path, text)
+        out = str(tmp_path / "o")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["verify-ldp", "--config", path, "--out", out])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error[VALIDATION]: ")
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+        assert _manifest(out)["status"] == "error"
+        assert not [w for w in caught if "divide by zero" in str(w.message)]
 
     def test_nonfinite_paths_exit_code(self, tmp_path, capsys):
         # exponential volatility with weight 120 overflows the Euler scheme
@@ -579,7 +617,7 @@ class TestShortTime:
         deltas = sorted({row[0] for row in rows})
         assert len(deltas) == 2
 
-        diag = json.load(open(os.path.join(out, "diagnostic.json")))
+        diag = _read_json(os.path.join(out, "diagnostic.json"))
         assert isinstance(diag["all_consistent"], bool)
         assert len(diag["comparisons"]) == 2
         for comp in diag["comparisons"]:
@@ -589,7 +627,8 @@ class TestShortTime:
             assert comp["paired_max_sup_distance"] >= 0.0
             assert comp["exceedance"]
 
-        report = open(os.path.join(out, "report.txt")).read()
+        with open(os.path.join(out, "report.txt"), encoding="utf-8") as handle:
+            report = handle.read()
         assert "delta" in report
 
     def test_samples_are_the_rescaled_route(self, tmp_path):

@@ -17,7 +17,13 @@ from volldp.gaussian import (
     terminal_variance_bound,
 )
 from volldp.grids import TimeGrid
-from volldp.kernels import KernelBank, kernel_l2_slice, make_kernel
+from volldp.kernels import (
+    KernelBank,
+    edge_coefficient,
+    kernel_l2_slice,
+    make_kernel,
+    origin_cell_weight,
+)
 
 from conftest import rl_bank, rl_kernel
 
@@ -62,7 +68,47 @@ def test_covariance_diagonal_matches_slice_norm():
     for ell, kernel in enumerate(bank):
         for i, t in enumerate(grid.nodes[1:]):
             want = kernel_l2_slice(kernel, t, n_quad=256)
-            assert cov.blocks[ell][i, i] == pytest.approx(want, rel=5e-3)
+            assert cov.blocks[ell][i, i] == pytest.approx(want, rel=1e-14)
+
+
+def _covariance_reference(kernel, grid, n_quad):
+    """The column rule of the covariance, written out on its own."""
+    n, t = grid.n_steps, grid.nodes
+    kappa = kernel.singular_exponent
+    w0 = origin_cell_weight(kernel)
+    block = np.zeros((n, n))
+    for j in range(1, n + 1):
+        s = t[j]
+        h = s / n_quad
+        mids = (np.arange(n_quad - 1) + 0.5) * h
+        upper = t[j:]
+        vals_j = kernel.eval(s, mids)
+        vals_j[0] *= w0
+        entries = (kernel.eval(upper[:, None], mids[None, :]) @ vals_j) * h
+        a_edge = float(edge_coefficient(kernel, s, s - h, h))
+        entries[0] += a_edge**2 * h ** (2 * kappa + 1) / (2 * kappa + 1)
+        if upper.size > 1:
+            frozen = kernel.eval(upper[1:], s - h)
+            entries[1:] += frozen * a_edge * h ** (kappa + 1) / (kappa + 1)
+        block[j - 1, j - 1 :] = entries
+        block[j - 1 :, j - 1] = entries
+    return block
+
+
+def test_covariance_matches_reference_column_rule():
+    # log-fBm stays at N <= 12 and n_quad = 256: at N = 14 and 16, or at
+    # N = 12 with n_quad <= 128, its quadrature covariance on the 0.9
+    # horizon fails the PSD tolerance
+    bank = KernelBank(mixed_bank().kernels + (
+        make_kernel("riemann_liouville", hurst=0.75, scale=1.0, horizon=0.9),
+        make_kernel("molchan_golosov", hurst=0.3, scale=1.0, horizon=0.9),
+    ))
+    for grid, n_quad in ((TimeGrid(0.9, 1), 2), (TimeGrid(0.9, 12), 256),
+                         (TimeGrid(0.6, 7), 256)):
+        cov = covariance_matrix(bank, grid, n_quad=n_quad)
+        for ell, kernel in enumerate(bank):
+            want = _covariance_reference(kernel, grid, n_quad)
+            np.testing.assert_allclose(cov.blocks[ell], want, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7, 0.9])

@@ -20,7 +20,9 @@ from volldp.kernels import (
     limit_kernel_error,
     make_kernel,
     modulus_of_continuity,
+    origin_cell_weight,
     rescale_kernel,
+    slice_products,
 )
 
 from conftest import rl_kernel
@@ -37,6 +39,10 @@ def all_families(horizon=0.9):
         make_kernel("fractional_ou", hurst=0.35, scale=1.0, horizon=horizon,
                     mean_reversion=1.3),
     ]
+
+
+def _kernel_id(kernel):
+    return f"{kernel.family}_{kernel.hurst}"
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +94,6 @@ def test_parameter_validation():
         rl_kernel(0.4, scale=0.0)
     with pytest.raises(ConfigurationError):
         rl_kernel(0.4, horizon=-1.0)
-    with pytest.raises(ConfigurationError):
-        rl_kernel(0.4, holder_c=-1.0)
     with pytest.raises(ConfigurationError):
         make_kernel("log_fbm", hurst=0.6, scale=1.0, horizon=0.9)
     with pytest.raises(ConfigurationError):
@@ -317,6 +321,37 @@ def test_first_cell_amplitude_of_origin_singular_kernels(family, hurst):
     assert disc.row_l2()[1] == pytest.approx(want, rel=0.11)
 
 
+def _l2_between_reference(kernel, t, lo, n_quad):
+    """int_lo^t K(t, s)^2 ds by the slice rule, written out on its own."""
+    if t <= lo:
+        return 0.0
+    h = (t - lo) / n_quad
+    mids = lo + (np.arange(n_quad - 1) + 0.5) * h
+    sq = kernel.eval(t, mids) ** 2
+    if lo <= 0.0:
+        sq[0] *= origin_cell_weight(kernel)
+    interior = float(np.sum(sq)) * h
+    a_edge = float(edge_coefficient(kernel, t, t - h, h))
+    kappa = kernel.singular_exponent
+    return interior + a_edge**2 * h ** (2 * kappa + 1) / (2 * kappa + 1)
+
+
+@pytest.mark.parametrize("kernel", all_families(), ids=_kernel_id)
+def test_slice_norm_matches_reference_rule(kernel):
+    for t in (0.05, 0.3, 0.9):
+        for n_quad in (2, 64, 256):
+            want = _l2_between_reference(kernel, t, 0.0, n_quad)
+            assert kernel_l2_slice(kernel, t, n_quad) == pytest.approx(
+                want, rel=1e-14
+            )
+            # the [t1, t2] part of the modulus: no origin cell
+            got = slice_products(kernel, t, t, n_quad, lo=0.4 * t)[0]
+            want = _l2_between_reference(kernel, t, 0.4 * t, n_quad)
+            assert got == pytest.approx(want, rel=1e-14)
+    assert np.array_equal(slice_products(kernel, 0.3, [0.3, 0.5], 8, lo=0.3),
+                          np.zeros(2))
+
+
 def test_l2_slice_nondecreasing_in_t():
     probes = np.linspace(0.0, 0.9, 19)
     for k in all_families():
@@ -445,6 +480,28 @@ def test_limit_error_self_similar_identity():
     for eta in (0.1, 0.01, 0.001):
         err = limit_kernel_error(k, eta, eta**h, limit, grid)
         assert err <= 1e-12
+
+
+def _limit_error_reference(kernel, eta, epsilon, limit, grid):
+    tt, ss = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+    mask = ss < tt
+    scaled = rescale_kernel(kernel, eta)
+    diff = scaled.eval(tt[mask], ss[mask]) / epsilon - limit.eval(
+        tt[mask], ss[mask]
+    )
+    return float(np.max(np.abs(diff)))
+
+
+@pytest.mark.parametrize("kernel", all_families(), ids=_kernel_id)
+def test_limit_error_matches_meshgrid_reference_bitwise(kernel):
+    limit = rl_kernel(kernel.hurst, scale=1.1, horizon=0.9)
+    # 200 steps give 20,100 pairs, more than one chunk of the evaluator
+    for grid in (TimeGrid(0.9, 1), TimeGrid(0.9, 12), TimeGrid(0.9, 200)):
+        got = limit_kernel_error(kernel, 0.2, 0.2**kernel.hurst, limit, grid)
+        assert got > 0.0
+        assert got == _limit_error_reference(
+            kernel, 0.2, 0.2**kernel.hurst, limit, grid
+        )
 
 
 def test_limit_error_log_kernel_decreasing():

@@ -16,11 +16,11 @@ from volldp.model import (
     ModelCoefficients,
     ProbeLattice,
     Scaling,
-    diffusion_path,
     euler_paths_array,
     make_map,
     validate_coefficients,
 )
+from volldp.ratefn import CameronMartinPath, j_rate
 
 from conftest import affine_vol_coeffs, constant_coeffs, exp_vol_coeffs, rl_bank
 
@@ -104,15 +104,17 @@ def test_one_factor_noise_split():
 # ---------------------------------------------------------------------------
 
 
+# ``j_rate`` is the public functional that evaluates a(phi) = sigma sigma^T
+# along a volatility path and applies the package's singularity rule.
+
+
 def test_diffusion_path_identity_coefficients():
     coeffs = constant_coeffs(2, 2, sigma=np.eye(2))
     grid = TimeGrid(1.0, 4)
     phi = PathSample(grid, np.zeros((5, 2)))
-    path = diffusion_path(coeffs, phi)
-    assert np.allclose(path.a, np.eye(2))
-    assert np.allclose(path.a_inv, np.eye(2))
-    assert np.allclose(path.lambda_min, 1.0)
-    assert np.allclose(path.lambda_max, 1.0)
+    xdot = np.random.default_rng(0).normal(size=(4, 2))
+    j = j_rate(CameronMartinPath(grid, xdot), phi, coeffs)
+    assert j == pytest.approx(0.5 * np.sum(xdot**2) * grid.dt, rel=1e-12)
 
 
 def test_diffusion_path_scalar_exponential():
@@ -120,14 +122,10 @@ def test_diffusion_path_scalar_exponential():
     coeffs = exp_vol_coeffs(rho, amplitude=0.3, weight=1.0)
     grid = TimeGrid(1.0, 9)
     values = np.linspace(-1.0, 1.0, 10)[:, None]
-    path = diffusion_path(coeffs, PathSample(grid, values))
-    want = (1 - rho**2) * (0.3 * np.exp(values[:, 0])) ** 2
-    assert np.allclose(path.a[:, 0, 0], want, rtol=1e-12)
-    assert np.allclose(path.a_inv[:, 0, 0], 1.0 / want, rtol=1e-12)
-    prod = np.einsum("nij,njk->nik", path.a, path.a_inv)
-    assert np.allclose(prod, np.eye(1), atol=1e-12)
-    assert np.allclose(path.lambda_min, want, rtol=1e-10)
-    assert np.allclose(path.lambda_max, want, rtol=1e-10)
+    xdot = np.random.default_rng(1).normal(size=(9, 1))
+    j = j_rate(CameronMartinPath(grid, xdot), PathSample(grid, values), coeffs)
+    a = (1 - rho**2) * (0.3 * np.exp(values[:-1, 0])) ** 2
+    assert j == pytest.approx(0.5 * np.sum(xdot[:, 0] ** 2 / a) * grid.dt, rel=1e-12)
 
 
 def test_diffusion_path_singular_matrix():
@@ -135,7 +133,11 @@ def test_diffusion_path_singular_matrix():
     coeffs = constant_coeffs(2, 2, sigma=sigma)
     grid = TimeGrid(1.0, 2)
     with pytest.raises(SingularDiffusionError):
-        diffusion_path(coeffs, PathSample(grid, np.zeros((3, 2))))
+        j_rate(
+            CameronMartinPath.zero(grid, 2),
+            PathSample(grid, np.zeros((3, 2))),
+            coeffs,
+        )
 
 
 def test_diffusion_path_rejects_nan_determinant():
@@ -143,14 +145,18 @@ def test_diffusion_path_rejects_nan_determinant():
     grid = TimeGrid(1.0, 2)
     values = np.array([[0.0], [np.nan], [0.0]])
     with pytest.raises(SingularDiffusionError, match="node 1"):
-        diffusion_path(coeffs, PathSample(grid, values))
+        j_rate(CameronMartinPath.zero(grid, 1), PathSample(grid, values), coeffs)
 
 
 def test_diffusion_path_dimension_mismatch():
     coeffs = exp_vol_coeffs(0.2)
     grid = TimeGrid(1.0, 2)
     with pytest.raises(DomainError):
-        diffusion_path(coeffs, PathSample(grid, np.zeros((3, 2))))
+        j_rate(
+            CameronMartinPath.zero(grid, 1),
+            PathSample(grid, np.zeros((3, 2))),
+            coeffs,
+        )
 
 
 # ---------------------------------------------------------------------------
