@@ -9,9 +9,12 @@ event typical).  The decay rate is then read off as the slope of
 Both tail estimators cut the path range into fixed counter blocks of 8,192
 paths.  A block's driver draws depend only on (seed, path index), so the
 blocks run on a small thread pool in any order; each returns partial sums
-(hits, weight sums, the largest log-weight, the non-finite count), and the
-partials are added in block order, which makes every estimate bitwise
-independent of the number of threads.  A path with a non-finite terminal
+(hits, the non-finite count and, for the tilted estimator, the weight sums
+relative to the block's largest hit log-weight), and the partials are merged
+in block order, which makes every estimate bitwise independent of the
+number of threads.  Tilted weights stay in log space until the end, so an
+estimate far below the smallest double keeps a finite ``log_prob`` and
+``log_stderr``.  A path with a non-finite terminal
 value makes the estimator raise ``NonFinitePathError``.
 
 Short-time side: the process observed on a shrinking horizon delta * T and
@@ -139,7 +142,10 @@ class TailEstimate:
 
     ``n_nonfinite`` counts paths whose terminal value was not finite; the
     estimators raise ``NonFinitePathError`` instead of returning an
-    estimate with any such path.
+    estimate with any such path.  ``log_prob`` and ``log_stderr`` are the
+    logarithms of ``prob`` and ``stderr``, taken from ``prob`` and
+    ``stderr`` unless given; the tilted estimator gives them, and they stay
+    finite where ``prob`` and ``stderr`` underflow to 0.
     """
 
     prob: float
@@ -148,10 +154,17 @@ class TailEstimate:
     n_hits: int
     epsilon: float
     n_nonfinite: int = 0
+    log_prob: float | None = None
+    log_stderr: float | None = None
 
-    @property
-    def log_prob(self) -> float:
-        return float(np.log(self.prob)) if self.prob > 0.0 else -np.inf
+    def __post_init__(self):
+        with np.errstate(divide="ignore"):
+            if self.log_prob is None:
+                object.__setattr__(self, "log_prob", float(np.log(self.prob)))
+            if self.log_stderr is None:
+                object.__setattr__(
+                    self, "log_stderr", float(np.log(self.stderr))
+                )
 
 
 def _validate_tail_args(n_paths: int) -> None:
@@ -194,13 +207,39 @@ def pool_size(n_paths: int, threads: int | None = None) -> int:
 
 
 class _BlockSums(NamedTuple):
-    """Partial sums of one counter block (or of all blocks, once reduced)."""
+    """Partial sums of one counter block (or of all blocks, once reduced).
+
+    The weight sums of the tilted estimator are relative to ``log_scale``,
+    the largest log-weight of a hit: sum exp(log w - log_scale) and
+    sum exp(2 (log w - log_scale)) over the hits, so they neither overflow
+    nor underflow.  ``max_log_weight`` is over all paths.
+    """
 
     hits: int
     nonfinite: int
+    log_scale: float = -np.inf
     weight_sum: float = 0.0
     weight_sq: float = 0.0
     max_log_weight: float = -np.inf
+
+
+def _merge_sums(acc: _BlockSums, part: _BlockSums) -> _BlockSums:
+    """Add ``part`` to ``acc``, rescaling both weight sums to the larger scale."""
+    scale = max(acc.log_scale, part.log_scale)
+    weight_sum = weight_sq = 0.0
+    if scale > -np.inf:
+        ca = np.exp(acc.log_scale - scale)
+        cb = np.exp(part.log_scale - scale)
+        weight_sum = acc.weight_sum * ca + part.weight_sum * cb
+        weight_sq = acc.weight_sq * ca**2 + part.weight_sq * cb**2
+    return _BlockSums(
+        acc.hits + part.hits,
+        acc.nonfinite + part.nonfinite,
+        scale,
+        weight_sum,
+        weight_sq,
+        max(acc.max_log_weight, part.max_log_weight),
+    )
 
 
 def _run_blocks(bank, grid, n_paths: int, threads, block) -> _BlockSums:
@@ -221,20 +260,16 @@ def _run_blocks(bank, grid, n_paths: int, threads, block) -> _BlockSums:
     else:
         with ThreadPoolExecutor(workers) as pool:
             parts = list(pool.map(block, firsts, counts))
-    hits, nonfinite, weight_sum, weight_sq, max_log_weight = parts[0]
+    sums = parts[0]
     for part in parts[1:]:
-        hits += part.hits
-        nonfinite += part.nonfinite
-        weight_sum += part.weight_sum
-        weight_sq += part.weight_sq
-        max_log_weight = max(max_log_weight, part.max_log_weight)
-    if nonfinite:
+        sums = _merge_sums(sums, part)
+    if sums.nonfinite:
         raise NonFinitePathError(
-            f"{nonfinite} of {n_paths} simulated paths have a non-finite "
+            f"{sums.nonfinite} of {n_paths} simulated paths have a non-finite "
             "terminal value (the Euler scheme overflowed); the tail estimate "
             "would count them as misses"
         )
-    return _BlockSums(hits, nonfinite, weight_sum, weight_sq, max_log_weight)
+    return sums
 
 
 def _count_nonfinite(values: np.ndarray) -> int:
@@ -327,10 +362,13 @@ def tilted_estimate(
             - np.einsum("ji,kji->k", ydot, dw) / epsilon
         )
         ind = event.indicator(values)
-        w = np.exp(log_w[ind])
+        hit_log_w = log_w[ind]
+        scale = float(np.max(hit_log_w, initial=-np.inf))
+        w = np.exp(hit_log_w - scale)
         return _BlockSums(
             int(np.count_nonzero(ind)),
             _count_nonfinite(values),
+            scale,
             float(np.sum(w)),
             float(np.sum(w**2)),
             float(np.max(log_w)),
@@ -344,10 +382,16 @@ def tilted_estimate(
             RuntimeWarning,
             stacklevel=2,
         )
-    prob = sums.weight_sum / n_paths
-    var = max(sums.weight_sq / n_paths - prob**2, 0.0)
-    stderr = float(np.sqrt(var / n_paths))
-    return TailEstimate(prob, stderr, n_paths, sums.hits, epsilon, sums.nonfinite)
+    # mean and variance of the weights relative to exp(log_scale)
+    mean = sums.weight_sum / n_paths
+    var = max(sums.weight_sq / n_paths - mean**2, 0.0)
+    with np.errstate(divide="ignore"):
+        log_prob = float(sums.log_scale + np.log(mean))
+        log_stderr = float(sums.log_scale + 0.5 * np.log(var / n_paths))
+    return TailEstimate(
+        float(np.exp(log_prob)), float(np.exp(log_stderr)), n_paths,
+        sums.hits, epsilon, sums.nonfinite, log_prob, log_stderr,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +421,8 @@ def ldp_slope(estimates) -> SlopeEstimate:
     Fits -log p(eps) = intercept + slope / eps^2 by least squares, weighting
     each point by the delta-method variance of log p.  The slope estimates
     the rate-function value of the event; r_squared reports the weighted
-    fraction of variation the line explains.
+    fraction of variation the line explains.  It reads ``log_prob`` and
+    ``log_stderr``, so levels whose probability underflows still count.
     """
     pts = list(estimates)
     if len(pts) < 3:
@@ -385,23 +430,23 @@ def ldp_slope(estimates) -> SlopeEstimate:
             f"slope regression needs at least 3 noise levels, got {len(pts)}"
         )
     eps = np.array([e.epsilon for e in pts])
-    probs = np.array([e.prob for e in pts])
-    errs = np.array([e.stderr for e in pts])
-    if np.any(probs <= 0.0) or np.any(probs >= 1.0):
+    log_probs = np.array([e.log_prob for e in pts])
+    log_errs = np.array([e.log_stderr for e in pts])
+    if not np.all(np.isfinite(log_probs) & (log_probs < 0.0)):
         raise ValidationError(
             "all tail estimates must lie strictly inside (0, 1) for the "
             "log-regression to be defined"
         )
+    if np.all(eps == eps[0]):
+        raise ValidationError("noise levels must be distinct")
     x = eps**-2
-    y = -np.log(probs)
-    var_y = (errs / probs) ** 2
+    y = -log_probs
+    var_y = np.exp(2.0 * (log_errs - log_probs))
     w = 1.0 / np.where(var_y > 0.0, var_y, np.min(var_y[var_y > 0.0], initial=1.0))
     sw = np.sum(w)
     xbar = np.sum(w * x) / sw
     ybar = np.sum(w * y) / sw
     sxx = np.sum(w * (x - xbar) ** 2)
-    if sxx <= 0.0:
-        raise ValidationError("noise levels must be distinct")
     slope = float(np.sum(w * (x - xbar) * (y - ybar)) / sxx)
     intercept = float(ybar - slope * xbar)
     slope_stderr = float(np.sqrt(1.0 / sxx))
@@ -411,7 +456,7 @@ def ldp_slope(estimates) -> SlopeEstimate:
     r_squared = 1.0 if ss_tot <= 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return SlopeEstimate(
         epsilons=tuple(float(v) for v in eps),
-        probs=tuple((float(p), float(s)) for p, s in zip(probs, errs)),
+        probs=tuple((float(e.prob), float(e.stderr)) for e in pts),
         slope=slope,
         intercept=intercept,
         r_squared=r_squared,

@@ -275,7 +275,7 @@ def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
     # fit first: a degenerate level fails here, before any artifact exists
     fit = ldp_slope(estimates)
     rows = [
-        (e.epsilon, e.prob, e.stderr, -np.log(e.prob), e.epsilon**-2)
+        (e.epsilon, e.prob, e.stderr, -e.log_prob, e.epsilon**-2)
         for e in estimates
     ]
     _write_csv(

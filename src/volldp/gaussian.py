@@ -17,8 +17,8 @@ Gauss-Legendre value) and A_i is the calibrated power-law amplitude of the
 kernel in the cell adjacent to the diagonal.  The adjacent-cell integral is
 thereby exact for power-law kernels, which keeps the sampled covariance
 faithful to the continuous one even at the first grid nodes.  All cell
-values come from one chunked evaluation of the kernel on the grid's lower
-triangle (``kernels.eval_lower_triangle``); A_1, whose cell starts at the
+values come from one evaluation of the kernel on the grid's lower triangle
+(``kernels.eval_lower_triangle``); A_1, whose cell starts at the
 origin, is calibrated at the cell midpoint for kernels singular there.
 The cell moments Cov(dB, V) and Var(V) are ``kernels.cell_moments``, and
 the covariance behind the Cholesky oracle is ``kernels.slice_products``

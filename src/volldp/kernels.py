@@ -19,8 +19,11 @@ the small interface implemented in this module:
 * the distance of a rescaled kernel to a candidate limit kernel.
 
 The Molchan-Golosov kernel is evaluated in closed form through the Gauss
-hypergeometric function; the fractional Ornstein-Uhlenbeck kernel by a
-fixed-order memory integral over it.
+hypergeometric function.  The fractional Ornstein-Uhlenbeck kernel is, at a
+single point, a fixed-order memory integral over it (32 closed-form
+evaluations); on a grid, each column s follows the elementary row recursion
+of ``FractionalOUKernel`` from one such start value, an 8-node rule per
+cell with no hypergeometric function.
 
 All quadratures split off the cell adjacent to the diagonal and integrate
 it against the local power law A (t - s)^(H - 1/2), with A calibrated so the
@@ -46,6 +49,7 @@ from .errors import ConfigurationError, DomainError
 from .grids import TimeGrid
 
 _GL32 = np.polynomial.legendre.leggauss(32)
+_GL8 = np.polynomial.legendre.leggauss(8)
 
 # Largest number of (t, s) points handed to one ``eval`` call by the grid
 # evaluator; bounds the transient memory of a kernel's own evaluation.
@@ -209,9 +213,14 @@ class MolchanGolosovKernel(VolterraKernel):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return self._raw_nonbrownian(t, s)
 
+    def _constant(self) -> float:
+        """C of the closed form: c_H for H < 1/2, c_H / (H - 1/2) for H > 1/2."""
+        h = self.hurst
+        return self._c_h() if h < 0.5 else self._c_h() / (h - 0.5)
+
     def _raw_nonbrownian(self, t, s):
         h = self.hurst
-        c = self._c_h() if h < 0.5 else self._c_h() / (h - 0.5)
+        c = self._constant()
         pos = s > 0.0
         tp, sp = t[pos], s[pos]
         res = np.zeros_like(t)
@@ -231,12 +240,28 @@ class FractionalOUKernel(VolterraKernel):
 
     K(t, s) = K_H(t, s) - a int_s^t e^(-a (t - u)) K_H(u, s) du with K_H the
     Molchan-Golosov fractional Brownian kernel (closed form) and a > 0 the
-    mean-reversion speed.  The memory integral substitutes
-    u = s + (t - s) v^(1/(H + 1/2)), whose Jacobian cancels the
+    mean-reversion speed.  At a single point the memory integral
+    substitutes u = s + (t - s) v^(1/(H + 1/2)), whose Jacobian cancels the
     (u - s)^(H - 1/2) endpoint singularity of K_H, and then applies a fixed
-    32-node Gauss-Legendre rule in v, so each point costs 32 closed-form
-    evaluations of K_H.  The kernel inherits the s^(-|H - 1/2|) blow-up of
-    K_H at the origin (``origin_exponent``) and its clamp K(t, 0) = 0.
+    32-node Gauss-Legendre rule in v: 32 closed-form evaluations of K_H.
+
+    On a grid (``eval_lower_triangle``) each column s follows instead the
+    equation d/dt K(t, s) = scale d/dt K_H(t, s) - a K(t, s), whose forcing
+    d/dt K_H(t, s) = kappa C (t/s)^kappa (t - s)^(kappa - 1) (kappa = H - 1/2,
+    C the constant of the closed form of K_H) is elementary:
+
+        K(t_i, s) = e^(-a (t_i - t_{i-1})) K(t_{i-1}, s)
+                    + scale int_{t_{i-1}}^{t_i} e^(-a (t_i - u))
+                      kappa C (u/s)^kappa (u - s)^(kappa - 1) du,
+
+    the cell integral by an 8-node Gauss-Legendre rule.  A row takes this
+    step when the previous row lies at least one cell width from s, so the
+    forcing is smooth on the cell; the first row of each column, the rows
+    closer to s and the column s = 0 take the pointwise rule.  The kernel
+    inherits the s^(-|H - 1/2|) blow-up of K_H at the origin
+    (``origin_exponent``) and its clamp K(t, 0) = 0.  Rescaling stays in the
+    family: sqrt(eta) K(eta t, eta s) is the kernel with scale
+    scale eta^H, horizon T / eta and mean reversion a eta.
     """
 
     mean_reversion: float = 1.0
@@ -289,6 +314,27 @@ class FractionalOUKernel(VolterraKernel):
             * np.sum(wg * np.exp(-a * (t[..., None] - u)) * regular, axis=-1)
         )
         return self.scale * (base._raw(t, s) - a * mem)
+
+    def _row_step(self, t0, t1, s, prev):
+        """K(t1, s) from K(t0, s) = ``prev`` by one step of the row recursion.
+
+        ``s`` must lie at least one cell width t1 - t0 below t0 (and above 0)
+        for the 8-node rule to be accurate.
+        """
+        a = self.mean_reversion
+        kappa = self.singular_exponent
+        width = t1 - t0
+        xg, wg = _GL8
+        u = t0 + 0.5 * width * (xg + 1.0)
+        if abs(kappa) < 1e-14:  # K_H = 1: no forcing, K = e^(-a (t - s))
+            forcing = 0.0
+        else:
+            weights = (0.5 * width * kappa * self._base()._constant()) * (
+                wg * np.exp(-a * (t1 - u))
+            )
+            sc = s[:, None]
+            forcing = ((u / sc) ** kappa * (u - sc) ** (kappa - 1.0)) @ weights
+        return np.exp(-a * width) * prev + self.scale * forcing
 
 
 @dataclass(frozen=True)
@@ -379,11 +425,13 @@ def eval_lower_triangle(
     ``np.tril_indices(len(nodes), -lag)`` (lag >= 0), one column per offset.
     The flattened (i, j, q) points go to ``kernel.eval`` in chunks of at
     most ``_EVAL_CHUNK`` points, so the transient memory of the evaluation
-    (32 quadrature nodes per point for the fractional OU kernel) stays
-    bounded whatever the grid size.
+    stays bounded whatever the grid size.  The fractional OU kernel goes
+    row by row through its recursion instead (``_fou_lower_triangle``).
     """
     nodes = _as_array(nodes)
     offsets = np.atleast_1d(_as_array(offsets))
+    if isinstance(kernel, FractionalOUKernel):
+        return _fou_lower_triangle(kernel, nodes, offsets, lag)
     n_q = offsets.size
     n_rows = max(nodes.size - lag, 0)
     # row r holds the pairs (lag + r, 0 .. r) and starts at pair r (r + 1) / 2
@@ -398,6 +446,41 @@ def eval_lower_triangle(
         t = np.repeat(nodes[r + lag], n_q)
         s = (nodes[pairs - starts[r], None] + offsets).reshape(-1)
         out[first : first + pairs.size] = kernel.eval(t, s).reshape(-1, n_q)
+    return out
+
+
+def _fou_lower_triangle(
+    kernel: FractionalOUKernel, nodes, offsets, lag: int
+) -> np.ndarray:
+    """``eval_lower_triangle`` of a fractional OU kernel, one row at a time.
+
+    Along each column s = nodes[j] + offsets[q] the row of node i takes
+    ``FractionalOUKernel._row_step`` from row i - 1 where that row lies at
+    least one cell width nodes[i] - nodes[i - 1] from s (up to the rounding
+    of the node spacing) and s > 0; every other point, among them the first
+    row of each column, takes the pointwise rule ``kernel.eval``, which also
+    checks the domain.
+    """
+    n_q = offsets.size
+    n_rows = max(nodes.size - lag, 0)
+    out = np.empty((n_rows * (n_rows + 1) // 2, n_q))
+    prev = np.empty((0, n_q))
+    first = 0
+    for r in range(n_rows):
+        i = lag + r
+        s = nodes[: r + 1, None] + offsets
+        row = np.empty(s.shape)
+        step = np.zeros(s.shape, dtype=bool)
+        if r > 0:
+            t0, t1 = nodes[i - 1], nodes[i]
+            above = s[:r]
+            step[:r] = (t0 - above >= (1.0 - 1e-9) * (t1 - t0)) & (above > 0.0)
+            row[step] = kernel._row_step(t0, t1, s[step], prev[step[:r]])
+        point = ~step
+        row[point] = kernel.eval(nodes[i], s[point])
+        out[first : first + r + 1] = row
+        first += r + 1
+        prev = row
     return out
 
 
@@ -527,11 +610,20 @@ def rescale_kernel(kernel: VolterraKernel, eta: float) -> VolterraKernel:
 
     The rescaled kernel lives on the stretched horizon T / eta and keeps the
     roughness index of the base kernel.  eta = 1 returns the kernel itself.
+    A fractional OU kernel stays in its family (scale eta^H, mean reversion
+    a eta), so its grid values keep the row recursion.
     """
     if eta == 1.0:
         return kernel
     if isinstance(kernel, RescaledKernel):
         return rescale_kernel(kernel.base, kernel.eta * eta)
+    if isinstance(kernel, FractionalOUKernel):
+        return FractionalOUKernel(
+            hurst=kernel.hurst,
+            scale=kernel.scale * eta**kernel.hurst,
+            horizon=kernel.horizon / eta,
+            mean_reversion=kernel.mean_reversion * eta,
+        )
     return RescaledKernel(
         hurst=kernel.hurst,
         scale=kernel.scale,

@@ -256,20 +256,45 @@ class ModelCoefficients:
 # ---------------------------------------------------------------------------
 
 
+def _singularity_margin(a):
+    """|det a| / (tr a / d)^d - 1e-12 for each matrix of ``a`` (..., d, d).
+
+    The package's one singularity rule: a matrix is singular where this is
+    negative.  The ratio is scale-invariant (1 for a multiple of the
+    identity), so a well-conditioned matrix passes at any scale.  A matrix
+    whose mean eigenvalue tr a / d is below 1e-12 (zero trace included;
+    for d = 1 this is |a| < 1e-12) or with a non-finite determinant gets
+    -inf.  Returns the margins, flattened, and the determinants.
+    """
+    a = np.asarray(a)
+    d = a.shape[-1]
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    if d == 1:
+        dets = diag[..., 0]
+    elif d == 2:
+        dets = diag[..., 0] * diag[..., 1] - a[..., 0, 1] * a[..., 1, 0]
+    else:
+        dets = np.linalg.det(a)
+    dets = np.abs(dets).ravel()
+    mean_eig = diag.sum(axis=-1).ravel() / d
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        margin = dets / mean_eig**d - _DET_TOL
+    ok = np.isfinite(margin) & (mean_eig >= _DET_TOL)
+    return np.where(ok, margin, -np.inf), dets
+
+
 def _require_nonsingular(a, what: str) -> None:
     """Raise ``SingularDiffusionError`` if a matrix of ``a`` (..., d, d) is singular.
 
-    The package's one singularity rule: the determinant is not finite, or
-    |det| < 1e-12.
+    Singular means a negative ``_singularity_margin``.
     """
-    with np.errstate(invalid="ignore"):
-        dets = np.abs(np.linalg.det(a)).ravel()
-    key = np.where(np.isfinite(dets), dets, -1.0)
-    worst = int(np.argmin(key))
-    if key[worst] < _DET_TOL:
+    margin, dets = _singularity_margin(a)
+    worst = int(np.argmin(margin))
+    if margin[worst] < 0.0:
         at = f" at node {worst}" if np.ndim(a) > 2 else ""
         raise SingularDiffusionError(
-            f"{what} singular{at}: |det| = {dets[worst]:.3e} < {_DET_TOL}"
+            f"{what} singular{at}: |det| = {dets[worst]:.3e} is below "
+            f"{_DET_TOL} (tr / d)^d"
         )
 
 
@@ -328,7 +353,7 @@ def validate_coefficients(
 ) -> ValidationReport:
     """Probe-based check of the standing model assumptions.
 
-    Checks, on the probe set: non-degeneracy |det a(y)| >= 1e-12, the
+    Checks, on the probe set: non-degeneracy (``_singularity_margin``), the
     polynomial growth bound with the declared constants, and a local-Holder
     continuity proxy for the coefficient maps (a probe-pair substitute for
     genuine modulus continuity, recorded as such in the report).
@@ -337,15 +362,18 @@ def validate_coefficients(
     checks = []
 
     a = coeffs.a(pts)
-    dets = np.abs(np.linalg.det(a))
-    idx = int(np.argmin(dets))
+    margin, dets = _singularity_margin(a)
+    idx = int(np.argmin(margin))
     checks.append(
         AssumptionCheck(
             name="nondegenerate_diffusion",
-            passed=bool(dets[idx] >= _DET_TOL),
+            passed=bool(margin[idx] >= 0.0),
             worst_point=pts[idx],
-            margin=float(dets[idx] - _DET_TOL),
-            detail=f"min |det a| = {dets[idx]:.3e} at y = {pts[idx]}",
+            margin=float(margin[idx]),
+            detail=(
+                f"min |det a| / (tr a / d)^d - {_DET_TOL} = {margin[idx]:.3e} "
+                f"(|det a| = {dets[idx]:.3e}) at y = {pts[idx]}"
+            ),
         )
     )
 

@@ -279,6 +279,30 @@ def test_tilted_resolves_rare_event():
     assert est.stderr < 0.2 * want
 
 
+def test_tilted_deep_tail_stays_in_log_space():
+    # the model of the ldp_tilted benchmark (I_T = 2.4072): with weight
+    # sums in linear space the stderr at eps = 0.07 underflowed to 0.0,
+    # and at eps = 0.05 p_hat was 0.0 although half the paths hit
+    coeffs = exp_vol_coeffs(-0.5, amplitude=0.3, weight=1.0)
+    bank = rl_bank(0.3)
+    grid = TimeGrid(1.0, 64)
+    event = TerminalHalfSpace(1.0)
+    control = terminal_rate(np.array([1.0]), bank, coeffs, grid, FAST_OPT)
+    for eps in (0.07, 0.05):
+        a, b = (
+            tilted_estimate(coeffs, bank, grid, eps, event, control, 16_384,
+                            seed=1, threads=threads)
+            for threads in (1, 2)
+        )
+        assert (a.log_prob, a.log_stderr) == (b.log_prob, b.log_stderr)
+        assert a.n_hits > 1000
+        assert np.isfinite(a.log_prob) and np.isfinite(a.log_stderr)
+        assert a.log_stderr < a.log_prob
+        # -log p eps^2 approaches the rate; the prefactor is a few percent
+        assert -a.log_prob * eps**2 == pytest.approx(control.value, rel=0.05)
+    assert a.prob == 0.0 and a.stderr == 0.0  # e^(-960) underflows
+
+
 # ---------------------------------------------------------------------------
 # slope fit
 # ---------------------------------------------------------------------------

@@ -210,6 +210,149 @@ def test_mean_reverting_kernel_brownian_closed_form():
         assert k.eval(t, s) == pytest.approx(math.exp(-a * (t - s)), rel=1e-13)
 
 
+def _fou_oracle(h, a, t, s):
+    """K_H(t, s) - a int_s^t e^(-a (t - u)) K_H(u, s) du at 30 digits.
+
+    K_H is the hypergeometric closed form in mpmath (itself checked against
+    the defining integral above); tanh-sinh quadrature absorbs the
+    (u - s)^(H - 1/2) endpoint singularity.
+    """
+    with mpmath.workdps(30):
+        h, a, t, s = (mpmath.mpf(v) for v in (h, a, t, s))
+        kappa = h - mpmath.mpf(1) / 2
+        if h < 0.5:
+            c = mpmath.sqrt(2 * h / ((1 - 2 * h) * mpmath.beta(1 - 2 * h, h + 0.5)))
+        else:
+            c = mpmath.sqrt(h * (2 * h - 1) / mpmath.beta(2 - 2 * h, h - 0.5))
+            c /= kappa
+
+        def k_h(u):
+            return c * (u - s) ** kappa * mpmath.hyp2f1(kappa, -kappa, h + 0.5, 1 - u / s)
+
+        mem = mpmath.quad(lambda u: mpmath.exp(-a * (t - u)) * k_h(u), [s, t])
+        return float(k_h(t) - a * mem)
+
+
+def _triangle_index(i, j, lag):
+    """Row of pair (i, j) in ``eval_lower_triangle`` output."""
+    r = i - lag
+    return r * (r + 1) // 2 + j
+
+
+@pytest.mark.parametrize("horizon", [0.2, 1.0])
+@pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7, 0.9])
+def test_fou_grid_values_against_high_precision_integral(hurst, horizon):
+    # the discretization's points at N = 128: the first column (j = 0, the
+    # s^(-|H - 1/2|) blow-up) at its start row i = 2 (the worst point,
+    # measured 7.5e-9) and at its far end, where the pointwise rule alone
+    # is off by up to 3.6e-6, and a start row i = j + 2 at the end of the
+    # grid
+    n = 128
+    k = make_kernel("fractional_ou", hurst=hurst, scale=1.0, horizon=horizon,
+                    mean_reversion=1.0)
+    nodes = TimeGrid(horizon, n).nodes
+    xg, _ = np.polynomial.legendre.leggauss(4)
+    offsets = 0.5 * (horizon / n) * (xg + 1.0)
+    got = eval_lower_triangle(k, nodes, offsets, lag=2)
+    for i, j, q in [(2, 0, 0), (n, 0, 0), (n, n - 2, 3)]:
+        want = _fou_oracle(hurst, 1.0, nodes[i], nodes[j] + offsets[q])
+        assert got[_triangle_index(i, j, 2), q] == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 128])
+@pytest.mark.parametrize("hurst", [0.1, 0.35, 0.7, 0.9])
+def test_fou_grid_matches_pointwise_rule(hurst, n_steps):
+    # the row recursion and the 32-node pointwise rule agree to the
+    # accuracy of the pointwise rule (measured 3.6e-6 at most); lag 1 with
+    # offset 0 holds the column s = 0, which keeps the clamp K(t, 0) = 0
+    k = make_kernel("fractional_ou", hurst=hurst, scale=1.3, horizon=1.0,
+                    mean_reversion=1.3)
+    nodes = TimeGrid(1.0, n_steps).nodes
+    xg, _ = np.polynomial.legendre.leggauss(4)
+    cases = [(1, np.array([0.0])), (2, 0.5 * (1.0 / n_steps) * (xg + 1.0))]
+    for lag, offsets in cases:
+        ii, jj = np.tril_indices(nodes.size, -lag)
+        want = k.eval(nodes[ii][:, None], nodes[jj][:, None] + offsets)
+        got = eval_lower_triangle(k, nodes, offsets, lag=lag)
+        assert got.shape == want.shape
+        assert np.all((got == 0.0) == (want == 0.0))
+        nonzero = want != 0.0
+        assert np.all(np.abs(got[nonzero] / want[nonzero] - 1.0) <= 4e-6)
+    s_zero = eval_lower_triangle(k, nodes, 0.0, lag=1)[
+        [_triangle_index(i, 0, 1) for i in range(1, nodes.size)], 0
+    ]
+    assert np.all(s_zero == 0.0)
+
+
+def test_fou_grid_brownian_closed_form():
+    # H = 1/2: no forcing, the recursion multiplies e^(-a (t - s)) by e^(-a h)
+    a = 1.3
+    k = make_kernel("fractional_ou", hurst=0.5, scale=1.0, horizon=1.0,
+                    mean_reversion=a)
+    nodes = TimeGrid(1.0, 128).nodes
+    offsets = np.array([0.0, 0.002, 0.006])
+    for lag in (1, 2):
+        ii, jj = np.tril_indices(nodes.size, -lag)
+        want = np.exp(-a * (nodes[ii][:, None] - nodes[jj][:, None] - offsets))
+        got = eval_lower_triangle(k, nodes, offsets, lag=lag)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+
+def test_fou_grid_work_is_linear_in_the_grid(monkeypatch):
+    # counts the (t, s) points handed to the hypergeometric closed form
+    # during a fresh discretization: only the start of each column, the
+    # edge amplitudes and no cell of the row recursion reach it, so the
+    # count grows like N, where the pointwise rule on every cell grew like
+    # N^2 (about 1.06 million points at N = 128)
+    from volldp.kernels import MolchanGolosovKernel
+
+    counted = []
+    raw = MolchanGolosovKernel._raw
+
+    def counting_raw(self, t, s):
+        counted[-1] += np.size(t)
+        return raw(self, t, s)
+
+    monkeypatch.setattr(MolchanGolosovKernel, "_raw", counting_raw)
+    k = make_kernel("fractional_ou", hurst=0.3, scale=1.0, horizon=1.0,
+                    mean_reversion=1.0)
+    for n in (64, 128):
+        counted.append(0)
+        discretize_kernel.cache_clear()
+        discretize_kernel(k, TimeGrid(1.0, n))
+    discretize_kernel.cache_clear()
+    assert counted[1] <= 2.2 * counted[0]
+    assert counted[1] < 1.06e6 / 20
+
+
+def test_fou_rescaling_stays_in_the_family():
+    # sqrt(eta) K(eta t, eta s) is the fOU kernel with scale eta^H and
+    # mean reversion a eta, so the rescaled route keeps the row recursion
+    k = make_kernel("fractional_ou", hurst=0.3, scale=1.2, horizon=1.0,
+                    mean_reversion=1.3)
+    eta = 0.2
+    r = rescale_kernel(k, eta)
+    assert r.family == "fractional_ou"
+    assert r.horizon == pytest.approx(1.0 / eta, rel=1e-15)
+    assert r.mean_reversion == pytest.approx(1.3 * eta, rel=1e-15)
+    t, s = _probe_pairs(1.0 / eta, 50, seed=4)
+    want = np.sqrt(eta) * k.eval(eta * t, eta * s)
+    assert np.max(np.abs(r.eval(t, s) / want - 1.0)) <= 1e-14
+    assert rescale_kernel(rescale_kernel(k, 0.5), 0.4) == rescale_kernel(k, 0.2)
+
+    # discretization on the unit grid is that of the direct route on
+    # [0, eta] up to the factors of the time change
+    n = 32
+    unit = discretize_kernel(r, TimeGrid(1.0, n))
+    direct = discretize_kernel(k, TimeGrid(eta, n))
+    w_unit, w_direct = unit.mean_weights, np.sqrt(eta) * direct.mean_weights
+    assert np.max(np.abs(w_unit - w_direct)) <= 1e-13 * np.max(np.abs(w_direct))
+    kappa = k.singular_exponent
+    e_unit = unit.edge_coeff * (1.0 / n) ** kappa
+    e_direct = np.sqrt(eta) * direct.edge_coeff * (eta / n) ** kappa
+    assert np.max(np.abs(e_unit - e_direct)) <= 1e-13 * np.max(np.abs(e_direct))
+
+
 # ---------------------------------------------------------------------------
 # L2 slices
 # ---------------------------------------------------------------------------
@@ -301,6 +444,18 @@ def test_discretization_matches_row_loop_bitwise(n_steps):
         disc = discretize_kernel(kernel, grid)
         assert np.array_equal(disc.mean_weights, weights)
         assert np.array_equal(disc.edge_coeff, edge)
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.72])
+def test_molchan_golosov_discretization_matches_row_loop_bitwise(hurst):
+    # the chunked pointwise rule, untouched by the fOU recursion; the first
+    # edge amplitude is calibrated at the cell midpoint, not in the loop
+    kernel = make_kernel("molchan_golosov", hurst=hurst, scale=1.0, horizon=0.9)
+    grid = TimeGrid(0.9, 100)
+    weights, edge = _row_loop_discretization(kernel, grid)
+    disc = discretize_kernel(kernel, grid)
+    assert np.array_equal(disc.mean_weights, weights)
+    assert np.array_equal(disc.edge_coeff[2:], edge[2:])
 
 
 @pytest.mark.parametrize("family", ["molchan_golosov", "fractional_ou"])

@@ -193,6 +193,20 @@ def test_validate_detects_degenerate_diffusion():
     assert np.allclose(check.worst_point, 0.0)
 
 
+def test_validate_degeneracy_check_is_scale_invariant():
+    # a multiple of the identity passes at any scale, an ill-conditioned
+    # matrix fails at any scale
+    for level in (1.0, 5e-4):
+        good = validate_coefficients(constant_coeffs(2, 2, sigma=level * np.eye(2)))
+        check = next(c for c in good.checks if c.name == "nondegenerate_diffusion")
+        assert check.passed
+        assert check.margin == pytest.approx(1.0 - 1e-12, rel=1e-12)
+        sigma = level * np.diag([1.0, 1e-7])
+        bad = validate_coefficients(constant_coeffs(2, 2, sigma=sigma))
+        check = next(c for c in bad.checks if c.name == "nondegenerate_diffusion")
+        assert not check.passed
+
+
 def test_validate_detects_superpolynomial_growth():
     # exponential volatility violates linear growth far from the origin
     coeffs = exp_vol_coeffs(0.0, amplitude=1.0, weight=2.0,

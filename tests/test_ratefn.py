@@ -535,6 +535,22 @@ def test_singular_diffusion_raises_typed_error(unit_grid, functional, level):
             terminal_rate(np.array([0.5]), bank, coeffs, unit_grid, FAST_OPT)
 
 
+def test_singularity_rule_is_scale_invariant(unit_grid):
+    # sigma = 5e-4 I_2 is perfectly conditioned although |det a| = 6.25e-14;
+    # the rate is the closed form |z|^2 / (2 sigma^2 T)
+    bank = rl_bank(0.4)
+    z = np.array([1e-3, 1e-3])
+    coeffs = constant_coeffs(2, 1, sigma=5e-4 * np.eye(2))
+    sol = terminal_rate(z, bank, coeffs, unit_grid, FAST_OPT)
+    assert sol.value == pytest.approx(4.0, rel=1e-12)
+    # an ill-conditioned diffusion (condition number 1e14) is singular at
+    # every scale
+    for level in (1.0, 1e-4):
+        bad = constant_coeffs(2, 1, sigma=level * np.diag([1.0, 1e-7]))
+        with pytest.raises(SingularDiffusionError):
+            terminal_rate(z, bank, bad, unit_grid, FAST_OPT)
+
+
 def test_rate_functions_reject_dimension_mismatch(unit_grid):
     coeffs = exp_vol_coeffs(0.3)
     x = CameronMartinPath.straight_line(unit_grid, [1.0, 2.0])
