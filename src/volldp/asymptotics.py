@@ -143,9 +143,8 @@ class TailEstimate:
     ``n_nonfinite`` counts paths whose terminal value was not finite; the
     estimators raise ``NonFinitePathError`` instead of returning an
     estimate with any such path.  ``log_prob`` and ``log_stderr`` are the
-    logarithms of ``prob`` and ``stderr``, taken from ``prob`` and
-    ``stderr`` unless given; the tilted estimator gives them, and they stay
-    finite where ``prob`` and ``stderr`` underflow to 0.
+    logarithms of ``prob`` and ``stderr``; they stay finite where ``prob``
+    and ``stderr`` underflow to 0.
     """
 
     prob: float
@@ -153,18 +152,9 @@ class TailEstimate:
     n_paths: int
     n_hits: int
     epsilon: float
+    log_prob: float
+    log_stderr: float
     n_nonfinite: int = 0
-    log_prob: float | None = None
-    log_stderr: float | None = None
-
-    def __post_init__(self):
-        with np.errstate(divide="ignore"):
-            if self.log_prob is None:
-                object.__setattr__(self, "log_prob", float(np.log(self.prob)))
-            if self.log_stderr is None:
-                object.__setattr__(
-                    self, "log_stderr", float(np.log(self.stderr))
-                )
 
 
 def _validate_tail_args(n_paths: int) -> None:
@@ -307,7 +297,12 @@ def estimate_tail_prob(
     prob = sums.hits / n_paths
     stderr = float(np.sqrt(prob * (1.0 - prob) / n_paths))
     _warn_if_degenerate(sums.hits, n_paths)
-    return TailEstimate(prob, stderr, n_paths, sums.hits, epsilon, sums.nonfinite)
+    with np.errstate(divide="ignore"):
+        log_prob, log_stderr = float(np.log(prob)), float(np.log(stderr))
+    return TailEstimate(
+        prob, stderr, n_paths, sums.hits, epsilon, log_prob, log_stderr,
+        sums.nonfinite,
+    )
 
 
 def tilted_estimate(
@@ -390,7 +385,7 @@ def tilted_estimate(
         log_stderr = float(sums.log_scale + 0.5 * np.log(var / n_paths))
     return TailEstimate(
         float(np.exp(log_prob)), float(np.exp(log_stderr)), n_paths,
-        sums.hits, epsilon, sums.nonfinite, log_prob, log_stderr,
+        sums.hits, epsilon, log_prob, log_stderr, sums.nonfinite,
     )
 
 

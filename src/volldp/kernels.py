@@ -609,10 +609,13 @@ def rescale_kernel(kernel: VolterraKernel, eta: float) -> VolterraKernel:
     """Return the rescaled kernel sqrt(eta) K(eta t, eta s).
 
     The rescaled kernel lives on the stretched horizon T / eta and keeps the
-    roughness index of the base kernel.  eta = 1 returns the kernel itself.
-    A fractional OU kernel stays in its family (scale eta^H, mean reversion
-    a eta), so its grid values keep the row recursion.
+    roughness index of the base kernel.  eta = 1 returns the kernel itself;
+    eta outside (0, 1] raises ``ConfigurationError``.  A fractional OU
+    kernel stays in its family (scale eta^H, mean reversion a eta), so its
+    grid values keep the row recursion.
     """
+    if not (0.0 < eta <= 1.0):
+        raise ConfigurationError(f"eta must lie in (0, 1], got {eta}")
     if eta == 1.0:
         return kernel
     if isinstance(kernel, RescaledKernel):

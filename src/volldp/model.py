@@ -260,27 +260,23 @@ def _singularity_margin(a):
     """|det a| / (tr a / d)^d - 1e-12 for each matrix of ``a`` (..., d, d).
 
     The package's one singularity rule: a matrix is singular where this is
-    negative.  The ratio is scale-invariant (1 for a multiple of the
-    identity), so a well-conditioned matrix passes at any scale.  A matrix
-    whose mean eigenvalue tr a / d is below 1e-12 (zero trace included;
-    for d = 1 this is |a| < 1e-12) or with a non-finite determinant gets
-    -inf.  Returns the margins, flattened, and the determinants.
+    negative.  For d >= 2 the ratio is scale-invariant (1 for a multiple of
+    the identity), so a well-conditioned matrix passes at any scale.  For
+    d = 1 the ratio is always 1 and carries no information, so the margin
+    is the absolute |a| - 1e-12.  A zero trace or a non-finite value gives
+    a non-finite ratio and the margin -inf.  Returns the margins, flattened,
+    and the determinants.
     """
     a = np.asarray(a)
     d = a.shape[-1]
-    diag = np.diagonal(a, axis1=-2, axis2=-1)
-    if d == 1:
-        dets = diag[..., 0]
-    elif d == 2:
-        dets = diag[..., 0] * diag[..., 1] - a[..., 0, 1] * a[..., 1, 0]
-    else:
-        dets = np.linalg.det(a)
-    dets = np.abs(dets).ravel()
-    mean_eig = diag.sum(axis=-1).ravel() / d
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        margin = dets / mean_eig**d - _DET_TOL
-    ok = np.isfinite(margin) & (mean_eig >= _DET_TOL)
-    return np.where(ok, margin, -np.inf), dets
+        dets = np.abs(np.linalg.det(a)).ravel()
+        if d == 1:
+            margin = dets - _DET_TOL
+        else:
+            mean_eig = np.trace(a, axis1=-2, axis2=-1).ravel() / d
+            margin = dets / np.abs(mean_eig) ** d - _DET_TOL
+    return np.where(np.isfinite(margin), margin, -np.inf), dets
 
 
 def _require_nonsingular(a, what: str) -> None:
@@ -293,8 +289,8 @@ def _require_nonsingular(a, what: str) -> None:
     if margin[worst] < 0.0:
         at = f" at node {worst}" if np.ndim(a) > 2 else ""
         raise SingularDiffusionError(
-            f"{what} singular{at}: |det| = {dets[worst]:.3e} is below "
-            f"{_DET_TOL} (tr / d)^d"
+            f"{what} singular{at}: |det| = {dets[worst]:.3e}, singularity "
+            f"margin {margin[worst]:.3e} < 0"
         )
 
 
@@ -371,7 +367,7 @@ def validate_coefficients(
             worst_point=pts[idx],
             margin=float(margin[idx]),
             detail=(
-                f"min |det a| / (tr a / d)^d - {_DET_TOL} = {margin[idx]:.3e} "
+                f"min singularity margin {margin[idx]:.3e} "
                 f"(|det a| = {dets[idx]:.3e}) at y = {pts[idx]}"
             ),
         )

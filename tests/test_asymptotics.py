@@ -324,8 +324,11 @@ def synthetic_estimates(c, epsilons, prefactor=1.0, noise=0.0, seed=0):
 def TailEstimate_like(prob, stderr, n_paths, epsilon):
     from volldp.asymptotics import TailEstimate
 
+    with np.errstate(divide="ignore"):
+        logs = float(np.log(prob)), float(np.log(stderr))
     return TailEstimate(prob=prob, stderr=stderr, n_paths=n_paths,
-                        n_hits=int(round(prob * n_paths)), epsilon=epsilon)
+                        n_hits=int(round(prob * n_paths)), epsilon=epsilon,
+                        log_prob=logs[0], log_stderr=logs[1])
 
 
 def test_ldp_slope_exact_recovery():

@@ -338,7 +338,11 @@ def test_fou_rescaling_stays_in_the_family():
     t, s = _probe_pairs(1.0 / eta, 50, seed=4)
     want = np.sqrt(eta) * k.eval(eta * t, eta * s)
     assert np.max(np.abs(r.eval(t, s) / want - 1.0)) <= 1e-14
-    assert rescale_kernel(rescale_kernel(k, 0.5), 0.4) == rescale_kernel(k, 0.2)
+    # nested rescalings compose up to rounding (eta1^H eta2^H is not
+    # bitwise (eta1 eta2)^H)
+    nested, once = rescale_kernel(rescale_kernel(k, 0.5), 0.4), rescale_kernel(k, 0.2)
+    for field in ("hurst", "scale", "horizon", "mean_reversion"):
+        assert getattr(nested, field) == pytest.approx(getattr(once, field), rel=1e-15)
 
     # discretization on the unit grid is that of the direct route on
     # [0, eta] up to the factors of the time change
@@ -351,6 +355,17 @@ def test_fou_rescaling_stays_in_the_family():
     e_unit = unit.edge_coeff * (1.0 / n) ** kappa
     e_direct = np.sqrt(eta) * direct.edge_coeff * (eta / n) ** kappa
     assert np.max(np.abs(e_unit - e_direct)) <= 1e-13 * np.max(np.abs(e_direct))
+
+
+@pytest.mark.parametrize("eta", [1.5, 0.0, -0.2, float("nan")])
+def test_fou_rescaling_rejects_eta_outside_unit_interval(eta):
+    # the closed-form fOU rescaling checks eta as RescaledKernel does
+    k = make_kernel("fractional_ou", hurst=0.3, scale=1.2, horizon=1.0,
+                    mean_reversion=1.3)
+    with pytest.raises(ConfigurationError, match="eta must lie"):
+        rescale_kernel(k, eta)
+    with pytest.raises(ConfigurationError, match="eta must lie"):
+        limit_kernel_error(k, eta, 0.5, k, TimeGrid(1.0, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def test_validate_detects_degenerate_diffusion():
 def test_validate_degeneracy_check_is_scale_invariant():
     # a multiple of the identity passes at any scale, an ill-conditioned
     # matrix fails at any scale
-    for level in (1.0, 5e-4):
+    for level in (1.0, 5e-4, 5e-7):
         good = validate_coefficients(constant_coeffs(2, 2, sigma=level * np.eye(2)))
         check = next(c for c in good.checks if c.name == "nondegenerate_diffusion")
         assert check.passed
