@@ -144,7 +144,11 @@ class TailEstimate:
     estimators raise ``NonFinitePathError`` instead of returning an
     estimate with any such path.  ``log_prob`` and ``log_stderr`` are the
     logarithms of ``prob`` and ``stderr``; they stay finite where ``prob``
-    and ``stderr`` underflow to 0.
+    and ``stderr`` underflow to 0.  ``ess`` is the effective sample size
+    (sum w)^2 / sum w^2 of the hits' weights and ``max_weight_share`` the
+    largest weight over sum w (Owen, Monte Carlo theory, methods and
+    examples, ch. 9); the crude estimator's weights are all 1, so they
+    read n_hits and 1 / n_hits.  Without a hit they are 0 and NaN.
     """
 
     prob: float
@@ -155,6 +159,15 @@ class TailEstimate:
     log_prob: float
     log_stderr: float
     n_nonfinite: int = 0
+    ess: float = np.nan
+    max_weight_share: float = np.nan
+
+
+def _health(hits: int, weight_sum: float, weight_sq: float) -> tuple:
+    """(ess, max_weight_share) of hit weights scaled to a largest weight 1."""
+    if hits == 0:
+        return 0.0, np.nan
+    return weight_sum**2 / weight_sq, 1.0 / weight_sum
 
 
 def _validate_tail_args(n_paths: int) -> None:
@@ -301,7 +314,7 @@ def estimate_tail_prob(
         log_prob, log_stderr = float(np.log(prob)), float(np.log(stderr))
     return TailEstimate(
         prob, stderr, n_paths, sums.hits, epsilon, log_prob, log_stderr,
-        sums.nonfinite,
+        sums.nonfinite, *_health(sums.hits, sums.hits, sums.hits),
     )
 
 
@@ -386,6 +399,7 @@ def tilted_estimate(
     return TailEstimate(
         float(np.exp(log_prob)), float(np.exp(log_stderr)), n_paths,
         sums.hits, epsilon, log_prob, log_stderr, sums.nonfinite,
+        *_health(sums.hits, sums.weight_sum, sums.weight_sq),
     )
 
 

@@ -275,12 +275,14 @@ def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
     # fit first: a degenerate level fails here, before any artifact exists
     fit = ldp_slope(estimates)
     rows = [
-        (e.epsilon, e.prob, e.stderr, -e.log_prob, e.epsilon**-2)
+        (e.epsilon, e.prob, e.stderr, -e.log_prob, e.epsilon**-2,
+         -e.log_stderr, e.ess, e.max_weight_share)
         for e in estimates
     ]
     _write_csv(
         os.path.join(out_dir, "ldp.csv"),
-        ("epsilon", "p_hat", "stderr", "minus_log_p", "eps_inv_sq"),
+        ("epsilon", "p_hat", "stderr", "minus_log_p", "eps_inv_sq",
+         "minus_log_stderr", "ess", "max_weight_share"),
         rows,
     )
     target = solution.value
@@ -430,11 +432,10 @@ def main(argv=None) -> int:
             failures = _cmd_selftest(out_dir)
             return 0 if failures == 0 else _EXIT_CODES["VALIDATION"]
 
-        from .config import load_config
+        from .config import parse_config, read_config_text
 
-        with open(args.config, "r", encoding="utf-8") as handle:
-            config_text = handle.read()
-        cfg = load_config(args.config)
+        config_text = read_config_text(args.config)  # hashed and parsed once
+        cfg = parse_config(config_text)
         seed = cfg.seed if args.seed is None else args.seed
         if seed != cfg.seed:
             cfg = _reseeded(cfg, seed)
@@ -472,8 +473,6 @@ def main(argv=None) -> int:
             _cmd_verify_ldp(cfg, out_dir, args.threads)
         elif args.command == "short-time":
             _cmd_short_time(cfg, out_dir)
-    except FileNotFoundError as exc:
-        error = {"category": "CONFIG", "message": str(exc)}
     except VolldpError as exc:
         error = {"category": exc.category, "message": str(exc)}
     except Exception as exc:  # every other failure is INTERNAL

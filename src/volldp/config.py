@@ -3,46 +3,54 @@
 One file describes one experiment: grid, kernel bank, model coefficients,
 optional scaling schedule and optimizer settings, plus per-subcommand
 parameter sections.  Seeds are always explicit -- there is no wall-clock
-fallback -- so every artifact is reproducible from its config alone.
+fallback -- so every artifact is reproducible from its config alone.  The
+README's config reference lists every section and option.
 
-Example::
-
-    [grid]
-    horizon = 1.0
-    n_steps = 64
-
-    [kernel.1]
-    family = riemann_liouville
-    hurst = 0.4
-    scale = 1.0
-
-    [model.volatility]
-    family = exp_linear
-    amplitude = 0.3
-    weights = 1.0
-    rho = -0.5
-
-    [run]
-    seed = 42
-    out = out
+Each option is declared once: as a field of the record its section fills
+(``TimeGrid``, the family's kernel class for ``[kernel.N]``,
+``OptimizerConfig``, the ``*Options`` blocks below), which gives its name,
+type and default, or in the name -> type maps below for ``[model]``,
+``[run]`` and ``[schedule]``.  The coefficient sections hand every key but
+``family`` (and ``rho``) to ``model.make_map``, which knows each family's
+parameters.  The reader is strict: a key that is not an option of its
+section, and a section that no reader uses (a misspelled name, a gap in
+the kernel numbering, ``[model.sigma]`` beside ``[model.volatility]``, a
+non-empty ``[DEFAULT]``), is a ``ConfigurationError`` that names it.
 """
 
 import configparser
-import io
-from dataclasses import dataclass, field
-
-import numpy as np
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigurationError
 from .grids import TimeGrid
-from .kernels import KernelBank, ScalingSchedule, make_kernel
+from .kernels import KernelBank, ScalingSchedule, kernel_class
 from .model import ModelCoefficients, make_map
 from .ratefn import OptimizerConfig
 
-_REQUIRED = object()
+# Options of the sections that fill no single record.
+_MODEL = {"d": int, "p": int}  # plus the growth constants of ModelCoefficients
+_RUN = {"seed": int, "out": str}
+_SCHEDULE = {"rule": str, "eta": tuple, "hurst": float}
+_SCHEDULE_RULES = {  # the options each rule adds
+    "self_similar": {},
+    "log_fbm": {"log_exponent": float, "speed_log_exponent": float},
+    "custom": {"epsilon": tuple, "delta": tuple},
+}
 
-_KERNEL_PARAM_NAMES = {
-    "hurst", "scale", "horizon", "log_exponent", "mean_reversion",
+# Lower bounds of the options whose record does not check them itself; d
+# and p shape the coefficient maps before the record exists.
+_BOUNDS = {
+    ("model", "d"): ">= 1",
+    ("model", "p"): ">= 1",
+    ("model", "growth_m1"): ">= 0",
+    ("model", "growth_m2"): ">= 0",
+    ("run", "seed"): ">= 0",
+    ("simulate", "n_paths"): ">= 1",
+    ("simulate", "epsilon"): "> 0",
+    ("verify-ldp", "n_paths"): ">= 1000",
+    ("short-time", "n_paths"): ">= 1000",
+    ("short-time", "refine"): ">= 1",
 }
 
 
@@ -52,49 +60,81 @@ def _fail(section: str, option: str, message: str):
     )
 
 
-def _get(cp, section, option, cast, default=_REQUIRED, lo=None, hi=None,
-         lo_strict=False):
-    if not cp.has_option(section, option):
-        if default is _REQUIRED:
-            _fail(section, option, "missing required value")
-        return default
-    raw = cp.get(section, option)
+class _Parser(configparser.ConfigParser):
+    """The INI parser (values read literally, no % interpolation), plus the
+    sections a reader has used."""
+
+    def __init__(self):
+        super().__init__(inline_comment_prefixes=("#", ";"), interpolation=None)
+        self.used = set()
+
+
+def _defaults(record) -> dict:
+    return {f.name: f.default for f in fields(record) if f.default is not MISSING}
+
+
+def _parse(cp, section: str, name: str, kind):
+    """Option ``name`` as ``kind``: int, float, bool, str or tuple (a list of
+    numbers); ``X | None`` reads as X."""
+    kind = next((a for a in typing.get_args(kind) if a is not type(None)), kind)
+    raw = cp.get(section, name)
     try:
-        value = cast(raw)
+        if kind is bool:
+            return cp.getboolean(section, name)
+        if kind is tuple:
+            value = tuple(float(tok) for tok in raw.replace(",", " ").split())
+            if not value:
+                _fail(section, name, "empty list")
+            return value
+        return kind(raw)
     except ValueError:
-        _fail(section, option, f"cannot parse {raw!r} as {cast.__name__}")
-    if lo is not None and (value <= lo if lo_strict else value < lo):
-        _fail(section, option, f"value {value} below allowed range")
-    if hi is not None and value > hi:
-        _fail(section, option, f"value {value} above allowed range")
-    return value
+        what = {bool: "a boolean", tuple: "a list of numbers"}.get(kind, kind.__name__)
+        _fail(section, name, f"cannot parse {raw!r} as {what}")
 
 
-def _get_bool(cp, section, option, default):
-    if not cp.has_option(section, option):
-        return default
-    raw = cp.get(section, option).strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    _fail(section, option, f"cannot parse {raw!r} as a boolean")
+def _read(cp, section: str, record, *, skip=(), unknown="unknown option",
+          **defaults) -> dict:
+    """The options ``record`` declares in ``section``, typed, by name.
+
+    ``record`` is a dataclass, whose fields are the options, or a map
+    option name -> type.  An unset option takes its default from
+    ``defaults``, else the field's own; one with neither is required.  Keys
+    in ``skip`` are left to the caller; any other key fails with ``unknown``,
+    or is left to the caller too when ``unknown`` is None.
+    """
+    cp.used.add(section)
+    if is_dataclass(record):
+        hints = typing.get_type_hints(record)
+        types = {f.name: hints[f.name] for f in fields(record)}
+        defaults = {**_defaults(record), **defaults}
+    else:
+        types = record
+    values = {name: defaults[name] for name in types if name in defaults}
+    for name in cp.options(section) if cp.has_section(section) else ():
+        if name in skip or (name not in types and unknown is None):
+            continue
+        if name not in types:
+            _fail(section, name, unknown)
+        value = values[name] = _parse(cp, section, name, types[name])
+        if (section, name) in _BOUNDS:
+            op, lo = _BOUNDS[section, name].split()
+            if not (value > float(lo) if op == ">" else value >= float(lo)):
+                _fail(section, name, f"must be {op} {lo}, got {value}")
+    for name in types:
+        if name not in values:
+            _fail(section, name, "missing required value")
+    return values
 
 
-def _float_list(cp, section, option, default=_REQUIRED):
-    if not cp.has_option(section, option):
-        if default is _REQUIRED:
-            _fail(section, option, "missing required value")
-        return default
-    raw = cp.get(section, option).replace(",", " ")
+def _build(section: str, make, *args, **values):
+    """``make(*args, **values)``, with its ConfigurationError placed in
+    ``section`` (and at the field of ``values`` the message starts with)."""
     try:
-        vals = tuple(float(tok) for tok in raw.split())
-    except ValueError:
-        _fail(section, option, f"cannot parse {cp.get(section, option)!r} "
-              "as a list of numbers")
-    if not vals:
-        _fail(section, option, "empty list")
-    return vals
+        return make(*args, **values)
+    except ConfigurationError as exc:
+        name = str(exc).split(" ", 1)[0]
+        where = f", field '{name}'" if name in values else ""
+        raise ConfigurationError(f"config section [{section}]{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +180,15 @@ class ShortTimeOptions:
     correlated: bool = True
 
 
+_SUBCOMMANDS = {
+    "simulate": SimulateOptions,
+    "rate": RateOptions,
+    "terminal-rate": TerminalRateOptions,
+    "verify-ldp": VerifyLdpOptions,
+    "short-time": ShortTimeOptions,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully validated experiment description."""
@@ -166,116 +215,68 @@ class ExperimentConfig:
 def _parse_grid(cp) -> TimeGrid:
     if not cp.has_section("grid"):
         raise ConfigurationError("missing config section [grid]")
-    horizon = _get(cp, "grid", "horizon", float, lo=0.0, lo_strict=True)
-    n_steps = _get(cp, "grid", "n_steps", int, lo=1)
-    return TimeGrid(horizon, n_steps)
+    return _build("grid", TimeGrid, **_read(cp, "grid", TimeGrid))
 
 
 def _parse_bank(cp, grid: TimeGrid) -> KernelBank:
-    sections = []
-    i = 1
-    while cp.has_section(f"kernel.{i}"):
-        sections.append(f"kernel.{i}")
-        i += 1
-    if not sections:
+    kernels = []
+    while cp.has_section(sec := f"kernel.{len(kernels) + 1}"):
+        family = _read(cp, sec, {"family": str}, unknown=None)["family"]
+        cls = _build(sec, kernel_class, family)
+        params = _read(cp, sec, cls, skip=("family",),
+                       unknown="unknown kernel parameter", horizon=grid.horizon)
+        kernels.append(_build(sec, cls, **params))
+    if not kernels:
         raise ConfigurationError(
             "missing config section [kernel.1]; kernels are numbered "
             "consecutively from 1"
         )
-    kernels = []
-    for sec in sections:
-        family = _get(cp, sec, "family", str)
-        params = {"horizon": grid.horizon}
-        for name in cp.options(sec):
-            if name == "family":
-                continue
-            if name not in _KERNEL_PARAM_NAMES:
-                _fail(sec, name, "unknown kernel parameter")
-            params[name] = _get(cp, sec, name, float)
-        try:
-            kernels.append(make_kernel(family, **params))
-        except (TypeError, ValueError, ConfigurationError) as exc:
-            raise ConfigurationError(f"config section [{sec}]: {exc}") from exc
     return KernelBank(tuple(kernels))
 
 
-def _parse_coeff_map(cp, section: str, shape: tuple, p: int):
-    family = _get(cp, section, "family", str)
-    size = int(np.prod(shape))
-    if family == "constant":
-        values = _float_list(cp, section, "values")
-        if len(values) != size:
-            _fail(section, "values", f"expected {size} entries, got {len(values)}")
-        return make_map("constant", shape, p, values=np.reshape(values, shape))
-    if family == "affine":
-        const = _float_list(cp, section, "constant")
-        lin = _float_list(cp, section, "linear")
-        if len(const) != size:
-            _fail(section, "constant", f"expected {size} entries, got {len(const)}")
-        if len(lin) != size * p:
-            _fail(section, "linear", f"expected {size * p} entries, got {len(lin)}")
-        return make_map(
-            "affine", shape, p,
-            constant=np.reshape(const, shape),
-            linear=np.reshape(lin, shape + (p,)),
-        )
-    if family == "exp_linear":
-        amp = _float_list(cp, section, "amplitude")
-        wts = _float_list(cp, section, "weights")
-        if len(amp) != size:
-            _fail(section, "amplitude", f"expected {size} entries, got {len(amp)}")
-        if len(wts) != size * p:
-            _fail(section, "weights", f"expected {size * p} entries, got {len(wts)}")
-        return make_map(
-            "exp_linear", shape, p,
-            amplitude=np.reshape(amp, shape),
-            weights=np.reshape(wts, shape + (p,)),
-        )
-    _fail(section, "family", f"unknown coefficient family {family!r}")
+def _parse_map(cp, section: str, shape: tuple, p: int, **head):
+    """The coefficient map of ``section`` and its other options, typed by
+    ``head`` (with ``family``); every other key is a map parameter."""
+    head = {"family": str, **head}
+    opts = _read(cp, section, head, unknown=None)
+    params = [name for name in cp.options(section) if name not in head]
+    arrays = {name: _parse(cp, section, name, tuple) for name in params}
+    try:
+        return make_map(opts["family"], shape, p, **arrays), opts
+    except (ConfigurationError, TypeError) as exc:  # TypeError: a key 'shape'
+        # or 'in_dim', which collides with make_map's own arguments
+        raise ConfigurationError(f"config section [{section}]: {exc}") from exc
 
 
 def _parse_model(cp, bank: KernelBank) -> ModelCoefficients:
-    growth = {}
-    if cp.has_section("model"):
-        growth = {
-            "growth_alpha": _get(cp, "model", "growth_alpha", float, 1.0, lo=0.0),
-            "growth_m1": _get(cp, "model", "growth_m1", float, 10.0, lo=0.0),
-            "growth_m2": _get(cp, "model", "growth_m2", float, 10.0, lo=0.0),
-        }
-    if cp.has_section("model.volatility"):
-        sub = configparser.ConfigParser()
-        sub.read_dict({
-            "base": {
-                k: cp.get("model.volatility", k)
-                for k in cp.options("model.volatility")
-                if k != "rho"
-            }
-        })
-        base = _parse_coeff_map(sub, "base", (1, 1), 1)
-        rho = _get(cp, "model.volatility", "rho", float)
-        if abs(rho) >= 1.0:
-            _fail("model.volatility", "rho", "must satisfy |rho| < 1")
+    one_factor = cp.has_section("model.volatility")
+    if not (one_factor or cp.has_section("model")):
+        raise ConfigurationError(
+            "missing config section [model] (or [model.volatility])"
+        )
+    growth = _defaults(ModelCoefficients)
+    names = {**({} if one_factor else _MODEL), **dict.fromkeys(growth, float)}
+    growth = _read(cp, "model", names, **growth)
+    if one_factor:
+        base, opts = _parse_map(cp, "model.volatility", (1, 1), 1, rho=float)
         mu = None
         if cp.has_section("model.mu"):
-            mu = _parse_coeff_map(cp, "model.mu", (1,), 1)
-        coeffs = ModelCoefficients.one_factor(base, rho, mu=mu, **growth)
+            mu = _parse_map(cp, "model.mu", (1,), 1)[0]
+        coeffs = _build("model.volatility", ModelCoefficients.one_factor, base,
+                        rho=opts["rho"], mu=mu)
     else:
-        if not cp.has_section("model"):
-            raise ConfigurationError(
-                "missing config section [model] (or [model.volatility])"
-            )
-        d = _get(cp, "model", "d", int, lo=1)
-        p = _get(cp, "model", "p", int, lo=1)
+        d, p = growth.pop("d"), growth.pop("p")
         for sec in ("model.mu", "model.sigma", "model.sigma_tilde"):
             if not cp.has_section(sec):
                 raise ConfigurationError(f"missing config section [{sec}]")
         coeffs = ModelCoefficients(
             d=d, p=p,
-            mu=_parse_coeff_map(cp, "model.mu", (d,), p),
-            sigma=_parse_coeff_map(cp, "model.sigma", (d, d), p),
-            sigma_tilde=_parse_coeff_map(cp, "model.sigma_tilde", (d, p), p),
-            **growth,
+            mu=_parse_map(cp, "model.mu", (d,), p)[0],
+            sigma=_parse_map(cp, "model.sigma", (d, d), p)[0],
+            sigma_tilde=_parse_map(cp, "model.sigma_tilde", (d, p), p)[0],
         )
+    # the growth constants last, so that their errors name [model]
+    coeffs = _build("model", replace, coeffs, **growth)
     if coeffs.p != bank.n_factors:
         raise ConfigurationError(
             f"model has p = {coeffs.p} factors but the config declares "
@@ -287,126 +288,85 @@ def _parse_model(cp, bank: KernelBank) -> ModelCoefficients:
 def _parse_schedule(cp, bank: KernelBank):
     if not cp.has_section("schedule"):
         return None
-    rule = _get(cp, "schedule", "rule", str, "self_similar")
-    eta = _float_list(cp, "schedule", "eta")
+    rule = cp.get("schedule", "rule", fallback="self_similar")
+    if rule not in _SCHEDULE_RULES:
+        _fail("schedule", "rule", f"unknown rule {rule!r}")
     first = bank.kernels[0]
-    hurst = _get(cp, "schedule", "hurst", float, float(first.hurst))
+    opts = _read(
+        cp, "schedule", {**_SCHEDULE, **_SCHEDULE_RULES[rule]}, rule=rule,
+        hurst=float(first.hurst),
+        log_exponent=float(getattr(first, "log_exponent", 0.0)),
+        speed_log_exponent=None, delta=None,
+    )
+    del opts["rule"]
     if rule == "self_similar":
-        return ScalingSchedule.self_similar(eta, hurst)
+        return _build("schedule", ScalingSchedule.self_similar, **opts)
     if rule == "log_fbm":
-        log_exp = _get(
-            cp, "schedule", "log_exponent", float,
-            float(getattr(first, "log_exponent", 0.0)),
-        )
-        speed_q = _get(cp, "schedule", "speed_log_exponent", float, None)
-        return ScalingSchedule.for_log_kernel(eta, hurst, log_exp, speed_q)
-    if rule == "custom":
-        eps = _float_list(cp, "schedule", "epsilon")
-        delta = _float_list(cp, "schedule", "delta", eta)
-        return ScalingSchedule(
-            eta=eta, epsilon=eps, delta=delta,
-            speed_exponent_hurst=hurst, rule="custom",
-        )
-    _fail("schedule", "rule", f"unknown rule {rule!r}")
-
-
-def _parse_optimizer(cp) -> OptimizerConfig:
-    if not cp.has_section("optimizer"):
-        return OptimizerConfig()
-    return OptimizerConfig(
-        tol=_get(cp, "optimizer", "tol", float, 1e-8, lo=0.0, lo_strict=True),
-        max_iter=_get(cp, "optimizer", "max_iter", int, 500, lo=1),
-        memory=_get(cp, "optimizer", "memory", int, 10, lo=1),
-        n_starts=_get(cp, "optimizer", "n_starts", int, 5, lo=1),
-        seed=_get(cp, "optimizer", "seed", int, 7, lo=0),
-        spread_warn=_get(cp, "optimizer", "spread_warn", float, 0.01, lo=0.0),
+        return _build("schedule", ScalingSchedule.for_log_kernel, **opts)
+    return _build(
+        "schedule", ScalingSchedule, eta=opts["eta"], epsilon=opts["epsilon"],
+        delta=opts["delta"] or opts["eta"], speed_exponent_hurst=opts["hurst"],
+        rule="custom",
     )
 
 
-def _parse_subcommands(cp, grid: TimeGrid):
-    sim = SimulateOptions(
-        n_paths=_get(cp, "simulate", "n_paths", int, 8, lo=1)
-        if cp.has_section("simulate") else 8,
-        epsilon=_get(cp, "simulate", "epsilon", float, 1.0, lo=0.0, lo_strict=True)
-        if cp.has_section("simulate") else 1.0,
-        correlated=_get_bool(cp, "simulate", "correlated", True)
-        if cp.has_section("simulate") else True,
-        emit_drivers=_get_bool(cp, "simulate", "emit_drivers", False)
-        if cp.has_section("simulate") else False,
-    )
-    rate = RateOptions()
-    if cp.has_section("rate"):
-        m = _get(cp, "rate", "m", int, None, lo=1)
-        if m is not None:
-            grid.require_divisible(m)
-        rate = RateOptions(
-            functional=_get(cp, "rate", "functional", str, "i_z"),
-            m=m,
-            z=_float_list(cp, "rate", "z", None),
-            target_file=_get(cp, "rate", "target_file", str, None),
-        )
-        if rate.functional not in ("i_z", "i_z_m", "i_uncorrelated"):
-            _fail("rate", "functional", f"unknown functional {rate.functional!r}")
-        if rate.functional == "i_z_m" and m is None:
-            _fail("rate", "m", "required when functional = i_z_m")
-    term = TerminalRateOptions(
-        z=_float_list(cp, "terminal-rate", "z", None)
-        if cp.has_section("terminal-rate") else None
-    )
-    ver = VerifyLdpOptions()
-    if cp.has_section("verify-ldp"):
-        ver = VerifyLdpOptions(
-            threshold=_get(cp, "verify-ldp", "threshold", float, 1.0),
-            epsilons=_float_list(cp, "verify-ldp", "epsilons", (0.4, 0.3, 0.25, 0.2)),
-            n_paths=_get(cp, "verify-ldp", "n_paths", int, 100_000, lo=1000),
-            estimator=_get(cp, "verify-ldp", "estimator", str, "tilted"),
-            correlated=_get_bool(cp, "verify-ldp", "correlated", True),
-        )
-        if ver.estimator not in ("tilted", "crude"):
-            _fail("verify-ldp", "estimator", f"unknown estimator {ver.estimator!r}")
-    short = ShortTimeOptions()
-    if cp.has_section("short-time"):
-        short = ShortTimeOptions(
-            n_paths=_get(cp, "short-time", "n_paths", int, 10_000, lo=1000),
-            refine=_get(cp, "short-time", "refine", int, 4, lo=1),
-            quantiles=_float_list(cp, "short-time", "quantiles", (0.8, 0.9, 0.95)),
-            correlated=_get_bool(cp, "short-time", "correlated", True),
-        )
-    return sim, rate, term, ver, short
+def _parse_subcommands(cp, grid: TimeGrid) -> dict:
+    opts = {sec: rec(**_read(cp, sec, rec)) for sec, rec in _SUBCOMMANDS.items()}
+    rate = opts["rate"]
+    if rate.m is not None:
+        _build("rate", grid.require_divisible, rate.m)
+    if rate.functional not in ("i_z", "i_z_m", "i_uncorrelated"):
+        _fail("rate", "functional", f"unknown functional {rate.functional!r}")
+    if rate.functional == "i_z_m" and rate.m is None:
+        _fail("rate", "m", "required when functional = i_z_m")
+    estimator = opts["verify-ldp"].estimator
+    if estimator not in ("tilted", "crude"):
+        _fail("verify-ldp", "estimator", f"unknown estimator {estimator!r}")
+    return opts
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat INI experiment description."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = _Parser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse error: {exc}") from exc
+    if cp.defaults():  # its keys would reach every section
+        raise ConfigurationError("config section [DEFAULT]: unknown section")
     grid = _parse_grid(cp)
     bank = _parse_bank(cp, grid)
     coeffs = _parse_model(cp, bank)
     schedule = _parse_schedule(cp, bank)
-    optimizer = _parse_optimizer(cp)
+    optimizer = _build("optimizer", OptimizerConfig,
+                       **_read(cp, "optimizer", OptimizerConfig))
     if not cp.has_section("run"):
         raise ConfigurationError(
             "missing config section [run]; seeds must be explicit"
         )
-    seed = _get(cp, "run", "seed", int, lo=0)
-    out_dir = _get(cp, "run", "out", str, "out")
-    sim, rate, term, ver, short = _parse_subcommands(cp, grid)
+    run = _read(cp, "run", _RUN, out="out")
+    opts = _parse_subcommands(cp, grid)
+    for section in cp.sections():
+        if section not in cp.used:
+            raise ConfigurationError(f"config section [{section}]: unknown section")
     return ExperimentConfig(
         grid=grid, bank=bank, coeffs=coeffs, schedule=schedule,
-        optimizer=optimizer, seed=seed, out_dir=out_dir,
-        simulate=sim, rate=rate, terminal=term, verify_ldp=ver,
-        short_time=short,
+        optimizer=optimizer, seed=run["seed"], out_dir=run["out"],
+        simulate=opts["simulate"], rate=opts["rate"],
+        terminal=opts["terminal-rate"], verify_ldp=opts["verify-ldp"],
+        short_time=opts["short-time"],
     )
+
+
+def read_config_text(path: str) -> str:
+    """The text of a config file; an unreadable file is a ConfigurationError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Read and parse a config file from disk."""
-    try:
-        with io.open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(read_config_text(path))

@@ -369,16 +369,23 @@ _FAMILIES = {
 }
 
 
-def make_kernel(family: str, **params) -> VolterraKernel:
-    """Construct a kernel by family name (see ``_FAMILIES`` for the names)."""
+def kernel_class(family: str) -> type:
+    """The kernel class of a family name (see ``_FAMILIES`` for the names).
+
+    Its dataclass fields are the family's parameters.
+    """
     try:
-        cls = _FAMILIES[family]
+        return _FAMILIES[family]
     except KeyError:
         raise ConfigurationError(
             f"unknown kernel family {family!r}; choose from "
             f"{sorted(_FAMILIES)}"
         ) from None
-    return cls(**params)
+
+
+def make_kernel(family: str, **params) -> VolterraKernel:
+    """Construct a kernel by family name."""
+    return kernel_class(family)(**params)
 
 
 @dataclass(frozen=True)

@@ -149,39 +149,40 @@ class ExpLinearMap:
         return ExpLinearMap(self.amplitude * c, self.weights)
 
 
-_MAP_FAMILIES = {
-    "constant": ConstantMap,
-    "affine": AffineMap,
-    "exp_linear": ExpLinearMap,
-}
-
-
-def _shaped(params: dict, key: str, shape: tuple) -> np.ndarray:
-    try:
-        return np.asarray(params[key], dtype=float).reshape(shape)
-    except (KeyError, ValueError) as exc:
-        raise ConfigurationError(
-            f"coefficient parameter {key!r} must reshape to {shape}: {exc}"
-        ) from exc
-
-
 def make_map(family: str, shape: tuple, in_dim: int, **params):
-    """Build a coefficient map from flat parameter arrays (config plumbing)."""
-    if family == "constant":
-        return ConstantMap(_shaped(params, "values", shape), in_dim)
-    if family == "affine":
-        return AffineMap(
-            _shaped(params, "constant", shape),
-            _shaped(params, "linear", shape + (in_dim,)),
+    """Build a coefficient map from flat parameter arrays (config plumbing).
+
+    The one place that knows each family's parameter names: a missing or
+    unknown name, or an array that does not reshape to its shape, raises
+    ``ConfigurationError``.
+    """
+    full = shape + (in_dim,)
+    families = {
+        "constant": (lambda v: ConstantMap(v, in_dim), {"values": shape}),
+        "affine": (AffineMap, {"constant": shape, "linear": full}),
+        "exp_linear": (ExpLinearMap, {"amplitude": shape, "weights": full}),
+    }
+    if family not in families:
+        raise ConfigurationError(
+            f"unknown coefficient family {family!r}; choose from {sorted(families)}"
         )
-    if family == "exp_linear":
-        return ExpLinearMap(
-            _shaped(params, "amplitude", shape),
-            _shaped(params, "weights", shape + (in_dim,)),
+    build, layout = families[family]
+    odd = sorted(set(params) ^ set(layout))
+    if odd:
+        state = "unknown" if odd[0] in params else "missing"
+        raise ConfigurationError(
+            f"{state} parameter {odd[0]!r} of coefficient family {family!r}; "
+            f"it takes {sorted(layout)}"
         )
-    raise ConfigurationError(
-        f"unknown coefficient family {family!r}; choose from {sorted(_MAP_FAMILIES)}"
-    )
+    arrays = []
+    for name, target in layout.items():
+        try:
+            arrays.append(np.asarray(params[name], dtype=float).reshape(target))
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"coefficient parameter {name!r} must reshape to {target}: {exc}"
+            ) from exc
+    return build(*arrays)
 
 
 # ---------------------------------------------------------------------------

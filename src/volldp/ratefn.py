@@ -41,7 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OptimizationError, SingularDiffusionError
+from .errors import (
+    ConfigurationError, DomainError, OptimizationError, SingularDiffusionError,
+)
 from .gaussian import discretize_kernel
 from .grids import PathSample, TimeGrid
 from .kernels import KernelBank
@@ -244,6 +246,15 @@ class OptimizerConfig:
     n_starts: int = 5
     seed: int = 7
     spread_warn: float = 0.01
+
+    def __post_init__(self):
+        if not self.tol > 0.0:
+            raise ConfigurationError(f"tol must be positive, got {self.tol}")
+        for name, lo in (("max_iter", 1), ("memory", 1), ("n_starts", 1),
+                         ("seed", 0), ("spread_warn", 0)):
+            value = getattr(self, name)
+            if not value >= lo:
+                raise ConfigurationError(f"{name} must be >= {lo}, got {value}")
 
 
 @dataclass

@@ -236,6 +236,38 @@ def test_tilted_thread_count_invariance():
     assert (a.prob, a.stderr) == (b.prob, b.stderr)
 
 
+def test_estimator_health(unit_grid):
+    # crude weights are all 1 (ESS = hits, share = 1 / hits), and so are the
+    # weights of a zero-control tilt; a real tilt has 1 / share <= ESS <= hits
+    coeffs = exp_vol_coeffs(-0.5, amplitude=0.3)
+    bank = rl_bank(0.35)
+    grid = TimeGrid(1.0, 8)
+    near, event = TerminalHalfSpace(0.1), TerminalHalfSpace(0.4)
+    crude = estimate_tail_prob(coeffs, bank, grid, 0.4, near, 4000, seed=5)
+    flat = tilted_estimate(coeffs, bank, grid, 0.4, near,
+                           zero_control_solution(grid), 4000, seed=5)
+    for est in (crude, flat):
+        assert est.n_hits > 100
+        assert est.ess == est.n_hits
+        assert est.max_weight_share == 1.0 / est.n_hits
+    control = terminal_rate(np.array([0.4]), bank, coeffs, grid, FAST_OPT)
+    a, b = (
+        tilted_estimate(coeffs, bank, grid, 0.4, event, control, 20_000,
+                        seed=5, threads=threads)
+        for threads in (1, 2)
+    )
+    assert (a.ess, a.max_weight_share) == (b.ess, b.max_weight_share)
+    assert 1.0 < 1.0 / a.max_weight_share <= a.ess < a.n_hits
+    # no hit: ESS 0 and no largest-weight share
+    far = TerminalHalfSpace(50.0)
+    none = tilted_estimate(coeffs, bank, grid, 0.4, far, control, 2000, seed=5)
+    with pytest.warns(RuntimeWarning, match="degenerate"):
+        none_crude = estimate_tail_prob(coeffs, bank, grid, 0.4, far, 2000, seed=5)
+    for est in (none, none_crude):
+        assert est.n_hits == 0 and est.ess == 0.0
+        assert np.isnan(est.max_weight_share)
+
+
 def test_tilted_requires_converged_control(unit_grid):
     coeffs = exp_vol_coeffs(0.4)
     sol = zero_control_solution(unit_grid)

@@ -475,11 +475,12 @@ class TestVerifyLdp:
 
         header, rows = _read_csv(os.path.join(out, "ldp.csv"))
         assert header == [
-            "epsilon", "p_hat", "stderr", "minus_log_p", "eps_inv_sq"
+            "epsilon", "p_hat", "stderr", "minus_log_p", "eps_inv_sq",
+            "minus_log_stderr", "ess", "max_weight_share",
         ]
         assert len(rows) == 3
         assert [r[0] for r in rows] == [0.5, 0.4, 0.3]
-        for _, p_hat, stderr, minus_log_p, _ in rows:
+        for _, p_hat, stderr, minus_log_p, *_ in rows:
             assert 0.0 < p_hat < 1.0 and stderr > 0.0
             assert minus_log_p == pytest.approx(-math.log(p_hat))
 
@@ -495,6 +496,29 @@ class TestVerifyLdp:
             abs(summary["slope"] - summary["target_rate"])
             / summary["target_rate"]
         )
+
+    def test_log_stderr_and_weight_health_columns(self, tmp_path):
+        out = str(tmp_path / "out")
+        extra = (
+            "[optimizer]\nn_starts = 2\n"
+            "[verify-ldp]\n"
+            "threshold = 0.5\n"
+            "epsilons = 0.5, 0.4, 0.3\n"
+            "n_paths = 2000\n"
+        )
+        for estimator in ("crude", "tilted"):
+            text = _one_factor_text(n_steps=8, out=out, extra=extra)
+            path = _ini(tmp_path, text + f"estimator = {estimator}\n")
+            assert main(["verify-ldp", "--config", path]) == 0
+            header, rows = _read_csv(os.path.join(out, "ldp.csv"))
+            assert header[5:] == ["minus_log_stderr", "ess", "max_weight_share"]
+            for _, p_hat, stderr, _, _, minus_log_se, ess, share in rows:
+                assert minus_log_se == pytest.approx(-math.log(stderr))
+                if estimator == "crude":  # unit weights: ESS is the hit count
+                    assert ess == round(p_hat * 2000) > 0
+                    assert share == pytest.approx(1.0 / ess, rel=1e-15)
+                else:
+                    assert 1.0 < 1.0 / share <= ess < 2000
 
     def test_thread_count_does_not_change_results(self, tmp_path):
         # 10,000 paths are two counter blocks, so --threads 2 runs a pool
