@@ -189,6 +189,7 @@ def _solution_outputs(out_dir: str, solution, grid) -> None:
             "converged": solution.converged,
             "upper_bound_used": solution.upper_bound_used,
             "multistart_spread": solution.multistart_spread,
+            "starts": list(solution.starts),
         },
     )
 

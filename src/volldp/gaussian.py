@@ -114,7 +114,13 @@ class KernelDiscretization:
 
     @property
     def hat_weights(self) -> np.ndarray:
-        """Cell integrals c_ij with  fhat(t_i) = sum_j c_ij fdot(t_j)."""
+        """Cell integrals c_ij with  fhat(t_i) = sum_j c_ij fdot(t_j).
+
+        Only cells j <= i - 1 are filled (mean weights at j <= i - 2, the
+        edge cell at j = i - 1), for every kernel: row 0 is zero and
+        ``hat_weights[1:]`` is N x N lower triangular with its diagonal.
+        The rate objective's lift reads only that triangle.
+        """
         c = self.mean_weights * self.grid.dt
         n = self.grid.n_steps
         idx = np.arange(1, n + 1)

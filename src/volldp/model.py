@@ -41,8 +41,16 @@ _DET_TOL = 1e-12
 
 
 def _tensor_apply(tensor: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Contract the trailing axis of ``tensor`` with the trailing axis of y."""
-    return np.tensordot(y, np.moveaxis(tensor, -1, 0), axes=([-1], [0]))
+    """Contract the trailing axis of ``tensor`` with the trailing axis of y.
+
+    One matrix product (n, p) x (p, M) over the flattened leading axes; the
+    same product ``np.tensordot`` forms, without its axis bookkeeping.
+    ``np.dot`` rather than ``@``, which costs several times more on the
+    (n, 1) x (1, 1) shapes of a one-factor Euler step.
+    """
+    p = tensor.shape[-1]
+    out = np.dot(y.reshape(-1, p), tensor.reshape(-1, p).T)
+    return out.reshape(y.shape[:-1] + tensor.shape[:-1])
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,12 @@ building blocks are
 * the drift-adjusted form        J(x | phi) = Gamma(x - int mu(phi) | a^(-1)(phi)),
 * the kernel lift (hat map)      fhat_l(t) = int_0^t K_l(t, s) fdot_l(s) ds,
 * the correlation integrals      Phi (sigma_tilde along fhat) and Phi^m
-  (sigma_tilde frozen at block left endpoints),
+  (sigma_tilde frozen at block left endpoints).
 
-and the induced variational problems:
+On the grid the lift is triangular: fhat_l(t_0) = 0 and fhat_l[1:] = L_l fdot_l
+with L_l the N x N lower-triangular block of the cell integrals, so the lift
+and its adjoint are BLAS triangular matrix-vector products.  The induced
+variational problems are
 
     I_X(x)   = inf_f 1/2 |f|^2 + J(x | fhat)                    (uncorrelated)
     I_Z^m(x) = inf_f 1/2 |f|^2 + J(x - Phi^m(f, fhat) | fhat)   (frozen blocks)
@@ -40,6 +43,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrmv
 
 from .errors import (
     ConfigurationError, DomainError, OptimizationError, SingularDiffusionError,
@@ -154,12 +158,33 @@ def j_rate(x: CameronMartinPath, phi: PathSample, coeffs: ModelCoefficients) -> 
     return 0.5 * float(np.sum(resid * w)) * x.grid.dt
 
 
-def _lift(hat_w, dmat) -> np.ndarray:
-    """fhat at every node, (N + 1, p), from per-factor hat weights."""
-    fhat = np.empty((dmat.shape[0] + 1, dmat.shape[1]))
-    for ell, c in enumerate(hat_w):
-        fhat[:, ell] = c @ dmat[:, ell]
+def _lift(tri, dmat) -> np.ndarray:
+    """fhat at every node, (N + 1, p): fhat(t_0) = 0, fhat[1:, l] = L_l fdot_l.
+
+    ``tri`` holds each factor's L = hat_weights[1:], N x N lower triangular
+    (see ``KernelDiscretization.hat_weights``).  Its transpose is the
+    Fortran-ordered upper triangle BLAS reads without a copy.
+    """
+    fhat = np.zeros((dmat.shape[0] + 1, dmat.shape[1]))
+    for ell, low in enumerate(tri):
+        fhat[1:, ell] = dtrmv(low.T, dmat[:, ell], trans=1)
     return fhat
+
+
+def _lift_adjoint(tri, s_nodes) -> np.ndarray:
+    """L_l^T s_l per factor, (N, p): node sensitivities pulled back to fdot.
+
+    ``s_nodes`` is (N + 1, p); node 0 drops out, as fhat(t_0) = 0.
+    """
+    out = np.empty((s_nodes.shape[0] - 1, s_nodes.shape[1]))
+    for ell, low in enumerate(tri):
+        out[:, ell] = dtrmv(low.T, s_nodes[1:, ell])
+    return out
+
+
+def _lift_factors(bank: KernelBank, grid: TimeGrid) -> list:
+    """Each factor's lower-triangular lift L = hat_weights[1:] on ``grid``."""
+    return [discretize_kernel(kernel, grid).hat_weights[1:] for kernel in bank]
 
 
 def hat_map(f: CameronMartinPath, bank: KernelBank) -> PathSample:
@@ -172,8 +197,7 @@ def hat_map(f: CameronMartinPath, bank: KernelBank) -> PathSample:
         raise DomainError(
             f"control has {f.dim} components, bank has {bank.n_factors}"
         )
-    hat_w = [discretize_kernel(kernel, f.grid).hat_weights for kernel in bank]
-    return PathSample(f.grid, _lift(hat_w, f.derivative))
+    return PathSample(f.grid, _lift(_lift_factors(bank, f.grid), f.derivative))
 
 
 def _phi(coeffs: ModelCoefficients, g: np.ndarray, dmat: np.ndarray, span):
@@ -271,6 +295,9 @@ class RateSolution:
     upper_bound_used: float
     multistart_spread: float
     inner_drift: np.ndarray | None = None  # (N, d), Wiener-direction control
+    # one row per optimizer start, in start order: value (before the clamp
+    # at 0), iterations, criterion (projected-gradient step) and converged
+    starts: tuple = ()
 
 
 def _lbfgs(value_grad, x0, dt, radius_sq, cfg: OptimizerConfig):
@@ -345,7 +372,11 @@ def _lbfgs(value_grad, x0, dt, radius_sq, cfg: OptimizerConfig):
 
 
 def _multistart(value_grad, shape, dt, radius_sq, cfg: OptimizerConfig):
-    """Run the minimizer from zero plus Gaussian-seeded starts; keep the best."""
+    """Run the minimizer from zero plus Gaussian-seeded starts; keep the best.
+
+    Returns the best run, the relative spread of the start values and the
+    per-start table of ``RateSolution.starts``.
+    """
     n_vars = int(np.prod(shape))
     rng = np.random.default_rng(cfg.seed)
     starts = [np.zeros(n_vars)]
@@ -355,10 +386,13 @@ def _multistart(value_grad, shape, dt, radius_sq, cfg: OptimizerConfig):
         nrm = np.sqrt(dt) * np.linalg.norm(z)
         scale = radius * (0.15 + 0.2 * k) / max(nrm, 1e-300)
         starts.append(z * scale)
-    results = []
-    for x0 in starts:
-        results.append(_lbfgs(value_grad, x0, dt, radius_sq, cfg))
+    results = [_lbfgs(value_grad, x0, dt, radius_sq, cfg) for x0 in starts]
     best = min(results, key=lambda r: r[1])
+    table = tuple(
+        {"value": float(f), "iterations": n_iter, "criterion": crit,
+         "converged": converged}
+        for _, f, _, n_iter, converged, crit in results
+    )
     values = np.array([r[1] for r in results])
     spread = float(np.max(values) - np.min(values)) / max(abs(best[1]), 1e-12)
     if spread > cfg.spread_warn and np.max(values) - np.min(values) > 1e-9:
@@ -368,7 +402,7 @@ def _multistart(value_grad, shape, dt, radius_sq, cfg: OptimizerConfig):
             MultistartSpreadWarning,
             stacklevel=3,
         )
-    return best, spread
+    return best, spread, table
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +428,7 @@ class _Objective:
         self.n = grid.n_steps
         self.p = coeffs.p
         self.dt = grid.dt
-        self.hat_w = [discretize_kernel(kernel, grid).hat_weights for kernel in bank]
+        self.tri = _lift_factors(bank, grid)
 
     def inner(self, dmat):
         """(fhat, sigma_tilde per step, w, sigma^T w, inner value) at ``dmat``.
@@ -407,7 +441,7 @@ class _Objective:
         singular.
         """
         co = self.coeffs
-        fhat = _lift(self.hat_w, dmat)
+        fhat = _lift(self.tri, dmat)
         y = fhat[: self.n]
         mu = co.mu(y)
         sig = co.sigma(y)
@@ -419,7 +453,9 @@ class _Objective:
             w = np.linalg.solve(a, resid[..., None])[..., 0]
             value = 0.5 * np.sum(resid * w) * self.dt
         else:
-            a_total = np.einsum("jik,jlk->il", sig, sig) * self.dt
+            # A = sum_j sigma_j sigma_j^T dt as one (d, N d) x (N d, d) product
+            rows = np.swapaxes(sig, 0, 1).reshape(co.d, -1)
+            a_total = (rows @ rows.T) * self.dt
             _require_nonsingular(a_total, "time-integrated diffusion matrix")
             q = self.z - phidot.sum(axis=0) * self.dt - mu.sum(axis=0) * self.dt
             w_total = np.linalg.solve(a_total, q)
@@ -438,26 +474,28 @@ class _Objective:
             fhat, sigt, w, sw, inner = self.inner(dmat)
         except SingularDiffusionError:
             return np.inf, np.zeros_like(flat)
-        co, dt = self.coeffs, self.dt
+        co, dt, n, p, d = self.coeffs, self.dt, self.n, self.p, self.coeffs.d
         value = 0.5 * np.sum(dmat * dmat) * dt + inner
-        y = fhat[: self.n]
+        y = fhat[:n]
 
         dmu = co.mu.jacobian(y)
-        dsig = co.sigma.jacobian(y)
-        s_nodes = np.zeros((self.n + 1, self.p))
-        s_nodes[: self.n] -= np.einsum("ji,jim->jm", w, dmu) * dt
-        s_nodes[: self.n] -= np.einsum("ji,jikm,jk->jm", w, dsig, sw) * dt
+        dsig = co.sigma.jacobian(y).reshape(n, d * d, p)
+        # sum_ik w_i (sigma^T w)_k dsigma_ik/dy_m as the outer product
+        # w (sigma^T w)^T, flattened, against the flattened Jacobian
+        wsw = (w[:, :, None] * sw[:, None, :]).reshape(n, d * d)
+        s_nodes = np.zeros((n + 1, p))
+        s_nodes[:n] -= np.einsum("ji,jim->jm", w, dmu) * dt
+        s_nodes[:n] -= np.einsum("jq,jqm->jm", wsw, dsig) * dt
         grad = dmat * dt
         if sigt is not None:
+            # sigma_tilde is read once per block: sum w fdot^T over the
+            # block, then contract with the Jacobian at its left end
             span = self.span
-            dsigt = np.repeat(
-                co.sigma_tilde.jacobian(fhat[: self.n : span]), span, axis=0
-            )
-            rows = -np.einsum("ji,jilm,jl->jm", w, dsigt, dmat) * dt
-            s_nodes[: self.n : span] += rows.reshape(-1, span, self.p).sum(axis=1)
+            wf = (w[:, :, None] * dmat[:, None, :]).reshape(-1, span, d * p)
+            dsigt = co.sigma_tilde.jacobian(fhat[:n:span]).reshape(-1, d * p, p)
+            s_nodes[:n:span] -= np.einsum("bq,bqm->bm", wf.sum(axis=1), dsigt) * dt
             grad -= np.einsum("jil,ji->jl", sigt, w) * dt
-        for ell in range(self.p):
-            grad[:, ell] += self.hat_w[ell].T @ s_nodes[:, ell]
+        grad += _lift_adjoint(self.tri, s_nodes)
         return value, grad.reshape(-1)
 
 
@@ -470,7 +508,7 @@ def _solve(objective, opt: OptimizerConfig) -> RateSolution:
     """
     n, p, grid = objective.n, objective.p, objective.grid
     upper = objective.inner(np.zeros((n, p)))[-1]
-    best, spread = _multistart(
+    best, spread, table = _multistart(
         objective.value_grad, (n, p), grid.dt, 2.0 * upper, opt
     )
     x_best, f_best, _, iters, converged, crit = best
@@ -488,6 +526,7 @@ def _solve(objective, opt: OptimizerConfig) -> RateSolution:
         upper_bound_used=upper,
         multistart_spread=spread,
         inner_drift=drift,
+        starts=table,
     )
 
 

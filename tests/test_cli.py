@@ -395,6 +395,27 @@ class TestRateCommands:
         assert main(["rate", "--config", path]) == 5
         assert "error[NUMERIC]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["rate", "terminal-rate"])
+    def test_diagnostics_list_every_start(self, tmp_path, command):
+        out = str(tmp_path / "out")
+        extra = "[optimizer]\nn_starts = 3\n[rate]\nfunctional = i_z\nz = 0.8\n"
+        path = _ini(tmp_path, _one_factor_text(n_steps=8, out=out, rho=0.3,
+                                               extra=extra))
+        argv = [command, "--config", path]
+        if command == "terminal-rate":
+            argv += ["--z", "0.8"]
+        assert main(argv) == 0
+
+        diag = _read_json(os.path.join(out, "diagnostics.json"))
+        starts = diag["starts"]
+        assert len(starts) == 3
+        for row in starts:
+            assert set(row) == {"value", "iterations", "criterion", "converged"}
+        winner = min(starts, key=lambda row: row["value"])
+        assert max(winner["value"], 0.0) == diag["value"]
+        assert winner["iterations"] == diag["iterations"]
+        assert winner["converged"] is diag["converged"]
+
     def test_terminal_rate_brownian_value_and_manifest(self, tmp_path):
         # Independent 2-d driving noise with identity volatility: the
         # terminal rate at z is |z|^2 / (2 T), here 1.0.

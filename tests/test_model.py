@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from volldp.errors import (
     ConfigurationError,
@@ -17,6 +20,7 @@ from volldp.model import (
     ProbeLattice,
     Scaling,
     euler_paths_array,
+    _tensor_apply,
     make_map,
     validate_coefficients,
 )
@@ -54,6 +58,35 @@ def test_exp_linear_map_value_and_jacobian():
     want = 0.4 * np.exp(0.5)
     assert np.allclose(m(y), [[want]])
     assert np.allclose(m.jacobian(y), [[[2.0 * want]]])
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _tensor_and_points(draw):
+    p = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4))
+    map_shape = draw(st.sampled_from([(d,), (d, d), (d, p)]))
+    lead = draw(st.sampled_from(
+        [(), (draw(st.integers(1, 40)),),
+         (draw(st.integers(1, 12)), draw(st.integers(1, 12)))]
+    ))
+    tensor = draw(hnp.arrays(np.float64, map_shape + (p,), elements=_FINITE))
+    y = draw(hnp.arrays(np.float64, lead + (p,), elements=_FINITE))
+    return tensor, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tensor_and_points())
+def test_tensor_apply_is_bitwise_the_tensordot_contraction(case):
+    # the coefficient maps of every Euler step go through this contraction,
+    # so any rounding change would move simulated paths
+    tensor, y = case
+    want = np.tensordot(y, np.moveaxis(tensor, -1, 0), axes=([-1], [0]))
+    got = _tensor_apply(tensor, y)
+    assert got.shape == want.shape == y.shape[:-1] + tensor.shape[:-1]
+    assert np.array_equal(got, want)
 
 
 def test_make_map_validation():

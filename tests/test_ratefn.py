@@ -6,7 +6,7 @@ import pytest
 from volldp.errors import DomainError, SingularDiffusionError
 from volldp.gaussian import discretize_kernel, terminal_variance_bound
 from volldp.grids import PathSample, TimeGrid
-from volldp.kernels import KernelBank
+from volldp.kernels import KernelBank, make_kernel, rescale_kernel
 from volldp.ratefn import (
     CameronMartinPath,
     OptimizerConfig,
@@ -22,7 +22,7 @@ from volldp.ratefn import (
     terminal_rate,
 )
 from volldp.model import ModelCoefficients, make_map
-from volldp.ratefn import _Objective
+from volldp.ratefn import _Objective, _lift, _lift_adjoint, _lift_factors
 
 from conftest import affine_vol_coeffs, constant_coeffs, exp_vol_coeffs, rl_bank
 
@@ -556,3 +556,159 @@ def test_rate_functions_reject_dimension_mismatch(unit_grid):
     x = CameronMartinPath.straight_line(unit_grid, [1.0, 2.0])
     with pytest.raises(DomainError):
         i_uncorrelated(x, rl_bank(0.4), coeffs, FAST_OPT)
+
+
+# ---------------------------------------------------------------------------
+# the triangular lift and a d != p gradient
+# ---------------------------------------------------------------------------
+
+
+def three_factor_bank():
+    """RL, Molchan-Golosov and fractional OU factors on [0, 1]."""
+    return KernelBank((
+        make_kernel("riemann_liouville", hurst=0.3, scale=1.0, horizon=1.0),
+        make_kernel("molchan_golosov", hurst=0.7, scale=1.0, horizon=1.0),
+        make_kernel("fractional_ou", hurst=0.4, scale=1.0, horizon=1.0,
+                    mean_reversion=1.5),
+    ))
+
+
+def d2_p3_coeffs():
+    """d = 2, p = 3: affine mu, exp-linear sigma and sigma_tilde.
+
+    sigma's off-diagonal amplitudes have opposite signs, so det sigma > 0
+    at every y.
+    """
+    rng = np.random.default_rng(31)
+    return ModelCoefficients(
+        d=2, p=3,
+        mu=make_map("affine", (2,), 3, constant=np.array([0.05, -0.03]),
+                    linear=rng.normal(scale=0.2, size=(2, 3))),
+        sigma=make_map("exp_linear", (2, 2), 3,
+                       amplitude=np.array([[0.4, 0.1], [-0.08, 0.3]]),
+                       weights=rng.normal(scale=0.3, size=(2, 2, 3))),
+        sigma_tilde=make_map("exp_linear", (2, 3), 3,
+                             amplitude=np.array([[-0.2, 0.1, 0.05],
+                                                 [0.1, 0.15, -0.1]]),
+                             weights=rng.normal(scale=0.3, size=(2, 3, 3))),
+    )
+
+
+def dense_gradient(problem, bank, flat):
+    """The adjoint gradient with dense lifts and three-operand contractions."""
+    n, p, dt, co = problem.n, problem.p, problem.dt, problem.coeffs
+    dmat = flat.reshape(n, p)
+    fhat, sigt, w, sw, _ = problem.inner(dmat)
+    c = [discretize_kernel(k, problem.grid).hat_weights for k in bank]
+    y = fhat[:n]
+    s_nodes = np.zeros((n + 1, p))
+    s_nodes[:n] -= np.einsum("ji,jim->jm", w, co.mu.jacobian(y)) * dt
+    s_nodes[:n] -= np.einsum("ji,jikm,jk->jm", w, co.sigma.jacobian(y), sw) * dt
+    grad = dmat * dt
+    if sigt is not None:
+        span = problem.span
+        dsigt = np.repeat(co.sigma_tilde.jacobian(fhat[:n:span]), span, axis=0)
+        rows = -np.einsum("ji,jilm,jl->jm", w, dsigt, dmat) * dt
+        s_nodes[:n:span] += rows.reshape(-1, span, p).sum(axis=1)
+        grad -= np.einsum("jil,ji->jl", sigt, w) * dt
+    for ell in range(p):
+        grad[:, ell] += c[ell].T @ s_nodes[:, ell]
+    return grad.reshape(-1)
+
+
+@pytest.mark.parametrize("kind", ["none", "exact", "frozen", "terminal"])
+def test_gradients_match_finite_differences_d2_p3(kind):
+    # d != p: a transposed index in a flattened contraction changes the
+    # gradient here, where with d = p it could still line up; the dense,
+    # three-operand form of the same adjoint is the tight reference
+    n = 12
+    grid = TimeGrid(1.0, n)
+    bank, coeffs = three_factor_bank(), d2_p3_coeffs()
+    rng = np.random.default_rng(41)
+    if kind == "terminal":
+        problem = _Objective(grid, bank, coeffs, 1, z=np.array([0.6, -0.4]))
+    else:
+        span = {"none": None, "exact": 1, "frozen": 3}[kind]
+        xdot = rng.normal(scale=0.5, size=(n, 2))
+        problem = _Objective(grid, bank, coeffs, span, xdot=xdot)
+    for _ in range(6):
+        flat = rng.normal(scale=0.7, size=n * 3)
+        _, grad = problem.value_grad(flat)
+        fd = finite_difference(lambda v: problem.value_grad(v)[0], flat)
+        denom = max(1.0, np.max(np.abs(fd)))
+        assert np.max(np.abs(grad - fd)) / denom < 1e-4
+        want = dense_gradient(problem, bank, flat)
+        assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("family", ["rl", "log_fbm", "mg", "fou", "rescaled"])
+def test_lift_is_triangular(family):
+    # dtrmv reads only the lower triangle of hat_weights[1:]; a kernel that
+    # filled any other cell would be truncated silently
+    kernels = {
+        "rl": lambda: make_kernel("riemann_liouville", hurst=0.3, scale=1.0,
+                                  horizon=0.9),
+        "log_fbm": lambda: make_kernel("log_fbm", hurst=0.3, scale=1.0,
+                                       horizon=0.9),
+        "mg": lambda: make_kernel("molchan_golosov", hurst=0.7, scale=1.0,
+                                  horizon=0.9),
+        "fou": lambda: make_kernel("fractional_ou", hurst=0.2, scale=1.0,
+                                   horizon=0.9, mean_reversion=2.0),
+        "rescaled": lambda: rescale_kernel(
+            make_kernel("molchan_golosov", hurst=0.3, scale=1.0, horizon=0.9),
+            0.5,
+        ),
+    }
+    kernel = kernels[family]()
+    grid = TimeGrid(0.9, 24)
+    c = discretize_kernel(kernel, grid).hat_weights
+    assert np.all(c[0] == 0.0)
+    assert np.all(np.triu(c[1:], 1) == 0.0)
+    assert np.all(np.diag(c[1:]) != 0.0)
+
+    tri = _lift_factors(KernelBank((kernel,)), grid)
+    rng = np.random.default_rng(51)
+    for _ in range(5):
+        x = rng.normal(size=(24, 1))
+        s = rng.normal(size=(25, 1))
+        lifted = _lift(tri, x)
+        dense = c @ x
+        assert np.max(np.abs(lifted - dense)) <= 1e-14 * np.max(np.abs(dense))
+        pulled = _lift_adjoint(tri, s)
+        dense_adj = c.T @ s
+        assert np.max(np.abs(pulled - dense_adj)) <= (
+            1e-14 * np.max(np.abs(dense_adj))
+        )
+        # <L x, s> = <x, L^T s>
+        lhs, rhs = float(np.sum(lifted * s)), float(np.sum(x * pulled))
+        assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# per-start optimizer table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("functional", ["i_z", "i_t"])
+def test_solution_lists_every_start(unit_grid, functional):
+    opt = OptimizerConfig(n_starts=4)
+    coeffs = exp_vol_coeffs(0.4, amplitude=0.3)
+    bank = rl_bank(0.35)
+    if functional == "i_t":
+        sol = terminal_rate(np.array([0.8]), bank, coeffs, unit_grid, opt)
+    else:
+        sol = i_z(CameronMartinPath.straight_line(unit_grid, [0.8]), bank,
+                  coeffs, opt)
+    assert len(sol.starts) == 4
+    for row in sol.starts:
+        assert set(row) == {"value", "iterations", "criterion", "converged"}
+        assert np.isfinite(row["value"]) and row["iterations"] >= 0
+    values = [row["value"] for row in sol.starts]
+    winner = sol.starts[int(np.argmin(values))]
+    assert max(winner["value"], 0.0) == sol.value
+    assert winner["iterations"] == sol.iterations
+    assert winner["criterion"] == sol.grad_norm
+    assert winner["converged"] == sol.converged
+    assert (max(values) - min(values)) / max(abs(winner["value"]), 1e-12) == (
+        sol.multistart_spread
+    )
