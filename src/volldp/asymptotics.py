@@ -29,7 +29,8 @@ equal in law at matched resolution:
 
 Both routes and both tail estimators (``Scaling.small_noise(eps)``) run the
 one Euler scheme, ``model.euler_paths_array``; every path set is an array
-of shape (n, N + 1, d).
+of shape (n, N + 1, d).  The uncorrelated model is sigma_tilde = 0, so a
+tilt and its rate solve read one model; the short-time routes need mu = 0.
 
 ``equivalence_diagnostic`` measures the sup-distance between two path sets
 pair by pair, which is informative only when the sets are coupled through
@@ -60,7 +61,7 @@ from .errors import (
 from .gaussian import discretize_kernel
 from .grids import TimeGrid
 from .kernels import KernelBank, ScaleEntry, ScalingSchedule, rescale_kernel
-from .model import ModelCoefficients, Scaling, euler_paths_array
+from .model import ModelCoefficients, ProbeLattice, Scaling, euler_paths_array
 from .ratefn import RateSolution
 
 _MIN_TAIL_PATHS = 1000
@@ -287,7 +288,6 @@ def estimate_tail_prob(
     event,
     n_paths: int,
     seed: int,
-    correlated: bool = True,
     threads: int | None = None,
 ) -> TailEstimate:
     """Crude Monte Carlo estimate of P(Z^eps in event) with binomial error.
@@ -300,8 +300,7 @@ def estimate_tail_prob(
 
     def block(first: int, count: int) -> _BlockSums:
         values = euler_paths_array(
-            coeffs, bank, grid, scaling, count, seed,
-            correlated=correlated, first_path=first,
+            coeffs, bank, grid, scaling, count, seed, first_path=first,
         ).values
         hits = int(np.count_nonzero(event.indicator(values)))
         return _BlockSums(hits, _count_nonfinite(values))
@@ -327,14 +326,14 @@ def tilted_estimate(
     control: RateSolution,
     n_paths: int,
     seed: int,
-    correlated: bool = True,
     threads: int | None = None,
 ) -> TailEstimate:
     """Importance-sampled estimate under the minimizing-control shift.
 
     Both driver families are shifted by the optimal controls scaled by
     1 / eps; each path is reweighted by the exact Gaussian likelihood ratio,
-    so the estimator is unbiased at every resolution.  Paths run in counter
+    so the estimator is unbiased at every resolution.  The control must be
+    solved on ``grid`` for this model's d and p.  Paths run in counter
     blocks as in ``estimate_tail_prob``.
     """
     _validate_tail_args(n_paths)
@@ -348,6 +347,12 @@ def tilted_estimate(
         raise ValidationError("rate solution carries no Wiener-direction control")
     fdot = control.control.derivative  # (N, p)
     ydot = control.inner_drift  # (N, d)
+    if (control.control.grid != grid or control.control.dim != coeffs.p
+            or ydot.shape != (grid.n_steps, coeffs.d)):
+        raise ValidationError(
+            f"control on {control.control.grid} with shapes {fdot.shape}, "
+            f"{ydot.shape} does not fit {grid} with p = {coeffs.p}, d = {coeffs.d}"
+        )
     dt = grid.dt
     f_sq = float(np.sum(fdot**2)) * dt
     y_sq = float(np.sum(ydot**2)) * dt
@@ -357,8 +362,7 @@ def tilted_estimate(
 
     def block(first: int, count: int) -> _BlockSums:
         paths = euler_paths_array(
-            coeffs, bank, grid, scaling, count, seed,
-            correlated=correlated, first_path=first,
+            coeffs, bank, grid, scaling, count, seed, first_path=first,
             brownian_shift=brownian_shift,
             wiener_shift=wiener_shift,
         )
@@ -479,8 +483,8 @@ def ldp_slope(estimates) -> SlopeEstimate:
 
 
 def _require_driftless(coeffs: ModelCoefficients) -> None:
-    probe = np.linspace(-2.0, 2.0, 5)[:, None] * np.ones((1, coeffs.p))
-    if np.max(np.abs(coeffs.mu(probe))) > 1e-14:
+    """mu = 0 on the coefficient validator's probe lattice, else ValidationError."""
+    if np.max(np.abs(coeffs.mu(ProbeLattice().points(coeffs.p)))) > 1e-14:
         raise ValidationError(
             "short-time asymptotics are implemented for driftless models; "
             "set mu = 0"
@@ -500,7 +504,6 @@ def short_time_values(
     scale,
     n_paths: int,
     seed: int,
-    correlated: bool = True,
 ) -> np.ndarray:
     """Renormalized short-time paths via the rescaled-kernel route.
 
@@ -514,8 +517,7 @@ def short_time_values(
     delta = scale.delta
     rescaled = KernelBank(tuple(rescale_kernel(k, scale.eta) for k in bank))
     values = euler_paths_array(
-        coeffs, rescaled, grid, Scaling.short_time(delta), n_paths, seed,
-        correlated=correlated,
+        coeffs, rescaled, grid, Scaling.short_time(delta), n_paths, seed
     ).values
     return values * (scale.epsilon / np.sqrt(delta))
 
@@ -528,7 +530,6 @@ def short_time_direct(
     n_paths: int,
     seed: int,
     refine: int = 4,
-    correlated: bool = True,
 ) -> np.ndarray:
     """Renormalized short-time paths simulated directly on the short horizon.
 
@@ -546,8 +547,7 @@ def short_time_direct(
     delta = scale.delta
     fine = TimeGrid(grid.horizon * delta, grid.n_steps * refine)
     values = euler_paths_array(
-        coeffs, bank, fine, Scaling.short_time(1.0), n_paths, seed,
-        correlated=correlated,
+        coeffs, bank, fine, Scaling.short_time(1.0), n_paths, seed
     ).values
     return values[:, ::refine, :] * (scale.epsilon / np.sqrt(delta))
 
@@ -706,7 +706,6 @@ def short_time_report(
     seed: int,
     quantiles=(0.8, 0.9, 0.95),
     refine: int = 4,
-    correlated: bool = True,
 ) -> ShortTimeReport:
     """Compare the rescaled and direct short-time routes entry by entry.
 
@@ -717,22 +716,15 @@ def short_time_report(
     terminal KS statistic and exceedance frequencies at thresholds set from
     the rescaled route's empirical quantiles.
     """
-    if n_paths < _MIN_TAIL_PATHS:
-        raise ConfigurationError(
-            f"the diagnostic needs at least {_MIN_TAIL_PATHS} paths per route"
-        )
+    _validate_tail_args(n_paths)
     comps = []
     for i, entry in enumerate(schedule):
         seed_a, seed_b = seed + 2 * i, seed + 2 * i + 1
-        resc = short_time_values(
-            coeffs, bank, grid, entry, n_paths, seed_a, correlated
-        )
-        matched = short_time_direct(
-            coeffs, bank, grid, entry, n_paths, seed_a, 1, correlated
-        )
+        resc = short_time_values(coeffs, bank, grid, entry, n_paths, seed_a)
+        matched = short_time_direct(coeffs, bank, grid, entry, n_paths, seed_a, 1)
         paired = equivalence_diagnostic(resc, matched)
         direct = short_time_direct(
-            coeffs, bank, grid, entry, n_paths, seed_b, refine, correlated
+            coeffs, bank, grid, entry, n_paths, seed_b, refine
         )[:, -1, 0]
         resc_term = resc[:, -1, 0]
         ks = stats.ks_2samp(resc_term, direct, method="asymp")

@@ -120,8 +120,7 @@ def _cmd_simulate(cfg, out_dir: str) -> None:
     # produced paths.csv, row for row.
     paths = euler_paths_array(
         cfg.coeffs, cfg.bank, cfg.grid, Scaling.small_noise(opts.epsilon),
-        opts.n_paths, cfg.seed, correlated=opts.correlated,
-        convolve_per_path=True,
+        opts.n_paths, cfg.seed, convolve_per_path=True,
     )
     values = paths.values
     d = cfg.coeffs.d
@@ -264,13 +263,12 @@ def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
         if opts.estimator == "tilted":
             est = tilted_estimate(
                 cfg.coeffs, cfg.bank, cfg.grid, eps, event, solution,
-                opts.n_paths, seed, correlated=opts.correlated,
-                threads=threads,
+                opts.n_paths, seed, threads=threads,
             )
         else:
             est = estimate_tail_prob(
                 cfg.coeffs, cfg.bank, cfg.grid, eps, event, opts.n_paths,
-                seed, correlated=opts.correlated, threads=threads,
+                seed, threads=threads,
             )
         estimates.append(est)
     # fit first: a degenerate level fails here, before any artifact exists
@@ -314,7 +312,6 @@ def _cmd_short_time(cfg, out_dir: str) -> None:
     report = short_time_report(
         cfg.coeffs, cfg.bank, cfg.grid, cfg.schedule, opts.n_paths, cfg.seed,
         quantiles=opts.quantiles, refine=opts.refine,
-        correlated=opts.correlated,
     )
     # the report's rescaled route ran at seed + 2 i: these are its samples
     rows = []

@@ -22,6 +22,7 @@ import configparser
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
+from .asymptotics import _MIN_TAIL_PATHS
 from .errors import ConfigurationError
 from .grids import TimeGrid
 from .kernels import KernelBank, ScalingSchedule, kernel_class
@@ -48,8 +49,8 @@ _BOUNDS = {
     ("run", "seed"): ">= 0",
     ("simulate", "n_paths"): ">= 1",
     ("simulate", "epsilon"): "> 0",
-    ("verify-ldp", "n_paths"): ">= 1000",
-    ("short-time", "n_paths"): ">= 1000",
+    ("verify-ldp", "n_paths"): f">= {_MIN_TAIL_PATHS}",
+    ("short-time", "n_paths"): f">= {_MIN_TAIL_PATHS}",
     ("short-time", "refine"): ">= 1",
 }
 
@@ -146,7 +147,6 @@ def _build(section: str, make, *args, **values):
 class SimulateOptions:
     n_paths: int = 8
     epsilon: float = 1.0
-    correlated: bool = True
     emit_drivers: bool = False
 
 
@@ -169,7 +169,6 @@ class VerifyLdpOptions:
     epsilons: tuple = (0.4, 0.3, 0.25, 0.2)
     n_paths: int = 100_000
     estimator: str = "tilted"
-    correlated: bool = True
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,6 @@ class ShortTimeOptions:
     n_paths: int = 10_000
     refine: int = 4
     quantiles: tuple = (0.8, 0.9, 0.95)
-    correlated: bool = True
 
 
 _SUBCOMMANDS = {

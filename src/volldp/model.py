@@ -6,11 +6,12 @@ The log-price Z solves, on [0, T],
            + eps sum_l sigmat_il(Y) dB_l + eps sum_j sigma_ij(Y) dW_j,
 
 driven by the volatility argument Y(t) = eps * Bhat(t), with W independent
-of the Brownian driver B of the Volterra convolution Bhat.  The uncorrelated
-variant drops the sigmat * dB term (and its Ito correction).  Coefficients
+of the Brownian driver B of the Volterra convolution Bhat.  Coefficients
 mu, sigma, sigmat are maps R^p -> R^d, R^{d x d}, R^{d x p} drawn from a
 small set of parametric families that expose analytic Jacobians (the rate
-functional optimizer differentiates through them).
+functional optimizer differentiates through them).  The maps are the one
+description of the dynamics: the uncorrelated model is sigmat = 0 (a
+constant zero map), and a driftless one is mu = 0.
 
 Simulation uses the left-endpoint Euler scheme in Ito convention; the
 per-step conditional law of the increment given the volatility path is then
@@ -460,22 +461,21 @@ def validate_coefficients(
 class Scaling:
     """Noise scaling of the Euler scheme.
 
-    A step reads (drift mu - noise_var / 2 * ito) dt + sqrt(noise_var) *
-    noise, with the coefficients evaluated at vol_arg * Bhat.  The two
+    A step reads (mu - noise_var / 2 * ito) dt + sqrt(noise_var) * noise,
+    with the coefficients evaluated at vol_arg * Bhat.  The two
     constructors are the two regimes of the asymptotics: small noise eps,
     and the time change of the short horizon delta * T to the unit one.
     """
 
     noise_var: float
     vol_arg: float
-    drift: float
 
     @classmethod
     def small_noise(cls, eps: float) -> "Scaling":
         """Ito correction eps^2, noise eps, volatility argument eps * Bhat."""
         if not eps > 0.0:
             raise DomainError(f"epsilon must be positive, got {eps}")
-        return cls(eps**2, eps, 1.0)
+        return cls(eps**2, eps)
 
     @classmethod
     def short_time(cls, delta: float) -> "Scaling":
@@ -484,7 +484,7 @@ class Scaling:
         ``short_time(1.0)`` runs the original dynamics unscaled (the direct
         short-time route on the short horizon).
         """
-        return cls(delta, 1.0, 0.0)
+        return cls(delta, 1.0)
 
 
 class EulerPaths(NamedTuple):
@@ -515,7 +515,6 @@ def euler_paths_array(
     scaling: Scaling,
     n_paths: int,
     seed: int,
-    correlated: bool = True,
     first_path: int = 0,
     brownian_shift=None,
     wiener_shift=None,
@@ -555,13 +554,11 @@ def euler_paths_array(
     y = scaling.vol_arg * volterra[:, :-1, :]        # (n_paths, N, p)
     sig = coeffs.sigma(y)                            # (n_paths, N, d, d)
     mu = coeffs.mu(y)                                # (n_paths, N, d)
-    ito = np.sum(sig**2, axis=-1)
-    noise = np.einsum("knij,knj->kni", sig, dw)
-    if correlated:
-        sigt = coeffs.sigma_tilde(y)                 # (n_paths, N, d, p)
-        ito = ito + np.sum(sigt**2, axis=-1)
-        noise = noise + np.einsum("knil,knl->kni", sigt, increments)
-    steps = (scaling.drift * mu - 0.5 * scaling.noise_var * ito) * dt
+    sigt = coeffs.sigma_tilde(y)                     # (n_paths, N, d, p)
+    ito = np.sum(sig**2, axis=-1) + np.sum(sigt**2, axis=-1)
+    noise = (np.einsum("knij,knj->kni", sig, dw)
+             + np.einsum("knil,knl->kni", sigt, increments))
+    steps = (mu - 0.5 * scaling.noise_var * ito) * dt
     steps += np.sqrt(scaling.noise_var) * noise
     values = np.zeros((n_paths, n + 1, d))
     values[:, 1:, :] = np.cumsum(steps, axis=1)

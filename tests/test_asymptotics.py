@@ -25,8 +25,10 @@ from volldp.errors import (
     ValidationError,
 )
 from volldp.grids import PathSample, TimeGrid
-from volldp.kernels import ScaleEntry, ScalingSchedule
-from volldp.model import Scaling, euler_paths_array
+from volldp.kernels import KernelBank, ScaleEntry, ScalingSchedule
+from volldp.model import (
+    ConstantMap, ModelCoefficients, Scaling, euler_paths_array, make_map,
+)
 from volldp.ratefn import (
     CameronMartinPath,
     OptimizerConfig,
@@ -281,6 +283,24 @@ def test_tilted_requires_converged_control(unit_grid):
                         TerminalHalfSpace(0.3), no_drift, 2000, seed=0)
 
 
+def test_tilted_rejects_a_mismatched_control():
+    # a control is a path on the grid it was solved on, in the model's
+    # dimensions; used anywhere else it would tilt the wrong drivers
+    coeffs = exp_vol_coeffs(-0.5, amplitude=0.3)
+    bank = rl_bank(0.35)
+    event = TerminalHalfSpace(0.4)
+    grid = TimeGrid(1.0, 64)
+    coarse = terminal_rate(np.array([0.4]), bank, coeffs, TimeGrid(1.0, 32),
+                           FAST_OPT)
+    short = zero_control_solution(TimeGrid(0.5, 64))
+    wide = zero_control_solution(grid, d=2, p=1)
+    tall = zero_control_solution(grid, d=1, p=2)
+    for control in (coarse, short, wide, tall):
+        with pytest.raises(ValidationError, match="does not fit"):
+            tilted_estimate(coeffs, bank, grid, 0.4, event, control, 2000,
+                            seed=5)
+
+
 def test_tilted_estimator_agrees_with_crude_and_reduces_variance():
     # moderate-deviation regime where both estimators resolve the event
     coeffs = constant_coeffs(1, 1, sigma=[[1.0]])
@@ -436,6 +456,18 @@ def test_short_time_requires_driftless_model(unit_grid):
         short_time_values(coeffs, rl_bank(0.4), unit_grid, entry, 50, seed=0)
     with pytest.raises(ValidationError):
         short_time_direct(coeffs, rl_bank(0.4), unit_grid, entry, 50, seed=0)
+    # mu(y) = y_1 - y_2 vanishes on the diagonal y_1 = y_2 only
+    bank = KernelBank((rl_bank(0.4)[0], rl_bank(0.3)[0]))
+    skew = ModelCoefficients(
+        d=1, p=2,
+        mu=make_map("affine", shape=(1,), in_dim=2, constant=[0.0],
+                    linear=[1.0, -1.0]),
+        sigma=ConstantMap(np.ones((1, 1)), 2),
+        sigma_tilde=ConstantMap(np.zeros((1, 2)), 2),
+    )
+    for route in (short_time_values, short_time_direct):
+        with pytest.raises(ValidationError, match="driftless"):
+            route(skew, bank, unit_grid, entry, 50, seed=0)
 
 
 def test_short_time_refine_validation(unit_grid):

@@ -613,6 +613,61 @@ class TestVerifyLdp:
         assert manifest["error"]["message"].startswith("69 of 2000")
         assert manifest["threads_effective"] == 1
 
+    def test_uncorrelated_model_solves_and_samples_one_model(self, tmp_path):
+        # the ldp_tilted experiment with sigma_tilde = 0: the rate solve and
+        # the tilted sampler both read the uncorrelated model, so the slope
+        # lands near its own terminal rate (about 1.611, not the correlated
+        # model's 2.407)
+        from volldp.ratefn import terminal_rate
+
+        amplitude = 0.3 * math.sqrt(1.0 - 0.5**2)
+        text = f"""
+[grid]
+horizon = 1.0
+n_steps = 64
+
+[kernel.1]
+family = riemann_liouville
+hurst = 0.3
+scale = 1.0
+
+[model]
+d = 1
+p = 1
+
+[model.mu]
+family = constant
+values = 0.0
+
+[model.sigma]
+family = exp_linear
+amplitude = {amplitude!r}
+weights = 1.0
+
+[model.sigma_tilde]
+family = constant
+values = 0.0
+
+[verify-ldp]
+threshold = 1.0
+epsilons = 0.4 0.3 0.25 0.2
+n_paths = 65536
+estimator = tilted
+
+[run]
+seed = 11
+out = {tmp_path / "out"}
+"""
+        path = _ini(tmp_path, text)
+        assert main(["verify-ldp", "--config", path]) == 0
+        summary = _read_json(str(tmp_path / "out" / "summary.json"))
+        cfg = parse_config(text)
+        want = terminal_rate(np.array([1.0]), cfg.bank, cfg.coeffs, cfg.grid,
+                             cfg.optimizer).value
+        assert summary["target_rate"] == want
+        assert want == pytest.approx(1.611, abs=5e-3)
+        assert summary["relative_gap"] <= 0.15
+
     def test_internal_error_exit_code_and_manifest(self, tmp_path, capsys,
                                                    monkeypatch):
         # an exception that is not a package error is INTERNAL: one stderr
@@ -694,7 +749,6 @@ class TestShortTime:
         for i, entry in enumerate(cfg.schedule):
             want = short_time_values(
                 cfg.coeffs, cfg.bank, cfg.grid, entry, 1000, cfg.seed + 2 * i,
-                correlated=cfg.short_time.correlated,
             )[:, -1, 0]
             got = rows[1000 * i : 1000 * (i + 1)]
             assert [row[0] for row in got] == [entry.delta] * 1000

@@ -160,6 +160,23 @@ def test_cli_rejects_misspelled_key_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section", ["simulate", "verify-ldp", "short-time"])
+def test_correlated_is_not_an_option(tmp_path, capsys, section):
+    # the uncorrelated model is sigma_tilde = 0; no flag says it twice
+    text = _with(_BASE, section, "correlated = false")
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"config section [{section}], field 'correlated': unknown option")):
+        parse_config(text)
+    if section == "verify-ldp":
+        out = tmp_path / "o"
+        path = tmp_path / "exp.ini"
+        path.write_text(text.replace("seed = 7", f"seed = 7\nout = {out}"),
+                        encoding="utf-8")
+        assert main(["verify-ldp", "--config", str(path)]) == 2
+        assert "'correlated': unknown option" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_unset_options_take_the_record_defaults():
     cfg = parse_config(_BASE)
     assert cfg.simulate == SimulateOptions()

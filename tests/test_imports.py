@@ -1,11 +1,15 @@
-"""Dead-import guard: every name a module imports is referenced in it.
+"""Dead-code guards: unused imports and unused parameters.
 
-No linter ships with the toolchain, so this stdlib ``ast`` scan stands in
-for pyflakes' unused-import rule.  ``volldp/__init__.py`` is exempt: its
-imports are the package's re-exports.
+No linter ships with the toolchain, so these stdlib ``ast`` scans stand in
+for pyflakes' unused-import rule and for an unused-argument rule.  Every
+name a module imports is referenced in it (``volldp/__init__.py`` is
+exempt: its imports are the package's re-exports), and every parameter of
+every function in ``src/volldp`` is read in its body, apart from the
+receivers ``self`` and ``cls`` and the exemptions listed in ``_UNUSED_OK``.
 """
 
 import ast
+import fnmatch
 import pathlib
 
 import pytest
@@ -19,6 +23,15 @@ _MODULES = [
 
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# Parameters a function takes without reading, by (module, qualified name);
+# the name may end in '*'.  Both are fixed by a calling protocol.
+_UNUSED_OK = {
+    # abstract: every kernel family overrides it
+    ("kernels.py", "VolterraKernel._raw"): {"t", "s"},
+    # the selftest battery calls every check with a generator
+    ("selftest.py", "_check_*"): {"rng"},
+}
 
 
 def _own_nodes(scope):
@@ -67,3 +80,78 @@ def test_scan_finds_a_dead_import():
 )
 def test_no_dead_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_parameters(source: str) -> list:
+    """(qualified function name, parameter) for every parameter, other than
+    ``self`` and ``cls``, that its function never loads.
+
+    A parameter read only by a function nested inside counts as read.
+    Lambdas are named ``<lambda>`` in their enclosing scope.
+    """
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*_SCOPES, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                args = child.args
+                params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                          args.vararg, *args.kwonlyargs,
+                                          args.kwarg) if a is not None]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                          if isinstance(n, ast.Name)}
+                out.extend((name, p) for p in params
+                           if p not in loaded and p not in ("self", "cls"))
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_scan_finds_an_unused_parameter():
+    source = (
+        "def f(a, b, *args, c, **kw):\n    return a, kw\n"
+        "class K:\n    def m(self, x):\n        def inner(y):\n"
+        "            return x\n        return inner\n"
+        "g = lambda u, v: u\n"
+    )
+    assert unused_parameters(source) == [
+        ("f", "b"), ("f", "args"), ("f", "c"), ("K.m.inner", "y"),
+        ("<lambda>", "v"),
+    ]
+
+
+def _exemption(module: str, name: str, param: str):
+    """The key of ``_UNUSED_OK`` that allows ``param`` of ``name``, or None."""
+    return next(
+        (key for key, params in _UNUSED_OK.items()
+         if key[0] == module and fnmatch.fnmatchcase(name, key[1])
+         and param in params),
+        None,
+    )
+
+
+_SRC = [path for path in _MODULES if path.parent.name == "volldp"]
+
+
+@pytest.mark.parametrize("path", _SRC, ids=[p.name for p in _SRC])
+def test_no_unused_parameters(path):
+    found = unused_parameters(path.read_text(encoding="utf-8"))
+    assert [(name, p) for name, p in found
+            if _exemption(path.name, name, p) is None] == []
+
+
+def test_unused_parameter_exemptions_are_all_needed():
+    # an exemption that matches nothing has outlived its reason
+    used = {
+        _exemption(path.name, name, param)
+        for path in _SRC
+        for name, param in unused_parameters(path.read_text(encoding="utf-8"))
+    }
+    assert used - {None} == set(_UNUSED_OK)

@@ -285,11 +285,11 @@ def test_scaling_constructors():
     rng = np.random.default_rng(5)
     for e in rng.uniform(1e-3, 10.0, size=1000).tolist():
         s = Scaling.small_noise(e)
-        assert (s.noise_var, s.vol_arg, s.drift) == (e**2, e, 1.0)
+        assert (s.noise_var, s.vol_arg) == (e**2, e)
         assert np.sqrt(s.noise_var) == e
     for delta in (1e-3, 0.05, 1.0):
         s = Scaling.short_time(delta)
-        assert (s.noise_var, s.vol_arg, s.drift) == (delta, 1.0, 0.0)
+        assert (s.noise_var, s.vol_arg) == (delta, 1.0)
 
 
 def test_euler_determinism():
@@ -309,7 +309,7 @@ def test_constant_volatility_terminal_law():
     grid = TimeGrid(1.0, 16)
     eps, n = 0.7, 40_000
     values = euler_paths_array(coeffs, bank, grid, Scaling.small_noise(eps), n,
-                               seed=21, correlated=False).values
+                               seed=21).values
     z = values[:, -1, 0]
     mean_want, var_want = -0.5 * eps**2, eps**2
     mean_se = eps / np.sqrt(n)
@@ -331,34 +331,40 @@ def test_discrete_exponential_martingale():
     assert abs(w.mean() - 1.0) <= 3 * se
 
 
-def test_uncorrelated_ignores_sigma_tilde():
-    # with sigma_tilde forced out of the dynamics the correlated=False route
-    # must coincide with a model that never had it
-    base = exp_vol_coeffs(0.7, amplitude=0.3)
-    grid = TimeGrid(1.0, 10)
-    bank = rl_bank(0.4)
-    scaling = Scaling.small_noise(0.5)
-    a = euler_paths_array(base, bank, grid, scaling, 6, seed=13,
-                          correlated=False).values
-    total = ConstantMap(np.zeros((1, 1)), 1)
-    b = euler_paths_array(
-        ModelCoefficients(d=1, p=1, mu=base.mu, sigma=base.sigma,
-                          sigma_tilde=total),
-        bank, grid, scaling, 6, seed=13, correlated=False,
-    ).values
-    assert np.array_equal(a, b)
+def _uncorrelated_step_values(coeffs, scaling, dt, paths):
+    """Reference: the Euler scheme without the sigma_tilde dB term, as the
+    uncorrelated model was once simulated, on the drivers of ``paths``."""
+    y = scaling.vol_arg * paths.volterra[:, :-1, :]
+    sig = coeffs.sigma(y)
+    ito = np.sum(sig**2, axis=-1)
+    noise = np.einsum("knij,knj->kni", sig, paths.dw)
+    steps = (coeffs.mu(y) - 0.5 * scaling.noise_var * ito) * dt
+    steps += np.sqrt(scaling.noise_var) * noise
+    values = np.zeros_like(paths.values)
+    values[:, 1:, :] = np.cumsum(steps, axis=1)
+    return values
 
 
-def test_zero_sigma_tilde_correlated_matches_uncorrelated():
-    coeffs = exp_vol_coeffs(0.0, amplitude=0.3)
-    bank = rl_bank(0.35)
-    grid = TimeGrid(1.0, 12)
-    scaling = Scaling.small_noise(0.5)
-    a = euler_paths_array(coeffs, bank, grid, scaling, 8, seed=7,
-                          correlated=True).values
-    b = euler_paths_array(coeffs, bank, grid, scaling, 8, seed=7,
-                          correlated=False).values
-    assert np.max(np.abs(a - b)) == 0.0
+@pytest.mark.parametrize("scaling, drift", [
+    (Scaling.small_noise(0.4), 0.05),
+    (Scaling.small_noise(0.2), 0.05),
+    (Scaling.short_time(0.3), 0.0),  # the short-time routes need mu = 0
+], ids=["small_noise_0.4", "small_noise_0.2", "short_time_0.3"])
+def test_zero_sigma_tilde_is_the_uncorrelated_scheme(scaling, drift):
+    # the uncorrelated model is a sigma_tilde = 0 map: its paths equal, bit
+    # for bit, the scheme that leaves the sigma_tilde term out (the
+    # one-factor ldp_tilted model, sigma = sqrt(1 - rho^2) * amplitude)
+    rho, amplitude = -0.5, 0.3
+    sigma = make_map("exp_linear", shape=(1, 1), in_dim=1,
+                     amplitude=[np.sqrt(1.0 - rho * rho) * amplitude],
+                     weights=[1.0])
+    coeffs = ModelCoefficients(d=1, p=1, mu=ConstantMap(np.array([drift]), 1),
+                               sigma=sigma,
+                               sigma_tilde=ConstantMap(np.zeros((1, 1)), 1))
+    grid = TimeGrid(1.0, 64)
+    paths = euler_paths_array(coeffs, rl_bank(0.3), grid, scaling, 3000, seed=13)
+    want = _uncorrelated_step_values(coeffs, scaling, grid.dt, paths)
+    assert np.array_equal(paths.values, want)
 
 
 def test_correlated_noise_decomposition():
@@ -371,7 +377,6 @@ def test_correlated_noise_decomposition():
     eps = 0.6
     values, increments, dw, _, _ = euler_paths_array(
         coeffs, bank, grid, Scaling.small_noise(eps), 500, seed=19,
-        correlated=True,
     )
     # reconstruct Z_T by hand from the stored increments
     s = 0.5
@@ -421,10 +426,6 @@ def test_euler_paths_shapes_and_replay():
     bank = rl_bank(0.3)
     grid = TimeGrid(1.0, 10)
     scaling = Scaling.small_noise(0.4)
-    plain = euler_paths_array(coeffs, bank, grid, scaling, 3, seed=23,
-                              correlated=False, convolve_per_path=True)
-    assert plain.values.shape == (3, 11, 1)
-
     paths = euler_paths_array(coeffs, bank, grid, scaling, 3, seed=23,
                               convolve_per_path=True)
     assert paths.values.shape == (3, 11, 1)
