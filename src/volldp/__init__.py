@@ -8,6 +8,8 @@ The package is organized bottom-up:
 * :mod:`volldp.ratefn` -- rate functionals and their minimization
 * :mod:`volldp.asymptotics` -- tail estimators, slope fits, short-time routes
 * :mod:`volldp.config` / :mod:`volldp.cli` -- experiment files and driver
+* :mod:`volldp.selftest` -- property checks shared by ``volldp selftest``
+  and the test suite
 """
 
 from .errors import (
@@ -20,7 +22,7 @@ from .errors import (
     ValidationError,
     VolldpError,
 )
-from .grids import PathSample, TimeGrid
+from .grids import TimeGrid
 from .kernels import (
     FractionalOUKernel,
     KernelBank,

@@ -384,12 +384,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for name in commands:
         cmd = sub.add_parser(name)
-        if name != "selftest":
+        if name != "selftest":  # the battery reads no config and fixes its seed
             cmd.add_argument("--config", required=True, help="experiment file")
-        else:
-            cmd.add_argument("--config", required=False, help="(unused)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the config seed")
+            cmd.add_argument("--seed", type=int, default=None,
+                             help="override the config seed")
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--threads", type=int, default=None,
                          help="worker threads of the tail estimators (default: "

@@ -1,4 +1,4 @@
-"""Uniform time grids and the single-path container."""
+"""Uniform time grids."""
 
 from dataclasses import dataclass
 
@@ -40,33 +40,3 @@ class TimeGrid:
                 f"block count m={m} must divide the number of grid steps "
                 f"N={self.n_steps}"
             )
-
-
-@dataclass
-class PathSample:
-    """One path on a grid: values[i] is the state vector at grid node i.
-
-    The rate functionals use it for single deterministic paths; a set of
-    sampled paths is an array of shape (n, N + 1, dim).
-    """
-
-    grid: TimeGrid
-    values: np.ndarray  # shape (N + 1, dim)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim == 1:
-            self.values = self.values[:, None]
-        if self.values.shape[0] != self.grid.n_steps + 1:
-            raise ConfigurationError(
-                f"path has {self.values.shape[0]} nodes, grid has "
-                f"{self.grid.n_steps + 1}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[-1]

@@ -49,7 +49,7 @@ from .errors import (
     ConfigurationError, DomainError, OptimizationError, SingularDiffusionError,
 )
 from .gaussian import discretize_kernel
-from .grids import PathSample, TimeGrid
+from .grids import TimeGrid
 from .kernels import KernelBank
 from .model import ModelCoefficients, _require_nonsingular
 
@@ -93,9 +93,6 @@ class CameronMartinPath:
     @property
     def h1_norm_sq(self) -> float:
         return float(np.sum(self.derivative**2) * self.grid.dt)
-
-    def as_path(self) -> PathSample:
-        return PathSample(self.grid, self.values)
 
     @classmethod
     def zero(cls, grid: TimeGrid, dim: int) -> "CameronMartinPath":
@@ -142,15 +139,23 @@ def gamma_functional(x: CameronMartinPath, a_path: np.ndarray) -> float:
     return 0.5 * float(np.einsum("ji,jik,jk->", xd, a_path, xd)) * x.grid.dt
 
 
-def j_rate(x: CameronMartinPath, phi: PathSample, coeffs: ModelCoefficients) -> float:
-    """J(x | phi) = 1/2 int (xdot - mu(phi))^T a(phi)^(-1) (xdot - mu(phi)) dt."""
-    if x.grid != phi.grid:
-        raise DomainError("x and phi live on different grids")
-    if phi.dim != coeffs.p:
+def _require_node_path(path, grid: TimeGrid, p: int, name: str) -> np.ndarray:
+    """``path`` as an (N + 1, p) array of values at the nodes of ``grid``."""
+    path = np.asarray(path, dtype=float)
+    if path.shape != (grid.n_steps + 1, p):
         raise DomainError(
-            f"path dimension {phi.dim} does not match factor count {coeffs.p}"
+            f"{name} has shape {path.shape}, expected ({grid.n_steps + 1}, {p})"
         )
-    y = phi.values[: x.grid.n_steps]
+    return path
+
+
+def j_rate(x: CameronMartinPath, phi, coeffs: ModelCoefficients) -> float:
+    """J(x | phi) = 1/2 int (xdot - mu(phi))^T a(phi)^(-1) (xdot - mu(phi)) dt.
+
+    ``phi`` holds the volatility path at the nodes of x's grid, (N + 1, p).
+    """
+    phi = _require_node_path(phi, x.grid, coeffs.p, "phi")
+    y = phi[: x.grid.n_steps]
     a = coeffs.a(y)
     _require_nonsingular(a, "diffusion matrix")
     resid = x.derivative - coeffs.mu(y)
@@ -187,8 +192,9 @@ def _lift_factors(bank: KernelBank, grid: TimeGrid) -> list:
     return [discretize_kernel(kernel, grid).hat_weights[1:] for kernel in bank]
 
 
-def hat_map(f: CameronMartinPath, bank: KernelBank) -> PathSample:
-    """Kernel lift fhat_l(t_i) = sum_j (cell integral of K_l(t_i, .)) fdot_l(t_j).
+def hat_map(f: CameronMartinPath, bank: KernelBank) -> np.ndarray:
+    """Kernel lift fhat_l(t_i) = sum_j (cell integral of K_l(t_i, .)) fdot_l(t_j),
+    at every node, (N + 1, p).
 
     Uses the same cell-exact weights as the path sampler, so fhat is exactly
     the Cameron-Martin shift of the discrete convolution scheme.
@@ -197,7 +203,7 @@ def hat_map(f: CameronMartinPath, bank: KernelBank) -> PathSample:
         raise DomainError(
             f"control has {f.dim} components, bank has {bank.n_factors}"
         )
-    return PathSample(f.grid, _lift(_lift_factors(bank, f.grid), f.derivative))
+    return _lift(_lift_factors(bank, f.grid), f.derivative)
 
 
 def _phi(coeffs: ModelCoefficients, g: np.ndarray, dmat: np.ndarray, span):
@@ -215,43 +221,41 @@ def _phi(coeffs: ModelCoefficients, g: np.ndarray, dmat: np.ndarray, span):
 
 
 def phi_m(
-    f: CameronMartinPath, g: PathSample, m: int, coeffs: ModelCoefficients
-) -> PathSample:
+    f: CameronMartinPath, g, m: int, coeffs: ModelCoefficients
+) -> CameronMartinPath:
     """Block-frozen correlation integral Phi^m(f, g).
 
+    ``g`` holds the lifted path at the nodes of f's grid, (N + 1, p).
     Within each of the m blocks, sigma_tilde is frozen at g evaluated at the
     block's left endpoint and integrated against the increments of f; at a
     block boundary the completed-block branch applies.
     """
-    if f.grid != g.grid:
-        raise DomainError("f and g live on different grids")
-    if f.dim != coeffs.p or g.dim != coeffs.p:
-        raise DomainError("f and g must have one component per factor")
+    if f.dim != coeffs.p:
+        raise DomainError("f must have one component per factor")
+    g = _require_node_path(g, f.grid, coeffs.p, "g")
     f.grid.require_divisible(m)
-    phidot = _phi(coeffs, g.values, f.derivative, f.grid.n_steps // m)[1]
-    return CameronMartinPath(f.grid, phidot).as_path()
+    phidot = _phi(coeffs, g, f.derivative, f.grid.n_steps // m)[1]
+    return CameronMartinPath(f.grid, phidot)
 
 
 def phi_map(
     f: CameronMartinPath, bank: KernelBank, coeffs: ModelCoefficients
-) -> PathSample:
+) -> CameronMartinPath:
     """Correlation integral Phi_i(f, fhat)(t) = sum_l int sigmat_il(fhat) fdot_l ds."""
-    phidot = _phi(coeffs, hat_map(f, bank).values, f.derivative, 1)[1]
-    return CameronMartinPath(f.grid, phidot).as_path()
+    phidot = _phi(coeffs, hat_map(f, bank), f.derivative, 1)[1]
+    return CameronMartinPath(f.grid, phidot)
 
 
 def j_m_correlated(
     x: CameronMartinPath,
     f: CameronMartinPath,
-    g: PathSample,
+    g,
     m: int,
     coeffs: ModelCoefficients,
 ) -> float:
-    """Frozen-block objective J(x - Phi^m(f, g) | g)."""
+    """Frozen-block objective J(x - Phi^m(f, g) | g); g is (N + 1, p)."""
     pm = phi_m(f, g, m, coeffs)
-    shifted = CameronMartinPath(
-        x.grid, x.derivative - np.diff(pm.values, axis=0) / x.grid.dt
-    )
+    shifted = CameronMartinPath(x.grid, x.derivative - pm.derivative)
     return j_rate(shifted, g, coeffs)
 
 
@@ -287,8 +291,8 @@ class RateSolution:
 
     value: float
     control: CameronMartinPath
-    hat_path: PathSample
-    phi_path: PathSample
+    hat_path: np.ndarray  # (N + 1, p), the lifted control at the nodes
+    phi_path: CameronMartinPath
     iterations: int
     grad_norm: float
     converged: bool
@@ -518,8 +522,8 @@ def _solve(objective, opt: OptimizerConfig) -> RateSolution:
     return RateSolution(
         value=max(float(f_best), 0.0),
         control=CameronMartinPath(grid, dmat),
-        hat_path=PathSample(grid, fhat),
-        phi_path=CameronMartinPath(grid, phidot).as_path(),
+        hat_path=fhat,
+        phi_path=CameronMartinPath(grid, phidot),
         iterations=iters,
         grad_norm=float(crit),
         converged=converged,

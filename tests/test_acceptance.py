@@ -28,7 +28,6 @@ from volldp.gaussian import (
     covariance_matrix,
     draw_driver_arrays,
     sample_volterra_cholesky,
-    terminal_variance_bound,
 )
 from volldp.grids import TimeGrid
 from volldp.kernels import KernelBank, ScalingSchedule, make_kernel
@@ -36,14 +35,18 @@ from volldp.model import ModelCoefficients, make_map
 from volldp.ratefn import (
     CameronMartinPath,
     OptimizerConfig,
-    _Objective,
-    gamma_functional,
     hat_map,
     i_z,
     i_z_m,
     phi_m,
     phi_map,
     terminal_rate,
+)
+from volldp.selftest import (
+    check_energy_inequalities,
+    check_gradients,
+    check_hat_map_bound,
+    check_terminal_closed_form,
 )
 
 OPT = OptimizerConfig()
@@ -71,41 +74,21 @@ def _rl_bank(hurst: float, horizon: float = 1.0) -> KernelBank:
 
 def test_acceptance_1_constant_coefficient_terminal_rate():
     t_start = time.monotonic()
-    grid = TimeGrid(1.0, 32)
-    bank = _rl_bank(0.5)
-    sigma = np.diag([1.0, 2.0])
-    mu = np.array([0.1, 0.0])
-    coeffs = ModelCoefficients(
-        d=2, p=1,
-        mu=_constant_map((2,), 1, mu),
-        sigma=_constant_map((2, 2), 1, sigma),
-        sigma_tilde=_constant_map((2, 1), 1, np.zeros((2, 1))),
+    # the terminal closed form (value and vanishing driver control) at
+    # mu = (0.1, 0), sigma = diag(1, 2), T = 1 over 20 random targets
+    failures = check_terminal_closed_form(
+        np.random.default_rng(41), 20, mu=[0.1, 0.0], sigma=np.diag([1.0, 2.0])
     )
-    # With constant coefficients and no dependence on the driver, the
-    # minimizer is Gaussian: the optimal path is the straight line to z and
-    # the value is the quadratic form 1/2 (z - M)^T (T a)^{-1} (z - M) with
-    # M = mu T and a = sigma sigma^T = diag(1, 4); the driver control must
-    # vanish because it only adds energy.
-    a_inv_over_t = np.linalg.inv(1.0 * sigma @ sigma.T)
-    rng = np.random.default_rng(41)
-    max_err = 0.0
-    max_control = 0.0
-    for _ in range(20):
-        z = mu + rng.normal(scale=1.0, size=2)
-        want = 0.5 * (z - mu) @ a_inv_over_t @ (z - mu)
-        sol = terminal_rate(z, bank, coeffs, grid, OPT)
-        max_err = max(max_err, abs(sol.value - want))
-        max_control = max(max_control, np.sqrt(sol.control.h1_norm_sq))
     elapsed = time.monotonic() - t_start
-    ok = max_err <= 1e-6 and max_control < 1e-4 and elapsed < 10.0
+    ok = not failures and elapsed < 10.0
     _verdict(
         1, ok,
         "terminal rate vs Gaussian quadratic form over 20 random targets: "
-        f"max|error| = {max_err:.2e} (tol 1e-6), sup driver-control norm = "
-        f"{max_control:.2e} (tol 1e-4), {elapsed:.1f}s (budget 10s)",
+        f"{len(failures)} failures (value rel tol 1e-9, driver-control norm "
+        f"tol 1e-4){f' [{failures[0]}]' if failures else ''}, "
+        f"{elapsed:.1f}s (budget 10s)",
     )
-    assert max_err <= 1e-6
-    assert max_control < 1e-4
+    assert failures == []
     assert elapsed < 10.0
 
 
@@ -309,86 +292,8 @@ def test_acceptance_5_covariance_fidelity():
 # ---------------------------------------------------------------------------
 # 6. randomized property suites, 1000 cases each, zero failures
 # ---------------------------------------------------------------------------
-
-
-def _suite_energy_inequalities(rng) -> int:
-    """Weighted-energy functional: monotonicity and convexity bounds."""
-    failures = 0
-    for _ in range(1000):
-        d = int(rng.integers(1, 4))
-        n = int(rng.choice([4, 8, 16]))
-        grid = TimeGrid(1.0, n)
-        paths = [
-            CameronMartinPath(grid, rng.normal(scale=1.5, size=(n, d)))
-            for _ in range(3)
-        ]
-        x, y, z = paths
-        a_field = np.empty((n, d, d))
-        b_field = np.empty((n, d, d))
-        for j in range(n):
-            q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-            a_field[j] = q @ np.diag(rng.uniform(0.1, 5.0, size=d)) @ q.T
-            g = rng.normal(size=(d, d))
-            b_field[j] = a_field[j] + g @ g.T + rng.uniform(0.01, 1.0) * np.eye(d)
-        gx_a = gamma_functional(x, a_field)
-        gy_a = gamma_functional(y, a_field)
-        gz_a = gamma_functional(z, a_field)
-        slack = 1e-9 * (1.0 + gx_a + gy_a + gz_a)
-        two = CameronMartinPath(grid, x.derivative + y.derivative)
-        three = CameronMartinPath(
-            grid, x.derivative + y.derivative + z.derivative
-        )
-        if gamma_functional(x, b_field) < gx_a - slack:
-            failures += 1
-        if gamma_functional(two, a_field) > 2 * gx_a + 2 * gy_a + slack:
-            failures += 1
-        if gamma_functional(three, a_field) > 3 * (gx_a + gy_a + gz_a) + slack:
-            failures += 1
-    return failures
-
-
-def _suite_hat_map_bound(rng) -> int:
-    """sup_t |fhat(t)|^2 <= M |f|^2 with the constructive quadrature M."""
-    horizon = 0.75
-
-    def random_kernel():
-        u = rng.random()
-        if u < 0.45:
-            return make_kernel(
-                "riemann_liouville", hurst=rng.uniform(0.1, 0.9),
-                scale=rng.uniform(0.3, 1.5), horizon=horizon,
-            )
-        if u < 0.8:
-            return make_kernel(
-                "log_fbm", hurst=rng.uniform(0.1, 0.5),
-                log_exponent=rng.uniform(1.5, 3.0),
-                scale=rng.uniform(0.3, 1.5), horizon=horizon,
-            )
-        return make_kernel(
-            "fractional_ou", hurst=rng.uniform(0.1, 0.9),
-            mean_reversion=rng.uniform(0.1, 2.0),
-            scale=rng.uniform(0.3, 1.5), horizon=horizon,
-        )
-
-    pool = []
-    for _ in range(50):
-        bank = KernelBank(
-            tuple(random_kernel() for _ in range(int(rng.choice([1, 2]))))
-        )
-        pool.append((bank, terminal_variance_bound(bank, n_quad=256)))
-
-    failures = 0
-    for _ in range(1000):
-        bank, bound = pool[int(rng.integers(len(pool)))]
-        n = int(rng.choice([8, 16, 32]))
-        grid = TimeGrid(horizon, n)
-        f = CameronMartinPath(
-            grid, rng.normal(scale=1.2, size=(n, bank.n_factors))
-        )
-        sup_sq = float(np.max(np.sum(hat_map(f, bank).values ** 2, axis=1)))
-        if sup_sq > bound * f.h1_norm_sq * (1.0 + 1e-9):
-            failures += 1
-    return failures
+# The energy, hat-map and gradient suites are the ``volldp selftest`` bodies
+# (``volldp.selftest``) at 1000 cases; the compactness suite is this file's.
 
 
 def _random_triangular_vol(rng, d: int, p: int):
@@ -474,63 +379,14 @@ def _suite_compactness_constants(rng) -> int:
     return failures
 
 
-def _suite_gradient_consistency(rng) -> int:
-    """Adjoint gradients against central finite differences."""
-    failures = 0
-    grid = TimeGrid(1.0, 8)
-    h = 1e-5
-    for _ in range(1000):
-        bank = KernelBank(
-            (make_kernel(
-                "riemann_liouville", hurst=rng.uniform(0.15, 0.85),
-                scale=1.0, horizon=1.0,
-            ),)
-        )
-        rho = rng.uniform(-0.9, 0.9)
-        if rng.random() < 0.5:
-            base = make_map(
-                "exp_linear", (1, 1), 1,
-                amplitude=np.array([[rng.uniform(0.2, 1.2)]]),
-                weights=np.array([[[rng.uniform(-0.5, 0.5)]]]),
-            )
-        else:
-            base = make_map(
-                "affine", (1, 1), 1,
-                constant=np.array([[rng.uniform(0.6, 1.4)]]),
-                linear=np.array([[[rng.uniform(-0.15, 0.15)]]]),
-            )
-        coeffs = ModelCoefficients.one_factor(base, rho)
-        kind = int(rng.integers(3))
-        if kind < 2:
-            # I_X, or I_Z^m with m = 4 blocks of two steps
-            x = CameronMartinPath.straight_line(grid, rng.normal(size=1))
-            problem = _Objective(
-                grid, bank, coeffs, (None, 2)[kind], xdot=x.derivative
-            )
-        else:
-            problem = _Objective(grid, bank, coeffs, 1, z=rng.normal(size=1))
-        flat = rng.normal(scale=0.7, size=8)
-        _, grad = problem.value_grad(flat)
-        i = int(rng.integers(8))
-        step = np.zeros(8)
-        step[i] = h
-        fd = (
-            problem.value_grad(flat + step)[0]
-            - problem.value_grad(flat - step)[0]
-        ) / (2 * h)
-        if abs(fd - grad[i]) > 1e-6 * max(1.0, abs(fd)):
-            failures += 1
-    return failures
-
-
 def test_acceptance_6_property_suites():
     t_start = time.monotonic()
     rng = np.random.default_rng(20260814)
     results = {
-        "energy-inequalities": _suite_energy_inequalities(rng),
-        "hat-map-bound": _suite_hat_map_bound(rng),
+        "energy-inequalities": len(check_energy_inequalities(rng, 1000)),
+        "hat-map-bound": len(check_hat_map_bound(rng, 1000)),
         "compactness-constants": _suite_compactness_constants(rng),
-        "gradient-vs-fd": _suite_gradient_consistency(rng),
+        "gradient-vs-fd": len(check_gradients(rng, 1000)),
     }
     elapsed = time.monotonic() - t_start
     ok = all(v == 0 for v in results.values())

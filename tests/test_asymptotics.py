@@ -24,7 +24,7 @@ from volldp.errors import (
     OptimizationError,
     ValidationError,
 )
-from volldp.grids import PathSample, TimeGrid
+from volldp.grids import TimeGrid
 from volldp.kernels import KernelBank, ScaleEntry, ScalingSchedule
 from volldp.model import (
     ConstantMap, ModelCoefficients, Scaling, euler_paths_array, make_map,
@@ -201,7 +201,7 @@ def zero_control_solution(grid, d=1, p=1):
     return RateSolution(
         value=0.0,
         control=CameronMartinPath.zero(grid, p),
-        hat_path=PathSample(grid, np.zeros((grid.n_steps + 1, p))),
+        hat_path=np.zeros((grid.n_steps + 1, p)),
         phi_path=None,
         iterations=0,
         grad_norm=0.0,

@@ -221,9 +221,8 @@ class TestCliErrors:
         assert code == 2
         assert "error[CONFIG]: --z" in capsys.readouterr().err
 
-    def test_thread_cap_rejects_nonpositive(self, tmp_path, capsys):
-        path = _ini(tmp_path, _one_factor_text())
-        assert main(["selftest", "--threads", "0", "--config", path]) == 2
+    def test_thread_cap_rejects_nonpositive(self, capsys):
+        assert main(["selftest", "--threads", "0"]) == 2
         err = capsys.readouterr().err
         assert err == "error[CONFIG]: --threads must be >= 1\n"
 
@@ -774,6 +773,15 @@ class TestSelftest:
     def test_no_out_dir_needed(self, capsys):
         assert main(["selftest"]) == 0
         assert "checks passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--config", "x.ini"]],
+                             ids=["seed", "config"])
+    def test_rejects_flags_it_would_ignore(self, flag, capsys):
+        # the battery has its own seed and reads no config: argparse exits 2
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestOutDirResolution:

@@ -12,7 +12,6 @@ from volldp.gaussian import (
     empirical_covariance,
     marginal_ks_check,
     path_normals,
-    replay_volterra,
     sample_volterra_cholesky,
     terminal_variance_bound,
 )
@@ -23,6 +22,11 @@ from volldp.kernels import (
     kernel_l2_slice,
     make_kernel,
     origin_cell_weight,
+)
+from volldp.selftest import (
+    check_brownian_covariance,
+    check_flat_sampler_identity,
+    check_replay,
 )
 
 from conftest import rl_bank, rl_kernel
@@ -52,13 +56,7 @@ def test_divisibility_error_names_both_counts():
 
 
 def test_brownian_covariance_closed_form():
-    # K = 1.3 constant: Cov(Bhat(t_i), Bhat(t_j)) = 1.69 min(t_i, t_j)
-    bank = rl_bank(0.5, scale=1.3)
-    grid = TimeGrid(1.0, 8)
-    cov = covariance_matrix(bank, grid)
-    t = grid.nodes[1:]
-    want = 1.69 * np.minimum.outer(t, t)
-    assert np.allclose(cov.blocks[0], want, atol=1e-10)
+    assert check_brownian_covariance(np.random.default_rng(13), 12) == []
 
 
 def test_covariance_diagonal_matches_slice_norm():
@@ -170,10 +168,7 @@ def _brownian(increments):
 
 
 def test_flat_kernel_reproduces_brownian_motion():
-    bank = rl_bank(0.5)
-    grid = TimeGrid(1.0, 32)
-    increments, _, volterra = _draw(bank, grid, 16, 5)
-    assert np.allclose(volterra, _brownian(increments), atol=1e-12)
+    assert check_flat_sampler_identity(np.random.default_rng(5), 16) == []
 
 
 def test_sampler_determinism():
@@ -223,11 +218,7 @@ def test_path_normals_match_reference_expression(n_draws, first_path):
 
 
 def test_increment_replay_bitwise():
-    bank = mixed_bank()
-    grid = TimeGrid(0.9, 14)
-    increments, singular, volterra = _draw(bank, grid, 3, 17)
-    rebuilt = replay_volterra(bank, grid, increments, singular)
-    assert np.array_equal(rebuilt, volterra)
+    assert check_replay(np.random.default_rng(17), 3) == []
 
 
 def test_terminal_variance_matches_quadrature():

@@ -25,12 +25,10 @@ _MODULES = [
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # Parameters a function takes without reading, by (module, qualified name);
-# the name may end in '*'.  Both are fixed by a calling protocol.
+# the name may end in '*'.  Each is fixed by a calling protocol.
 _UNUSED_OK = {
     # abstract: every kernel family overrides it
     ("kernels.py", "VolterraKernel._raw"): {"t", "s"},
-    # the selftest battery calls every check with a generator
-    ("selftest.py", "_check_*"): {"rng"},
 }
 
 

@@ -24,6 +24,7 @@ from volldp.kernels import (
     rescale_kernel,
     slice_products,
 )
+from volldp.selftest import check_kernel_closed_forms
 
 from conftest import rl_kernel
 
@@ -51,11 +52,7 @@ def _kernel_id(kernel):
 
 
 def test_power_law_closed_form():
-    k = rl_kernel(0.5)
-    assert k.eval(0.7, 0.2) == 1.0  # exponent H - 1/2 = 0
-    k = rl_kernel(0.3, scale=2.0)
-    t, s = 0.8, 0.15
-    assert k.eval(t, s) == pytest.approx(2.0 * (t - s) ** (-0.2), rel=1e-14)
+    assert check_kernel_closed_forms(np.random.default_rng(53), 200) == []
 
 
 def test_log_corrected_closed_form():

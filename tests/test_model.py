@@ -11,8 +11,8 @@ from volldp.errors import (
     DomainError,
     SingularDiffusionError,
 )
-from volldp.gaussian import discretize_kernel, draw_driver_arrays, replay_volterra
-from volldp.grids import PathSample, TimeGrid
+from volldp.gaussian import discretize_kernel, draw_driver_arrays
+from volldp.grids import TimeGrid
 from volldp.kernels import KernelBank, make_kernel
 from volldp.model import (
     ConstantMap,
@@ -25,6 +25,7 @@ from volldp.model import (
     validate_coefficients,
 )
 from volldp.ratefn import CameronMartinPath, j_rate
+from volldp.selftest import check_martingale, check_replay
 
 from conftest import affine_vol_coeffs, constant_coeffs, exp_vol_coeffs, rl_bank
 
@@ -144,7 +145,7 @@ def test_one_factor_noise_split():
 def test_diffusion_path_identity_coefficients():
     coeffs = constant_coeffs(2, 2, sigma=np.eye(2))
     grid = TimeGrid(1.0, 4)
-    phi = PathSample(grid, np.zeros((5, 2)))
+    phi = np.zeros((5, 2))
     xdot = np.random.default_rng(0).normal(size=(4, 2))
     j = j_rate(CameronMartinPath(grid, xdot), phi, coeffs)
     assert j == pytest.approx(0.5 * np.sum(xdot**2) * grid.dt, rel=1e-12)
@@ -156,7 +157,7 @@ def test_diffusion_path_scalar_exponential():
     grid = TimeGrid(1.0, 9)
     values = np.linspace(-1.0, 1.0, 10)[:, None]
     xdot = np.random.default_rng(1).normal(size=(9, 1))
-    j = j_rate(CameronMartinPath(grid, xdot), PathSample(grid, values), coeffs)
+    j = j_rate(CameronMartinPath(grid, xdot), values, coeffs)
     a = (1 - rho**2) * (0.3 * np.exp(values[:-1, 0])) ** 2
     assert j == pytest.approx(0.5 * np.sum(xdot[:, 0] ** 2 / a) * grid.dt, rel=1e-12)
 
@@ -168,7 +169,7 @@ def test_diffusion_path_singular_matrix():
     with pytest.raises(SingularDiffusionError):
         j_rate(
             CameronMartinPath.zero(grid, 2),
-            PathSample(grid, np.zeros((3, 2))),
+            np.zeros((3, 2)),
             coeffs,
         )
 
@@ -178,18 +179,16 @@ def test_diffusion_path_rejects_nan_determinant():
     grid = TimeGrid(1.0, 2)
     values = np.array([[0.0], [np.nan], [0.0]])
     with pytest.raises(SingularDiffusionError, match="node 1"):
-        j_rate(CameronMartinPath.zero(grid, 1), PathSample(grid, values), coeffs)
+        j_rate(CameronMartinPath.zero(grid, 1), values, coeffs)
 
 
 def test_diffusion_path_dimension_mismatch():
+    # phi must hold one value per factor at every node: (N + 1, p)
     coeffs = exp_vol_coeffs(0.2)
     grid = TimeGrid(1.0, 2)
-    with pytest.raises(DomainError):
-        j_rate(
-            CameronMartinPath.zero(grid, 1),
-            PathSample(grid, np.zeros((3, 2))),
-            coeffs,
-        )
+    for shape in ((3, 2), (4, 1), (3,)):
+        with pytest.raises(DomainError):
+            j_rate(CameronMartinPath.zero(grid, 1), np.zeros(shape), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +318,7 @@ def test_constant_volatility_terminal_law():
 
 
 def test_discrete_exponential_martingale():
-    coeffs = exp_vol_coeffs(0.6, amplitude=0.25)
-    bank = rl_bank(0.35)
-    grid = TimeGrid(1.0, 32)
-    eps, n = 0.5, 60_000
-    values = euler_paths_array(
-        coeffs, bank, grid, Scaling.small_noise(eps), n, seed=9
-    ).values
-    w = np.exp(values[:, -1, 0])
-    se = w.std(ddof=1) / np.sqrt(n)
-    assert abs(w.mean() - 1.0) <= 3 * se
+    assert check_martingale(np.random.default_rng(9), 60_000) == []
 
 
 def _uncorrelated_step_values(coeffs, scaling, dt, paths):
@@ -429,8 +419,7 @@ def test_euler_paths_shapes_and_replay():
     paths = euler_paths_array(coeffs, bank, grid, scaling, 3, seed=23,
                               convolve_per_path=True)
     assert paths.values.shape == (3, 11, 1)
-    rebuilt = replay_volterra(bank, grid, paths.increments, paths.singular)
-    assert np.array_equal(rebuilt, paths.volterra)
+    assert check_replay(np.random.default_rng(23), 3) == []
     # brownian is the running sum of the stored increments (up to the
     # rounding of cumulative summation)
     brownian = paths.brownian

@@ -5,7 +5,7 @@ import pytest
 
 from volldp.errors import DomainError, SingularDiffusionError
 from volldp.gaussian import discretize_kernel, terminal_variance_bound
-from volldp.grids import PathSample, TimeGrid
+from volldp.grids import TimeGrid
 from volldp.kernels import KernelBank, make_kernel, rescale_kernel
 from volldp.ratefn import (
     CameronMartinPath,
@@ -46,7 +46,7 @@ def test_cameron_martin_basics(unit_grid):
 
     rebuilt = CameronMartinPath.from_values(unit_grid, line.values)
     assert np.allclose(rebuilt.derivative, line.derivative)
-    assert rebuilt.as_path().values.shape == (unit_grid.n_steps + 1, 2)
+    assert rebuilt.values.shape == (unit_grid.n_steps + 1, 2)
 
 
 def test_cameron_martin_validation(unit_grid):
@@ -101,7 +101,7 @@ def test_j_rate_vanishes_on_drift_path(unit_grid):
     mu = np.array([0.3, -0.2])
     coeffs = constant_coeffs(2, 2, sigma=np.eye(2), mu=mu)
     x = CameronMartinPath.straight_line(unit_grid, mu * unit_grid.horizon)
-    phi = PathSample(unit_grid, np.zeros((unit_grid.n_steps + 1, 2)))
+    phi = np.zeros((unit_grid.n_steps + 1, 2))
     assert j_rate(x, phi, coeffs) == pytest.approx(0.0, abs=1e-16)
 
 
@@ -109,7 +109,7 @@ def test_j_rate_constant_diffusion(unit_grid):
     sigma = np.diag([2.0, 1.0])  # a = diag(4, 1)
     coeffs = constant_coeffs(2, 2, sigma=sigma)
     x = CameronMartinPath.straight_line(unit_grid, [1.0, 1.0])
-    phi = PathSample(unit_grid, np.zeros((unit_grid.n_steps + 1, 2)))
+    phi = np.zeros((unit_grid.n_steps + 1, 2))
     assert j_rate(x, phi, coeffs) == pytest.approx(0.625, rel=1e-12)
 
 
@@ -121,14 +121,14 @@ def test_j_rate_constant_diffusion(unit_grid):
 def test_hat_map_zero_control(unit_grid):
     f = CameronMartinPath.zero(unit_grid, 1)
     fhat = hat_map(f, rl_bank(0.3))
-    assert np.all(fhat.values == 0.0)
+    assert np.all(fhat == 0.0)
 
 
 def test_hat_map_flat_kernel_is_identity(unit_grid):
     rng = np.random.default_rng(1)
     f = CameronMartinPath(unit_grid, rng.normal(size=(unit_grid.n_steps, 1)))
     fhat = hat_map(f, rl_bank(0.5))
-    assert np.allclose(fhat.values, f.values, atol=1e-12)
+    assert np.allclose(fhat, f.values, atol=1e-12)
 
 
 def test_hat_map_power_kernel_closed_form():
@@ -137,7 +137,7 @@ def test_hat_map_power_kernel_closed_form():
     f = CameronMartinPath(grid, np.ones((64, 1)))
     fhat = hat_map(f, rl_bank(0.75))
     want = grid.nodes ** 1.25 / 1.25
-    assert np.max(np.abs(fhat.values[:, 0] - want)) < 1e-4
+    assert np.max(np.abs(fhat[:, 0] - want)) < 1e-4
 
 
 def test_hat_map_energy_bound():
@@ -151,12 +151,12 @@ def test_hat_map_energy_bound():
         f = CameronMartinPath(grid, rng.normal(size=(32, 1)))
         fhat = hat_map(f, bank)
         norm = np.sqrt(f.h1_norm_sq)
-        assert np.max(np.abs(fhat.values)) <= bound * norm * (1 + 1e-9)
+        assert np.max(np.abs(fhat)) <= bound * norm * (1 + 1e-9)
 
 
 def test_phi_m_zero_and_constant(unit_grid):
     coeffs = affine_vol_coeffs(0.5, const=0.8, slope=0.0)
-    g = PathSample(unit_grid, np.zeros((unit_grid.n_steps + 1, 1)))
+    g = np.zeros((unit_grid.n_steps + 1, 1))
     zero = CameronMartinPath.zero(unit_grid, 1)
     assert np.all(phi_m(zero, g, 4, coeffs).values == 0.0)
 
@@ -174,7 +174,7 @@ def test_phi_m_frozen_block_hand_case():
     grid = TimeGrid(1.0, 4)
     coeffs = affine_vol_coeffs(0.0, const=1.0, slope=0.0)
     lin = affine_sigma_tilde_is_identity()
-    g = PathSample(grid, grid.nodes[:, None].copy())
+    g = grid.nodes[:, None]
     f = CameronMartinPath(grid, np.ones((4, 1)))
     got = phi_m(f, g, 2, lin)
     assert got.values[-1, 0] == pytest.approx(0.25, rel=1e-12)
@@ -195,7 +195,7 @@ def affine_sigma_tilde_is_identity():
 
 def test_phi_m_divisibility(unit_grid):
     coeffs = affine_vol_coeffs(0.5)
-    g = PathSample(unit_grid, np.zeros((unit_grid.n_steps + 1, 1)))
+    g = np.zeros((unit_grid.n_steps + 1, 1))
     f = CameronMartinPath.zero(unit_grid, 1)
     with pytest.raises(Exception) as exc:
         phi_m(f, g, 5, coeffs)
@@ -228,7 +228,7 @@ def test_phi_m_cauchy_schwarz_bound():
     for _ in range(50):
         f = CameronMartinPath(grid, rng.normal(size=(16, 1)))
         g = hat_map(f, bank)
-        sup_sig = np.max(np.abs(coeffs.sigma_tilde(g.values)))
+        sup_sig = np.max(np.abs(coeffs.sigma_tilde(g)))
         vals = phi_m(f, g, 4, coeffs).values
         norm = np.sqrt(f.h1_norm_sq)
         for i, t in enumerate(grid.nodes):
@@ -268,7 +268,7 @@ def test_j_m_hand_case():
     # J = 1/2 sum (xdot - Phidot)^2 dt = 1/2 (1 + 1 + 1/4 + 1/4) / 4
     grid = TimeGrid(1.0, 4)
     coeffs = affine_sigma_tilde_is_identity()
-    g = PathSample(grid, grid.nodes[:, None].copy())
+    g = grid.nodes[:, None]
     f = CameronMartinPath(grid, np.ones((4, 1)))
     x = CameronMartinPath.straight_line(grid, [1.0])
     assert j_m_correlated(x, f, g, 2, coeffs) == pytest.approx(
@@ -500,7 +500,7 @@ def test_inner_drift_reproduces_the_target(functional):
         f = CameronMartinPath(grid, rng.normal(scale=0.7, size=(16, 2)))
         drift = problem.inner(f.derivative)[3]
         fhat = hat_map(f, bank)
-        y = fhat.values[:16]
+        y = fhat[:16]
         if functional == "i_x":
             phi = np.zeros((17, 2))
         elif functional == "i_z_m":
