@@ -25,7 +25,7 @@ from volldp.model import (
     validate_coefficients,
 )
 from volldp.ratefn import CameronMartinPath, j_rate
-from volldp.selftest import check_martingale, check_replay
+from volldp.selftest import check_martingale
 
 from conftest import affine_vol_coeffs, constant_coeffs, exp_vol_coeffs, rl_bank
 
@@ -419,7 +419,6 @@ def test_euler_paths_shapes_and_replay():
     paths = euler_paths_array(coeffs, bank, grid, scaling, 3, seed=23,
                               convolve_per_path=True)
     assert paths.values.shape == (3, 11, 1)
-    assert check_replay(np.random.default_rng(23), 3) == []
     # brownian is the running sum of the stored increments (up to the
     # rounding of cumulative summation)
     brownian = paths.brownian
