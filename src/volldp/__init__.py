@@ -40,7 +40,6 @@ from .kernels import (
     rescale_kernel,
 )
 from .gaussian import (
-    CovarianceBlocks,
     covariance_matrix,
     discretize_kernel,
     draw_driver_arrays,

@@ -1,21 +1,21 @@
 """Monte Carlo verification of small-noise and short-time asymptotics.
 
-Small-noise side: tail probabilities P(Z^eps in E) are estimated either
-crudely or under an exponential change of measure built from a minimizing
-control (the estimator stays unbiased for any shift; a good shift makes the
-event typical).  The decay rate is then read off as the slope of
--log p(eps) against 1 / eps^2.
+Small-noise side: tail probabilities P(Z^eps in E) are estimated under an
+exponential change of measure built from a minimizing control (the
+estimator stays unbiased for any shift; a good shift makes the event
+typical).  There is one tail estimator: the crude estimate is the same one
+without a control, where no driver is shifted and every weight is 1.  The
+decay rate is then read off as the slope of -log p(eps) against 1 / eps^2.
 
-Both tail estimators cut the path range into fixed counter blocks of 8,192
+The estimator cuts the path range into fixed counter blocks of 8,192
 paths.  A block's driver draws depend only on (seed, path index), so the
 blocks run on a small thread pool in any order; each returns partial sums
-(hits, the non-finite count and, for the tilted estimator, the weight sums
-relative to the block's largest hit log-weight), and the partials are merged
-in block order, which makes every estimate bitwise independent of the
-number of threads.  Tilted weights stay in log space until the end, so an
-estimate far below the smallest double keeps a finite ``log_prob`` and
-``log_stderr``.  A path with a non-finite terminal
-value makes the estimator raise ``NonFinitePathError``.
+(hits, the non-finite count and the weight sums relative to the block's
+largest hit log-weight), and the partials are merged in block order, which
+makes every estimate bitwise independent of the number of threads.  Weights
+stay in log space until the end, so an estimate far below the smallest
+double keeps a finite ``log_prob`` and ``log_stderr``.  A path with a
+non-finite terminal value makes the estimator raise ``NonFinitePathError``.
 
 Short-time side: the process observed on a shrinking horizon delta * T and
 renormalized by eps / sqrt(delta) is simulated through two routes that are
@@ -27,7 +27,7 @@ equal in law at matched resolution:
 * direct -- the original kernel on the short horizon with a finer grid,
   under ``Scaling.short_time(1.0)``, subsampled back to the reference nodes.
 
-Both routes and both tail estimators (``Scaling.small_noise(eps)``) run the
+Both routes and the tail estimator (``Scaling.small_noise(eps)``) run the
 one Euler scheme, ``model.euler_paths_array``; every path set is an array
 of shape (n, N + 1, d).  The uncorrelated model is sigma_tilde = 0, so a
 tilt and its rate solve read one model; the short-time routes need mu = 0.
@@ -69,6 +69,9 @@ _LOG_WEIGHT_CAP = 700.0
 # Paths per counter block of the tail estimators: the unit of work handed to
 # a worker thread and of the block-order reduction.
 _BLOCK_PATHS = 8192
+# Short-time consistency: least terminal KS p-value, largest gap in se.
+_KS_LEVEL = 0.01
+_SE_BUDGET = 4.0
 
 # ---------------------------------------------------------------------------
 # events
@@ -133,7 +136,7 @@ class PathSupNorm:
 
 
 # ---------------------------------------------------------------------------
-# crude and tilted estimators
+# tail estimator
 # ---------------------------------------------------------------------------
 
 
@@ -141,15 +144,13 @@ class PathSupNorm:
 class TailEstimate:
     """Monte Carlo tail probability with its standard error.
 
-    ``n_nonfinite`` counts paths whose terminal value was not finite; the
-    estimators raise ``NonFinitePathError`` instead of returning an
-    estimate with any such path.  ``log_prob`` and ``log_stderr`` are the
-    logarithms of ``prob`` and ``stderr``; they stay finite where ``prob``
-    and ``stderr`` underflow to 0.  ``ess`` is the effective sample size
-    (sum w)^2 / sum w^2 of the hits' weights and ``max_weight_share`` the
-    largest weight over sum w (Owen, Monte Carlo theory, methods and
-    examples, ch. 9); the crude estimator's weights are all 1, so they
-    read n_hits and 1 / n_hits.  Without a hit they are 0 and NaN.
+    ``log_prob`` and ``log_stderr`` are the logarithms of ``prob`` and
+    ``stderr``; they stay finite where ``prob`` and ``stderr`` underflow
+    to 0.  ``ess`` is the effective sample size (sum w)^2 / sum w^2 of the
+    hits' weights and ``max_weight_share`` the largest weight over sum w
+    (Owen, Monte Carlo theory, methods and examples, ch. 9); the crude
+    estimator's weights are all 1, so they read n_hits and 1 / n_hits.
+    Without a hit they are 0 and NaN.
     """
 
     prob: float
@@ -159,16 +160,8 @@ class TailEstimate:
     epsilon: float
     log_prob: float
     log_stderr: float
-    n_nonfinite: int = 0
     ess: float = np.nan
     max_weight_share: float = np.nan
-
-
-def _health(hits: int, weight_sum: float, weight_sq: float) -> tuple:
-    """(ess, max_weight_share) of hit weights scaled to a largest weight 1."""
-    if hits == 0:
-        return 0.0, np.nan
-    return weight_sum**2 / weight_sq, 1.0 / weight_sum
 
 
 def _validate_tail_args(n_paths: int) -> None:
@@ -178,26 +171,8 @@ def _validate_tail_args(n_paths: int) -> None:
         )
 
 
-def _warn_if_degenerate(hits: int, n_paths: int) -> None:
-    if hits == 0 or hits == n_paths:
-        warnings.warn(
-            f"event frequency is degenerate ({hits} of {n_paths} paths); "
-            "the estimate carries no rate information -- consider the "
-            "tilted estimator or a different noise level",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    elif hits < 10:
-        warnings.warn(
-            f"only {hits} of {n_paths} paths hit the event; the crude "
-            "estimate is nearly degenerate -- consider the tilted estimator",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def pool_size(n_paths: int, threads: int | None = None) -> int:
-    """Worker threads the tail estimators use for ``n_paths`` paths.
+    """Worker threads the tail estimator uses for ``n_paths`` paths.
 
     ``threads`` when given, otherwise the CPUs this process may run on;
     never more than the number of counter blocks, so a one-block run uses
@@ -213,18 +188,18 @@ def pool_size(n_paths: int, threads: int | None = None) -> int:
 class _BlockSums(NamedTuple):
     """Partial sums of one counter block (or of all blocks, once reduced).
 
-    The weight sums of the tilted estimator are relative to ``log_scale``,
-    the largest log-weight of a hit: sum exp(log w - log_scale) and
-    sum exp(2 (log w - log_scale)) over the hits, so they neither overflow
-    nor underflow.  ``max_log_weight`` is over all paths.
+    The weight sums are relative to ``log_scale``, the largest log-weight of
+    a hit: sum exp(log w - log_scale) and sum exp(2 (log w - log_scale))
+    over the hits, so they neither overflow nor underflow.
+    ``max_log_weight`` is over all paths.
     """
 
     hits: int
     nonfinite: int
-    log_scale: float = -np.inf
-    weight_sum: float = 0.0
-    weight_sq: float = 0.0
-    max_log_weight: float = -np.inf
+    log_scale: float
+    weight_sum: float
+    weight_sq: float
+    max_log_weight: float
 
 
 def _merge_sums(acc: _BlockSums, part: _BlockSums) -> _BlockSums:
@@ -276,8 +251,97 @@ def _run_blocks(bank, grid, n_paths: int, threads, block) -> _BlockSums:
     return sums
 
 
-def _count_nonfinite(values: np.ndarray) -> int:
-    return int(np.count_nonzero(~np.all(np.isfinite(values[:, -1, :]), axis=1)))
+def _tail_estimate(
+    coeffs, bank, grid, epsilon, event, control, n_paths, seed, threads
+) -> TailEstimate:
+    """P(Z^eps in event) under the shift by ``control``; crude for None.
+
+    A control shifts both driver families by its rates scaled by 1 / eps,
+    and log w is the exact Gaussian log-likelihood ratio of a path.  Without
+    a control nothing is shifted and log w = 0 on every path.
+    """
+    _validate_tail_args(n_paths)
+    scaling = Scaling.small_noise(epsilon)
+    shifts = {}
+    if control is not None:
+        if not control.converged:
+            raise OptimizationError(
+                "tilting requires a converged minimizing control "
+                f"(grad_norm = {control.grad_norm:.3e})"
+            )
+        if control.inner_drift is None:
+            raise ValidationError("rate solution carries no Wiener-direction control")
+        fdot = control.control.derivative  # (N, p)
+        ydot = control.inner_drift  # (N, d)
+        if (control.control.grid != grid or control.control.dim != coeffs.p
+                or ydot.shape != (grid.n_steps, coeffs.d)):
+            raise ValidationError(
+                f"control on {control.control.grid} with shapes {fdot.shape}, "
+                f"{ydot.shape} does not fit {grid} with p = {coeffs.p}, d = {coeffs.d}"
+            )
+        dt = grid.dt
+        f_sq = float(np.sum(fdot**2)) * dt
+        y_sq = float(np.sum(ydot**2)) * dt
+        const = (f_sq + y_sq) / (2.0 * epsilon**2)
+        shifts = {"brownian_shift": fdot * dt / epsilon,
+                  "wiener_shift": ydot * dt / epsilon}
+
+    def block(first: int, count: int) -> _BlockSums:
+        paths = euler_paths_array(
+            coeffs, bank, grid, scaling, count, seed, first_path=first, **shifts
+        )
+        values = paths.values
+        log_w = np.zeros(count) if control is None else (
+            const
+            - np.einsum("jl,kjl->k", fdot, paths.increments) / epsilon
+            - np.einsum("ji,kji->k", ydot, paths.dw) / epsilon
+        )
+        del paths  # the driver arrays are not read past this point
+        ind = event.indicator(values)
+        hit_log_w = log_w[ind]
+        scale = float(np.max(hit_log_w, initial=-np.inf))
+        w = np.exp(hit_log_w - scale)
+        return _BlockSums(
+            int(np.count_nonzero(ind)),
+            int(np.count_nonzero(~np.all(np.isfinite(values[:, -1, :]), axis=1))),
+            scale,
+            float(np.sum(w)),
+            float(np.sum(w**2)),
+            float(np.max(log_w)),
+        )
+
+    sums = _run_blocks(bank, grid, n_paths, threads, block)
+    hits = sums.hits
+    if sums.max_log_weight > _LOG_WEIGHT_CAP:
+        warnings.warn(
+            "likelihood-ratio exponent exceeds the overflow threshold; "
+            "the tilted estimate may be unusable at this noise level",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    if control is None and (hits < 10 or hits == n_paths):
+        warnings.warn(
+            f"event frequency is degenerate ({hits} of {n_paths} paths); "
+            "the estimate carries no rate information -- consider the "
+            "tilted estimator or a different noise level"
+            if hits in (0, n_paths) else
+            f"only {hits} of {n_paths} paths hit the event; the crude "
+            "estimate is nearly degenerate -- consider the tilted estimator",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    # mean and variance of the weights relative to exp(log_scale)
+    mean = sums.weight_sum / n_paths
+    var = max(sums.weight_sq / n_paths - mean**2, 0.0)
+    with np.errstate(divide="ignore"):
+        log_prob = float(sums.log_scale + np.log(mean))
+        log_stderr = float(sums.log_scale + 0.5 * np.log(var / n_paths))
+    ess, share = (0.0, np.nan) if hits == 0 else (
+        sums.weight_sum**2 / sums.weight_sq, 1.0 / sums.weight_sum)
+    return TailEstimate(
+        float(np.exp(log_prob)), float(np.exp(log_stderr)), n_paths, hits,
+        epsilon, log_prob, log_stderr, ess, share,
+    )
 
 
 def estimate_tail_prob(
@@ -290,30 +354,16 @@ def estimate_tail_prob(
     seed: int,
     threads: int | None = None,
 ) -> TailEstimate:
-    """Crude Monte Carlo estimate of P(Z^eps in event) with binomial error.
+    """Crude Monte Carlo estimate of P(Z^eps in event).
 
-    Paths run in counter blocks on up to ``threads`` worker threads (see
-    ``pool_size``); the estimate does not depend on the thread count.
+    The tilted estimator without a control: no driver is shifted and every
+    path has weight 1, so the estimate is the hit frequency with its
+    binomial error.  Paths run in counter blocks on up to ``threads``
+    worker threads (see ``pool_size``); the estimate does not depend on the
+    thread count.  Warns when fewer than 10 paths, or all of them, hit.
     """
-    _validate_tail_args(n_paths)
-    scaling = Scaling.small_noise(epsilon)
-
-    def block(first: int, count: int) -> _BlockSums:
-        values = euler_paths_array(
-            coeffs, bank, grid, scaling, count, seed, first_path=first,
-        ).values
-        hits = int(np.count_nonzero(event.indicator(values)))
-        return _BlockSums(hits, _count_nonfinite(values))
-
-    sums = _run_blocks(bank, grid, n_paths, threads, block)
-    prob = sums.hits / n_paths
-    stderr = float(np.sqrt(prob * (1.0 - prob) / n_paths))
-    _warn_if_degenerate(sums.hits, n_paths)
-    with np.errstate(divide="ignore"):
-        log_prob, log_stderr = float(np.log(prob)), float(np.log(stderr))
-    return TailEstimate(
-        prob, stderr, n_paths, sums.hits, epsilon, log_prob, log_stderr,
-        sums.nonfinite, *_health(sums.hits, sums.hits, sums.hits),
+    return _tail_estimate(
+        coeffs, bank, grid, epsilon, event, None, n_paths, seed, threads
     )
 
 
@@ -336,74 +386,8 @@ def tilted_estimate(
     solved on ``grid`` for this model's d and p.  Paths run in counter
     blocks as in ``estimate_tail_prob``.
     """
-    _validate_tail_args(n_paths)
-    scaling = Scaling.small_noise(epsilon)
-    if not control.converged:
-        raise OptimizationError(
-            "tilting requires a converged minimizing control "
-            f"(grad_norm = {control.grad_norm:.3e})"
-        )
-    if control.inner_drift is None:
-        raise ValidationError("rate solution carries no Wiener-direction control")
-    fdot = control.control.derivative  # (N, p)
-    ydot = control.inner_drift  # (N, d)
-    if (control.control.grid != grid or control.control.dim != coeffs.p
-            or ydot.shape != (grid.n_steps, coeffs.d)):
-        raise ValidationError(
-            f"control on {control.control.grid} with shapes {fdot.shape}, "
-            f"{ydot.shape} does not fit {grid} with p = {coeffs.p}, d = {coeffs.d}"
-        )
-    dt = grid.dt
-    f_sq = float(np.sum(fdot**2)) * dt
-    y_sq = float(np.sum(ydot**2)) * dt
-    const = (f_sq + y_sq) / (2.0 * epsilon**2)
-    brownian_shift = fdot * dt / epsilon
-    wiener_shift = ydot * dt / epsilon
-
-    def block(first: int, count: int) -> _BlockSums:
-        paths = euler_paths_array(
-            coeffs, bank, grid, scaling, count, seed, first_path=first,
-            brownian_shift=brownian_shift,
-            wiener_shift=wiener_shift,
-        )
-        values, incr, dw = paths.values, paths.increments, paths.dw
-        del paths  # V and Bhat are not read past this point
-        log_w = (
-            const
-            - np.einsum("jl,kjl->k", fdot, incr) / epsilon
-            - np.einsum("ji,kji->k", ydot, dw) / epsilon
-        )
-        ind = event.indicator(values)
-        hit_log_w = log_w[ind]
-        scale = float(np.max(hit_log_w, initial=-np.inf))
-        w = np.exp(hit_log_w - scale)
-        return _BlockSums(
-            int(np.count_nonzero(ind)),
-            _count_nonfinite(values),
-            scale,
-            float(np.sum(w)),
-            float(np.sum(w**2)),
-            float(np.max(log_w)),
-        )
-
-    sums = _run_blocks(bank, grid, n_paths, threads, block)
-    if sums.max_log_weight > _LOG_WEIGHT_CAP:
-        warnings.warn(
-            "likelihood-ratio exponent exceeds the overflow threshold; "
-            "the tilted estimate may be unusable at this noise level",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    # mean and variance of the weights relative to exp(log_scale)
-    mean = sums.weight_sum / n_paths
-    var = max(sums.weight_sq / n_paths - mean**2, 0.0)
-    with np.errstate(divide="ignore"):
-        log_prob = float(sums.log_scale + np.log(mean))
-        log_stderr = float(sums.log_scale + 0.5 * np.log(var / n_paths))
-    return TailEstimate(
-        float(np.exp(log_prob)), float(np.exp(log_stderr)), n_paths,
-        sums.hits, epsilon, log_prob, log_stderr, sums.nonfinite,
-        *_health(sums.hits, sums.weight_sum, sums.weight_sq),
+    return _tail_estimate(
+        coeffs, bank, grid, epsilon, event, control, n_paths, seed, threads
     )
 
 
@@ -417,7 +401,6 @@ class SlopeEstimate:
     """Weighted least-squares fit of -log p against 1 / eps^2."""
 
     epsilons: tuple
-    probs: tuple  # (p_hat, stderr) per noise level
     slope: float
     intercept: float
     r_squared: float
@@ -469,7 +452,6 @@ def ldp_slope(estimates) -> SlopeEstimate:
     r_squared = 1.0 if ss_tot <= 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return SlopeEstimate(
         epsilons=tuple(float(v) for v in eps),
-        probs=tuple((float(e.prob), float(e.stderr)) for e in pts),
         slope=slope,
         intercept=intercept,
         r_squared=r_squared,
@@ -668,13 +650,13 @@ class ShortTimeReport:
 
     comparisons: tuple
 
-    def all_consistent(self, ks_level: float = 0.01, se_budget: float = 4.0) -> bool:
+    def all_consistent(self) -> bool:
         for comp in self.comparisons:
             if any(f > 0.0 for f in comp.paired.exceedance):
                 return False
-            if comp.ks_pvalue < ks_level:
+            if comp.ks_pvalue < _KS_LEVEL:
                 return False
-            if any(row.gap_in_se > se_budget for row in comp.exceedance):
+            if any(row.gap_in_se > _SE_BUDGET for row in comp.exceedance):
                 return False
         return True
 

@@ -32,10 +32,10 @@ from .ratefn import OptimizerConfig
 # Options of the sections that fill no single record.
 _MODEL = {"d": int, "p": int}  # plus the growth constants of ModelCoefficients
 _RUN = {"seed": int, "out": str}
-_SCHEDULE = {"rule": str, "eta": tuple, "hurst": float}
+_SCHEDULE = {"rule": str, "eta": tuple}
 _SCHEDULE_RULES = {  # the options each rule adds
-    "self_similar": {},
-    "log_fbm": {"log_exponent": float, "speed_log_exponent": float},
+    "self_similar": {"hurst": float},
+    "log_fbm": {"hurst": float, "log_exponent": float, "speed_log_exponent": float},
     "custom": {"epsilon": tuple, "delta": tuple},
 }
 
@@ -303,8 +303,7 @@ def _parse_schedule(cp, bank: KernelBank):
         return _build("schedule", ScalingSchedule.for_log_kernel, **opts)
     return _build(
         "schedule", ScalingSchedule, eta=opts["eta"], epsilon=opts["epsilon"],
-        delta=opts["delta"] or opts["eta"], speed_exponent_hurst=opts["hurst"],
-        rule="custom",
+        delta=opts["delta"] or opts["eta"],
     )
 
 

@@ -106,7 +106,6 @@ class KernelDiscretization:
     """
 
     grid: TimeGrid
-    kappa: float
     mean_weights: np.ndarray  # (N + 1, N)
     edge_coeff: np.ndarray    # (N + 1,)
     kappa_c: float
@@ -168,7 +167,6 @@ def discretize_kernel(kernel: VolterraKernel, grid: TimeGrid) -> KernelDiscretiz
     kappa_c, kappa_v = cell_moments(kappa, dt)
     return KernelDiscretization(
         grid=grid,
-        kappa=kappa,
         mean_weights=weights,
         edge_coeff=edge,
         kappa_c=kappa_c,
@@ -263,26 +261,13 @@ def replay_volterra(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CovarianceBlocks:
-    """Block-diagonal covariance of (Bhat_l(t_i))_{l, i >= 1}."""
-
-    grid: TimeGrid
-    blocks: np.ndarray  # (p, N, N)
-
-    def dense(self) -> np.ndarray:
-        p, n, _ = self.blocks.shape
-        out = np.zeros((p * n, p * n))
-        for ell in range(p):
-            out[ell * n : (ell + 1) * n, ell * n : (ell + 1) * n] = self.blocks[ell]
-        return out
-
-
 def covariance_matrix(
     bank: KernelBank, grid: TimeGrid, n_quad: int = 256
-) -> CovarianceBlocks:
+) -> np.ndarray:
     """Covariance blocks  k(t, s) = int_0^min(t,s) K(t, u) K(s, u) du.
 
+    Returns the (p, N, N) array whose block l is the covariance of
+    (Bhat_l(t_i))_{i >= 1}; the factors are independent.
     Column j is one call of ``kernels.slice_products`` at s = t_j for all
     t >= t_j, the rule of ``kernel_l2_slice``, so the diagonal is the slice
     norm.  Raises ``QuadratureError`` when a block comes out non-finite or
@@ -309,7 +294,7 @@ def covariance_matrix(
                 f"covariance block {ell} fails PSD tolerance: "
                 f"min eig {eigs[0]:.3e} < {-tol:.3e}"
             )
-    return CovarianceBlocks(grid=grid, blocks=blocks)
+    return blocks
 
 
 def empirical_covariance(paths: np.ndarray) -> np.ndarray:
@@ -350,7 +335,7 @@ def sample_volterra_cholesky(
     n, p = grid.n_steps, bank.n_factors
     chols = []
     for ell in range(p):
-        block = cov.blocks[ell]
+        block = cov[ell]
         jitter = 1e-12 * max(np.trace(block), 1.0)
         chols.append(np.linalg.cholesky(block + jitter * np.eye(n)))
     z = path_normals(seed, 0, n_paths, n * p).reshape(n_paths, n, p)

@@ -684,22 +684,18 @@ class ScaleEntry:
 class ScalingSchedule:
     """Joint schedule (eta_n, epsilon_n, delta_n) for scaling-limit runs.
 
-    ``rule`` records how the speed epsilon_n was derived from eta_n:
+    The speed epsilon_n is the caller's, or derived from eta_n by a rule:
 
-    * ``"self_similar"``: epsilon_n = eta_n^H (power-law kernels),
-    * ``"log_fbm"``: epsilon_n^(-2) = eta_n^(-2H) (-log eta_n)^q with
-      q = ``speed_log_exponent`` (default 2 * log_exponent of the kernel),
-    * ``"custom"``: epsilon supplied by the caller, no consistency check.
+    * ``self_similar``: epsilon_n = eta_n^H (power-law kernels),
+    * ``for_log_kernel``: epsilon_n^(-2) = eta_n^(-2H) (-log eta_n)^q with
+      q = ``speed_log_exponent`` (default 2 * log_exponent of the kernel).
 
-    delta_n is the short-time horizon sequence and defaults to eta_n.
+    delta_n is the short-time horizon sequence; both rules set it to eta_n.
     """
 
     eta: tuple
     epsilon: tuple
     delta: tuple
-    speed_exponent_hurst: float
-    speed_log_exponent: float = 0.0
-    rule: str = "custom"
 
     def __post_init__(self):
         eta = np.asarray(self.eta, dtype=float)
@@ -716,17 +712,6 @@ class ScalingSchedule:
             raise ConfigurationError("eta must be strictly decreasing")
         if eta.size > 1 and not np.all(np.diff(eps) < 0):
             raise ConfigurationError("epsilon must be strictly decreasing")
-        h = self.speed_exponent_hurst
-        if self.rule == "self_similar":
-            expected = eta**h
-        elif self.rule == "log_fbm":
-            expected = eta**h * (-np.log(eta)) ** (-0.5 * self.speed_log_exponent)
-        else:
-            expected = None
-        if expected is not None and not np.allclose(eps, expected, rtol=1e-10):
-            raise ConfigurationError(
-                f"epsilon sequence inconsistent with the {self.rule} speed rule"
-            )
 
     def __len__(self):
         return len(self.eta)
@@ -744,14 +729,7 @@ class ScalingSchedule:
         if np.isscalar(eta):
             eta = (eta,)
         eta = tuple(float(e) for e in eta)
-        eps = tuple(e**hurst for e in eta)
-        return cls(
-            eta=eta,
-            epsilon=eps,
-            delta=eta,
-            speed_exponent_hurst=hurst,
-            rule="self_similar",
-        )
+        return cls(eta=eta, epsilon=tuple(e**hurst for e in eta), delta=eta)
 
     @classmethod
     def for_log_kernel(
@@ -770,12 +748,5 @@ class ScalingSchedule:
         if any(e >= 1.0 for e in eta):
             raise ConfigurationError("log-fbm schedule requires eta < 1")
         eps = tuple(e**hurst * (-np.log(e)) ** (-0.5 * q) for e in eta)
-        return cls(
-            eta=eta,
-            epsilon=eps,
-            delta=eta,
-            speed_exponent_hurst=hurst,
-            speed_log_exponent=q,
-            rule="log_fbm",
-        )
+        return cls(eta=eta, epsilon=eps, delta=eta)
 

@@ -101,7 +101,7 @@ def check_brownian_covariance(rng, n_cases: int) -> list:
         grid = TimeGrid(1.0, int(rng.choice([8, 16])))
         n_quad = int(rng.choice([64, 256]))
         bank = KernelBank((_rl(0.5, scale),))
-        cov = covariance_matrix(bank, grid, n_quad=n_quad).blocks[0]
+        cov = covariance_matrix(bank, grid, n_quad=n_quad)[0]
         t = grid.nodes[1:]
         gap = float(np.max(np.abs(cov - scale**2 * np.minimum.outer(t, t))))
         if gap > 1e-12:

@@ -260,7 +260,7 @@ def test_acceptance_5_covariance_fidelity():
         grid = TimeGrid(1.0, 16)
         bank = _rl_bank(hurst)
         paths = draw_driver_arrays(bank, grid, n, seed=seed_hybrid)[2][:, 1:, 0]
-        want = covariance_matrix(bank, grid, n_quad=256).blocks[0]
+        want = covariance_matrix(bank, grid, n_quad=256)[0]
 
         # entrywise sample second moments and their standard errors,
         # accumulated in chunks to bound memory

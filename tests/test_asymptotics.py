@@ -1,5 +1,7 @@
 """Tail probability estimators, LDP slope fits, and short-time diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -213,6 +215,8 @@ def zero_control_solution(grid, d=1, p=1):
 
 
 def test_tilted_with_zero_control_equals_crude(unit_grid):
+    # crude Monte Carlo is the tilted estimator without a control: a zero
+    # control gives the same estimate bit for bit, in every field
     coeffs = exp_vol_coeffs(0.4, amplitude=0.3)
     bank = rl_bank(0.35)
     event = TerminalHalfSpace(0.3)
@@ -220,7 +224,8 @@ def test_tilted_with_zero_control_equals_crude(unit_grid):
                                seed=11)
     tilt = tilted_estimate(coeffs, bank, unit_grid, 0.5, event,
                            zero_control_solution(unit_grid), 4000, seed=11)
-    assert tilt.prob == pytest.approx(crude.prob, rel=1e-12)
+    assert crude.n_hits > 0  # no NaN field, so == compares every field
+    assert dataclasses.astuple(tilt) == dataclasses.astuple(crude)
 
 
 def test_tilted_thread_count_invariance():
@@ -240,18 +245,16 @@ def test_tilted_thread_count_invariance():
 
 def test_estimator_health(unit_grid):
     # crude weights are all 1 (ESS = hits, share = 1 / hits), and so are the
-    # weights of a zero-control tilt; a real tilt has 1 / share <= ESS <= hits
+    # weights of a zero-control tilt (test_tilted_with_zero_control_equals_crude);
+    # a real tilt has 1 / share <= ESS <= hits
     coeffs = exp_vol_coeffs(-0.5, amplitude=0.3)
     bank = rl_bank(0.35)
     grid = TimeGrid(1.0, 8)
     near, event = TerminalHalfSpace(0.1), TerminalHalfSpace(0.4)
     crude = estimate_tail_prob(coeffs, bank, grid, 0.4, near, 4000, seed=5)
-    flat = tilted_estimate(coeffs, bank, grid, 0.4, near,
-                           zero_control_solution(grid), 4000, seed=5)
-    for est in (crude, flat):
-        assert est.n_hits > 100
-        assert est.ess == est.n_hits
-        assert est.max_weight_share == 1.0 / est.n_hits
+    assert crude.n_hits > 100
+    assert crude.ess == crude.n_hits
+    assert crude.max_weight_share == 1.0 / crude.n_hits
     control = terminal_rate(np.array([0.4]), bank, coeffs, grid, FAST_OPT)
     a, b = (
         tilted_estimate(coeffs, bank, grid, 0.4, event, control, 20_000,

@@ -94,6 +94,7 @@ _MISSPELLED = [
     ("schedule", "rule = log_fbm\neta = 0.5, 0.25\ndelta = 0.5, 0.25", "delta"),
     ("schedule", "rule = custom\neta = 0.5\nepsilon = 0.5\nlog_exponent = 2",
      "log_exponent"),
+    ("schedule", "rule = custom\neta = 0.5\nepsilon = 0.5\nhurst = 0.3", "hurst"),
     ("simulate", "n_path = 5", "n_path"),
     ("rate", "functionl = i_z", "functionl"),
     ("terminal-rate", "zz = 1.0", "zz"),

@@ -66,7 +66,7 @@ def test_covariance_diagonal_matches_slice_norm():
     for ell, kernel in enumerate(bank):
         for i, t in enumerate(grid.nodes[1:]):
             want = kernel_l2_slice(kernel, t, n_quad=256)
-            assert cov.blocks[ell][i, i] == pytest.approx(want, rel=1e-14)
+            assert cov[ell][i, i] == pytest.approx(want, rel=1e-14)
 
 
 def _covariance_reference(kernel, grid, n_quad):
@@ -106,7 +106,7 @@ def test_covariance_matches_reference_column_rule():
         cov = covariance_matrix(bank, grid, n_quad=n_quad)
         for ell, kernel in enumerate(bank):
             want = _covariance_reference(kernel, grid, n_quad)
-            np.testing.assert_allclose(cov.blocks[ell], want, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(cov[ell], want, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7, 0.9])
@@ -116,7 +116,7 @@ def test_molchan_golosov_covariance_is_fbm_covariance(hurst):
     # every column carries the s^(-|H - 1/2|) blow-up at the origin
     kernel = make_kernel("molchan_golosov", hurst=hurst, scale=1.0, horizon=1.0)
     grid = TimeGrid(1.0, 8)
-    cov = covariance_matrix(KernelBank((kernel,)), grid).blocks[0]
+    cov = covariance_matrix(KernelBank((kernel,)), grid)[0]
     t = grid.nodes[1:, None]
     s = grid.nodes[None, 1:]
     h2 = 2 * hurst
@@ -124,16 +124,14 @@ def test_molchan_golosov_covariance_is_fbm_covariance(hurst):
     assert np.allclose(cov, want, rtol=5e-3, atol=0.0)
 
 
-def test_covariance_dense_is_block_diagonal():
-    bank = KernelBank((rl_kernel(0.3), rl_kernel(0.75)))
+def test_covariance_has_one_block_per_factor():
+    # the factors are independent: block l is factor l's own covariance
+    kernels = (rl_kernel(0.3), rl_kernel(0.75))
     grid = TimeGrid(1.0, 5)
-    cov = covariance_matrix(bank, grid)
-    dense = cov.dense()
-    n = grid.n_steps
-    assert dense.shape == (2 * n, 2 * n)
-    assert np.all(dense[:n, n:] == 0.0)
-    assert np.all(dense[n:, :n] == 0.0)
-    assert np.array_equal(dense[:n, :n], cov.blocks[0])
+    cov = covariance_matrix(KernelBank(kernels), grid)
+    assert cov.shape == (2, grid.n_steps, grid.n_steps)
+    for block, kernel in zip(cov, kernels):
+        assert np.array_equal(block, covariance_matrix(KernelBank((kernel,)), grid)[0])
 
 
 def test_covariance_quadrature_validation():
@@ -144,7 +142,7 @@ def test_covariance_quadrature_validation():
 
 def test_covariance_is_positive_semidefinite():
     cov = covariance_matrix(mixed_bank(), TimeGrid(0.9, 10))
-    for block in cov.blocks:
+    for block in cov:
         eigvals = np.linalg.eigvalsh(block)
         assert eigvals.min() >= -1e-10 * max(eigvals.max(), 1.0)
 
@@ -243,7 +241,7 @@ def test_empirical_covariance_fidelity():
     n = 30_000
     volterra = _draw(bank, grid, n, 2024)[2]
     emp = empirical_covariance(volterra)
-    want = covariance_matrix(bank, grid).blocks[0]
+    want = covariance_matrix(bank, grid)[0]
     got = emp[0][1:, 1:]
     se = np.sqrt(
         (np.outer(np.diag(want), np.diag(want)) + want**2) / n
@@ -345,7 +343,7 @@ def test_cholesky_sampler_covariance():
     grid = TimeGrid(1.0, 6)
     n = 40_000
     chol = sample_volterra_cholesky(bank, grid, n, seed=55)
-    want = covariance_matrix(bank, grid).blocks[0]
+    want = covariance_matrix(bank, grid)[0]
     got = np.cov(chol[:, 1:, 0].T, bias=False)
     se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / n)
     assert np.max(np.abs(got - want) / se) <= 4.0

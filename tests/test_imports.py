@@ -1,4 +1,4 @@
-"""Dead-code guards: unused imports and unused parameters.
+"""Dead-code guards: unused imports, unused parameters and unread fields.
 
 No linter ships with the toolchain, so these stdlib ``ast`` scans stand in
 for pyflakes' unused-import rule and for an unused-argument rule.  Every
@@ -6,6 +6,9 @@ name a module imports is referenced in it (``volldp/__init__.py`` is
 exempt: its imports are the package's re-exports), and every parameter of
 every function in ``src/volldp`` is read in its body, apart from the
 receivers ``self`` and ``cls`` and the exemptions listed in ``_UNUSED_OK``.
+Every field of a dataclass or ``NamedTuple`` in ``src/volldp`` is read
+somewhere in ``src``, ``tests`` or ``bench``, apart from the exemptions
+listed in ``_UNREAD_OK``.
 """
 
 import ast
@@ -30,6 +33,9 @@ _UNUSED_OK = {
     # abstract: every kernel family overrides it
     ("kernels.py", "VolterraKernel._raw"): {"t", "s"},
 }
+
+# Record fields nothing reads, by (module, class).
+_UNREAD_OK = {}
 
 
 def _own_nodes(scope):
@@ -153,3 +159,60 @@ def test_unused_parameter_exemptions_are_all_needed():
         for name, param in unused_parameters(path.read_text(encoding="utf-8"))
     }
     assert used - {None} == set(_UNUSED_OK)
+
+
+
+def _callee(node) -> str | None:
+    """The name a decorator, base or call refers to (``a.b(...)`` -> "b")."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def record_fields(source: str) -> list:
+    """(class, field) for every field of a dataclass or ``NamedTuple``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                _callee(n) in ("dataclass", "NamedTuple")
+                for n in node.decorator_list + node.bases):
+            out.extend((node.name, stmt.target.id) for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign))
+    return out
+
+
+def field_reads(source: str) -> set:
+    """Attribute names loaded in ``source``, and string constants given to
+    ``getattr`` as the attribute."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and _callee(node) == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+            reads.add(node.args[1].value)
+    return reads
+
+
+def test_scan_finds_an_unread_field():
+    source = (
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+        "    def f(self):\n        return self.x\n"
+        "class B(NamedTuple):\n    u: int\n    v: int\n"
+        "class C:\n    w: int\n"
+        "b = B(1, v=2)\nb.u = 3\nprint(getattr(b, 'v'))\n"
+    )
+    assert record_fields(source) == [("A", "x"), ("A", "y"), ("B", "u"), ("B", "v")]
+    assert field_reads(source) == {"x", "v"}
+
+
+def test_every_record_field_is_read():
+    readers = [path for folder in ("src/volldp", "tests", "bench")
+               for path in (_ROOT / folder).glob("*.py")]
+    reads = set().union(*(field_reads(p.read_text(encoding="utf-8")) for p in readers))
+    unread = {(path.name, cls, name) for path in _SRC
+              for cls, name in record_fields(path.read_text(encoding="utf-8"))
+              if name not in reads}
+    # equality: an exemption that matches nothing has outlived its reason
+    assert unread == {(module, cls, name) for (module, cls), names
+                      in _UNREAD_OK.items() for name in names}

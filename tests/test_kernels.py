@@ -720,15 +720,7 @@ def test_schedule_validation():
     with pytest.raises(ConfigurationError):
         ScalingSchedule.self_similar([], 0.4)
     with pytest.raises(ConfigurationError):
-        ScalingSchedule(
-            eta=(0.5, 0.2), epsilon=(0.9, 0.1), delta=(0.5, 0.2),
-            speed_exponent_hurst=0.4, rule="self_similar",
-        )  # epsilon inconsistent with the declared rule
-    with pytest.raises(ConfigurationError):
-        ScalingSchedule(
-            eta=(0.5, 0.2), epsilon=(0.5,), delta=(0.5, 0.2),
-            speed_exponent_hurst=0.4,
-        )  # length mismatch
+        ScalingSchedule((0.5, 0.2), (0.5,), (0.5, 0.2))  # length mismatch
 
 
 # ---------------------------------------------------------------------------
