@@ -65,7 +65,6 @@ from .model import ModelCoefficients, ProbeLattice, Scaling, euler_paths_array
 from .ratefn import RateSolution
 
 _MIN_TAIL_PATHS = 1000
-_LOG_WEIGHT_CAP = 700.0
 # Paths per counter block of the tail estimators: the unit of work handed to
 # a worker thread and of the block-order reduction.
 _BLOCK_PATHS = 8192
@@ -160,8 +159,8 @@ class TailEstimate:
     epsilon: float
     log_prob: float
     log_stderr: float
-    ess: float = np.nan
-    max_weight_share: float = np.nan
+    ess: float
+    max_weight_share: float
 
 
 def _validate_tail_args(n_paths: int) -> None:
@@ -191,7 +190,6 @@ class _BlockSums(NamedTuple):
     The weight sums are relative to ``log_scale``, the largest log-weight of
     a hit: sum exp(log w - log_scale) and sum exp(2 (log w - log_scale))
     over the hits, so they neither overflow nor underflow.
-    ``max_log_weight`` is over all paths.
     """
 
     hits: int
@@ -199,7 +197,6 @@ class _BlockSums(NamedTuple):
     log_scale: float
     weight_sum: float
     weight_sq: float
-    max_log_weight: float
 
 
 def _merge_sums(acc: _BlockSums, part: _BlockSums) -> _BlockSums:
@@ -217,7 +214,6 @@ def _merge_sums(acc: _BlockSums, part: _BlockSums) -> _BlockSums:
         scale,
         weight_sum,
         weight_sq,
-        max(acc.max_log_weight, part.max_log_weight),
     )
 
 
@@ -307,18 +303,10 @@ def _tail_estimate(
             scale,
             float(np.sum(w)),
             float(np.sum(w**2)),
-            float(np.max(log_w)),
         )
 
     sums = _run_blocks(bank, grid, n_paths, threads, block)
     hits = sums.hits
-    if sums.max_log_weight > _LOG_WEIGHT_CAP:
-        warnings.warn(
-            "likelihood-ratio exponent exceeds the overflow threshold; "
-            "the tilted estimate may be unusable at this noise level",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     if control is None and (hits < 10 or hits == n_paths):
         warnings.warn(
             f"event frequency is degenerate ({hits} of {n_paths} paths); "

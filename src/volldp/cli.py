@@ -120,7 +120,7 @@ def _cmd_simulate(cfg, out_dir: str) -> None:
     # produced paths.csv, row for row.
     paths = euler_paths_array(
         cfg.coeffs, cfg.bank, cfg.grid, Scaling.small_noise(opts.epsilon),
-        opts.n_paths, cfg.seed, convolve_per_path=True,
+        opts.n_paths, cfg.seed, per_path_convolve=True,
     )
     values = paths.values
     d = cfg.coeffs.d
@@ -384,15 +384,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for name in commands:
         cmd = sub.add_parser(name)
-        if name != "selftest":  # the battery reads no config and fixes its seed
+        # the battery reads no config, fixes its seed and runs no pool
+        if name != "selftest":
             cmd.add_argument("--config", required=True, help="experiment file")
             cmd.add_argument("--seed", type=int, default=None,
                              help="override the config seed")
+            cmd.add_argument("--threads", type=int, default=None,
+                             help="worker threads of the tail estimators "
+                                  "(default: the CPUs available); also "
+                                  "exported as the BLAS/OpenMP thread cap")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="worker threads of the tail estimators (default: "
-                              "the CPUs available); also exported as the "
-                              "BLAS/OpenMP thread cap")
         if name == "terminal-rate":
             cmd.add_argument("--z", default=None,
                              help="comma-separated terminal point")
@@ -418,9 +419,6 @@ def main(argv=None) -> int:
     manifest = None  # the manifest's fields, once the output directory exists
     error = None
     try:
-        # The BLAS/OpenMP variables reach only pools sized after this point;
-        # numpy, loaded with the package, has already sized its own.
-        _apply_thread_cap(args.threads)
         if args.command == "selftest":
             out_dir = args.out
             if out_dir is not None:
@@ -428,6 +426,9 @@ def main(argv=None) -> int:
             failures = _cmd_selftest(out_dir)
             return 0 if failures == 0 else _EXIT_CODES["VALIDATION"]
 
+        # The BLAS/OpenMP variables reach only pools sized after this point;
+        # numpy, loaded with the package, has already sized its own.
+        _apply_thread_cap(args.threads)
         from .config import parse_config, read_config_text
 
         config_text = read_config_text(args.config)  # hashed and parsed once

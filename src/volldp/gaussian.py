@@ -27,7 +27,7 @@ column by column: both are the kernels module's one power-law rule.
 A path set is a stack of arrays with the path on the leading axis: dB and V
 of shape (n, N, p), Bhat of shape (n, N + 1, p).  ``replay_volterra``
 recomputes Bhat from stored dB and V arrays bit for bit, provided the draw
-convolved one path at a time (``per_path_convolve``); the batched product
+made one product per path (``per_path_convolve``); the batched product
 of the Monte Carlo blocks may differ from it in the last ulp.
 
 Randomness is counter-based: path k reads a dedicated counter range of a
@@ -155,7 +155,7 @@ def discretize_kernel(kernel: VolterraKernel, grid: TimeGrid) -> KernelDiscretiz
     # all cells j <= i - 2 of all rows at once: (pair, Gauss node) values
     vals = eval_lower_triangle(kernel, t, 0.5 * dt * (xg + 1.0), lag=2)
     # add the Gauss nodes left to right (no matrix product), so every weight
-    # is one fixed sequence of roundings whatever the chunking
+    # is one fixed sequence of roundings whatever the grid size
     cell = wg[0] * vals[:, 0]
     for q in range(1, xg.size):
         cell += wg[q] * vals[:, q]
@@ -199,9 +199,9 @@ def draw_driver_arrays(
     budget, shape (n, extra_draws).  The per-path word budget is
     N * (2 p) + extra_draws, fixed by the call signature.
 
-    With ``per_path_convolve`` the convolution runs one path at a time with
-    the same matrix product ``replay_volterra`` uses, so that stored Bhat
-    values reproduce bit for bit under replay.  The batched default is
+    With ``per_path_convolve`` the convolution makes one (1, N) x (N, N + 1)
+    product per path, the product ``replay_volterra`` uses, so that stored
+    Bhat values reproduce bit for bit under replay.  The batched default is
     faster for Monte Carlo blocks but may differ from the replay product in
     the last ulp (BLAS blocking depends on operand shape).
     """
@@ -232,10 +232,11 @@ def _convolve(discs, increments, singular, per_path: bool) -> np.ndarray:
     volterra = np.empty((n_paths, n + 1, p))
     for ell, disc in enumerate(discs):
         if per_path:
-            for k in range(n_paths):
-                volterra[k, :, ell] = disc.convolve_increments(
-                    increments[k, None, :, ell], singular[k, None, :, ell]
-                )[0]
+            # a stack of (1, N) rows: numpy's stacked matmul makes one
+            # (1, N) x (N, N + 1) product per path, independent of n
+            volterra[:, :, ell] = disc.convolve_increments(
+                increments[:, None, :, ell], singular[:, None, :, ell]
+            )[:, 0]
         else:
             volterra[:, :, ell] = disc.convolve_increments(
                 increments[:, :, ell], singular[:, :, ell]
@@ -248,7 +249,7 @@ def replay_volterra(
 ) -> np.ndarray:
     """Recompute Bhat (n, N + 1, p) from stored dB and V arrays (n, N, p).
 
-    Convolves one path at a time, as ``draw_driver_arrays(...,
+    Makes one product per path, as ``draw_driver_arrays(...,
     per_path_convolve=True)`` does, so the result matches the Bhat stored
     by such a draw bit for bit; tests use this to pin down the convolution
     contract.

@@ -8,9 +8,9 @@ sampling, rate functionals, short-time rescaling) consumes kernels through
 the small interface implemented in this module:
 
 * pointwise evaluation with exact zero above the diagonal,
-* chunked evaluation on the lower triangle of a grid
-  (``eval_lower_triangle``), the one grid evaluator behind discretization
-  and kernel tables,
+* row-by-row evaluation on the lower triangle of a grid
+  (``eval_lower_triangle``), the one grid evaluator behind discretization,
+  kernel tables and the limit-kernel error,
 * slice products  int_lo^s K(t, u) K(s, u) du  by singularity-splitting
   quadrature (``slice_products``), the one rule behind the slice norm, the
   covariance of the Gaussian driver and the L^2 modulus of continuity in
@@ -50,10 +50,6 @@ from .grids import TimeGrid
 
 _GL32 = np.polynomial.legendre.leggauss(32)
 _GL8 = np.polynomial.legendre.leggauss(8)
-
-# Largest number of (t, s) points handed to one ``eval`` call by the grid
-# evaluator; bounds the transient memory of a kernel's own evaluation.
-_EVAL_CHUNK = 16384
 
 
 def _as_array(x):
@@ -362,10 +358,13 @@ class RescaledKernel(VolterraKernel):
 
 
 _FAMILIES = {
-    "riemann_liouville": RiemannLiouvilleKernel,
-    "log_fbm": LogFbmKernel,
-    "molchan_golosov": MolchanGolosovKernel,
-    "fractional_ou": FractionalOUKernel,
+    cls.family: cls
+    for cls in (
+        RiemannLiouvilleKernel,
+        LogFbmKernel,
+        MolchanGolosovKernel,
+        FractionalOUKernel,
+    )
 }
 
 
@@ -430,64 +429,34 @@ def eval_lower_triangle(
 
     Returns shape (P, Q): one row per pair (i, j) in the row-major order of
     ``np.tril_indices(len(nodes), -lag)`` (lag >= 0), one column per offset.
-    The flattened (i, j, q) points go to ``kernel.eval`` in chunks of at
-    most ``_EVAL_CHUNK`` points, so the transient memory of the evaluation
-    stays bounded whatever the grid size.  The fractional OU kernel goes
-    row by row through its recursion instead (``_fou_lower_triangle``).
+    The grid goes row by row: row i is one ``kernel.eval`` call on its
+    points s = nodes[j] + offsets[q], j <= i - lag, so the transient memory
+    of the evaluation is one grid row.  For the fractional OU kernel the
+    points s > 0 at least one cell width nodes[i] - nodes[i - 1] below the
+    previous row (up to the rounding of the node spacing) take
+    ``FractionalOUKernel._row_step`` from that row instead; every other
+    point, among them the first row of each column, takes the pointwise
+    rule, which also checks the domain.
     """
     nodes = _as_array(nodes)
     offsets = np.atleast_1d(_as_array(offsets))
-    if isinstance(kernel, FractionalOUKernel):
-        return _fou_lower_triangle(kernel, nodes, offsets, lag)
-    n_q = offsets.size
+    recursive = isinstance(kernel, FractionalOUKernel)
     n_rows = max(nodes.size - lag, 0)
-    # row r holds the pairs (lag + r, 0 .. r) and starts at pair r (r + 1) / 2
-    rows = np.arange(n_rows)
-    starts = rows * (rows + 1) // 2
-    n_pairs = n_rows * (n_rows + 1) // 2
-    out = np.empty((n_pairs, n_q))
-    step = max(_EVAL_CHUNK // n_q, 1)
-    for first in range(0, n_pairs, step):
-        pairs = np.arange(first, min(first + step, n_pairs))
-        r = np.searchsorted(starts, pairs, side="right") - 1
-        t = np.repeat(nodes[r + lag], n_q)
-        s = (nodes[pairs - starts[r], None] + offsets).reshape(-1)
-        out[first : first + pairs.size] = kernel.eval(t, s).reshape(-1, n_q)
-    return out
-
-
-def _fou_lower_triangle(
-    kernel: FractionalOUKernel, nodes, offsets, lag: int
-) -> np.ndarray:
-    """``eval_lower_triangle`` of a fractional OU kernel, one row at a time.
-
-    Along each column s = nodes[j] + offsets[q] the row of node i takes
-    ``FractionalOUKernel._row_step`` from row i - 1 where that row lies at
-    least one cell width nodes[i] - nodes[i - 1] from s (up to the rounding
-    of the node spacing) and s > 0; every other point, among them the first
-    row of each column, takes the pointwise rule ``kernel.eval``, which also
-    checks the domain.
-    """
-    n_q = offsets.size
-    n_rows = max(nodes.size - lag, 0)
-    out = np.empty((n_rows * (n_rows + 1) // 2, n_q))
-    prev = np.empty((0, n_q))
+    out = np.empty((n_rows * (n_rows + 1) // 2, offsets.size))
     first = 0
     for r in range(n_rows):
         i = lag + r
         s = nodes[: r + 1, None] + offsets
-        row = np.empty(s.shape)
+        row = out[first : first + r + 1]
         step = np.zeros(s.shape, dtype=bool)
-        if r > 0:
+        if recursive and r > 0:
             t0, t1 = nodes[i - 1], nodes[i]
             above = s[:r]
             step[:r] = (t0 - above >= (1.0 - 1e-9) * (t1 - t0)) & (above > 0.0)
+            prev = out[first - r : first]
             row[step] = kernel._row_step(t0, t1, s[step], prev[step[:r]])
-        point = ~step
-        row[point] = kernel.eval(nodes[i], s[point])
-        out[first : first + r + 1] = row
+        row[~step] = kernel.eval(nodes[i], s[~step])
         first += r + 1
-        prev = row
     return out
 
 

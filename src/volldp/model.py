@@ -61,8 +61,6 @@ class ConstantMap:
     value: np.ndarray
     in_dim: int
 
-    family = "constant"
-
     def __post_init__(self):
         object.__setattr__(self, "value", np.asarray(self.value, dtype=float))
 
@@ -88,8 +86,6 @@ class AffineMap:
 
     const: np.ndarray
     slope: np.ndarray
-
-    family = "affine"
 
     def __post_init__(self):
         object.__setattr__(self, "const", np.asarray(self.const, dtype=float))
@@ -127,8 +123,6 @@ class ExpLinearMap:
 
     amplitude: np.ndarray
     weights: np.ndarray
-
-    family = "exp_linear"
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude", np.asarray(self.amplitude, dtype=float))
@@ -518,13 +512,13 @@ def euler_paths_array(
     first_path: int = 0,
     brownian_shift=None,
     wiener_shift=None,
-    convolve_per_path: bool = False,
+    per_path_convolve: bool = False,
 ) -> EulerPaths:
     """Vectorized Euler scheme for paths [first_path, first_path + n_paths).
 
     ``brownian_shift`` / ``wiener_shift`` add a deterministic per-step
     drift (N, p) / (N, d) to the increments before the scheme runs -- the
-    exponential-tilting hook.  ``convolve_per_path`` makes the returned Bhat
+    exponential-tilting hook.  ``per_path_convolve`` makes the returned Bhat
     replay-exact (see ``gaussian.replay_volterra``).
     """
     if bank.n_factors != coeffs.p:
@@ -536,7 +530,7 @@ def euler_paths_array(
 
     increments, singular, volterra, extras = draw_driver_arrays(
         bank, grid, n_paths, seed, first_path=first_path, extra_draws=n * d,
-        per_path_convolve=convolve_per_path,
+        per_path_convolve=per_path_convolve,
     )
     dw = extras.reshape(n_paths, n, d) * np.sqrt(dt)
     if brownian_shift is not None:

@@ -85,7 +85,7 @@ def check_replay(rng, n_paths: int) -> list:
     )
     paths = euler_paths_array(
         coeffs, bank, grid, Scaling.small_noise(0.4), n_paths, seed=_seed(rng),
-        convolve_per_path=True,
+        per_path_convolve=True,
     )
     rebuilt = replay_volterra(bank, grid, paths.increments, paths.singular)
     if np.array_equal(rebuilt, paths.volterra):

@@ -381,9 +381,13 @@ def TailEstimate_like(prob, stderr, n_paths, epsilon):
 
     with np.errstate(divide="ignore"):
         logs = float(np.log(prob)), float(np.log(stderr))
+    hits = int(round(prob * n_paths))
+    # the crude estimator's health fields: unit weights, none without a hit
+    ess, share = (float(hits), 1.0 / hits) if hits else (0.0, np.nan)
     return TailEstimate(prob=prob, stderr=stderr, n_paths=n_paths,
-                        n_hits=int(round(prob * n_paths)), epsilon=epsilon,
-                        log_prob=logs[0], log_stderr=logs[1])
+                        n_hits=hits, epsilon=epsilon,
+                        log_prob=logs[0], log_stderr=logs[1],
+                        ess=ess, max_weight_share=share)
 
 
 def test_ldp_slope_exact_recovery():

@@ -221,8 +221,9 @@ class TestCliErrors:
         assert code == 2
         assert "error[CONFIG]: --z" in capsys.readouterr().err
 
-    def test_thread_cap_rejects_nonpositive(self, capsys):
-        assert main(["selftest", "--threads", "0"]) == 2
+    def test_thread_cap_rejects_nonpositive(self, tmp_path, capsys):
+        path = _ini(tmp_path, _one_factor_text(n_steps=2, out=str(tmp_path / "o")))
+        assert main(["kernel-table", "--config", path, "--threads", "0"]) == 2
         err = capsys.readouterr().err
         assert err == "error[CONFIG]: --threads must be >= 1\n"
 
@@ -774,10 +775,12 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         assert "checks passed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--config", "x.ini"]],
-                             ids=["seed", "config"])
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "3"], ["--config", "x.ini"], ["--threads", "2"]],
+        ids=["seed", "config", "threads"])
     def test_rejects_flags_it_would_ignore(self, flag, capsys):
-        # the battery has its own seed and reads no config: argparse exits 2
+        # the battery has its own seed, reads no config and runs no pool:
+        # argparse exits 2
         with pytest.raises(SystemExit) as exc:
             main(["selftest", *flag])
         assert exc.value.code == 2

@@ -7,6 +7,7 @@ from scipy.special import ndtri
 
 from volldp.errors import DomainError
 from volldp.gaussian import (
+    bank_discretizations,
     covariance_matrix,
     draw_driver_arrays,
     empirical_covariance,
@@ -191,6 +192,21 @@ def test_first_path_block_consistency():
     for name in ("increments", "singular", "volterra"):
         idx = {"increments": 0, "singular": 1, "volterra": 2}[name]
         assert np.array_equal(full[idx][2:], tail[idx]), name
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 64])
+def test_per_path_convolution_matches_path_loop(n_steps):
+    # the stacked product of a per-path draw is, path by path, the
+    # (1, N) x (N, N + 1) product of a loop over the paths
+    bank = mixed_bank()
+    grid = TimeGrid(0.9, n_steps)
+    increments, singular, volterra = _draw(bank, grid, 300, seed=4)
+    for ell, disc in enumerate(bank_discretizations(bank, grid)):
+        for k in range(300):
+            want = disc.convolve_increments(
+                increments[k, None, :, ell], singular[k, None, :, ell]
+            )[0]
+            assert np.array_equal(volterra[k, :, ell], want)
 
 
 def test_path_normals_counter_layout():

@@ -281,6 +281,46 @@ def test_fou_grid_matches_pointwise_rule(hurst, n_steps):
     assert np.all(s_zero == 0.0)
 
 
+def _fou_row_loop(kernel, nodes, offsets, lag):
+    """Reference grid values of a fractional OU kernel, row by row.
+
+    A point s > 0 of row i steps from row i - 1 when that row lies at least
+    one cell width (up to rounding) above s; every other point takes the
+    pointwise rule.
+    """
+    rows, prev = [], None
+    for i in range(lag, nodes.size):
+        s = nodes[: i - lag + 1, None] + offsets
+        row = np.empty(s.shape)
+        step = np.zeros(s.shape, dtype=bool)
+        if prev is not None:
+            t0, t1 = nodes[i - 1], nodes[i]
+            above = s[: len(prev)]
+            step[: len(prev)] = (
+                (t0 - above >= (1.0 - 1e-9) * (t1 - t0)) & (above > 0.0)
+            )
+            row[step] = kernel._row_step(t0, t1, s[step], prev[step[: len(prev)]])
+        row[~step] = kernel.eval(nodes[i], s[~step])
+        rows.append(row)
+        prev = row
+    return np.concatenate(rows) if rows else np.empty((0, offsets.size))
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 64])
+def test_fou_grid_matches_row_loop_reference_bitwise(n_steps):
+    # which points step from the previous row is a choice the tolerance
+    # tests cannot pin down; offsets across a cell put points at every
+    # distance below the previous row
+    k = make_kernel("fractional_ou", hurst=0.35, scale=1.3, horizon=1.0,
+                    mean_reversion=1.3)
+    nodes = TimeGrid(1.0, n_steps).nodes
+    xg, _ = np.polynomial.legendre.leggauss(4)
+    for offsets in (np.array([0.0]), 0.5 * (1.0 / n_steps) * (xg + 1.0)):
+        for lag in (0, 1, 2):
+            got = eval_lower_triangle(k, nodes, offsets, lag=lag)
+            assert np.array_equal(got, _fou_row_loop(k, nodes, offsets, lag))
+
+
 def test_fou_grid_brownian_closed_form():
     # H = 1/2: no forcing, the recursion multiplies e^(-a (t - s)) by e^(-a h)
     a = 1.3
@@ -411,8 +451,8 @@ def test_l2_slice_against_adaptive_quadrature():
 
 
 def test_eval_lower_triangle_matches_pointwise_eval():
-    # 3 offsets on the lower triangle of 201 nodes: about 60,000 points,
-    # which crosses several chunk boundaries
+    # 3 offsets on the lower triangle of 201 nodes: about 60,000 points in
+    # 201 row calls of up to 603 points each
     nodes = TimeGrid(1.0, 200).nodes
     offsets = np.array([0.0, 0.001, 0.004])
     for k in (rl_kernel(0.3),
@@ -460,7 +500,7 @@ def test_discretization_matches_row_loop_bitwise(n_steps):
 
 @pytest.mark.parametrize("hurst", [0.3, 0.72])
 def test_molchan_golosov_discretization_matches_row_loop_bitwise(hurst):
-    # the chunked pointwise rule, untouched by the fOU recursion; the first
+    # the pointwise rule of every row, untouched by the fOU recursion; the first
     # edge amplitude is calibrated at the cell midpoint, not in the loop
     kernel = make_kernel("molchan_golosov", hurst=hurst, scale=1.0, horizon=0.9)
     grid = TimeGrid(0.9, 100)
@@ -662,7 +702,7 @@ def _limit_error_reference(kernel, eta, epsilon, limit, grid):
 @pytest.mark.parametrize("kernel", all_families(), ids=_kernel_id)
 def test_limit_error_matches_meshgrid_reference_bitwise(kernel):
     limit = rl_kernel(kernel.hurst, scale=1.1, horizon=0.9)
-    # 200 steps give 20,100 pairs, more than one chunk of the evaluator
+    # 200 steps give 20,100 pairs in 200 row calls of the evaluator
     for grid in (TimeGrid(0.9, 1), TimeGrid(0.9, 12), TimeGrid(0.9, 200)):
         got = limit_kernel_error(kernel, 0.2, 0.2**kernel.hurst, limit, grid)
         assert got > 0.0

@@ -417,7 +417,7 @@ def test_euler_paths_shapes_and_replay():
     grid = TimeGrid(1.0, 10)
     scaling = Scaling.small_noise(0.4)
     paths = euler_paths_array(coeffs, bank, grid, scaling, 3, seed=23,
-                              convolve_per_path=True)
+                              per_path_convolve=True)
     assert paths.values.shape == (3, 11, 1)
     # brownian is the running sum of the stored increments (up to the
     # rounding of cumulative summation)
