@@ -155,7 +155,7 @@ def _read_target_csv(path: str, grid, d: int):
 
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a cell is not a number
         raise ConfigurationError(f"cannot read target file {path}: {exc}") from exc
     if data.shape != (grid.n_steps + 1, d + 1):
         raise ConfigurationError(

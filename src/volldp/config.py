@@ -10,17 +10,21 @@ Each option is declared once: as a field of the record its section fills
 (``TimeGrid``, the family's kernel class for ``[kernel.N]``,
 ``OptimizerConfig``, the ``*Options`` blocks below), which gives its name,
 type and default, or in the name -> type maps below for ``[model]``,
-``[run]`` and ``[schedule]``.  The coefficient sections hand every key but
-``family`` (and ``rho``) to ``model.make_map``, which knows each family's
-parameters.  The reader is strict: a key that is not an option of its
-section, and a section that no reader uses (a misspelled name, a gap in
-the kernel numbering, ``[model.sigma]`` beside ``[model.volatility]``, a
-non-empty ``[DEFAULT]``), is a ``ConfigurationError`` that names it.
+``[run]`` and ``[schedule]``.  Nothing the reader can derive is asked
+for: the factor count p is the number of ``[kernel.N]`` sections, so
+``[model]`` holds only the asset count d of the generic layout, and the
+one-factor layout (``[model.volatility]``) has no ``[model]`` section.
+The coefficient sections hand every key but ``family`` (and ``rho``) to
+``model.make_map``, which knows each family's parameters.  The reader is
+strict: a key that is not an option of its section, and a section that no
+reader uses (a misspelled name, a gap in the kernel numbering, ``[model]``
+or ``[model.sigma]`` beside ``[model.volatility]``, a non-empty
+``[DEFAULT]``), is a ``ConfigurationError`` that names it.
 """
 
 import configparser
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .asymptotics import _MIN_TAIL_PATHS
 from .errors import ConfigurationError
@@ -30,7 +34,7 @@ from .model import ModelCoefficients, make_map
 from .ratefn import OptimizerConfig
 
 # Options of the sections that fill no single record.
-_MODEL = {"d": int, "p": int}  # plus the growth constants of ModelCoefficients
+_MODEL = {"d": int}
 _RUN = {"seed": int, "out": str}
 _SCHEDULE = {"rule": str, "eta": tuple}
 _SCHEDULE_RULES = {  # the options each rule adds
@@ -40,12 +44,9 @@ _SCHEDULE_RULES = {  # the options each rule adds
 }
 
 # Lower bounds of the options whose record does not check them itself; d
-# and p shape the coefficient maps before the record exists.
+# shapes the coefficient maps before the record exists.
 _BOUNDS = {
     ("model", "d"): ">= 1",
-    ("model", "p"): ">= 1",
-    ("model", "growth_m1"): ">= 0",
-    ("model", "growth_m2"): ">= 0",
     ("run", "seed"): ">= 0",
     ("simulate", "n_paths"): ">= 1",
     ("simulate", "epsilon"): "> 0",
@@ -68,10 +69,6 @@ class _Parser(configparser.ConfigParser):
     def __init__(self):
         super().__init__(inline_comment_prefixes=("#", ";"), interpolation=None)
         self.used = set()
-
-
-def _defaults(record) -> dict:
-    return {f.name: f.default for f in fields(record) if f.default is not MISSING}
 
 
 def _parse(cp, section: str, name: str, kind):
@@ -107,7 +104,8 @@ def _read(cp, section: str, record, *, skip=(), unknown="unknown option",
     if is_dataclass(record):
         hints = typing.get_type_hints(record)
         types = {f.name: hints[f.name] for f in fields(record)}
-        defaults = {**_defaults(record), **defaults}
+        defaults = {**{f.name: f.default for f in fields(record)
+                       if f.default is not MISSING}, **defaults}
     else:
         types = record
     values = {name: defaults[name] for name in types if name in defaults}
@@ -247,23 +245,15 @@ def _parse_map(cp, section: str, shape: tuple, p: int, **head):
 
 
 def _parse_model(cp, bank: KernelBank) -> ModelCoefficients:
-    one_factor = cp.has_section("model.volatility")
-    if not (one_factor or cp.has_section("model")):
-        raise ConfigurationError(
-            "missing config section [model] (or [model.volatility])"
-        )
-    growth = _defaults(ModelCoefficients)
-    names = {**({} if one_factor else _MODEL), **dict.fromkeys(growth, float)}
-    growth = _read(cp, "model", names, **growth)
-    if one_factor:
+    if cp.has_section("model.volatility"):
         base, opts = _parse_map(cp, "model.volatility", (1, 1), 1, rho=float)
         mu = None
         if cp.has_section("model.mu"):
             mu = _parse_map(cp, "model.mu", (1,), 1)[0]
         coeffs = _build("model.volatility", ModelCoefficients.one_factor, base,
                         rho=opts["rho"], mu=mu)
-    else:
-        d, p = growth.pop("d"), growth.pop("p")
+    elif cp.has_section("model"):
+        d, p = _read(cp, "model", _MODEL)["d"], bank.n_factors
         for sec in ("model.mu", "model.sigma", "model.sigma_tilde"):
             if not cp.has_section(sec):
                 raise ConfigurationError(f"missing config section [{sec}]")
@@ -273,8 +263,10 @@ def _parse_model(cp, bank: KernelBank) -> ModelCoefficients:
             sigma=_parse_map(cp, "model.sigma", (d, d), p)[0],
             sigma_tilde=_parse_map(cp, "model.sigma_tilde", (d, p), p)[0],
         )
-    # the growth constants last, so that their errors name [model]
-    coeffs = _build("model", replace, coeffs, **growth)
+    else:
+        raise ConfigurationError(
+            "missing config section [model] (or [model.volatility])"
+        )
     if coeffs.p != bank.n_factors:
         raise ConfigurationError(
             f"model has p = {coeffs.p} factors but the config declares "
@@ -310,6 +302,8 @@ def _parse_schedule(cp, bank: KernelBank):
 def _parse_subcommands(cp, grid: TimeGrid) -> dict:
     opts = {sec: rec(**_read(cp, sec, rec)) for sec, rec in _SUBCOMMANDS.items()}
     rate = opts["rate"]
+    if rate.z is not None and rate.target_file is not None:
+        _fail("rate", "z", "give either 'z' or 'target_file', not both")
     if rate.m is not None:
         _build("rate", grid.require_divisible, rate.m)
     if rate.functional not in ("i_z", "i_z_m", "i_uncorrelated"):

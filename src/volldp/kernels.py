@@ -104,12 +104,7 @@ class VolterraKernel:
         """Evaluate K(t, s) with broadcasting; exactly 0 for s >= t."""
         t = _as_array(t)
         s = _as_array(s)
-        if np.any(t < -1e-15) or np.any(s < -1e-15):
-            raise DomainError("kernel arguments must be nonnegative")
-        if np.any(t > self.horizon * (1 + 1e-12)):
-            raise DomainError(
-                f"time argument exceeds kernel horizon {self.horizon}"
-            )
+        self._check_domain(t, s)
         t, s = np.broadcast_arrays(t, s)
         out = np.zeros(t.shape, dtype=float)
         mask = s < t
@@ -118,6 +113,16 @@ class VolterraKernel:
         if out.ndim == 0:
             return float(out)
         return out
+
+    def _check_domain(self, t, s):
+        """Raise ``DomainError`` unless every t and s is >= 0 and every t
+        lies within the horizon."""
+        if np.any(t < -1e-15) or np.any(s < -1e-15):
+            raise DomainError("kernel arguments must be nonnegative")
+        if np.any(t > self.horizon * (1 + 1e-12)):
+            raise DomainError(
+                f"time argument exceeds kernel horizon {self.horizon}"
+            )
 
     def _raw(self, t, s):  # pragma: no cover - overridden
         raise NotImplementedError
@@ -429,20 +434,22 @@ def eval_lower_triangle(
 
     Returns shape (P, Q): one row per pair (i, j) in the row-major order of
     ``np.tril_indices(len(nodes), -lag)`` (lag >= 0), one column per offset.
-    The grid goes row by row: row i is one ``kernel.eval`` call on its
-    points s = nodes[j] + offsets[q], j <= i - lag, so the transient memory
-    of the evaluation is one grid row.  For the fractional OU kernel the
-    points s > 0 at least one cell width nodes[i] - nodes[i - 1] below the
-    previous row (up to the rounding of the node spacing) take
-    ``FractionalOUKernel._row_step`` from that row instead; every other
-    point, among them the first row of each column, takes the pointwise
-    rule, which also checks the domain.
+    The domain of the whole grid is checked once, by ``eval``'s rule; then
+    the grid goes row by row: row i takes the pointwise rule ``_raw`` on its
+    points s = nodes[j] + offsets[q] < nodes[i], j <= i - lag, and is
+    exactly 0 at s >= nodes[i], so the transient memory of the evaluation is
+    one grid row.  For the fractional OU kernel the points s > 0 at least
+    one cell width nodes[i] - nodes[i - 1] below the previous row (up to the
+    rounding of the node spacing) take ``FractionalOUKernel._row_step`` from
+    that row instead; every other point, among them the first row of each
+    column, takes the pointwise rule.
     """
     nodes = _as_array(nodes)
     offsets = np.atleast_1d(_as_array(offsets))
     recursive = isinstance(kernel, FractionalOUKernel)
     n_rows = max(nodes.size - lag, 0)
-    out = np.empty((n_rows * (n_rows + 1) // 2, offsets.size))
+    kernel._check_domain(nodes[lag:], nodes[:n_rows, None] + offsets)
+    out = np.zeros((n_rows * (n_rows + 1) // 2, offsets.size))
     first = 0
     for r in range(n_rows):
         i = lag + r
@@ -455,7 +462,8 @@ def eval_lower_triangle(
             step[:r] = (t0 - above >= (1.0 - 1e-9) * (t1 - t0)) & (above > 0.0)
             prev = out[first - r : first]
             row[step] = kernel._row_step(t0, t1, s[step], prev[step[:r]])
-        row[~step] = kernel.eval(nodes[i], s[~step])
+        live = ~step & (s < nodes[i])
+        row[live] = kernel._raw(np.full(np.count_nonzero(live), nodes[i]), s[live])
         first += r + 1
     return out
 

@@ -195,11 +195,10 @@ def make_map(family: str, shape: tuple, in_dim: int, **params):
 
 @dataclass(frozen=True)
 class ModelCoefficients:
-    """Coefficient triple (mu, sigma, sigma_tilde) and growth metadata.
+    """Coefficient triple (mu, sigma, sigma_tilde) on R^p for d assets.
 
-    growth_m1, growth_m2 and growth_alpha assert the entrywise bound
-    |sigmat_il(y)| + |sigma_ij(y)| + |mu_i(y)| <= M1 + M2 |y|^alpha used by
-    the validator and by the eigenvalue bound of the diffusion matrix.
+    The maps are the whole model; the growth bound of the LDP is a
+    hypothesis about them, checked by ``validate_coefficients``.
     """
 
     d: int
@@ -207,15 +206,10 @@ class ModelCoefficients:
     mu: object
     sigma: object
     sigma_tilde: object
-    growth_alpha: float = 1.0
-    growth_m1: float = 10.0
-    growth_m2: float = 10.0
 
     def __post_init__(self):
         if self.d < 1 or self.p < 1:
             raise ConfigurationError("d and p must be >= 1")
-        if not (0.0 < self.growth_alpha):
-            raise ConfigurationError("growth_alpha must be positive")
         probe = np.zeros(self.p)
         for name, m, shape in (
             ("mu", self.mu, (self.d,)),
@@ -234,7 +228,7 @@ class ModelCoefficients:
         return s @ np.swapaxes(s, -1, -2)
 
     @classmethod
-    def one_factor(cls, base, rho: float, mu=None, **growth):
+    def one_factor(cls, base, rho: float, mu=None):
         """Correlated one-asset template sigma_tilde = rho s, sigma = sqrt(1-rho^2) s.
 
         ``base`` is a scalar-shaped map (1, 1) -> vol level s(y); requires
@@ -251,7 +245,6 @@ class ModelCoefficients:
             mu=mu,
             sigma=base.scaled(np.sqrt(1.0 - rho * rho)),
             sigma_tilde=base.scaled(rho),
-            **growth,
         )
 
 
@@ -349,15 +342,25 @@ class ValidationReport:
 
 
 def validate_coefficients(
-    coeffs: ModelCoefficients, probe: ProbeLattice = ProbeLattice()
+    coeffs: ModelCoefficients,
+    probe: ProbeLattice = ProbeLattice(),
+    growth_m1: float = 10.0,
+    growth_m2: float = 10.0,
+    growth_alpha: float = 1.0,
 ) -> ValidationReport:
     """Probe-based check of the standing model assumptions.
 
     Checks, on the probe set: non-degeneracy (``_singularity_margin``), the
-    polynomial growth bound with the declared constants, and a local-Holder
-    continuity proxy for the coefficient maps (a probe-pair substitute for
-    genuine modulus continuity, recorded as such in the report).
+    entrywise polynomial growth bound
+    |sigmat_il(y)| + |sigma_ij(y)| + |mu_i(y)| <= M1 + M2 |y|^alpha with
+    M1 = ``growth_m1``, M2 = ``growth_m2`` and alpha = ``growth_alpha`` > 0
+    (else ``ConfigurationError``) and its consequence for the eigenvalues
+    of the diffusion matrix, and a local-Holder continuity proxy for the
+    coefficient maps (a probe-pair substitute for genuine modulus
+    continuity, recorded as such in the report).
     """
+    if not (0.0 < growth_alpha):
+        raise ConfigurationError("growth_alpha must be positive")
     pts = probe.points(coeffs.p)
     checks = []
 
@@ -384,9 +387,7 @@ def validate_coefficients(
     triple = (
         sigt[:, :, None, :] + sig[:, :, :, None] + mu[:, :, None, None]
     ).reshape(len(pts), -1)
-    bound = coeffs.growth_m1 + coeffs.growth_m2 * np.linalg.norm(
-        pts, axis=1
-    ) ** coeffs.growth_alpha
+    bound = growth_m1 + growth_m2 * np.linalg.norm(pts, axis=1) ** growth_alpha
     slack = bound - triple.max(axis=1)
     idx = int(np.argmin(slack))
     checks.append(

@@ -23,7 +23,7 @@ def rl_bank(hurst, scale=1.0, horizon=1.0):
     return KernelBank((rl_kernel(hurst, scale, horizon),))
 
 
-def constant_coeffs(d, p, sigma, mu=None, sigma_tilde=None, **growth):
+def constant_coeffs(d, p, sigma, mu=None, sigma_tilde=None):
     """Coefficients with constant maps; sigma is a (d, d) array."""
     sigma = np.asarray(sigma, dtype=float)
     mu = np.zeros(d) if mu is None else np.asarray(mu, dtype=float)
@@ -34,11 +34,10 @@ def constant_coeffs(d, p, sigma, mu=None, sigma_tilde=None, **growth):
         mu=ConstantMap(mu, p),
         sigma=ConstantMap(sigma, p),
         sigma_tilde=ConstantMap(st, p),
-        **growth,
     )
 
 
-def exp_vol_coeffs(rho, amplitude=0.3, weight=1.0, **growth):
+def exp_vol_coeffs(rho, amplitude=0.3, weight=1.0):
     """One-factor model with exponential volatility s(y) = amplitude * e^(w y)."""
     base = make_map(
         "exp_linear",
@@ -47,10 +46,10 @@ def exp_vol_coeffs(rho, amplitude=0.3, weight=1.0, **growth):
         amplitude=np.array([[amplitude]]),
         weights=np.array([[[weight]]]),
     )
-    return ModelCoefficients.one_factor(base, rho=rho, **growth)
+    return ModelCoefficients.one_factor(base, rho=rho)
 
 
-def affine_vol_coeffs(rho, const=0.5, slope=0.1, **growth):
+def affine_vol_coeffs(rho, const=0.5, slope=0.1):
     """One-factor model with Lipschitz volatility s(y) = const + slope * y."""
     base = make_map(
         "affine",
@@ -59,4 +58,4 @@ def affine_vol_coeffs(rho, const=0.5, slope=0.1, **growth):
         constant=np.array([[const]]),
         linear=np.array([[[slope]]]),
     )
-    return ModelCoefficients.one_factor(base, rho=rho, **growth)
+    return ModelCoefficients.one_factor(base, rho=rho)

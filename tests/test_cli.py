@@ -173,7 +173,6 @@ scale = 1.0
 
 [model]
 d = 2
-p = 1
 
 [run]
 seed = 1
@@ -387,6 +386,17 @@ class TestRateCommands:
         _, rows = _read_csv(os.path.join(out, "value.csv"))
         assert rows[0][0] == pytest.approx(0.125, rel=1e-6)
 
+    def test_rate_malformed_target_file(self, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_text("t,z_1\n0.0,0.0\n0.5,abc\n1.0,1.0\n")
+        extra = self.OPT + f"[rate]\nfunctional = i_z\ntarget_file = {target}\n"
+        path = _ini(tmp_path, _one_factor_text(
+            n_steps=2, out=str(tmp_path / "out"), extra=extra))
+        assert main(["rate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[CONFIG]: cannot read target file")
+        assert err.count("\n") == 1
+
     def test_rate_singular_diffusion_exit_code(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         extra = self.OPT + "[rate]\nfunctional = i_z\nz = 1.0\n"
@@ -431,7 +441,6 @@ scale = 1.0
 
 [model]
 d = 2
-p = 1
 
 [model.mu]
 family = constant
@@ -633,7 +642,6 @@ scale = 1.0
 
 [model]
 d = 1
-p = 1
 
 [model.mu]
 family = constant

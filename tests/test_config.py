@@ -20,7 +20,7 @@ from volldp.config import (
 )
 from volldp.errors import ConfigurationError
 from volldp.grids import TimeGrid
-from volldp.model import ModelCoefficients, make_map
+from volldp.model import make_map
 from volldp.ratefn import OptimizerConfig
 
 _BASE = """
@@ -54,7 +54,6 @@ scale = 1.0
 
 [model]
 d = 1
-p = 1
 
 [model.mu]
 family = constant
@@ -85,7 +84,6 @@ def _with(text: str, section: str, lines: str) -> str:
 _MISSPELLED = [
     ("grid", "n_stepz = 8", "n_stepz"),
     ("kernel.1", "hurts = 0.3", "hurts"),
-    ("model", "growth_alfa = 2.0", "growth_alfa"),
     ("model.volatility", "amplitud = 4", "amplitud"),
     ("model.mu", "family = constant\nvalues = 0.0\nvalue = 1.0", "value"),
     ("optimizer", "toll = 3", "toll"),
@@ -120,15 +118,33 @@ def test_misspelled_key_in_a_generic_model_section():
         parse_config(text)
 
 
-def test_growth_constants_read_in_both_layouts():
-    for text in (_BASE, _GENERIC):
-        cfg = parse_config(_with(text, "model", "growth_m1 = 3.5"))
-        assert cfg.coeffs.growth_m1 == 3.5
+def test_p_is_the_number_of_kernel_sections():
+    two = _GENERIC.replace("[model]", "[kernel.2]\nfamily = molchan_golosov\n"
+                           "hurst = 0.3\nscale = 1.0\n\n[model]")
+    two = two.replace("values = 0.0\n\n[run]", "values = 0.0, 0.0\n\n[run]")
+    assert parse_config(two).coeffs.p == 2
+    with pytest.raises(ConfigurationError, match=r"\[model\], field 'p'"):
+        parse_config(_with(two, "model", "p = 2"))
+
+
+@pytest.mark.parametrize("option", ["growth_m1", "growth_m2", "growth_alpha"])
+def test_growth_constants_are_not_options(option):
+    # the growth bound is a hypothesis checked by validate_coefficients
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"[model], field '{option}': unknown option")):
+        parse_config(_with(_GENERIC, "model", f"{option} = 3.5"))
 
 
 def test_one_factor_model_takes_no_dimensions():
-    with pytest.raises(ConfigurationError, match=r"\[model\], field 'd'"):
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("config section [model]: unknown section")):
         parse_config(_with(_BASE, "model", "d = 1"))
+
+
+def test_rate_takes_z_or_target_file_not_both():
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("config section [rate], field 'z': ")):
+        parse_config(_with(_BASE, "rate", "z = 1.0\ntarget_file = t.csv"))
 
 
 @pytest.mark.parametrize("text, section", [
@@ -185,11 +201,6 @@ def test_unset_options_take_the_record_defaults():
     assert cfg.short_time == ShortTimeOptions()
     assert cfg.optimizer == OptimizerConfig()
     assert cfg.out_dir == "out"
-    growth = {f.name: f.default for f in dataclasses.fields(ModelCoefficients)
-              if f.default is not dataclasses.MISSING}
-    assert set(growth) == {"growth_alpha", "growth_m1", "growth_m2"}
-    for coeffs in (cfg.coeffs, parse_config(_GENERIC).coeffs):
-        assert {name: getattr(coeffs, name) for name in growth} == growth
 
 
 def test_values_are_read_literally():
@@ -298,8 +309,6 @@ def _names(types: dict) -> dict:
 
 def _accepted_options() -> dict:
     """What the reader accepts, from the records and the name maps."""
-    growth = {name: kind for name, kind in _record_options(
-        ModelCoefficients).items() if name.startswith("growth_")}
     kernel = {"family": ("str", None)}
     for cls in kernels._FAMILIES.values():
         kernel.update(_record_options(cls, with_defaults=False))
@@ -309,7 +318,7 @@ def _accepted_options() -> dict:
     accepted = {
         "grid": _record_options(TimeGrid),
         "kernel.N": kernel,
-        "model": {**_names(config._MODEL), **growth},
+        "model": _names(config._MODEL),
         "model.volatility": {"family": ("str", None), "rho": ("float", None)},
         "model.mu": {"family": ("str", None)},
         "model.sigma": {"family": ("str", None)},

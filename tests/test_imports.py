@@ -8,10 +8,13 @@ every function in ``src/volldp`` is read in its body, apart from the
 receivers ``self`` and ``cls`` and the exemptions listed in ``_UNUSED_OK``.
 Every field of a dataclass or ``NamedTuple`` in ``src/volldp`` is read
 somewhere in ``src``, ``tests`` or ``bench``, apart from the exemptions
-listed in ``_UNREAD_OK``.
+listed in ``_UNREAD_OK``, and so is every module-level function and class
+of ``src/volldp`` outside ``__init__.py``, apart from those listed in
+``_UNREFERENCED_OK``.
 """
 
 import ast
+import collections
 import fnmatch
 import pathlib
 
@@ -36,6 +39,10 @@ _UNUSED_OK = {
 
 # Record fields nothing reads, by (module, class).
 _UNREAD_OK = {}
+
+# Module-level functions and classes nothing references, by (module, name),
+# with the reason each stays.
+_UNREFERENCED_OK = {}
 
 
 def _own_nodes(scope):
@@ -216,3 +223,65 @@ def test_every_record_field_is_read():
     # equality: an exemption that matches nothing has outlived its reason
     assert unread == {(module, cls, name) for (module, cls), names
                       in _UNREAD_OK.items() for name in names}
+
+
+def top_level_names(source: str) -> list:
+    """(name, node) for every function and class defined at module level."""
+    return [(node.name, node) for node in ast.parse(source).body
+            if isinstance(node, (*_SCOPES, ast.ClassDef))]
+
+
+def references(tree) -> collections.Counter:
+    """Names and attribute names loaded in ``tree``, and its string
+    constants (a name given by string, as ``bench/tracer.py`` gives its
+    targets), each with its count."""
+    found = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def unreferenced(definitions: dict, readers: list) -> set:
+    """(module, name) of every definition that nothing references outside
+    its own body.
+
+    ``definitions`` maps a module name to its source, ``readers`` lists the
+    sources that may reference them (the defining modules among them).
+    """
+    total = sum((references(ast.parse(text)) for text in readers),
+                collections.Counter())
+    return {(module, name)
+            for module, text in definitions.items()
+            for name, node in top_level_names(text)
+            if total[name] == references(node)[name]}
+
+
+def test_scan_finds_an_unreferenced_helper():
+    source = (
+        "def f(n):\n    return f(n - 1)\n"          # only calls itself
+        "def g():\n    return 'h'\n"                # names h by string
+        "def h():\n    pass\n"
+        "class C:\n    def m(self) -> 'C':\n        return C()\n"
+        "class D:\n    pass\n"
+        "def k():\n    pass\n"
+    )
+    other = "import a\nprint(a.g, D)\nk = 1\n"   # k is stored, not loaded
+    assert unreferenced({"a.py": source}, [source, other]) == {
+        ("a.py", "f"), ("a.py", "C"), ("a.py", "k")}
+
+
+def test_every_helper_is_referenced():
+    # this module is no reader: its exemption keys name the exempt helpers
+    readers = [path.read_text(encoding="utf-8")
+               for folder in ("src/volldp", "tests", "bench")
+               for path in sorted((_ROOT / folder).glob("*.py"))
+               if path != pathlib.Path(__file__).resolve()]
+    found = unreferenced(
+        {path.name: path.read_text(encoding="utf-8") for path in _SRC}, readers)
+    # equality: an exemption that matches nothing has outlived its reason
+    assert found == set(_UNREFERENCED_OK)

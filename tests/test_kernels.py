@@ -464,6 +464,16 @@ def test_eval_lower_triangle_matches_pointwise_eval():
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("nodes, offsets, message", [
+    ([0.0, 0.5, 1.2], [0.0, 0.1], "exceeds kernel horizon 1.0"),
+    ([0.0, 0.5, 1.0], [-0.1, 0.1], "must be nonnegative"),
+], ids=["beyond-horizon", "negative-s"])
+def test_eval_lower_triangle_checks_the_domain(nodes, offsets, message):
+    for lag in (0, 1):
+        with pytest.raises(DomainError, match=message):
+            eval_lower_triangle(rl_kernel(0.3), nodes, offsets, lag=lag)
+
+
 def _row_loop_discretization(kernel, grid):
     """Convolution weights built one row at a time (the reference layout)."""
     n, dt, t = grid.n_steps, grid.dt, grid.nodes

@@ -1,5 +1,8 @@
 """Coefficient maps, assumption validation, and the log-price Euler scheme."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,13 +244,51 @@ def test_validate_degeneracy_check_is_scale_invariant():
 
 def test_validate_detects_superpolynomial_growth():
     # exponential volatility violates linear growth far from the origin
-    coeffs = exp_vol_coeffs(0.0, amplitude=1.0, weight=2.0,
-                            growth_alpha=1.0, growth_m1=5.0, growth_m2=5.0)
+    coeffs = exp_vol_coeffs(0.0, amplitude=1.0, weight=2.0)
     probe = ProbeLattice(low=-10.0, high=10.0)
-    report = validate_coefficients(coeffs, probe)
+    report = validate_coefficients(coeffs, probe, growth_m1=5.0, growth_m2=5.0,
+                                   growth_alpha=1.0)
     check = next(c for c in report.checks if c.name == "polynomial_growth")
     assert not check.passed
     assert abs(check.worst_point[0]) == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("m1, m2, alpha", [
+    (10.0, 10.0, 1.0), (0.5, 0.25, 2.0), (0.0, 0.1, 0.5),
+])
+def test_validate_checks_the_growth_constants_it_is_given(m1, m2, alpha):
+    # one factor, s(y) = 0.5 + 0.4 y, rho = 0.3: the entrywise triple sum is
+    # (|rho| + sqrt(1 - rho^2)) |s(y)| and lambda_max(a) = (1 - rho^2) s(y)^2
+    rho = 0.3
+    coeffs = affine_vol_coeffs(rho, const=0.5, slope=0.4)
+    probe = ProbeLattice()
+    report = validate_coefficients(coeffs, probe, growth_m1=m1, growth_m2=m2,
+                                   growth_alpha=alpha)
+    y = probe.points(1)[:, 0]
+    s = np.abs(0.5 + 0.4 * y)
+    bound = m1 + m2 * np.abs(y) ** alpha
+    checks = {c.name: c for c in report.checks}
+    for name, slack, floor in (
+        ("polynomial_growth",
+         bound - (abs(rho) + math.sqrt(1.0 - rho**2)) * s, 0.0),
+        ("diffusion_eigenvalue_bound", bound**2 - (1.0 - rho**2) * s**2, -1e-9),
+    ):
+        assert checks[name].margin == pytest.approx(slack.min(), rel=1e-12,
+                                                    abs=1e-12)
+        assert checks[name].passed == (slack.min() >= floor)
+    if (m1, m2, alpha) == (10.0, 10.0, 1.0):  # the defaults
+        assert str(validate_coefficients(coeffs)) == str(report)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+def test_validate_rejects_a_nonpositive_growth_exponent(alpha):
+    with pytest.raises(ConfigurationError, match="growth_alpha must be positive"):
+        validate_coefficients(exp_vol_coeffs(0.2), growth_alpha=alpha)
+
+
+def test_model_coefficients_are_their_maps():
+    assert [f.name for f in dataclasses.fields(ModelCoefficients)] == [
+        "d", "p", "mu", "sigma", "sigma_tilde"]
 
 
 # ---------------------------------------------------------------------------
