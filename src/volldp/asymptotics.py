@@ -9,13 +9,14 @@ decay rate is then read off as the slope of -log p(eps) against 1 / eps^2.
 
 The estimator cuts the path range into fixed counter blocks of 8,192
 paths.  A block's driver draws depend only on (seed, path index), so the
-blocks run on a small thread pool in any order; each returns partial sums
-(hits, the non-finite count and the weight sums relative to the block's
-largest hit log-weight), and the partials are merged in block order, which
-makes every estimate bitwise independent of the number of threads.  Weights
-stay in log space until the end, so an estimate far below the smallest
-double keeps a finite ``log_prob`` and ``log_stderr``.  A path with a
-non-finite terminal value makes the estimator raise ``NonFinitePathError``.
+blocks run on a small thread pool in any order; each returns the
+log-weights of its hits and its count of non-finite paths.  The hits'
+log-weights are joined in block order and reduced once, relative to the
+largest of them, which makes every estimate bitwise independent of the
+number of threads.  Weights stay in log space until then, so an estimate
+far below the smallest double keeps a finite ``log_prob`` and
+``log_stderr``.  A path with a non-finite terminal value makes the
+estimator raise ``NonFinitePathError``.
 
 Short-time side: the process observed on a shrinking horizon delta * T and
 renormalized by eps / sqrt(delta) is simulated through two routes that are
@@ -46,7 +47,6 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
@@ -184,46 +184,14 @@ def pool_size(n_paths: int, threads: int | None = None) -> int:
     return min(threads, -(-n_paths // _BLOCK_PATHS))
 
 
-class _BlockSums(NamedTuple):
-    """Partial sums of one counter block (or of all blocks, once reduced).
-
-    The weight sums are relative to ``log_scale``, the largest log-weight of
-    a hit: sum exp(log w - log_scale) and sum exp(2 (log w - log_scale))
-    over the hits, so they neither overflow nor underflow.
-    """
-
-    hits: int
-    nonfinite: int
-    log_scale: float
-    weight_sum: float
-    weight_sq: float
-
-
-def _merge_sums(acc: _BlockSums, part: _BlockSums) -> _BlockSums:
-    """Add ``part`` to ``acc``, rescaling both weight sums to the larger scale."""
-    scale = max(acc.log_scale, part.log_scale)
-    weight_sum = weight_sq = 0.0
-    if scale > -np.inf:
-        ca = np.exp(acc.log_scale - scale)
-        cb = np.exp(part.log_scale - scale)
-        weight_sum = acc.weight_sum * ca + part.weight_sum * cb
-        weight_sq = acc.weight_sq * ca**2 + part.weight_sq * cb**2
-    return _BlockSums(
-        acc.hits + part.hits,
-        acc.nonfinite + part.nonfinite,
-        scale,
-        weight_sum,
-        weight_sq,
-    )
-
-
-def _run_blocks(bank, grid, n_paths: int, threads, block) -> _BlockSums:
-    """Apply ``block(first_path, count)`` to every counter block; reduce.
+def _run_blocks(bank, grid, n_paths: int, threads, block) -> list:
+    """``block(first_path, count)`` of every counter block, in block order.
 
     The path range is cut into fixed blocks of ``_BLOCK_PATHS`` paths.  A
-    block's draws depend only on (seed, path index), and its partial sums
-    are added in block order, so the result is bitwise the same whatever
-    the number of worker threads and the order in which blocks finish.
+    block's draws depend only on (seed, path index) and the results come
+    back in block order, so whatever is reduced from them is bitwise the
+    same whatever the number of worker threads and the order in which
+    blocks finish.
     """
     for kernel in bank:  # fill the discretization cache before any worker
         discretize_kernel(kernel, grid)
@@ -231,20 +199,9 @@ def _run_blocks(bank, grid, n_paths: int, threads, block) -> _BlockSums:
     counts = [min(_BLOCK_PATHS, n_paths - first) for first in firsts]
     workers = pool_size(n_paths, threads)
     if workers == 1:
-        parts = list(map(block, firsts, counts))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(block, firsts, counts))
-    sums = parts[0]
-    for part in parts[1:]:
-        sums = _merge_sums(sums, part)
-    if sums.nonfinite:
-        raise NonFinitePathError(
-            f"{sums.nonfinite} of {n_paths} simulated paths have a non-finite "
-            "terminal value (the Euler scheme overflowed); the tail estimate "
-            "would count them as misses"
-        )
-    return sums
+        return list(map(block, firsts, counts))
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(block, firsts, counts))
 
 
 def _tail_estimate(
@@ -282,7 +239,8 @@ def _tail_estimate(
         shifts = {"brownian_shift": fdot * dt / epsilon,
                   "wiener_shift": ydot * dt / epsilon}
 
-    def block(first: int, count: int) -> _BlockSums:
+    def block(first: int, count: int):
+        """(log w of the block's hits, its count of non-finite paths)."""
         paths = euler_paths_array(
             coeffs, bank, grid, scaling, count, seed, first_path=first, **shifts
         )
@@ -293,20 +251,19 @@ def _tail_estimate(
             - np.einsum("ji,kji->k", ydot, paths.dw) / epsilon
         )
         del paths  # the driver arrays are not read past this point
-        ind = event.indicator(values)
-        hit_log_w = log_w[ind]
-        scale = float(np.max(hit_log_w, initial=-np.inf))
-        w = np.exp(hit_log_w - scale)
-        return _BlockSums(
-            int(np.count_nonzero(ind)),
-            int(np.count_nonzero(~np.all(np.isfinite(values[:, -1, :]), axis=1))),
-            scale,
-            float(np.sum(w)),
-            float(np.sum(w**2)),
-        )
+        finite = np.all(np.isfinite(values[:, -1, :]), axis=1)
+        return log_w[event.indicator(values)], int(np.count_nonzero(~finite))
 
-    sums = _run_blocks(bank, grid, n_paths, threads, block)
-    hits = sums.hits
+    parts = _run_blocks(bank, grid, n_paths, threads, block)
+    nonfinite = sum(count for _, count in parts)
+    if nonfinite:
+        raise NonFinitePathError(
+            f"{nonfinite} of {n_paths} simulated paths have a non-finite "
+            "terminal value (the Euler scheme overflowed); the tail estimate "
+            "would count them as misses"
+        )
+    hit_log_w = np.concatenate([log_w for log_w, _ in parts])
+    hits = hit_log_w.size
     if control is None and (hits < 10 or hits == n_paths):
         warnings.warn(
             f"event frequency is degenerate ({hits} of {n_paths} paths); "
@@ -318,14 +275,19 @@ def _tail_estimate(
             RuntimeWarning,
             stacklevel=3,
         )
-    # mean and variance of the weights relative to exp(log_scale)
-    mean = sums.weight_sum / n_paths
-    var = max(sums.weight_sq / n_paths - mean**2, 0.0)
+    # the hits' weights relative to the largest, exp(log w - log_scale) <= 1,
+    # and their mean and variance over all paths
+    log_scale = float(np.max(hit_log_w, initial=-np.inf))
+    w = np.exp(hit_log_w - log_scale)
+    weight_sum = float(np.sum(w))
+    weight_sq = float(np.sum(w**2))
+    mean = weight_sum / n_paths
+    var = max(weight_sq / n_paths - mean**2, 0.0)
     with np.errstate(divide="ignore"):
-        log_prob = float(sums.log_scale + np.log(mean))
-        log_stderr = float(sums.log_scale + 0.5 * np.log(var / n_paths))
+        log_prob = float(log_scale + np.log(mean))
+        log_stderr = float(log_scale + 0.5 * np.log(var / n_paths))
     ess, share = (0.0, np.nan) if hits == 0 else (
-        sums.weight_sum**2 / sums.weight_sq, 1.0 / sums.weight_sum)
+        weight_sum**2 / weight_sq, 1.0 / weight_sum)
     return TailEstimate(
         float(np.exp(log_prob)), float(np.exp(log_stderr)), n_paths, hits,
         epsilon, log_prob, log_stderr, ess, share,

@@ -157,6 +157,10 @@ def _read_target_csv(path: str, grid, d: int):
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:  # ValueError: a cell is not a number
         raise ConfigurationError(f"cannot read target file {path}: {exc}") from exc
+    if not np.all(np.isfinite(data)):
+        raise ConfigurationError(
+            f"cannot read target file {path}: a value is not finite"
+        )
     if data.shape != (grid.n_steps + 1, d + 1):
         raise ConfigurationError(
             f"target file must have {grid.n_steps + 1} rows (one per node) and "

@@ -313,6 +313,9 @@ def _parse_subcommands(cp, grid: TimeGrid) -> dict:
     estimator = opts["verify-ldp"].estimator
     if estimator not in ("tilted", "crude"):
         _fail("verify-ldp", "estimator", f"unknown estimator {estimator!r}")
+    quantiles = opts["short-time"].quantiles
+    if not all(0.0 < q < 1.0 for q in quantiles):
+        _fail("short-time", "quantiles", f"each must lie in (0, 1), got {quantiles}")
     return opts
 
 

@@ -22,9 +22,10 @@ variational problems are
                with A = int a(fhat) dt,  M = int mu(fhat) dt    (terminal)
 
 All four are one objective F(f) = 1/2 |f|^2 + (inner quadratic), which
-differs only in the block span at which sigma_tilde reads fhat (None: no Phi
-term, I_X; N / m: block left ends, I_Z^m; 1: every node, I_Z and I_T) and in
-whether the inner quadratic is pathwise or terminal.  Each yields a weight
+differs only in the block span at which sigma_tilde reads fhat (N / m: block
+left ends, I_Z^m; 1: every node, I_Z and I_T) and in whether the inner
+quadratic is pathwise or terminal.  I_X is I_Z of the model's
+sigma_tilde = 0 copy, where Phi vanishes.  Each yields a weight
 w: pathwise w_j = a_j^(-1) r_j with r = xdot - mu - Phidot, terminal
 w = A^(-1) q held at every node.  In both, d/d(mu_j + Phidot_j) = -w_j dt and
 d/d(sigma_j) = -w_j (sigma_j^T w_j)^T dt, so the adjoint gradient and the
@@ -40,7 +41,7 @@ C_x = int (xdot - mu(0))^T a^(-1)(0) (xdot - mu(0)) dt.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.blas import dtrmv
@@ -51,7 +52,7 @@ from .errors import (
 from .gaussian import discretize_kernel
 from .grids import TimeGrid
 from .kernels import KernelBank
-from .model import ModelCoefficients, _require_nonsingular
+from .model import ConstantMap, ModelCoefficients, _require_nonsingular
 
 
 class MultistartSpreadWarning(RuntimeWarning):
@@ -210,12 +211,9 @@ def _phi(coeffs: ModelCoefficients, g: np.ndarray, dmat: np.ndarray, span):
     """Per-step sigma_tilde and Phidot_j = sigma_tilde_j fdot_j, (N, d).
 
     sigma_tilde is read from the node values ``g`` at the left end of each
-    block of ``span`` steps and held across the block; span None means no
-    correlation term (sigma_tilde None, Phidot = 0).
+    block of ``span`` steps and held across the block.
     """
     n = dmat.shape[0]
-    if span is None:
-        return None, np.zeros((n, coeffs.d))
     sigt = np.repeat(coeffs.sigma_tilde(g[:n:span]), span, axis=0)
     return sigt, np.einsum("jil,jl->ji", sigt, dmat)
 
@@ -418,9 +416,9 @@ class _Objective:
     """F(f) = 1/2 |f|^2 + inner quadratic, for all four rate functionals.
 
     ``span`` is the block length, in steps, over which sigma_tilde is frozen
-    at the lifted control: None for I_X (no Phi term), N // m for I_Z^m, and
-    1 for I_Z and I_T.  Exactly one of ``xdot`` (pathwise target, (N, d))
-    and ``z`` (terminal point, (d,)) is given.
+    at the lifted control: N // m for I_Z^m, and 1 for I_X (on the
+    sigma_tilde = 0 model), I_Z and I_T.  Exactly one of ``xdot`` (pathwise
+    target, (N, d)) and ``z`` (terminal point, (d,)) is given.
     """
 
     def __init__(self, grid, bank, coeffs, span, xdot=None, z=None):
@@ -490,15 +488,13 @@ class _Objective:
         s_nodes = np.zeros((n + 1, p))
         s_nodes[:n] -= np.einsum("ji,jim->jm", w, dmu) * dt
         s_nodes[:n] -= np.einsum("jq,jqm->jm", wsw, dsig) * dt
-        grad = dmat * dt
-        if sigt is not None:
-            # sigma_tilde is read once per block: sum w fdot^T over the
-            # block, then contract with the Jacobian at its left end
-            span = self.span
-            wf = (w[:, :, None] * dmat[:, None, :]).reshape(-1, span, d * p)
-            dsigt = co.sigma_tilde.jacobian(fhat[:n:span]).reshape(-1, d * p, p)
-            s_nodes[:n:span] -= np.einsum("bq,bqm->bm", wf.sum(axis=1), dsigt) * dt
-            grad -= np.einsum("jil,ji->jl", sigt, w) * dt
+        # sigma_tilde is read once per block: sum w fdot^T over the block,
+        # then contract with the Jacobian at its left end
+        span = self.span
+        wf = (w[:, :, None] * dmat[:, None, :]).reshape(-1, span, d * p)
+        dsigt = co.sigma_tilde.jacobian(fhat[:n:span]).reshape(-1, d * p, p)
+        s_nodes[:n:span] -= np.einsum("bq,bqm->bm", wf.sum(axis=1), dsigt) * dt
+        grad = dmat * dt - np.einsum("jil,ji->jl", sigt, w) * dt
         grad += _lift_adjoint(self.tri, s_nodes)
         return value, grad.reshape(-1)
 
@@ -542,14 +538,22 @@ def _pathwise(x: CameronMartinPath, bank, coeffs, span, opt) -> RateSolution:
     return _solve(_Objective(x.grid, bank, coeffs, span, xdot=x.derivative), opt)
 
 
+def _uncorrelated(coeffs: ModelCoefficients) -> ModelCoefficients:
+    """The copy of ``coeffs`` with sigma_tilde = 0: the uncorrelated model."""
+    return replace(
+        coeffs, sigma_tilde=ConstantMap(np.zeros((coeffs.d, coeffs.p)), coeffs.p)
+    )
+
+
 def i_uncorrelated(
     x: CameronMartinPath,
     bank: KernelBank,
     coeffs: ModelCoefficients,
     opt: OptimizerConfig = OptimizerConfig(),
 ) -> RateSolution:
-    """Rate of the uncorrelated model: inf_f 1/2 |f|^2 + J(x | fhat)."""
-    return _pathwise(x, bank, coeffs, None, opt)
+    """Rate of the uncorrelated model: inf_f 1/2 |f|^2 + J(x | fhat), the
+    I_Z of the model's sigma_tilde = 0 copy."""
+    return _pathwise(x, bank, _uncorrelated(coeffs), 1, opt)
 
 
 def i_z_m(

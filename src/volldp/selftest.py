@@ -22,8 +22,8 @@ from .model import (
     euler_paths_array,
 )
 from .ratefn import (
-    CameronMartinPath, OptimizerConfig, _Objective, gamma_functional, hat_map,
-    terminal_rate,
+    CameronMartinPath, OptimizerConfig, _Objective, _uncorrelated,
+    gamma_functional, hat_map, terminal_rate,
 )
 
 
@@ -239,7 +239,9 @@ def _gradient_problem(rng, grid, kind, two_factor):
         coeffs = ModelCoefficients.one_factor(base, rho)
     if kind == "I_T":
         return _Objective(grid, bank, coeffs, 1, z=rng.normal(size=d))
-    span = {"I_X": None, "I_Z^m": 2, "I_Z": 1}[kind]
+    if kind == "I_X":  # I_Z of the sigma_tilde = 0 model
+        coeffs = _uncorrelated(coeffs)
+    span = 2 if kind == "I_Z^m" else 1
     xdot = rng.normal(size=(grid.n_steps, d))
     return _Objective(grid, bank, coeffs, span, xdot=xdot)
 

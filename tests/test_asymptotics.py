@@ -138,16 +138,42 @@ def test_tail_prob_batching_invariance():
 
 
 def test_tail_prob_counter_blocks_match_one_batch():
-    # the blocked estimate counts exactly the hits of one unblocked batch
+    # each estimator's blocked estimate is that of one unblocked batch of all
+    # 20,000 paths (three counter blocks): the same hits, and every other
+    # field from log w of the whole batch by the plain formulas
     coeffs = exp_vol_coeffs(0.5, amplitude=0.3)
     bank = rl_bank(0.35)
     grid = TimeGrid(1.0, 8)
+    eps, n, dt = 0.5, 20_000, grid.dt
     event = TerminalHalfSpace(0.2)
-    est = estimate_tail_prob(coeffs, bank, grid, 0.5, event, 20_000, seed=7)
-    values = euler_paths_array(
-        coeffs, bank, grid, Scaling.small_noise(0.5), 20_000, 7
-    ).values
-    assert est.n_hits == int(np.count_nonzero(event.indicator(values)))
+    control = terminal_rate(np.array([0.2]), bank, coeffs, grid, FAST_OPT)
+    zero = np.zeros((grid.n_steps, 1))
+    for fdot, ydot, est in (
+        (zero, zero,
+         estimate_tail_prob(coeffs, bank, grid, eps, event, n, seed=7)),
+        (control.control.derivative, control.inner_drift,
+         tilted_estimate(coeffs, bank, grid, eps, event, control, n, seed=7)),
+    ):
+        paths = euler_paths_array(
+            coeffs, bank, grid, Scaling.small_noise(eps), n, 7,
+            brownian_shift=fdot * dt / eps, wiener_shift=ydot * dt / eps,
+        )
+        log_w = (
+            (np.sum(fdot**2) + np.sum(ydot**2)) * dt / (2.0 * eps**2)
+            - np.einsum("jl,kjl->k", fdot, paths.increments) / eps
+            - np.einsum("ji,kji->k", ydot, paths.dw) / eps
+        )
+        hit = event.indicator(paths.values)
+        w = np.where(hit, np.exp(log_w), 0.0)
+        prob = np.mean(w)
+        stderr = np.sqrt((np.mean(w**2) - prob**2) / n)
+        assert est.n_hits == int(np.count_nonzero(hit)) > 0
+        got = (est.prob, est.stderr, est.log_prob, est.log_stderr, est.ess,
+               est.max_weight_share)
+        want = (prob, stderr, np.log(prob), np.log(stderr),
+                np.sum(w) ** 2 / np.sum(w**2), np.max(w) / np.sum(w))
+        assert got == pytest.approx(want, rel=1e-12)
+    assert np.ptp(log_w[hit]) > 1.0  # the tilted weights are not all alike
 
 
 def test_tail_estimators_reject_nonfinite_paths():

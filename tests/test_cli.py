@@ -397,6 +397,18 @@ class TestRateCommands:
         assert err.startswith("error[CONFIG]: cannot read target file")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_rate_nonfinite_target_file(self, tmp_path, capsys, cell):
+        target = tmp_path / "target.csv"
+        target.write_text(f"t,z_1\n0.0,0.0\n0.5,{cell}\n1.0,1.0\n")
+        extra = self.OPT + f"[rate]\nfunctional = i_z\ntarget_file = {target}\n"
+        path = _ini(tmp_path, _one_factor_text(
+            n_steps=2, out=str(tmp_path / "out"), extra=extra))
+        assert main(["rate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[CONFIG]: cannot read target file")
+        assert err.count("\n") == 1
+
     def test_rate_singular_diffusion_exit_code(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         extra = self.OPT + "[rate]\nfunctional = i_z\nz = 1.0\n"

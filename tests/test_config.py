@@ -147,6 +147,14 @@ def test_rate_takes_z_or_target_file_not_both():
         parse_config(_with(_BASE, "rate", "z = 1.0\ntarget_file = t.csv"))
 
 
+@pytest.mark.parametrize("quantiles", ["0.5 1.5", "0.0 0.5", "0.9 1.0", "-0.1"])
+def test_short_time_quantiles_lie_in_the_open_unit_interval(quantiles):
+    with pytest.raises(
+            ConfigurationError,
+            match=re.escape("config section [short-time], field 'quantiles': ")):
+        parse_config(_with(_BASE, "short-time", f"quantiles = {quantiles}"))
+
+
 @pytest.mark.parametrize("text, section", [
     (_BASE + "\n[verify_ldp]\nn_paths = 5000\n", "verify_ldp"),
     (_BASE + "\n[gird]\nhorizon = 1.0\n", "gird"),

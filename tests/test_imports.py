@@ -9,7 +9,8 @@ receivers ``self`` and ``cls`` and the exemptions listed in ``_UNUSED_OK``.
 Every field of a dataclass or ``NamedTuple`` in ``src/volldp`` is read
 somewhere in ``src``, ``tests`` or ``bench``, apart from the exemptions
 listed in ``_UNREAD_OK``, and so is every module-level function and class
-of ``src/volldp`` outside ``__init__.py``, apart from those listed in
+of ``src/volldp`` outside ``__init__.py`` and every method and property of
+its classes other than the dunders, apart from those listed in
 ``_UNREFERENCED_OK``.
 """
 
@@ -40,8 +41,8 @@ _UNUSED_OK = {
 # Record fields nothing reads, by (module, class).
 _UNREAD_OK = {}
 
-# Module-level functions and classes nothing references, by (module, name),
-# with the reason each stays.
+# Module-level functions and classes, and methods ("Class.method"), nothing
+# references, by (module, name), with the reason each stays.
 _UNREFERENCED_OK = {}
 
 
@@ -225,10 +226,20 @@ def test_every_record_field_is_read():
                       in _UNREAD_OK.items() for name in names}
 
 
-def top_level_names(source: str) -> list:
-    """(name, node) for every function and class defined at module level."""
-    return [(node.name, node) for node in ast.parse(source).body
-            if isinstance(node, (*_SCOPES, ast.ClassDef))]
+def defined_names(source: str) -> list:
+    """(name, node) for every function and class defined at module level,
+    and ("Class.method", node) for every method and property of a class
+    other than the dunders, which Python itself calls."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (*_SCOPES, ast.ClassDef)):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out.extend((f"{node.name}.{item.name}", item) for item in node.body
+                       if isinstance(item, _SCOPES)
+                       and not (item.name.startswith("__")
+                                and item.name.endswith("__")))
+    return out
 
 
 def references(tree) -> collections.Counter:
@@ -251,14 +262,17 @@ def unreferenced(definitions: dict, readers: list) -> set:
     its own body.
 
     ``definitions`` maps a module name to its source, ``readers`` lists the
-    sources that may reference them (the defining modules among them).
+    sources that may reference them (the defining modules among them).  A
+    method counts as referenced by any load of its bare name, whatever the
+    object it is loaded from.
     """
     total = sum((references(ast.parse(text)) for text in readers),
                 collections.Counter())
     return {(module, name)
             for module, text in definitions.items()
-            for name, node in top_level_names(text)
-            if total[name] == references(node)[name]}
+            for name, node in defined_names(text)
+            for bare in [name.rsplit(".", 1)[-1]]
+            if total[bare] == references(node)[bare]}
 
 
 def test_scan_finds_an_unreferenced_helper():
@@ -269,10 +283,21 @@ def test_scan_finds_an_unreferenced_helper():
         "class C:\n    def m(self) -> 'C':\n        return C()\n"
         "class D:\n    pass\n"
         "def k():\n    pass\n"
+        "class E:\n"
+        "    def __len__(self):\n        return 0\n"   # a dunder
+        "    @property\n    def size(self):\n        return self.size\n"
+        "    def used(self):\n        pass\n"
+        "    def named(self):\n        pass\n"
+        "    def own(self):\n        return self.own()\n"
     )
-    other = "import a\nprint(a.g, D)\nk = 1\n"   # k is stored, not loaded
+    other = (
+        "import a\nprint(a.g, D, a.E().used)\n"
+        "k = 1\n"                                    # k is stored, not loaded
+        "getattr(x, 'named')\n"
+    )
     assert unreferenced({"a.py": source}, [source, other]) == {
-        ("a.py", "f"), ("a.py", "C"), ("a.py", "k")}
+        ("a.py", "f"), ("a.py", "C"), ("a.py", "C.m"), ("a.py", "k"),
+        ("a.py", "E.size"), ("a.py", "E.own")}
 
 
 def test_every_helper_is_referenced():

@@ -1,5 +1,7 @@
 """Rate functionals, their discretizations, and the constrained minimizers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,10 @@ from volldp.ratefn import (
     phi_map,
     terminal_rate,
 )
-from volldp.model import ModelCoefficients, make_map
-from volldp.ratefn import _Objective, _lift, _lift_adjoint, _lift_factors
+from volldp.model import ConstantMap, ModelCoefficients, make_map
+from volldp.ratefn import (
+    _Objective, _lift, _lift_adjoint, _lift_factors, _uncorrelated,
+)
 
 from conftest import affine_vol_coeffs, constant_coeffs, exp_vol_coeffs, rl_bank
 
@@ -314,6 +318,28 @@ def test_i_uncorrelated_nontrivial_control(unit_grid):
     assert sol.multistart_spread <= 0.01 * max(1.0, abs(sol.value))
 
 
+@pytest.mark.parametrize("factors", [1, 2])
+def test_i_uncorrelated_is_i_z_of_the_sigma_tilde_zero_model(unit_grid, factors):
+    # I_X of a correlated model is I_Z of its copy with sigma_tilde = 0, bit
+    # for bit: value, control, Wiener-direction control and every start
+    if factors == 1:
+        coeffs, bank = exp_vol_coeffs(-0.5, amplitude=0.3), rl_bank(0.35)
+        x = CameronMartinPath.straight_line(unit_grid, [0.8])
+    else:
+        coeffs = two_factor_coeffs()
+        bank = KernelBank((rl_bank(0.3)[0], rl_bank(0.7)[0]))
+        x = CameronMartinPath.straight_line(unit_grid, [0.5, -0.3])
+    zeroed = dataclasses.replace(
+        coeffs, sigma_tilde=ConstantMap(np.zeros((factors, factors)), factors))
+    plain = i_uncorrelated(x, bank, coeffs, FAST_OPT)
+    want = i_z(x, bank, zeroed, FAST_OPT)
+    assert plain.value == want.value
+    assert np.array_equal(plain.control.derivative, want.control.derivative)
+    assert np.array_equal(plain.inner_drift, want.inner_drift)
+    assert plain.starts == want.starts
+    assert i_z(x, bank, coeffs, FAST_OPT).value != plain.value
+
+
 def test_i_z_m_matches_uncorrelated_when_rho_zero(unit_grid):
     coeffs = exp_vol_coeffs(0.0, amplitude=0.3)
     bank = rl_bank(0.35)
@@ -437,9 +463,10 @@ def finite_difference(fun, x0, step=1e-5):
 
 @pytest.mark.parametrize("kind", ["none", "exact", "frozen", "terminal"])
 def test_pathwise_gradients_match_finite_differences(kind):
-    # none / exact / frozen: sigma_tilde read nowhere, at every node, at the
-    # left ends of two blocks; terminal: the I_T objective, whose adjoint is
-    # the pathwise one with the inner weight held across the steps
+    # none / exact / frozen: sigma_tilde = 0 (the I_X objective), read at
+    # every node, read at the left ends of two blocks; terminal: the I_T
+    # objective, whose adjoint is the pathwise one with the inner weight held
+    # across the steps
     grid = TimeGrid(1.0, 8)
     bank = rl_bank(0.35)
     if kind == "terminal":
@@ -448,7 +475,9 @@ def test_pathwise_gradients_match_finite_differences(kind):
         rng = np.random.default_rng(13)
     else:
         coeffs = exp_vol_coeffs(0.5, amplitude=0.3)
-        span = {"none": None, "exact": 1, "frozen": 4}[kind]
+        if kind == "none":
+            coeffs = _uncorrelated(coeffs)
+        span = 4 if kind == "frozen" else 1
         xdot = CameronMartinPath.straight_line(grid, [0.6]).derivative
         problem = _Objective(grid, bank, coeffs, span, xdot=xdot)
         rng = np.random.default_rng(12)
@@ -491,7 +520,9 @@ def test_inner_drift_reproduces_the_target(functional):
     xdot = rng.normal(size=(16, 2))
     z = rng.normal(size=2)
     m = 4
-    span = {"i_x": None, "i_z_m": 16 // m, "i_z": 1, "i_t": 1}[functional]
+    if functional == "i_x":  # I_Z of the sigma_tilde = 0 model
+        coeffs = _uncorrelated(coeffs)
+    span = 16 // m if functional == "i_z_m" else 1
     if functional == "i_t":
         problem = _Objective(grid, bank, coeffs, span, z=z)
     else:
@@ -604,13 +635,11 @@ def dense_gradient(problem, bank, flat):
     s_nodes = np.zeros((n + 1, p))
     s_nodes[:n] -= np.einsum("ji,jim->jm", w, co.mu.jacobian(y)) * dt
     s_nodes[:n] -= np.einsum("ji,jikm,jk->jm", w, co.sigma.jacobian(y), sw) * dt
-    grad = dmat * dt
-    if sigt is not None:
-        span = problem.span
-        dsigt = np.repeat(co.sigma_tilde.jacobian(fhat[:n:span]), span, axis=0)
-        rows = -np.einsum("ji,jilm,jl->jm", w, dsigt, dmat) * dt
-        s_nodes[:n:span] += rows.reshape(-1, span, p).sum(axis=1)
-        grad -= np.einsum("jil,ji->jl", sigt, w) * dt
+    span = problem.span
+    dsigt = np.repeat(co.sigma_tilde.jacobian(fhat[:n:span]), span, axis=0)
+    rows = -np.einsum("ji,jilm,jl->jm", w, dsigt, dmat) * dt
+    s_nodes[:n:span] += rows.reshape(-1, span, p).sum(axis=1)
+    grad = dmat * dt - np.einsum("jil,ji->jl", sigt, w) * dt
     for ell in range(p):
         grad[:, ell] += c[ell].T @ s_nodes[:, ell]
     return grad.reshape(-1)
@@ -628,7 +657,9 @@ def test_gradients_match_finite_differences_d2_p3(kind):
     if kind == "terminal":
         problem = _Objective(grid, bank, coeffs, 1, z=np.array([0.6, -0.4]))
     else:
-        span = {"none": None, "exact": 1, "frozen": 3}[kind]
+        if kind == "none":
+            coeffs = _uncorrelated(coeffs)
+        span = 3 if kind == "frozen" else 1
         xdot = rng.normal(scale=0.5, size=(n, 2))
         problem = _Objective(grid, bank, coeffs, span, xdot=xdot)
     for _ in range(6):
