@@ -27,6 +27,7 @@ directory exists the manifest is written on failure too, with ``status``
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -455,6 +456,8 @@ def main(argv=None) -> int:
                 z_override = tuple(float(tok) for tok in args.z.split(","))
             except ValueError as exc:
                 raise ConfigurationError(f"--z: {exc}") from exc
+            if not all(map(math.isfinite, z_override)):
+                raise ConfigurationError(f"--z: {args.z!r} is not finite")
             overrides["z"] = list(z_override)
 
         if args.command == "kernel-table":

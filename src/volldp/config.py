@@ -23,6 +23,7 @@ or ``[model.sigma]`` beside ``[model.volatility]``, a non-empty
 """
 
 import configparser
+import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
@@ -83,11 +84,15 @@ def _parse(cp, section: str, name: str, kind):
             value = tuple(float(tok) for tok in raw.replace(",", " ").split())
             if not value:
                 _fail(section, name, "empty list")
-            return value
-        return kind(raw)
+        else:
+            value = kind(raw)
     except ValueError:
         what = {bool: "a boolean", tuple: "a list of numbers"}.get(kind, kind.__name__)
         _fail(section, name, f"cannot parse {raw!r} as {what}")
+    if kind in (float, tuple) and not all(
+            map(math.isfinite, value if kind is tuple else (value,))):
+        _fail(section, name, f"{raw!r} is not finite")
+    return value
 
 
 def _read(cp, section: str, record, *, skip=(), unknown="unknown option",

@@ -38,6 +38,14 @@ multi-start (zero start plus Gaussian seeds), and projection of iterates
 onto the energy ball |f|^2 <= 2 F(0), inside which the minimizer is
 guaranteed to live; for the pathwise functionals 2 F(0) is
 C_x = int (xdot - mu(0))^T a^(-1)(0) (xdot - mu(0)) dt.
+
+The multi-start runs on a coarse level when the grid allows one: N is
+halved while it is even and the halved grid keeps at least 64 steps (and,
+for I_Z^m, a multiple of m steps).  The coarse objective reads the target
+at the coarse nodes (xdot averaged per coarse step; z unchanged), and the
+best coarse start, repeated onto the working grid, is refined by one more
+minimizer run there.  The start table lists the coarse starts, then the
+refinement; the spread check reads the coarse starts only.
 """
 
 import warnings
@@ -297,8 +305,10 @@ class RateSolution:
     upper_bound_used: float
     multistart_spread: float
     inner_drift: np.ndarray | None = None  # (N, d), Wiener-direction control
-    # one row per optimizer start, in start order: value (before the clamp
-    # at 0), iterations, criterion (projected-gradient step) and converged
+    # one row per optimizer start, in start order, then the refinement on
+    # the working grid when the starts ran on a coarse level: value (before
+    # the clamp at 0), iterations, criterion (projected-gradient step) and
+    # converged
     starts: tuple = ()
 
 
@@ -373,6 +383,13 @@ def _lbfgs(value_grad, x0, dt, radius_sq, cfg: OptimizerConfig):
     return x, f, g, n_iter, converged, float(crit)
 
 
+def _start_row(result) -> dict:
+    """One row of ``RateSolution.starts`` from an ``_lbfgs`` result."""
+    _, f, _, n_iter, converged, crit = result
+    return {"value": float(f), "iterations": n_iter, "criterion": crit,
+            "converged": converged}
+
+
 def _multistart(value_grad, shape, dt, radius_sq, cfg: OptimizerConfig):
     """Run the minimizer from zero plus Gaussian-seeded starts; keep the best.
 
@@ -390,11 +407,7 @@ def _multistart(value_grad, shape, dt, radius_sq, cfg: OptimizerConfig):
         starts.append(z * scale)
     results = [_lbfgs(value_grad, x0, dt, radius_sq, cfg) for x0 in starts]
     best = min(results, key=lambda r: r[1])
-    table = tuple(
-        {"value": float(f), "iterations": n_iter, "criterion": crit,
-         "converged": converged}
-        for _, f, _, n_iter, converged, crit in results
-    )
+    table = tuple(_start_row(r) for r in results)
     values = np.array([r[1] for r in results])
     spread = float(np.max(values) - np.min(values)) / max(abs(best[1]), 1e-12)
     if spread > cfg.spread_warn and np.max(values) - np.min(values) > 1e-9:
@@ -411,6 +424,10 @@ def _multistart(value_grad, shape, dt, radius_sq, cfg: OptimizerConfig):
 # objective assembly
 # ---------------------------------------------------------------------------
 
+# Fewest steps of a coarse level: below this an evaluation costs mostly
+# fixed per-call overhead, so coarsening gains little.
+_COARSE_MIN_STEPS = 64
+
 
 class _Objective:
     """F(f) = 1/2 |f|^2 + inner quadratic, for all four rate functionals.
@@ -423,6 +440,7 @@ class _Objective:
 
     def __init__(self, grid, bank, coeffs, span, xdot=None, z=None):
         self.grid = grid
+        self.bank = bank
         self.coeffs = coeffs
         self.span = span
         self.xdot = xdot
@@ -499,18 +517,64 @@ class _Objective:
         return value, grad.reshape(-1)
 
 
-def _solve(objective, opt: OptimizerConfig) -> RateSolution:
+def _coarsen(objective, m=None):
+    """``objective`` on the coarsest grid that halving reaches, or None.
+
+    N is halved while it is even, the halved grid keeps at least
+    ``_COARSE_MIN_STEPS`` steps and, for I_Z^m (``m`` blocks), a multiple of
+    m.  The coarse pathwise target is xdot averaged over each coarse step,
+    the same path read at the coarse nodes; the terminal point is kept.
+    """
+    n, n_c = objective.n, objective.n
+    while (n_c % 2 == 0 and n_c // 2 >= _COARSE_MIN_STEPS
+           and (m is None or (n_c // 2) % m == 0)):
+        n_c //= 2
+    if n_c == n:
+        return None
+    xdot = objective.xdot
+    if xdot is not None:
+        xdot = xdot.reshape(n_c, n // n_c, -1).mean(axis=1)
+    return _Objective(
+        TimeGrid(objective.grid.horizon, n_c), objective.bank, objective.coeffs,
+        1 if m is None else n_c // m, xdot=xdot, z=objective.z,
+    )
+
+
+def _value_at_zero(objective) -> float:
+    """F(0); the minimizer lies in the ball |f|^2 <= 2 F(0)."""
+    return objective.inner(np.zeros((objective.n, objective.p)))[-1]
+
+
+def _solve(objective, opt: OptimizerConfig, m=None) -> RateSolution:
     """Minimize over the ball |f|^2 <= 2 F(0) and collect the solution.
 
     2 F(0) is C_x for the pathwise functionals and 2 I_T's value at f = 0
     for the terminal one; a singular diffusion at f = 0 raises
-    ``SingularDiffusionError``.
+    ``SingularDiffusionError``.  ``m`` is I_Z^m's block count, None for the
+    other functionals.
+
+    When ``_coarsen`` finds a coarse level, the multi-start runs there, on
+    the coarse objective's own ball, and its best start is prolonged by
+    repetition onto the working grid and refined by one more minimizer run
+    in the working ball.  The spread is that of the coarse starts; the start
+    table is the coarse rows, then the refinement row, which also gives the
+    iterations, criterion and convergence flag.
     """
     n, p, grid = objective.n, objective.p, objective.grid
-    upper = objective.inner(np.zeros((n, p)))[-1]
-    best, spread, table = _multistart(
-        objective.value_grad, (n, p), grid.dt, 2.0 * upper, opt
-    )
+    upper = _value_at_zero(objective)
+    coarse = _coarsen(objective, m)
+    if coarse is None:
+        best, spread, table = _multistart(
+            objective.value_grad, (n, p), grid.dt, 2.0 * upper, opt
+        )
+    else:
+        winner, spread, table = _multistart(
+            coarse.value_grad, (coarse.n, p), coarse.dt,
+            2.0 * _value_at_zero(coarse), opt,
+        )
+        x0 = np.repeat(winner[0].reshape(coarse.n, p), n // coarse.n, axis=0)
+        best = _lbfgs(objective.value_grad, x0.reshape(-1), grid.dt, 2.0 * upper, opt)
+        table += (_start_row(best),)
     x_best, f_best, _, iters, converged, crit = best
     dmat = x_best.reshape(n, p)
     fhat, _, _, drift, _ = objective.inner(dmat)
@@ -530,12 +594,15 @@ def _solve(objective, opt: OptimizerConfig) -> RateSolution:
     )
 
 
-def _pathwise(x: CameronMartinPath, bank, coeffs, span, opt) -> RateSolution:
+def _pathwise(x: CameronMartinPath, bank, coeffs, m, opt) -> RateSolution:
+    """A pathwise rate; ``m`` blocks for I_Z^m, None for I_X and I_Z."""
     if x.dim != coeffs.d:
         raise DomainError(
             f"target path has dimension {x.dim}, model has d = {coeffs.d}"
         )
-    return _solve(_Objective(x.grid, bank, coeffs, span, xdot=x.derivative), opt)
+    span = 1 if m is None else x.grid.n_steps // m
+    objective = _Objective(x.grid, bank, coeffs, span, xdot=x.derivative)
+    return _solve(objective, opt, m)
 
 
 def _uncorrelated(coeffs: ModelCoefficients) -> ModelCoefficients:
@@ -553,7 +620,7 @@ def i_uncorrelated(
 ) -> RateSolution:
     """Rate of the uncorrelated model: inf_f 1/2 |f|^2 + J(x | fhat), the
     I_Z of the model's sigma_tilde = 0 copy."""
-    return _pathwise(x, bank, _uncorrelated(coeffs), 1, opt)
+    return _pathwise(x, bank, _uncorrelated(coeffs), None, opt)
 
 
 def i_z_m(
@@ -565,7 +632,7 @@ def i_z_m(
 ) -> RateSolution:
     """Frozen-block correlated rate inf_f 1/2 |f|^2 + J(x - Phi^m(f, fhat) | fhat)."""
     x.grid.require_divisible(m)
-    return _pathwise(x, bank, coeffs, x.grid.n_steps // m, opt)
+    return _pathwise(x, bank, coeffs, m, opt)
 
 
 def i_z(
@@ -575,7 +642,7 @@ def i_z(
     opt: OptimizerConfig = OptimizerConfig(),
 ) -> RateSolution:
     """Correlated rate inf_f 1/2 |f|^2 + J(x - Phi(f, fhat) | fhat) on the C_x ball."""
-    return _pathwise(x, bank, coeffs, 1, opt)
+    return _pathwise(x, bank, coeffs, None, opt)
 
 
 def terminal_rate(

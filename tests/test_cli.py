@@ -220,6 +220,16 @@ class TestCliErrors:
         assert code == 2
         assert "error[CONFIG]: --z" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("z", ["nan", "-inf"])
+    def test_terminal_rate_nonfinite_target(self, tmp_path, capsys, z):
+        out = tmp_path / "o"
+        path = _ini(tmp_path, _one_factor_text(out=str(out)))
+        code = main(["terminal-rate", "--config", path, f"--z={z}"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error[CONFIG]: --z: {z!r} is not finite\n"
+        )
+
     def test_thread_cap_rejects_nonpositive(self, tmp_path, capsys):
         path = _ini(tmp_path, _one_factor_text(n_steps=2, out=str(tmp_path / "o")))
         assert main(["kernel-table", "--config", path, "--threads", "0"]) == 2

@@ -236,6 +236,36 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, raw):
     assert err.count("\n") == 1
 
 
+# (section, option, value): each used to parse and end as a NUMERIC error
+_NONFINITE = [
+    ("rate", "z", "nan"),
+    ("rate", "z", "0.5, inf"),
+    ("verify-ldp", "threshold", "nan"),
+    ("verify-ldp", "threshold", "-inf"),
+    ("model.volatility", "values", "inf"),
+    ("optimizer", "tol", "inf"),
+]
+
+
+@pytest.mark.parametrize("section, option, value", _NONFINITE)
+def test_nonfinite_numbers_are_config_errors(tmp_path, capsys, section, option,
+                                             value):
+    text = _with(_BASE, section, f"{option} = {value}")
+    if section == "model.volatility":
+        text = _BASE.replace("values = 1.0", f"values = {value}")
+    message = (f"config section [{section}], field '{option}': "
+               f"{value!r} is not finite")
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        parse_config(text)
+    out = tmp_path / "o"
+    path = tmp_path / "exp.ini"
+    path.write_text(text.replace("seed = 7", f"seed = 7\nout = {out}"),
+                    encoding="utf-8")
+    assert main(["verify-ldp", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error[CONFIG]: {message}\n"
+    assert not out.exists()
+
+
 _BAD_OPTIMIZER = [
     ("tol", 0.0), ("tol", -1e-8), ("max_iter", 0), ("memory", 0),
     ("n_starts", 0), ("seed", -1), ("spread_warn", -0.5),

@@ -1,6 +1,7 @@
 """Rate functionals, their discretizations, and the constrained minimizers."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from volldp.grids import TimeGrid
 from volldp.kernels import KernelBank, make_kernel, rescale_kernel
 from volldp.ratefn import (
     CameronMartinPath,
+    MultistartSpreadWarning,
     OptimizerConfig,
     gamma_functional,
     hat_map,
@@ -25,7 +27,7 @@ from volldp.ratefn import (
 )
 from volldp.model import ConstantMap, ModelCoefficients, make_map
 from volldp.ratefn import (
-    _Objective, _lift, _lift_adjoint, _lift_factors, _uncorrelated,
+    _Objective, _lift, _lift_adjoint, _lift_factors, _multistart, _uncorrelated,
 )
 
 from conftest import affine_vol_coeffs, constant_coeffs, exp_vol_coeffs, rl_bank
@@ -720,26 +722,124 @@ def test_lift_is_triangular(family):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("functional", ["i_z", "i_t"])
-def test_solution_lists_every_start(unit_grid, functional):
+@pytest.mark.parametrize("functional, n_steps", [
+    ("i_z", 16), ("i_t", 16), ("i_z", 128), ("i_t", 128),
+], ids=["i_z", "i_t", "i_z-coarse", "i_t-coarse"])
+def test_solution_lists_every_start(functional, n_steps):
+    # N = 16 has no coarse level: one row per start, the best one reported.
+    # N = 128 runs the starts at N = 64: their rows, then the refinement row
+    # on the working grid, which is the one reported.
+    grid = TimeGrid(1.0, n_steps)
     opt = OptimizerConfig(n_starts=4)
     coeffs = exp_vol_coeffs(0.4, amplitude=0.3)
     bank = rl_bank(0.35)
     if functional == "i_t":
-        sol = terminal_rate(np.array([0.8]), bank, coeffs, unit_grid, opt)
+        sol = terminal_rate(np.array([0.8]), bank, coeffs, grid, opt)
     else:
-        sol = i_z(CameronMartinPath.straight_line(unit_grid, [0.8]), bank,
+        sol = i_z(CameronMartinPath.straight_line(grid, [0.8]), bank,
                   coeffs, opt)
-    assert len(sol.starts) == 4
+    coarse = n_steps > 64
+    assert len(sol.starts) == 4 + coarse
     for row in sol.starts:
         assert set(row) == {"value", "iterations", "criterion", "converged"}
         assert np.isfinite(row["value"]) and row["iterations"] >= 0
-    values = [row["value"] for row in sol.starts]
-    winner = sol.starts[int(np.argmin(values))]
-    assert max(winner["value"], 0.0) == sol.value
-    assert winner["iterations"] == sol.iterations
-    assert winner["criterion"] == sol.grad_norm
-    assert winner["converged"] == sol.converged
-    assert (max(values) - min(values)) / max(abs(winner["value"]), 1e-12) == (
+    values = [row["value"] for row in sol.starts[:4]]
+    best = sol.starts[int(np.argmin(values))]
+    reported = sol.starts[-1] if coarse else best
+    assert max(reported["value"], 0.0) == sol.value
+    assert reported["iterations"] == sol.iterations
+    assert reported["criterion"] == sol.grad_norm
+    assert reported["converged"] == sol.converged
+    assert (max(values) - min(values)) / max(abs(best["value"]), 1e-12) == (
         sol.multistart_spread
     )
+
+
+# ---------------------------------------------------------------------------
+# coarse-to-fine solves
+# ---------------------------------------------------------------------------
+
+
+def surface_model():
+    """The two-factor model of the rate-surface benchmark (RL 0.3, MG 0.7)."""
+    bank = KernelBank((
+        make_kernel("riemann_liouville", hurst=0.3, scale=1.0, horizon=1.0),
+        make_kernel("molchan_golosov", hurst=0.7, scale=1.0, horizon=1.0),
+    ))
+    coeffs = ModelCoefficients(
+        d=2, p=2,
+        mu=make_map("constant", (2,), 2, values=np.array([0.02, -0.01])),
+        sigma=make_map(
+            "exp_linear", (2, 2), 2,
+            amplitude=np.array([[0.3, 0.0], [0.08, 0.25]]),
+            weights=np.array([[[0.8, 0.1], [0.0, 0.0]],
+                              [[0.2, 0.2], [0.1, 0.6]]]),
+        ),
+        sigma_tilde=make_map(
+            "exp_linear", (2, 2), 2,
+            amplitude=np.array([[-0.12, 0.04], [0.03, -0.1]]),
+            weights=np.array([[[0.5, 0.0], [0.0, 0.3]],
+                              [[0.2, 0.0], [0.0, 0.4]]]),
+        ),
+    )
+    return bank, coeffs
+
+
+@pytest.mark.parametrize("n_steps", [64, 256])
+@pytest.mark.parametrize("functional", ["i_t", "i_z", "i_z_m"])
+def test_coarse_to_fine_matches_the_full_grid_multistart(functional, n_steps):
+    # reference: every start on the working grid.  N = 256 runs the starts
+    # at N = 64 and refines the winner; N = 64 has no coarse level and must
+    # be the reference itself.
+    bank, coeffs = surface_model()
+    grid = TimeGrid(1.0, n_steps)
+    z = np.array([0.3, -0.1])
+    opt = OptimizerConfig()
+    x = CameronMartinPath.straight_line(grid, z)
+    if functional == "i_t":
+        sol = terminal_rate(z, bank, coeffs, grid, opt)
+        problem = _Objective(grid, bank, coeffs, 1, z=z)
+    elif functional == "i_z":
+        sol = i_z(x, bank, coeffs, opt)
+        problem = _Objective(grid, bank, coeffs, 1, xdot=x.derivative)
+    else:
+        sol = i_z_m(x, 16, bank, coeffs, opt)
+        problem = _Objective(grid, bank, coeffs, n_steps // 16,
+                             xdot=x.derivative)
+    upper = problem.inner(np.zeros((n_steps, 2)))[-1]
+    best, spread, table = _multistart(
+        problem.value_grad, (n_steps, 2), grid.dt, 2.0 * upper, opt
+    )
+    assert sol.converged
+    assert sol.upper_bound_used == upper
+    if n_steps == 64:
+        assert sol.value == max(best[1], 0.0)
+        assert np.array_equal(sol.control.derivative.reshape(-1), best[0])
+        assert sol.starts == table and sol.multistart_spread == spread
+    else:
+        assert sol.value == pytest.approx(best[1], rel=1e-10, abs=0.0)
+        assert len(sol.starts) == opt.n_starts + 1
+
+
+def two_well_model():
+    """d = p = 1, sigma(y) = 0.05 + y, no drift, no correlation, RL 0.3.
+
+    sigma vanishes at y = -0.05, so I_T(1) has a well on each side of it:
+    the starts settle in different wells.
+    """
+    return rl_bank(0.3), affine_vol_coeffs(0.0, const=0.05, slope=1.0)
+
+
+@pytest.mark.parametrize("n_steps", [16, 512])
+def test_two_well_landscape_warns(n_steps):
+    # N = 16 runs the starts on the working grid, N = 512 at N = 64
+    bank, coeffs = two_well_model()
+    grid = TimeGrid(1.0, n_steps)
+    with pytest.warns(MultistartSpreadWarning, match="disagree"):
+        sol = terminal_rate(1.0, bank, coeffs, grid)
+    assert sol.multistart_spread > OptimizerConfig().spread_warn
+    assert sol.converged
+    # the spread (about 0.11) is what warns: under a 0.5 threshold nothing does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        terminal_rate(1.0, bank, coeffs, grid, OptimizerConfig(spread_warn=0.5))
