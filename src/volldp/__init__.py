@@ -81,11 +81,9 @@ from .ratefn import (
 )
 from .asymptotics import (
     EquivalenceReport,
-    PathSupNorm,
     ShortTimeReport,
     SlopeEstimate,
     TailEstimate,
-    TerminalBox,
     TerminalHalfSpace,
     equivalence_diagnostic,
     estimate_tail_prob,

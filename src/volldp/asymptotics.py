@@ -19,8 +19,8 @@ far below the smallest double keeps a finite ``log_prob`` and
 estimator raise ``NonFinitePathError``.
 
 Short-time side: the process observed on a shrinking horizon delta * T and
-renormalized by eps / sqrt(delta) is simulated through two routes that are
-equal in law at matched resolution:
+renormalized by eps / sqrt(delta), with delta the schedule's eta, is
+simulated through two routes that are equal in law at matched resolution:
 
 * rescaled -- unit horizon, kernel K^eta(t, s) = sqrt(eta) K(eta t, eta s),
   under ``Scaling.short_time(delta)``: variance drift scaled by delta and
@@ -53,7 +53,6 @@ from scipy import stats
 
 from .errors import (
     ConfigurationError,
-    DomainError,
     NonFinitePathError,
     OptimizationError,
     ValidationError,
@@ -79,59 +78,12 @@ _SE_BUDGET = 4.0
 
 @dataclass(frozen=True)
 class TerminalHalfSpace:
-    """Event {direction . Z(T) >= threshold}."""
+    """Event {Z_1(T) >= threshold} on the first coordinate."""
 
     threshold: float
-    direction: np.ndarray | None = None  # defaults to the first coordinate
-
-    def __post_init__(self):
-        if self.direction is not None:
-            if not np.linalg.norm(np.asarray(self.direction, dtype=float)) > 0.0:
-                raise DomainError("half-space direction must be nonzero")
 
     def indicator(self, values: np.ndarray) -> np.ndarray:
-        term = values[:, -1, :]
-        if self.direction is None:
-            proj = term[:, 0]
-        else:
-            proj = term @ np.asarray(self.direction, dtype=float)
-        return proj >= self.threshold
-
-
-@dataclass(frozen=True)
-class TerminalBox:
-    """Event {lower <= Z(T) <= upper componentwise}."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def indicator(self, values: np.ndarray) -> np.ndarray:
-        term = values[:, -1, :]
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        return np.all((term >= lo) & (term <= hi), axis=1)
-
-
-@dataclass(frozen=True)
-class PathSupNorm:
-    """Tube event {sup over grid nodes of |Z(t) - target(t)| <= radius}.
-
-    ``target`` is a path on the same grid, given as values of shape
-    (N + 1, d); omitting it centers the tube on the zero path.  Node-wise
-    distances use the Euclidean norm on R^d.
-    """
-
-    radius: float
-    target: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise DomainError(f"tube radius must be positive, got {self.radius}")
-
-    def indicator(self, values: np.ndarray) -> np.ndarray:
-        diff = values if self.target is None else values - self.target[None, :, :]
-        sup = np.max(np.linalg.norm(diff, axis=2), axis=1)
-        return sup <= self.radius
+        return values[:, -1, 0] >= self.threshold
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +398,7 @@ def short_time_values(
     """
     _require_driftless(coeffs)
     scale = _as_entry(scale)
-    delta = scale.delta
+    delta = scale.eta
     rescaled = KernelBank(tuple(rescale_kernel(k, scale.eta) for k in bank))
     values = euler_paths_array(
         coeffs, rescaled, grid, Scaling.short_time(delta), n_paths, seed
@@ -476,7 +428,7 @@ def short_time_direct(
     scale = _as_entry(scale)
     if refine < 1:
         raise ConfigurationError("refine must be a positive integer")
-    delta = scale.delta
+    delta = scale.eta
     fine = TimeGrid(grid.horizon * delta, grid.n_steps * refine)
     values = euler_paths_array(
         coeffs, bank, fine, Scaling.short_time(1.0), n_paths, seed
@@ -585,7 +537,7 @@ class DeltaComparison:
     rescaled-route path, the sample the thresholds are set from.
     """
 
-    delta: float
+    delta: float  # the horizon fraction, the schedule entry's eta
     paired: EquivalenceReport
     ks_statistic: float
     ks_pvalue: float
@@ -676,7 +628,7 @@ def short_time_report(
             )
         comps.append(
             DeltaComparison(
-                delta=entry.delta,
+                delta=entry.eta,
                 paired=paired,
                 ks_statistic=float(ks.statistic),
                 ks_pvalue=float(ks.pvalue),

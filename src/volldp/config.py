@@ -41,7 +41,7 @@ _SCHEDULE = {"rule": str, "eta": tuple}
 _SCHEDULE_RULES = {  # the options each rule adds
     "self_similar": {"hurst": float},
     "log_fbm": {"hurst": float, "log_exponent": float, "speed_log_exponent": float},
-    "custom": {"epsilon": tuple, "delta": tuple},
+    "custom": {"epsilon": tuple},
 }
 
 # Lower bounds of the options whose record does not check them itself; d
@@ -291,17 +291,14 @@ def _parse_schedule(cp, bank: KernelBank):
         cp, "schedule", {**_SCHEDULE, **_SCHEDULE_RULES[rule]}, rule=rule,
         hurst=float(first.hurst),
         log_exponent=float(getattr(first, "log_exponent", 0.0)),
-        speed_log_exponent=None, delta=None,
+        speed_log_exponent=None,
     )
     del opts["rule"]
     if rule == "self_similar":
         return _build("schedule", ScalingSchedule.self_similar, **opts)
     if rule == "log_fbm":
         return _build("schedule", ScalingSchedule.for_log_kernel, **opts)
-    return _build(
-        "schedule", ScalingSchedule, eta=opts["eta"], epsilon=opts["epsilon"],
-        delta=opts["delta"] or opts["eta"],
-    )
+    return _build("schedule", ScalingSchedule, **opts)
 
 
 def _parse_subcommands(cp, grid: TimeGrid) -> dict:

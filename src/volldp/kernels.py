@@ -650,16 +650,15 @@ def limit_kernel_error(
 
 @dataclass(frozen=True)
 class ScaleEntry:
-    """One (eta, epsilon, delta) triple of a scaling schedule."""
+    """One (eta, epsilon) pair of a scaling schedule."""
 
     eta: float
     epsilon: float
-    delta: float
 
 
 @dataclass(frozen=True)
 class ScalingSchedule:
-    """Joint schedule (eta_n, epsilon_n, delta_n) for scaling-limit runs.
+    """Joint schedule (eta_n, epsilon_n) for scaling-limit runs.
 
     The speed epsilon_n is the caller's, or derived from eta_n by a rule:
 
@@ -667,22 +666,21 @@ class ScalingSchedule:
     * ``for_log_kernel``: epsilon_n^(-2) = eta_n^(-2H) (-log eta_n)^q with
       q = ``speed_log_exponent`` (default 2 * log_exponent of the kernel).
 
-    delta_n is the short-time horizon sequence; both rules set it to eta_n.
+    The short-time horizon fraction is eta_n itself: the rescaled route is
+    the exact time change of the short horizon only then.
     """
 
     eta: tuple
     epsilon: tuple
-    delta: tuple
 
     def __post_init__(self):
         eta = np.asarray(self.eta, dtype=float)
         eps = np.asarray(self.epsilon, dtype=float)
-        delta = np.asarray(self.delta, dtype=float)
         if eta.size == 0:
             raise ConfigurationError("schedule must contain at least one index")
-        if not (eta.size == eps.size == delta.size):
-            raise ConfigurationError("eta, epsilon, delta must have equal length")
-        for name, arr in (("eta", eta), ("epsilon", eps), ("delta", delta)):
+        if eta.size != eps.size:
+            raise ConfigurationError("eta and epsilon must have equal length")
+        for name, arr in (("eta", eta), ("epsilon", eps)):
             if np.any(arr <= 0.0) or np.any(arr > 1.0 + 1e-12):
                 raise ConfigurationError(f"{name} entries must lie in (0, 1]")
         if eta.size > 1 and not np.all(np.diff(eta) < 0):
@@ -694,9 +692,7 @@ class ScalingSchedule:
         return len(self.eta)
 
     def entry(self, i: int) -> ScaleEntry:
-        return ScaleEntry(
-            float(self.eta[i]), float(self.epsilon[i]), float(self.delta[i])
-        )
+        return ScaleEntry(float(self.eta[i]), float(self.epsilon[i]))
 
     def __iter__(self):
         return (self.entry(i) for i in range(len(self)))
@@ -706,7 +702,7 @@ class ScalingSchedule:
         if np.isscalar(eta):
             eta = (eta,)
         eta = tuple(float(e) for e in eta)
-        return cls(eta=eta, epsilon=tuple(e**hurst for e in eta), delta=eta)
+        return cls(eta=eta, epsilon=tuple(e**hurst for e in eta))
 
     @classmethod
     def for_log_kernel(
@@ -725,5 +721,5 @@ class ScalingSchedule:
         if any(e >= 1.0 for e in eta):
             raise ConfigurationError("log-fbm schedule requires eta < 1")
         eps = tuple(e**hurst * (-np.log(e)) ** (-0.5 * q) for e in eta)
-        return cls(eta=eta, epsilon=eps, delta=eta)
+        return cls(eta=eta, epsilon=eps)
 

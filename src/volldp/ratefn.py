@@ -18,32 +18,34 @@ variational problems are
     I_X(x)   = inf_f 1/2 |f|^2 + J(x | fhat)                    (uncorrelated)
     I_Z^m(x) = inf_f 1/2 |f|^2 + J(x - Phi^m(f, fhat) | fhat)   (frozen blocks)
     I_Z(x)   = inf_f 1/2 |f|^2 + J(x - Phi(f, fhat) | fhat)     (correlated)
-    I_T(z)   = inf_f 1/2 |f|^2 + 1/2 (z - Phi(f,fhat)(T) - M)^T A^(-1) (...)
-               with A = int a(fhat) dt,  M = int mu(fhat) dt    (terminal)
+    I_T(z)   = inf of I_Z over the paths x with x(T) = z        (terminal)
 
-All four are one objective F(f) = 1/2 |f|^2 + (inner quadratic), which
-differs only in the block span at which sigma_tilde reads fhat (N / m: block
-left ends, I_Z^m; 1: every node, I_Z and I_T) and in whether the inner
-quadratic is pathwise or terminal.  I_X is I_Z of the model's
-sigma_tilde = 0 copy, where Phi vanishes.  Each yields a weight
-w: pathwise w_j = a_j^(-1) r_j with r = xdot - mu - Phidot, terminal
-w = A^(-1) q held at every node.  In both, d/d(mu_j + Phidot_j) = -w_j dt and
-d/d(sigma_j) = -w_j (sigma_j^T w_j)^T dt, so the adjoint gradient and the
-Wiener-direction control sigma^T w are written once.  The terminal inner
-problem is the closed-form Euler-Lagrange quadratic; no inner iteration
-happens anywhere.  The outer minimization runs a bounded-memory
-quasi-Newton method with backtracking line search, gradients assembled by
-adjoint accumulation through the chain f -> fhat -> Phi -> inner,
-multi-start (zero start plus Gaussian seeds), and projection of iterates
-onto the energy ball |f|^2 <= 2 F(0), inside which the minimizer is
-guaranteed to live; for the pathwise functionals 2 F(0) is
+All four are one objective F(f) = 1/2 |f|^2 + (inner quadratic).  The
+inner problem pins Z at segment end nodes c_1 < ... < c_k = N: every node
+for the pathwise rates, T alone for I_T.  On segment i of L_i steps, with
+abar_i the mean of a = sigma sigma^T over it and rbar_i the target mean
+rate of Z less the mean of mu + Phidot, the weight w_i = abar_i^(-1) rbar_i
+is held over the segment and the inner value is 1/2 sum_i L_i dt
+rbar_i.w_i, the closed-form Euler-Lagrange quadratic; no inner iteration
+happens anywhere.  The functionals differ only in the end nodes and in the
+block span at which sigma_tilde reads fhat (N / m: block left ends, I_Z^m;
+1: every node, I_Z and I_T); I_X is I_Z of the model's sigma_tilde = 0
+copy, where Phi vanishes.  With w held over each segment,
+d/d(mu_j + Phidot_j) = -w_j dt and d/d(sigma_j) = -w_j (sigma_j^T w_j)^T dt,
+so the adjoint gradient and the Wiener-direction control sigma^T w are
+written once.  The outer minimization runs a bounded-memory quasi-Newton
+method with backtracking line search, gradients assembled by adjoint
+accumulation through the chain f -> fhat -> Phi -> inner, multi-start
+(zero start plus Gaussian seeds), and projection of iterates onto the
+energy ball |f|^2 <= 2 F(0), inside which the minimizer is guaranteed to
+live; for the pathwise functionals 2 F(0) is
 C_x = int (xdot - mu(0))^T a^(-1)(0) (xdot - mu(0)) dt.
 
 The multi-start runs on a coarse level when the grid allows one: N is
 halved while it is even and the halved grid keeps at least 64 steps (and,
-for I_Z^m, a multiple of m steps).  The coarse objective reads the target
-at the coarse nodes (xdot averaged per coarse step; z unchanged), and the
-best coarse start, repeated onto the working grid, is refined by one more
+for I_Z^m, a multiple of m steps).  The coarse objective keeps the end
+nodes that lie on the coarse grid, with the same values of Z, and the best
+coarse start, repeated onto the working grid, is refined by one more
 minimizer run there.  The start table lists the coarse starts, then the
 refinement; the spread check reads the coarse starts only.
 """
@@ -430,63 +432,62 @@ _COARSE_MIN_STEPS = 64
 
 
 class _Objective:
-    """F(f) = 1/2 |f|^2 + inner quadratic, for all four rate functionals.
+    """F(f) = 1/2 |f|^2 + inner quadratic, for every rate functional.
 
-    ``span`` is the block length, in steps, over which sigma_tilde is frozen
-    at the lifted control: N // m for I_Z^m, and 1 for I_X (on the
-    sigma_tilde = 0 model), I_Z and I_T.  Exactly one of ``xdot`` (pathwise
-    target, (N, d)) and ``z`` (terminal point, (d,)) is given.
+    The inner problem pins Z at the segment end nodes ``ends``,
+    c_1 < ... < c_k = N: the pathwise rates pin every node (ends 1..N,
+    ``rate`` = xdot), I_T pins T only (ends (N,), ``rate`` = z / T).
+    ``rate`` (k, d) is the target mean rate of Z over each segment.  ``m``
+    is I_Z^m's block count (None: every node), so sigma_tilde is frozen at
+    the lifted control over blocks of ``span`` = N // m steps (1 for I_X
+    on the sigma_tilde = 0 model, I_Z and I_T).
     """
 
-    def __init__(self, grid, bank, coeffs, span, xdot=None, z=None):
+    def __init__(self, grid, bank, coeffs, ends, rate, m=None):
         self.grid = grid
         self.bank = bank
         self.coeffs = coeffs
-        self.span = span
-        self.xdot = xdot
-        self.z = z
+        self.ends = np.asarray(ends, dtype=int)
+        self.rate = np.asarray(rate, dtype=float)
+        self.m = m
         self.n = grid.n_steps
+        self.span = 1 if m is None else self.n // m
         self.p = coeffs.p
         self.dt = grid.dt
+        self.first_steps = np.concatenate(([0], self.ends[:-1]))
+        self.lengths = np.diff(self.ends, prepend=0)
         self.tri = _lift_factors(bank, grid)
 
     def inner(self, dmat):
         """(fhat, sigma_tilde per step, w, sigma^T w, inner value) at ``dmat``.
 
-        Pathwise, w_j = a_j^(-1) r_j with r = xdot - mu - Phidot and the
-        inner value 1/2 sum r.w dt (so sigma^T w = sigma^(-1) r); terminal,
-        w = A^(-1) q at every node with q = z - int (mu + Phidot) dt,
-        A = int a dt and value 1/2 q.w.  sigma^T w is the Wiener-direction
-        control.  Raises ``SingularDiffusionError`` where a (or A) is
-        singular.
+        On segment i of L_i steps, with abar_i the mean of a = sigma sigma^T
+        and rbar_i the target rate less the mean of mu + Phidot, the weight
+        w_i = abar_i^(-1) rbar_i is held over the segment and the inner
+        value is 1/2 sum_i L_i dt rbar_i.w_i.  sigma^T w is the
+        Wiener-direction control.  Raises ``SingularDiffusionError`` where
+        an abar_i is singular.
         """
         co = self.coeffs
         fhat = _lift(self.tri, dmat)
         y = fhat[: self.n]
-        mu = co.mu(y)
         sig = co.sigma(y)
         sigt, phidot = _phi(co, fhat, dmat, self.span)
-        if self.z is None:
-            a = sig @ np.swapaxes(sig, -1, -2)
-            _require_nonsingular(a, "diffusion matrix")
-            resid = (self.xdot - mu) - phidot
-            w = np.linalg.solve(a, resid[..., None])[..., 0]
-            value = 0.5 * np.sum(resid * w) * self.dt
-        else:
-            # A = sum_j sigma_j sigma_j^T dt as one (d, N d) x (N d, d) product
-            rows = np.swapaxes(sig, 0, 1).reshape(co.d, -1)
-            a_total = (rows @ rows.T) * self.dt
-            _require_nonsingular(a_total, "time-integrated diffusion matrix")
-            q = self.z - phidot.sum(axis=0) * self.dt - mu.sum(axis=0) * self.dt
-            w_total = np.linalg.solve(a_total, q)
-            value = 0.5 * float(q @ w_total)
-            w = np.broadcast_to(w_total, (self.n, co.d))
+        first, steps = self.first_steps, self.lengths[:, None]
+        a = sig @ np.swapaxes(sig, -1, -2)
+        a_bar = np.add.reduceat(a, first) / steps[..., None]
+        _require_nonsingular(a_bar, "segment-mean diffusion matrix")
+        r_bar = (self.rate - np.add.reduceat(co.mu(y), first) / steps) - (
+            np.add.reduceat(phidot, first) / steps)
+        w_bar = np.linalg.solve(a_bar, r_bar[..., None])[..., 0]
+        value = 0.5 * np.sum(steps * r_bar * w_bar) * self.dt
+        w = np.repeat(w_bar, self.lengths, axis=0)
         return fhat, sigt, w, np.einsum("jik,ji->jk", sig, w), value
 
     def value_grad(self, flat):
         """Objective and its adjoint gradient; +inf where a is singular.
 
-        Both inner problems share d/d(mu_j + Phidot_j) = -w_j dt and
+        With w held over each segment, d/d(mu_j + Phidot_j) = -w_j dt and
         d/d(sigma_j) = -w_j (sigma_j^T w_j)^T dt.
         """
         dmat = flat.reshape(self.n, self.p)
@@ -517,26 +518,29 @@ class _Objective:
         return value, grad.reshape(-1)
 
 
-def _coarsen(objective, m=None):
+def _coarsen(objective):
     """``objective`` on the coarsest grid that halving reaches, or None.
 
     N is halved while it is even, the halved grid keeps at least
-    ``_COARSE_MIN_STEPS`` steps and, for I_Z^m (``m`` blocks), a multiple of
-    m.  The coarse pathwise target is xdot averaged over each coarse step,
-    the same path read at the coarse nodes; the terminal point is kept.
+    ``_COARSE_MIN_STEPS`` steps and, for I_Z^m, a multiple of m.  The
+    coarse objective keeps the end nodes that fall on the coarse grid, with
+    the same values of Z: a merged segment's rate is the length-weighted
+    mean of its parts' (xdot averaged per coarse step; z / T kept).
     """
-    n, n_c = objective.n, objective.n
+    n, n_c, m = objective.n, objective.n, objective.m
     while (n_c % 2 == 0 and n_c // 2 >= _COARSE_MIN_STEPS
            and (m is None or (n_c // 2) % m == 0)):
         n_c //= 2
     if n_c == n:
         return None
-    xdot = objective.xdot
-    if xdot is not None:
-        xdot = xdot.reshape(n_c, n // n_c, -1).mean(axis=1)
+    ratio, lengths = n // n_c, objective.lengths
+    kept = np.flatnonzero(objective.ends % ratio == 0)
+    merged = np.concatenate(([0], kept[:-1] + 1))
+    rate = np.add.reduceat(objective.rate * lengths[:, None], merged) / (
+        np.add.reduceat(lengths, merged)[:, None])
     return _Objective(
         TimeGrid(objective.grid.horizon, n_c), objective.bank, objective.coeffs,
-        1 if m is None else n_c // m, xdot=xdot, z=objective.z,
+        objective.ends[kept] // ratio, rate, m,
     )
 
 
@@ -545,13 +549,12 @@ def _value_at_zero(objective) -> float:
     return objective.inner(np.zeros((objective.n, objective.p)))[-1]
 
 
-def _solve(objective, opt: OptimizerConfig, m=None) -> RateSolution:
+def _solve(objective, opt: OptimizerConfig) -> RateSolution:
     """Minimize over the ball |f|^2 <= 2 F(0) and collect the solution.
 
-    2 F(0) is C_x for the pathwise functionals and 2 I_T's value at f = 0
-    for the terminal one; a singular diffusion at f = 0 raises
-    ``SingularDiffusionError``.  ``m`` is I_Z^m's block count, None for the
-    other functionals.
+    F(0) is the inner value at f = 0 (2 F(0) = C_x for the pathwise
+    functionals); a singular diffusion at f = 0 raises
+    ``SingularDiffusionError``.
 
     When ``_coarsen`` finds a coarse level, the multi-start runs there, on
     the coarse objective's own ball, and its best start is prolonged by
@@ -562,7 +565,7 @@ def _solve(objective, opt: OptimizerConfig, m=None) -> RateSolution:
     """
     n, p, grid = objective.n, objective.p, objective.grid
     upper = _value_at_zero(objective)
-    coarse = _coarsen(objective, m)
+    coarse = _coarsen(objective)
     if coarse is None:
         best, spread, table = _multistart(
             objective.value_grad, (n, p), grid.dt, 2.0 * upper, opt
@@ -600,9 +603,8 @@ def _pathwise(x: CameronMartinPath, bank, coeffs, m, opt) -> RateSolution:
         raise DomainError(
             f"target path has dimension {x.dim}, model has d = {coeffs.d}"
         )
-    span = 1 if m is None else x.grid.n_steps // m
-    objective = _Objective(x.grid, bank, coeffs, span, xdot=x.derivative)
-    return _solve(objective, opt, m)
+    ends = np.arange(1, x.grid.n_steps + 1)
+    return _solve(_Objective(x.grid, bank, coeffs, ends, x.derivative, m), opt)
 
 
 def _uncorrelated(coeffs: ModelCoefficients) -> ModelCoefficients:
@@ -652,10 +654,12 @@ def terminal_rate(
     grid: TimeGrid,
     opt: OptimizerConfig = OptimizerConfig(),
 ) -> RateSolution:
-    """Terminal rate I_T(z); the inner problem is the closed quadratic form."""
+    """Terminal rate I_T(z): Z pinned at T only."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (coeffs.d,):
         raise DomainError(
             f"terminal point has shape {z.shape}, expected ({coeffs.d},)"
         )
-    return _solve(_Objective(grid, bank, coeffs, 1, z=z), opt)
+    return _solve(
+        _Objective(grid, bank, coeffs, (grid.n_steps,), z[None] / grid.horizon), opt
+    )

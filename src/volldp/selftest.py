@@ -237,13 +237,14 @@ def _gradient_problem(rng, grid, kind, two_factor):
                 np.array([[[rng.uniform(-0.15, 0.15)]]]),
             )
         coeffs = ModelCoefficients.one_factor(base, rho)
-    if kind == "I_T":
-        return _Objective(grid, bank, coeffs, 1, z=rng.normal(size=d))
+    n = grid.n_steps
+    if kind == "I_T":  # Z pinned at T only, mean rate z / T
+        return _Objective(grid, bank, coeffs, (n,), rng.normal(size=(1, d)))
     if kind == "I_X":  # I_Z of the sigma_tilde = 0 model
         coeffs = _uncorrelated(coeffs)
-    span = 2 if kind == "I_Z^m" else 1
-    xdot = rng.normal(size=(grid.n_steps, d))
-    return _Objective(grid, bank, coeffs, span, xdot=xdot)
+    m = n // 2 if kind == "I_Z^m" else None
+    xdot = rng.normal(size=(n, d))
+    return _Objective(grid, bank, coeffs, np.arange(1, n + 1), xdot, m)
 
 
 def check_gradients(rng, n_cases: int) -> list:

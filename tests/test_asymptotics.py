@@ -7,8 +7,6 @@ import pytest
 from scipy import stats
 
 from volldp.asymptotics import (
-    PathSupNorm,
-    TerminalBox,
     TerminalHalfSpace,
     equivalence_diagnostic,
     estimate_tail_prob,
@@ -21,7 +19,6 @@ from volldp.asymptotics import (
 )
 from volldp.errors import (
     ConfigurationError,
-    DomainError,
     NonFinitePathError,
     OptimizationError,
     ValidationError,
@@ -55,38 +52,6 @@ def test_halfspace_event_semantics(unit_grid):
     values[1, -1, 0] = 0.5
     values[2, -1, 0] = 0.4
     assert event.indicator(values).tolist() == [True, True, False]
-
-    directed = TerminalHalfSpace(1.0, direction=np.array([1.0, -1.0]))
-    vals2 = np.zeros((2, 3, 2))
-    vals2[0, -1] = [1.5, 0.2]  # dot = 1.3 >= 1.0
-    vals2[1, -1] = [0.5, 0.2]  # dot = 0.3
-    assert directed.indicator(vals2).tolist() == [True, False]
-
-    with pytest.raises(DomainError):
-        TerminalHalfSpace(1.0, direction=np.zeros(2))
-
-
-def test_box_event_semantics():
-    event = TerminalBox(lower=np.array([-1.0]), upper=np.array([1.0]))
-    values = np.zeros((3, 4, 1))
-    values[0, -1, 0] = 0.0
-    values[1, -1, 0] = 2.0
-    values[2, -1, 0] = -1.0
-    assert event.indicator(values).tolist() == [True, False, True]
-
-
-def test_tube_event_semantics(unit_grid):
-    n_nodes = unit_grid.n_steps + 1
-    target = np.zeros((n_nodes, 1))
-    event = PathSupNorm(radius=0.5, target=target)
-    values = np.zeros((2, n_nodes, 1))
-    values[0, 3, 0] = 0.4   # stays inside the tube
-    values[1, 5, 0] = 0.7   # leaves it
-    assert event.indicator(values).tolist() == [True, False]
-    with pytest.raises(DomainError):
-        PathSupNorm(radius=0.0)
-    with pytest.raises(DomainError):
-        PathSupNorm(radius=-0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +439,7 @@ def test_ldp_slope_matches_rate_for_constant_model():
 def test_short_time_unit_scale_reduces_to_plain_dynamics(unit_grid):
     coeffs = exp_vol_coeffs(0.5, amplitude=0.3)
     bank = rl_bank(0.35)
-    entry = ScaleEntry(eta=1.0, epsilon=1.0, delta=1.0)
+    entry = ScaleEntry(eta=1.0, epsilon=1.0)
     values = short_time_values(coeffs, bank, unit_grid, entry, 50, seed=5)
     plain = euler_paths_array(
         coeffs, bank, unit_grid, Scaling.small_noise(1.0), 50, seed=5
@@ -484,7 +449,7 @@ def test_short_time_unit_scale_reduces_to_plain_dynamics(unit_grid):
 
 def test_short_time_requires_driftless_model(unit_grid):
     coeffs = constant_coeffs(1, 1, sigma=[[1.0]], mu=[0.1])
-    entry = ScaleEntry(eta=0.5, epsilon=0.7, delta=0.5)
+    entry = ScaleEntry(eta=0.5, epsilon=0.7)
     with pytest.raises(ValidationError):
         short_time_values(coeffs, rl_bank(0.4), unit_grid, entry, 50, seed=0)
     with pytest.raises(ValidationError):
@@ -505,17 +470,18 @@ def test_short_time_requires_driftless_model(unit_grid):
 
 def test_short_time_refine_validation(unit_grid):
     coeffs = constant_coeffs(1, 1, sigma=[[1.0]])
-    entry = ScaleEntry(eta=0.5, epsilon=0.7, delta=0.5)
+    entry = ScaleEntry(eta=0.5, epsilon=0.7)
     with pytest.raises(ConfigurationError):
         short_time_direct(coeffs, rl_bank(0.4), unit_grid, entry, 50, seed=0,
                           refine=0)
 
 
 def test_short_time_constant_vol_terminal_variance(unit_grid):
-    # rescaled output has terminal variance eps^2 s^2 T independent of delta
-    s, eps, delta = 1.4, 0.6, 0.3
+    # rescaled output has terminal variance eps^2 s^2 T independent of the
+    # horizon fraction eta
+    s, eps = 1.4, 0.6
     coeffs = constant_coeffs(1, 1, sigma=[[s]])
-    entry = ScaleEntry(eta=delta, epsilon=eps, delta=delta)
+    entry = ScaleEntry(eta=0.3, epsilon=eps)
     n = 100_000
     values = short_time_values(coeffs, rl_bank(0.5), unit_grid, entry, n,
                                seed=17)
@@ -530,7 +496,7 @@ def test_short_time_coupled_routes_agree(unit_grid):
     # route are the same discrete map on the same draws
     coeffs = exp_vol_coeffs(-0.4, amplitude=0.3)
     bank = rl_bank(0.35)
-    entry = ScaleEntry(eta=0.2, epsilon=0.2**0.35, delta=0.2)
+    entry = ScaleEntry(eta=0.2, epsilon=0.2**0.35)
     a = short_time_values(coeffs, bank, unit_grid, entry, 100, seed=23)
     b = short_time_direct(coeffs, bank, unit_grid, entry, 100, seed=23,
                           refine=1)

@@ -781,7 +781,7 @@ class TestShortTime:
                 cfg.coeffs, cfg.bank, cfg.grid, entry, 1000, cfg.seed + 2 * i,
             )[:, -1, 0]
             got = rows[1000 * i : 1000 * (i + 1)]
-            assert [row[0] for row in got] == [entry.delta] * 1000
+            assert [row[0] for row in got] == [entry.eta] * 1000
             assert [row[1] for row in got] == list(range(1000))
             assert np.array_equal([row[2] for row in got], want)
 

@@ -112,6 +112,17 @@ def test_misspelled_key_is_rejected(section, lines, key):
     assert f"[{section}]" in message and f"'{key}'" in message
 
 
+def test_custom_schedule_takes_no_delta():
+    # the short-time horizon fraction is eta: the rescaled route is the
+    # exact time change only then, so no rule lets it be set apart
+    text = _with(_BASE, "schedule",
+                 "rule = custom\neta = 0.5, 0.25\nepsilon = 0.5, 0.25\n"
+                 "delta = 0.25, 0.1")
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("[schedule], field 'delta'")):
+        parse_config(text)
+
+
 def test_misspelled_key_in_a_generic_model_section():
     text = _GENERIC.replace("d = 1", "d = 1\ndd = 1")
     with pytest.raises(ConfigurationError, match=r"\[model\], field 'dd'"):

@@ -744,7 +744,6 @@ def test_schedule_self_similar_rule():
     for entry in sched:
         assert isinstance(entry, ScaleEntry)
         assert entry.epsilon == pytest.approx(entry.eta**0.4, rel=1e-12)
-        assert entry.delta == entry.eta
     single = ScalingSchedule.self_similar(0.3, 0.4)
     assert len(single) == 1
     assert single.entry(0).eta == 0.3
@@ -770,7 +769,7 @@ def test_schedule_validation():
     with pytest.raises(ConfigurationError):
         ScalingSchedule.self_similar([], 0.4)
     with pytest.raises(ConfigurationError):
-        ScalingSchedule((0.5, 0.2), (0.5,), (0.5, 0.2))  # length mismatch
+        ScalingSchedule((0.5, 0.2), (0.5,))  # length mismatch
 
 
 # ---------------------------------------------------------------------------

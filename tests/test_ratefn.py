@@ -27,7 +27,8 @@ from volldp.ratefn import (
 )
 from volldp.model import ConstantMap, ModelCoefficients, make_map
 from volldp.ratefn import (
-    _Objective, _lift, _lift_adjoint, _lift_factors, _multistart, _uncorrelated,
+    _Objective, _lift, _lift_adjoint, _lift_factors, _multistart, _solve,
+    _uncorrelated,
 )
 
 from conftest import affine_vol_coeffs, constant_coeffs, exp_vol_coeffs, rl_bank
@@ -473,15 +474,15 @@ def test_pathwise_gradients_match_finite_differences(kind):
     bank = rl_bank(0.35)
     if kind == "terminal":
         coeffs = exp_vol_coeffs(-0.4, amplitude=0.3)
-        problem = _Objective(grid, bank, coeffs, 1, z=np.array([0.8]))
+        problem = _Objective(grid, bank, coeffs, (8,), [[0.8]])
         rng = np.random.default_rng(13)
     else:
         coeffs = exp_vol_coeffs(0.5, amplitude=0.3)
         if kind == "none":
             coeffs = _uncorrelated(coeffs)
-        span = 4 if kind == "frozen" else 1
+        m = 2 if kind == "frozen" else None
         xdot = CameronMartinPath.straight_line(grid, [0.6]).derivative
-        problem = _Objective(grid, bank, coeffs, span, xdot=xdot)
+        problem = _Objective(grid, bank, coeffs, np.arange(1, 9), xdot, m)
         rng = np.random.default_rng(12)
     for _ in range(25):
         flat = rng.normal(scale=0.7, size=8)
@@ -524,11 +525,11 @@ def test_inner_drift_reproduces_the_target(functional):
     m = 4
     if functional == "i_x":  # I_Z of the sigma_tilde = 0 model
         coeffs = _uncorrelated(coeffs)
-    span = 16 // m if functional == "i_z_m" else 1
     if functional == "i_t":
-        problem = _Objective(grid, bank, coeffs, span, z=z)
+        problem = _Objective(grid, bank, coeffs, (16,), z[None])
     else:
-        problem = _Objective(grid, bank, coeffs, span, xdot=xdot)
+        blocks = m if functional == "i_z_m" else None
+        problem = _Objective(grid, bank, coeffs, np.arange(1, 17), xdot, blocks)
     for _ in range(10):
         f = CameronMartinPath(grid, rng.normal(scale=0.7, size=(16, 2)))
         drift = problem.inner(f.derivative)[3]
@@ -582,6 +583,43 @@ def test_singularity_rule_is_scale_invariant(unit_grid):
         bad = constant_coeffs(2, 1, sigma=level * np.diag([1.0, 1e-7]))
         with pytest.raises(SingularDiffusionError):
             terminal_rate(z, bank, bad, unit_grid, FAST_OPT)
+
+
+def test_one_singularity_rule_for_every_node_set():
+    # at d = 1 the rule's floor is absolute; it reads the mean of a over a
+    # segment, so I_T and I_Z decide alike on any horizon: here a = 1.5e-12
+    # passes although int a dt over T = 0.5 is below the floor
+    grid = TimeGrid(0.5, 16)
+    bank = rl_bank(0.4, horizon=0.5)
+    coeffs = constant_coeffs(1, 1, sigma=[[np.sqrt(1.5e-12)]])
+    want = 1e-12 / (2 * 1.5e-12 * 0.5)
+    sol = terminal_rate(1e-6, bank, coeffs, grid, FAST_OPT)
+    assert sol.value == pytest.approx(want, rel=1e-12)
+    line = CameronMartinPath.straight_line(grid, [1e-6])
+    assert i_z(line, bank, coeffs, FAST_OPT).value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_steps, first_end", [
+    (64, 16), (64, 32), (64, 48), (256, 64), (256, 128), (256, 192), (256, 65),
+])
+def test_two_time_rate_matches_the_brownian_oracle(n_steps, first_end):
+    # constant coefficients: Z is a Brownian motion with variance s^2 t,
+    # s^2 = sigma^2 + sigma_tilde^2, so pinning Z(t_1) = z_1 and Z(T) = z_2
+    # costs z_1^2 / (2 s^2 t_1) + (z_2 - z_1)^2 / (2 s^2 (T - t_1)) on any
+    # grid that has t_1 as a node.  At N = 256 the starts run at N = 64,
+    # which lacks the end node 65; the refinement pins it again.
+    sigma, sigma_tilde = 0.26, -0.15
+    coeffs = constant_coeffs(1, 1, sigma=[[sigma]], sigma_tilde=[[sigma_tilde]])
+    grid = TimeGrid(1.0, n_steps)
+    t1 = first_end * grid.dt
+    z = np.array([0.4, -0.3])
+    rate = np.array([[z[0] / t1], [(z[1] - z[0]) / (1.0 - t1)]])
+    problem = _Objective(grid, rl_bank(0.5), coeffs, (first_end, n_steps), rate)
+    sol = _solve(problem, OptimizerConfig())
+    s2 = sigma**2 + sigma_tilde**2
+    want = z[0] ** 2 / (2 * s2 * t1) + (z[1] - z[0]) ** 2 / (2 * s2 * (1.0 - t1))
+    assert sol.converged
+    assert sol.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_rate_functions_reject_dimension_mismatch(unit_grid):
@@ -657,13 +695,13 @@ def test_gradients_match_finite_differences_d2_p3(kind):
     bank, coeffs = three_factor_bank(), d2_p3_coeffs()
     rng = np.random.default_rng(41)
     if kind == "terminal":
-        problem = _Objective(grid, bank, coeffs, 1, z=np.array([0.6, -0.4]))
+        problem = _Objective(grid, bank, coeffs, (n,), [[0.6, -0.4]])
     else:
         if kind == "none":
             coeffs = _uncorrelated(coeffs)
-        span = 3 if kind == "frozen" else 1
+        m = 4 if kind == "frozen" else None
         xdot = rng.normal(scale=0.5, size=(n, 2))
-        problem = _Objective(grid, bank, coeffs, span, xdot=xdot)
+        problem = _Objective(grid, bank, coeffs, np.arange(1, n + 1), xdot, m)
     for _ in range(6):
         flat = rng.normal(scale=0.7, size=n * 3)
         _, grad = problem.value_grad(flat)
@@ -796,16 +834,16 @@ def test_coarse_to_fine_matches_the_full_grid_multistart(functional, n_steps):
     z = np.array([0.3, -0.1])
     opt = OptimizerConfig()
     x = CameronMartinPath.straight_line(grid, z)
+    every = np.arange(1, n_steps + 1)
     if functional == "i_t":
         sol = terminal_rate(z, bank, coeffs, grid, opt)
-        problem = _Objective(grid, bank, coeffs, 1, z=z)
+        problem = _Objective(grid, bank, coeffs, (n_steps,), z[None])
     elif functional == "i_z":
         sol = i_z(x, bank, coeffs, opt)
-        problem = _Objective(grid, bank, coeffs, 1, xdot=x.derivative)
+        problem = _Objective(grid, bank, coeffs, every, x.derivative)
     else:
         sol = i_z_m(x, 16, bank, coeffs, opt)
-        problem = _Objective(grid, bank, coeffs, n_steps // 16,
-                             xdot=x.derivative)
+        problem = _Objective(grid, bank, coeffs, every, x.derivative, 16)
     upper = problem.inner(np.zeros((n_steps, 2)))[-1]
     best, spread, table = _multistart(
         problem.value_grad, (n_steps, 2), grid.dt, 2.0 * upper, opt
