@@ -70,6 +70,8 @@ _BLOCK_PATHS = 8192
 # Short-time consistency: least terminal KS p-value, largest gap in se.
 _KS_LEVEL = 0.01
 _SE_BUDGET = 4.0
+# Quantiles of the rescaled terminal sample that set the exceedance thresholds.
+_EXCEEDANCE_LEVELS = (0.8, 0.9, 0.95)
 
 # ---------------------------------------------------------------------------
 # events
@@ -543,7 +545,7 @@ class DeltaComparison:
     ks_pvalue: float
     n_paths: int
     exceedance: tuple
-    rescaled_terminal: np.ndarray = field(default=None, repr=False, compare=False)
+    rescaled_terminal: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -588,7 +590,6 @@ def short_time_report(
     schedule: ScalingSchedule,
     n_paths: int,
     seed: int,
-    quantiles=(0.8, 0.9, 0.95),
     refine: int = 4,
 ) -> ShortTimeReport:
     """Compare the rescaled and direct short-time routes entry by entry.
@@ -597,8 +598,8 @@ def short_time_report(
     feeds ``equivalence_diagnostic`` (both routes consume the same driver
     draws, so any sup-distance reflects a broken scaling identity), and an
     independent run with a refined direct grid is compared through the
-    terminal KS statistic and exceedance frequencies at thresholds set from
-    the rescaled route's empirical quantiles.
+    terminal KS statistic and exceedance frequencies at thresholds set at
+    the rescaled route's ``_EXCEEDANCE_LEVELS`` quantiles.
     """
     _validate_tail_args(n_paths)
     comps = []
@@ -613,7 +614,7 @@ def short_time_report(
         resc_term = resc[:, -1, 0]
         ks = stats.ks_2samp(resc_term, direct, method="asymp")
         rows = []
-        for q in quantiles:
+        for q in _EXCEEDANCE_LEVELS:
             thr = float(np.quantile(resc_term, q))
             pa = float(np.mean(resc_term >= thr))
             pb = float(np.mean(direct >= thr))

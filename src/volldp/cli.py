@@ -117,7 +117,7 @@ def _cmd_simulate(cfg, out_dir: str) -> None:
     from .model import Scaling, euler_paths_array
 
     opts = cfg.simulate
-    # One draw feeds both files so drivers.csv holds the exact noise that
+    # One draw feeds both files so drivers.csv holds the B and Bhat that
     # produced paths.csv, row for row.
     paths = euler_paths_array(
         cfg.coeffs, cfg.bank, cfg.grid, Scaling.small_noise(opts.epsilon),
@@ -316,7 +316,7 @@ def _cmd_short_time(cfg, out_dir: str) -> None:
     opts = cfg.short_time
     report = short_time_report(
         cfg.coeffs, cfg.bank, cfg.grid, cfg.schedule, opts.n_paths, cfg.seed,
-        quantiles=opts.quantiles, refine=opts.refine,
+        refine=opts.refine,
     )
     # the report's rescaled route ran at seed + 2 i: these are its samples
     rows = []

@@ -13,7 +13,8 @@ type and default, or in the name -> type maps below for ``[model]``,
 ``[run]`` and ``[schedule]``.  Nothing the reader can derive is asked
 for: the factor count p is the number of ``[kernel.N]`` sections, so
 ``[model]`` holds only the asset count d of the generic layout, and the
-one-factor layout (``[model.volatility]``) has no ``[model]`` section.
+one-factor layout (``[model.volatility]``) has no ``[model]`` section;
+a schedule rule reads H and the log exponent from the first kernel.
 The coefficient sections hand every key but ``family`` (and ``rho``) to
 ``model.make_map``, which knows each family's parameters.  The reader is
 strict: a key that is not an option of its section, and a section that no
@@ -39,8 +40,8 @@ _MODEL = {"d": int}
 _RUN = {"seed": int, "out": str}
 _SCHEDULE = {"rule": str, "eta": tuple}
 _SCHEDULE_RULES = {  # the options each rule adds
-    "self_similar": {"hurst": float},
-    "log_fbm": {"hurst": float, "log_exponent": float, "speed_log_exponent": float},
+    "self_similar": {},
+    "log_fbm": {},
     "custom": {"epsilon": tuple},
 }
 
@@ -178,7 +179,6 @@ class VerifyLdpOptions:
 class ShortTimeOptions:
     n_paths: int = 10_000
     refine: int = 4
-    quantiles: tuple = (0.8, 0.9, 0.95)
 
 
 _SUBCOMMANDS = {
@@ -286,18 +286,16 @@ def _parse_schedule(cp, bank: KernelBank):
     rule = cp.get("schedule", "rule", fallback="self_similar")
     if rule not in _SCHEDULE_RULES:
         _fail("schedule", "rule", f"unknown rule {rule!r}")
-    first = bank.kernels[0]
-    opts = _read(
-        cp, "schedule", {**_SCHEDULE, **_SCHEDULE_RULES[rule]}, rule=rule,
-        hurst=float(first.hurst),
-        log_exponent=float(getattr(first, "log_exponent", 0.0)),
-        speed_log_exponent=None,
-    )
+    opts = _read(cp, "schedule", {**_SCHEDULE, **_SCHEDULE_RULES[rule]}, rule=rule)
     del opts["rule"]
+    first = bank.kernels[0]  # the rules derive the speed from it
     if rule == "self_similar":
-        return _build("schedule", ScalingSchedule.self_similar, **opts)
+        return _build("schedule", ScalingSchedule.self_similar,
+                      hurst=float(first.hurst), **opts)
     if rule == "log_fbm":
-        return _build("schedule", ScalingSchedule.for_log_kernel, **opts)
+        return _build("schedule", ScalingSchedule.for_log_kernel,
+                      hurst=float(first.hurst),
+                      log_exponent=float(getattr(first, "log_exponent", 0.0)), **opts)
     return _build("schedule", ScalingSchedule, **opts)
 
 
@@ -315,9 +313,6 @@ def _parse_subcommands(cp, grid: TimeGrid) -> dict:
     estimator = opts["verify-ldp"].estimator
     if estimator not in ("tilted", "crude"):
         _fail("verify-ldp", "estimator", f"unknown estimator {estimator!r}")
-    quantiles = opts["short-time"].quantiles
-    if not all(0.0 < q < 1.0 for q in quantiles):
-        _fail("short-time", "quantiles", f"each must lie in (0, 1), got {quantiles}")
     return opts
 
 

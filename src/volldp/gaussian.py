@@ -36,8 +36,9 @@ independent of batch size or generation order.  Normals are produced from
 64-bit uniforms through the inverse normal CDF so each path consumes a
 fixed, layout-stable number of words.  The tail estimators rely on this:
 they draw fixed counter blocks of paths (``first_path`` is the block's
-first path) on worker threads and add the per-block partial sums in block
-order, so their results do not depend on the thread count.
+first path) on worker threads, join the log-weights of each block's hits
+in block order and reduce them once, so their results do not depend on
+the thread count.
 """
 
 from dataclasses import dataclass

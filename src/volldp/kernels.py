@@ -660,11 +660,11 @@ class ScaleEntry:
 class ScalingSchedule:
     """Joint schedule (eta_n, epsilon_n) for scaling-limit runs.
 
-    The speed epsilon_n is the caller's, or derived from eta_n by a rule:
+    The speed epsilon_n is the caller's, or derived from eta_n and the
+    kernel's H (and log exponent a) by a rule:
 
     * ``self_similar``: epsilon_n = eta_n^H (power-law kernels),
-    * ``for_log_kernel``: epsilon_n^(-2) = eta_n^(-2H) (-log eta_n)^q with
-      q = ``speed_log_exponent`` (default 2 * log_exponent of the kernel).
+    * ``for_log_kernel``: epsilon_n^(-2) = eta_n^(-2H) (-log eta_n)^(2a).
 
     The short-time horizon fraction is eta_n itself: the rescaled route is
     the exact time change of the short horizon only then.
@@ -706,20 +706,18 @@ class ScalingSchedule:
 
     @classmethod
     def for_log_kernel(
-        cls, eta, hurst: float, log_exponent: float, speed_log_exponent=None
+        cls, eta, hurst: float, log_exponent: float
     ) -> "ScalingSchedule":
         """Speed schedule for the log-corrected family.
 
-        The default exponent on the slowly varying factor is
-        2 * log_exponent, which makes K^eta / epsilon converge to the plain
-        power-law kernel; pass ``speed_log_exponent`` to override.
+        The exponent on the slowly varying factor is 2 * log_exponent,
+        which makes K^eta / epsilon converge to the plain power-law kernel.
         """
-        q = 2.0 * log_exponent if speed_log_exponent is None else speed_log_exponent
         if np.isscalar(eta):
             eta = (eta,)
         eta = tuple(float(e) for e in eta)
         if any(e >= 1.0 for e in eta):
             raise ConfigurationError("log-fbm schedule requires eta < 1")
-        eps = tuple(e**hurst * (-np.log(e)) ** (-0.5 * q) for e in eta)
+        eps = tuple(e**hurst * (-np.log(e)) ** -log_exponent for e in eta)
         return cls(eta=eta, epsilon=eps)
 

@@ -65,8 +65,17 @@ from .kernels import KernelBank
 from .model import ConstantMap, ModelCoefficients, _require_nonsingular
 
 
+# The minimizer's settings: tolerance on the projected-gradient step,
+# iteration cap, stored curvature pairs and the start spread that warns.
+_TOL = 1e-8
+_MAX_ITER = 500
+_MEMORY = 10
+_SPREAD_WARN = 0.01
+
+
 class MultistartSpreadWarning(RuntimeWarning):
-    """Raised when independent optimizer starts disagree by more than 1%."""
+    """Raised when independent optimizer starts disagree by more than
+    ``_SPREAD_WARN`` (1%)."""
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +283,14 @@ def j_m_correlated(
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of the bounded-memory quasi-Newton minimizer."""
+    """Multi-start of the quasi-Newton minimizer: the number of starts and the
+    seed of their Gaussian draws (the other settings are module constants)."""
 
-    tol: float = 1e-8
-    max_iter: int = 500
-    memory: int = 10
     n_starts: int = 5
     seed: int = 7
-    spread_warn: float = 0.01
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ConfigurationError(f"tol must be positive, got {self.tol}")
-        for name, lo in (("max_iter", 1), ("memory", 1), ("n_starts", 1),
-                         ("seed", 0), ("spread_warn", 0)):
+        for name, lo in (("n_starts", 1), ("seed", 0)):
             value = getattr(self, name)
             if not value >= lo:
                 raise ConfigurationError(f"{name} must be >= {lo}, got {value}")
@@ -314,17 +317,16 @@ class RateSolution:
     starts: tuple = ()
 
 
-def _lbfgs(value_grad, x0, dt, radius_sq, cfg: OptimizerConfig):
+def _lbfgs(value_grad, x0, dt, radius_sq):
     """Projected L-BFGS with Armijo backtracking on flat arrays.
 
     The feasible set is the energy ball dt * |x|^2 <= radius_sq (radial
     projection).  Convergence once the projected gradient step satisfies
-    |x - P(x - g)| <= tol * (1 + |F|).
+    |x - P(x - g)| <= _TOL * (1 + |F|), within ``_MAX_ITER`` iterations and
+    with the last ``_MEMORY`` curvature pairs.
     """
 
     def project(x):
-        if radius_sq is None:
-            return x
         nrm = dt * float(x @ x)
         if nrm <= radius_sq or nrm == 0.0:
             return x
@@ -337,7 +339,7 @@ def _lbfgs(value_grad, x0, dt, radius_sq, cfg: OptimizerConfig):
     s_hist, y_hist, rho_hist = [], [], []
     n_iter = 0
     crit = np.linalg.norm(x - project(x - g))
-    while n_iter < cfg.max_iter and crit > cfg.tol * (1.0 + abs(f)):
+    while n_iter < _MAX_ITER and crit > _TOL * (1.0 + abs(f)):
         # two-loop recursion
         q = g.copy()
         alphas = []
@@ -374,14 +376,14 @@ def _lbfgs(value_grad, x0, dt, radius_sq, cfg: OptimizerConfig):
             s_hist.append(s_vec)
             y_hist.append(y_vec)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > cfg.memory:
+            if len(s_hist) > _MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)
         x, f, g = x_new, f_new, g_new
         n_iter += 1
         crit = np.linalg.norm(x - project(x - g))
-    converged = bool(crit <= cfg.tol * (1.0 + abs(f)))
+    converged = bool(crit <= _TOL * (1.0 + abs(f)))
     return x, f, g, n_iter, converged, float(crit)
 
 
@@ -401,18 +403,18 @@ def _multistart(value_grad, shape, dt, radius_sq, cfg: OptimizerConfig):
     n_vars = int(np.prod(shape))
     rng = np.random.default_rng(cfg.seed)
     starts = [np.zeros(n_vars)]
-    radius = np.sqrt(radius_sq) if radius_sq else 0.0
+    radius = np.sqrt(radius_sq)
     for k in range(cfg.n_starts - 1):
         z = rng.standard_normal(n_vars)
         nrm = np.sqrt(dt) * np.linalg.norm(z)
         scale = radius * (0.15 + 0.2 * k) / max(nrm, 1e-300)
         starts.append(z * scale)
-    results = [_lbfgs(value_grad, x0, dt, radius_sq, cfg) for x0 in starts]
+    results = [_lbfgs(value_grad, x0, dt, radius_sq) for x0 in starts]
     best = min(results, key=lambda r: r[1])
     table = tuple(_start_row(r) for r in results)
     values = np.array([r[1] for r in results])
     spread = float(np.max(values) - np.min(values)) / max(abs(best[1]), 1e-12)
-    if spread > cfg.spread_warn and np.max(values) - np.min(values) > 1e-9:
+    if spread > _SPREAD_WARN and np.max(values) - np.min(values) > 1e-9:
         warnings.warn(
             f"optimizer starts disagree by {spread:.2%}; the landscape may "
             "be multimodal",
@@ -576,7 +578,7 @@ def _solve(objective, opt: OptimizerConfig) -> RateSolution:
             2.0 * _value_at_zero(coarse), opt,
         )
         x0 = np.repeat(winner[0].reshape(coarse.n, p), n // coarse.n, axis=0)
-        best = _lbfgs(objective.value_grad, x0.reshape(-1), grid.dt, 2.0 * upper, opt)
+        best = _lbfgs(objective.value_grad, x0.reshape(-1), grid.dt, 2.0 * upper)
         table += (_start_row(best),)
     x_best, f_best, _, iters, converged, crit = best
     dmat = x_best.reshape(n, p)

@@ -755,10 +755,6 @@ def test_schedule_log_rule_default_exponent():
     for entry in sched:
         want = entry.eta**h * (-math.log(entry.eta)) ** (-a)
         assert entry.epsilon == pytest.approx(want, rel=1e-12)
-    stronger = ScalingSchedule.for_log_kernel([0.2, 0.1], h, a,
-                                              speed_log_exponent=2.0)
-    want = 0.2**h * (-math.log(0.2)) ** -1.0
-    assert stronger.entry(0).epsilon == pytest.approx(want, rel=1e-12)
 
 
 def test_schedule_validation():
