@@ -7,16 +7,16 @@ typical).  There is one tail estimator: the crude estimate is the same one
 without a control, where no driver is shifted and every weight is 1.  The
 decay rate is then read off as the slope of -log p(eps) against 1 / eps^2.
 
-The estimator cuts the path range into fixed counter blocks of 8,192
-paths.  A block's driver draws depend only on (seed, path index), so the
-blocks run on a small thread pool in any order; each returns the
-log-weights of its hits and its count of non-finite paths.  The hits'
-log-weights are joined in block order and reduced once, relative to the
-largest of them, which makes every estimate bitwise independent of the
-number of threads.  Weights stay in log space until then, so an estimate
-far below the smallest double keeps a finite ``log_prob`` and
-``log_stderr``.  A path with a non-finite terminal value makes the
-estimator raise ``NonFinitePathError``.
+The estimator cuts the path range into fixed blocks of 8,192 paths.  A
+block's driver draws depend only on (seed, path index), so the blocks run
+on a small thread pool in any order; each returns the log-weights of its
+hits and its count of non-finite paths.  The hits' log-weights are joined
+in block order and reduced once, relative to the largest of them, which
+makes every estimate bitwise independent of the number of threads.
+Weights stay in log space until then, so an estimate far below the
+smallest double keeps a finite ``log_prob`` and ``log_stderr``.  A path
+with a non-finite terminal value makes the estimator raise
+``NonFinitePathError``.
 
 Short-time side: the process observed on a shrinking horizon delta * T and
 renormalized by eps / sqrt(delta), with delta the schedule's eta, is
@@ -64,8 +64,9 @@ from .model import ModelCoefficients, ProbeLattice, Scaling, euler_paths_array
 from .ratefn import RateSolution
 
 _MIN_TAIL_PATHS = 1000
-# Paths per counter block of the tail estimators: the unit of work handed to
-# a worker thread and of the block-order reduction.
+# Paths per block of the tail estimators: the unit of work handed to a
+# worker thread and of the block-order reduction.  A multiple of the
+# 1,024-path normal-stream unit, so no block redraws part of another's unit.
 _BLOCK_PATHS = 8192
 # Short-time consistency: least terminal KS p-value, largest gap in se.
 _KS_LEVEL = 0.01
@@ -128,7 +129,7 @@ def pool_size(n_paths: int, threads: int | None = None) -> int:
     """Worker threads the tail estimator uses for ``n_paths`` paths.
 
     ``threads`` when given, otherwise the CPUs this process may run on;
-    never more than the number of counter blocks, so a one-block run uses
+    never more than the number of path blocks, so a one-block run uses
     no pool.
     """
     if threads is None:
@@ -139,7 +140,7 @@ def pool_size(n_paths: int, threads: int | None = None) -> int:
 
 
 def _run_blocks(bank, grid, n_paths: int, threads, block) -> list:
-    """``block(first_path, count)`` of every counter block, in block order.
+    """``block(first_path, count)`` of every path block, in block order.
 
     The path range is cut into fixed blocks of ``_BLOCK_PATHS`` paths.  A
     block's draws depend only on (seed, path index) and the results come
@@ -262,7 +263,7 @@ def estimate_tail_prob(
 
     The tilted estimator without a control: no driver is shifted and every
     path has weight 1, so the estimate is the hit frequency with its
-    binomial error.  Paths run in counter blocks on up to ``threads``
+    binomial error.  Paths run in fixed blocks on up to ``threads``
     worker threads (see ``pool_size``); the estimate does not depend on the
     thread count.  Warns when fewer than 10 paths, or all of them, hit.
     """
@@ -287,7 +288,7 @@ def tilted_estimate(
     Both driver families are shifted by the optimal controls scaled by
     1 / eps; each path is reweighted by the exact Gaussian likelihood ratio,
     so the estimator is unbiased at every resolution.  The control must be
-    solved on ``grid`` for this model's d and p.  Paths run in counter
+    solved on ``grid`` for this model's d and p.  Paths run in fixed
     blocks as in ``estimate_tail_prob``.
     """
     return _tail_estimate(

@@ -30,22 +30,23 @@ recomputes Bhat from stored dB and V arrays bit for bit, provided the draw
 made one product per path (``per_path_convolve``); the batched product
 of the Monte Carlo blocks may differ from it in the last ulp.
 
-Randomness is counter-based: path k reads a dedicated counter range of a
-Philox stream keyed by the seed, so path sets are reproducible and
-independent of batch size or generation order.  Normals are produced from
-64-bit uniforms through the inverse normal CDF so each path consumes a
-fixed, layout-stable number of words.  The tail estimators rely on this:
-they draw fixed counter blocks of paths (``first_path`` is the block's
-first path) on worker threads, join the log-weights of each block's hits
-in block order and reduce them once, so their results do not depend on
-the thread count.
+Randomness is addressed by path: the paths are grouped into fixed units of
+``_UNIT_PATHS`` = 1,024, unit u of seed s owns its own SFC64 stream
+(seeded by ``SeedSequence(s, spawn_key=(u,))``), and numpy's ziggurat
+fills the unit's (paths, draws) slab row by row.  A normal therefore
+depends only on (seed, path, slot, draw count), so path sets are
+reproducible and independent of batch size or generation order;
+regenerating one path redraws the prefix of its unit up to that path.
+The tail estimators rely on this: they draw fixed blocks of paths
+(``first_path`` is the block's first path) on worker threads, join the
+log-weights of each block's hits in block order and reduce them once, so
+their results do not depend on the thread count.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 from scipy.stats import ks_2samp
 
 from .errors import ConfigurationError, DomainError, QuadratureError
@@ -61,35 +62,43 @@ from .kernels import (
 )
 
 _GL4 = np.polynomial.legendre.leggauss(4)
+_UNIT_PATHS = 1024  # paths per normal stream
 
 
 # ---------------------------------------------------------------------------
-# counter-based normal streams
+# path-addressed normal streams
 # ---------------------------------------------------------------------------
 
 
 def path_normals(seed: int, first_path: int, n_paths: int, n_draws: int) -> np.ndarray:
     """Standard normals for paths [first_path, first_path + n_paths).
 
-    Path k owns the Philox counter blocks [k * stride, (k + 1) * stride) with
-    stride = ceil(n_draws / 4), so the values depend only on (seed, k, slot)
-    and stay identical under any batching of the path range.
+    Path k is row k % ``_UNIT_PATHS`` of its unit k // ``_UNIT_PATHS``, whose
+    SFC64 stream fills the unit's rows in C order, ``n_draws`` normals per
+    row.  The values depend only on (seed, k, slot, n_draws) and stay
+    identical under any batching of the path range: a unit that starts
+    before ``first_path`` is drawn from its start and its leading rows are
+    dropped, and the last unit draws only the rows up to the last path.
     """
     if n_draws <= 0 or n_paths <= 0:
         raise DomainError("n_paths and n_draws must be positive")
-    stride = (n_draws + 3) // 4
-    bg = np.random.Philox(key=int(seed) & ((1 << 64) - 1))
-    bg.advance(first_path * stride)
-    raw = bg.random_raw(n_paths * stride * 4).reshape(n_paths, stride * 4)[:, :n_draws]
-    # ((word >> 11) + 0.5) * 2^-53 with the roundings of that expression,
-    # each step written over the words: the uniforms and normals live in the
-    # buffer of the raw draws (the uint64 -> float64 step goes through a
-    # temporary numpy frees at once)
-    raw >>= np.uint64(11)
-    u = raw.view(np.float64)
-    np.add(raw, 0.5, out=u)
-    u *= 2.0**-53
-    return ndtri(u, out=u)
+    if first_path < 0:
+        raise DomainError(f"first_path must be >= 0, got {first_path}")
+    entropy = int(seed) & ((1 << 64) - 1)
+    stop = first_path + n_paths
+    out = np.empty((n_paths, n_draws))
+    for unit in range(first_path // _UNIT_PATHS, (stop - 1) // _UNIT_PATHS + 1):
+        base = unit * _UNIT_PATHS
+        lo, hi = max(base, first_path), min(base + _UNIT_PATHS, stop)
+        gen = np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence(entropy, spawn_key=(unit,)))
+        )
+        rows = out[lo - first_path : hi - first_path]
+        if lo == base:
+            gen.standard_normal(out=rows)
+        else:
+            rows[:] = gen.standard_normal((hi - base, n_draws))[lo - base :]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -636,12 +636,12 @@ class TestVerifyLdp:
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["verify-ldp", "--config", path, "--out", out])
         assert code == 5
-        assert "error[NUMERIC]: 69 of 2000" in capsys.readouterr().err
+        assert "error[NUMERIC]: 66 of 2000" in capsys.readouterr().err
         # the failed run still explains itself
         manifest = _manifest(out)
         assert manifest["status"] == "error"
         assert manifest["error"]["category"] == "NUMERIC"
-        assert manifest["error"]["message"].startswith("69 of 2000")
+        assert manifest["error"]["message"].startswith("66 of 2000")
         assert manifest["threads_effective"] == 1
 
     def test_uncorrelated_model_solves_and_samples_one_model(self, tmp_path):

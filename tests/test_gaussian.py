@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import ndtri
 
 from volldp.errors import DomainError
 from volldp.gaussian import (
@@ -217,18 +216,44 @@ def test_path_normals_counter_layout():
     assert a.shape == (5, 17)
 
 
+def test_path_normals_reject_a_negative_first_path():
+    with pytest.raises(DomainError, match="first_path"):
+        path_normals(seed=3, first_path=-1, n_paths=2, n_draws=4)
+
+
 @pytest.mark.parametrize("n_draws", [3, 192, 193])
-@pytest.mark.parametrize("first_path", [0, 5])
-def test_path_normals_match_reference_expression(n_draws, first_path):
-    # the in-place conversion must give the bits of the plain expression
-    stride = (n_draws + 3) // 4
-    bg = np.random.Philox(key=11)
-    bg.advance(first_path * stride)
-    raw = bg.random_raw(6 * stride * 4).reshape(6, stride * 4)
-    u = ((raw[:, :n_draws] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    want = ndtri(u)
-    got = path_normals(seed=11, first_path=first_path, n_paths=6, n_draws=n_draws)
-    assert np.array_equal(got, want)
+@pytest.mark.parametrize("first_path, n_paths", [
+    (0, 1), (5, 3), (1000, 100), (1023, 2), (2047, 1030), (0, 3000),
+])
+def test_path_normals_rows_do_not_depend_on_the_batch(first_path, n_paths, n_draws):
+    # ranges inside one 1,024-path unit, across one and two unit boundaries
+    # and from a unit's last row give the rows of one long draw
+    whole = path_normals(seed=11, first_path=0, n_paths=4096, n_draws=n_draws)
+    got = path_normals(seed=11, first_path=first_path, n_paths=n_paths,
+                       n_draws=n_draws)
+    assert np.array_equal(got, whole[first_path : first_path + n_paths])
+
+
+def test_path_normals_units_and_seeds_share_no_value():
+    # two adjacent units of seed s and the same units of seed s + 1: no row,
+    # and no value at any offset, is shared, so the streams do not overlap
+    z = np.concatenate([
+        path_normals(seed=s, first_path=0, n_paths=2048, n_draws=8).ravel()
+        for s in (41, 42)
+    ])
+    assert np.unique(z).size == z.size
+
+
+def test_path_normals_are_standard_normal_across_units():
+    # paths 1,500..3,599 span units 1, 2 and 3.  Bounds: KS p-value above
+    # 1e-3, and mean, variance and lag-one correlation of the flat draw
+    # within 4 standard errors of 0, 1 and 0
+    z = path_normals(seed=5, first_path=1500, n_paths=2100, n_draws=7).ravel()
+    n = z.size
+    assert stats.kstest(z, "norm").pvalue > 1e-3
+    assert abs(z.mean()) < 4.0 / np.sqrt(n)
+    assert abs(z.var() - 1.0) < 4.0 * np.sqrt(2.0 / n)
+    assert abs(np.mean(z[1:] * z[:-1])) < 4.0 / np.sqrt(n)
 
 
 def test_increment_replay_bitwise():
