@@ -57,7 +57,7 @@ from .errors import (
     OptimizationError,
     ValidationError,
 )
-from .gaussian import discretize_kernel
+from .gaussian import _UNIT_PATHS, discretize_kernel
 from .grids import TimeGrid
 from .kernels import KernelBank, ScaleEntry, ScalingSchedule, rescale_kernel
 from .model import ModelCoefficients, ProbeLattice, Scaling, euler_paths_array
@@ -65,9 +65,8 @@ from .ratefn import RateSolution
 
 _MIN_TAIL_PATHS = 1000
 # Paths per block of the tail estimators: the unit of work handed to a
-# worker thread and of the block-order reduction.  A multiple of the
-# 1,024-path normal-stream unit, so no block redraws part of another's unit.
-_BLOCK_PATHS = 8192
+# worker thread and of the block-order reduction.
+_BLOCK_PATHS = 8 * _UNIT_PATHS
 # Short-time consistency: least terminal KS p-value, largest gap in se.
 _KS_LEVEL = 0.01
 _SE_BUDGET = 4.0

@@ -549,15 +549,10 @@ def euler_paths_array(
     y = scaling.vol_arg * volterra[:, :-1, :]        # (n_paths, N, p)
     sig = coeffs.sigma(y)                            # (n_paths, N, d, d)
     mu = coeffs.mu(y)                                # (n_paths, N, d)
-    ito = np.sum(sig**2, axis=-1)
-    noise = np.einsum("knij,knj->kni", sig, dw)
-    sigt_map = coeffs.sigma_tilde
-    if not (isinstance(sigt_map, ConstantMap) and not np.any(sigt_map.value)):
-        # a constant zero sigma_tilde (the uncorrelated model) adds exact
-        # zeros to both sums, so its term is skipped
-        sigt = sigt_map(y)                           # (n_paths, N, d, p)
-        ito += np.sum(sigt**2, axis=-1)
-        noise += np.einsum("knil,knl->kni", sigt, increments)
+    sigt = coeffs.sigma_tilde(y)                     # (n_paths, N, d, p)
+    ito = np.sum(sig**2, axis=-1) + np.sum(sigt**2, axis=-1)
+    noise = (np.einsum("knij,knj->kni", sig, dw)
+             + np.einsum("knil,knl->kni", sigt, increments))
     steps = (mu - 0.5 * scaling.noise_var * ito) * dt
     steps += np.sqrt(scaling.noise_var) * noise
     values = np.zeros((n_paths, n + 1, d))

@@ -209,11 +209,13 @@ def test_per_path_convolution_matches_path_loop(n_steps):
 
 
 def test_path_normals_counter_layout():
-    # the per-path stream depends only on (seed, path index, draw count)
-    a = path_normals(seed=3, first_path=0, n_paths=5, n_draws=17)
-    b = path_normals(seed=3, first_path=2, n_paths=3, n_draws=17)
-    assert np.array_equal(a[2:], b)
-    assert a.shape == (5, 17)
+    # unit u of seed s is the SFC64 stream spawned with key (u,) from the
+    # seed's low 64 bits, filling its rows in C order
+    for seed in (3, -3):
+        want = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+            seed & (2**64 - 1), spawn_key=(1,)))).standard_normal((1024, 17))
+        got = path_normals(seed=seed, first_path=1024, n_paths=1024, n_draws=17)
+        assert np.array_equal(got, want)
 
 
 def test_path_normals_reject_a_negative_first_path():
@@ -223,7 +225,7 @@ def test_path_normals_reject_a_negative_first_path():
 
 @pytest.mark.parametrize("n_draws", [3, 192, 193])
 @pytest.mark.parametrize("first_path, n_paths", [
-    (0, 1), (5, 3), (1000, 100), (1023, 2), (2047, 1030), (0, 3000),
+    (0, 1), (2, 3), (5, 3), (1000, 100), (1023, 2), (2047, 1030), (0, 3000),
 ])
 def test_path_normals_rows_do_not_depend_on_the_batch(first_path, n_paths, n_draws):
     # ranges inside one 1,024-path unit, across one and two unit boundaries

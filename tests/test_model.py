@@ -398,36 +398,6 @@ def test_zero_sigma_tilde_is_the_uncorrelated_scheme(scaling, drift):
     assert np.array_equal(paths.values, want)
 
 
-@pytest.mark.parametrize("scaling", [
-    Scaling.small_noise(0.4), Scaling.short_time(0.3),
-], ids=["small_noise_0.4", "short_time_0.3"])
-def test_constant_zero_sigma_tilde_term_is_skipped_bitwise(scaling):
-    # a constant zero sigma_tilde is never evaluated on the paths, and its
-    # paths equal, bit for bit, those of a zero affine map, whose term the
-    # scheme evaluates and adds
-    calls = []
-
-    class CountedConstantMap(ConstantMap):
-        def __call__(self, y):
-            calls.append(np.shape(y))
-            return super().__call__(y)
-
-    sigma = make_map("exp_linear", shape=(1, 1), in_dim=1, amplitude=[0.26],
-                     weights=[1.0])
-    skipped = ModelCoefficients(
-        d=1, p=1, mu=ConstantMap(np.zeros(1), 1), sigma=sigma,
-        sigma_tilde=CountedConstantMap(np.zeros((1, 1)), 1),
-    )
-    n_probe_calls = len(calls)  # the constructor's shape probe
-    evaluated = dataclasses.replace(skipped, sigma_tilde=make_map(
-        "affine", shape=(1, 1), in_dim=1, constant=[0.0], linear=[0.0]))
-    grid = TimeGrid(1.0, 32)
-    got = euler_paths_array(skipped, rl_bank(0.3), grid, scaling, 2000, seed=13)
-    assert len(calls) == n_probe_calls
-    want = euler_paths_array(evaluated, rl_bank(0.3), grid, scaling, 2000, seed=13)
-    assert np.array_equal(got.values, want.values)
-
-
 def test_correlated_noise_decomposition():
     # conditionally on the drivers, the sigma_tilde contribution enters
     # through the same Brownian increments that generated the volatility
