@@ -38,9 +38,11 @@ pair by pair, which is informative only when the sets are coupled through
 shared driver noise; ``short_time_report`` provides exactly that coupling by
 running both routes at matched resolution off one seed, and supplements it
 with distribution-level checks (two-sample KS, exceedance frequencies) on
-independent draws.  Finite samples can support but never establish the
-vanishing of the exceedance rates at every scale, so the report is a
-consistency check, not a proof.
+independent draws.  Every KS p-value is the exact two-sided law of the
+equal-size two-sample statistic (``gaussian._two_sample_ks``), at any n.
+Finite samples can support but never establish the vanishing of the
+exceedance rates at every scale, so the report is a consistency check, not
+a proof.
 """
 
 import os
@@ -49,7 +51,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     ConfigurationError,
@@ -57,7 +58,7 @@ from .errors import (
     OptimizationError,
     ValidationError,
 )
-from .gaussian import _UNIT_PATHS, discretize_kernel
+from .gaussian import _UNIT_PATHS, _two_sample_ks, discretize_kernel
 from .grids import TimeGrid
 from .kernels import KernelBank, ScaleEntry, ScalingSchedule, rescale_kernel
 from .model import ModelCoefficients, ProbeLattice, Scaling, euler_paths_array
@@ -486,9 +487,11 @@ def equivalence_diagnostic(
     counts.  Path k of one set is compared with path k of the other
     through the sup over grid nodes of the Euclidean distance;
     the report carries the frequency of exceedances at each delta together
-    with a two-sample KS test of the first terminal coordinate.  The paired
-    column is meaningful for coupled samples (shared driver noise); for
-    independent samples only the KS part is informative.
+    with a two-sample KS test of the first terminal coordinate, whose
+    p-value is the exact equal-size two-sample law, not an asymptotic
+    approximation.  The paired column is meaningful for coupled samples
+    (shared driver noise); for independent samples only the KS part is
+    informative.
     """
     a = _as_values(sample_a)
     b = _as_values(sample_b)
@@ -499,13 +502,12 @@ def equivalence_diagnostic(
         )
     sup = np.max(np.linalg.norm(a - b, axis=2), axis=1)
     freqs = tuple(float(np.mean(sup > d)) for d in deltas)
-    method = "asymp" if a.shape[0] >= 1000 else "auto"
-    ks = stats.ks_2samp(a[:, -1, 0], b[:, -1, 0], method=method)
+    ks_statistic, ks_pvalue = _two_sample_ks(a[:, -1, 0], b[:, -1, 0])
     return EquivalenceReport(
         deltas=tuple(float(d) for d in deltas),
         exceedance=freqs,
-        ks_statistic=float(ks.statistic),
-        ks_pvalue=float(ks.pvalue),
+        ks_statistic=ks_statistic,
+        ks_pvalue=ks_pvalue,
         n_paths=a.shape[0],
         max_sup_distance=float(np.max(sup)),
     )
@@ -612,7 +614,7 @@ def short_time_report(
             coeffs, bank, grid, entry, n_paths, seed_b, refine
         )[:, -1, 0]
         resc_term = resc[:, -1, 0]
-        ks = stats.ks_2samp(resc_term, direct, method="asymp")
+        ks_statistic, ks_pvalue = _two_sample_ks(resc_term, direct)
         rows = []
         for q in _EXCEEDANCE_LEVELS:
             thr = float(np.quantile(resc_term, q))
@@ -631,8 +633,8 @@ def short_time_report(
             DeltaComparison(
                 delta=entry.eta,
                 paired=paired,
-                ks_statistic=float(ks.statistic),
-                ks_pvalue=float(ks.pvalue),
+                ks_statistic=ks_statistic,
+                ks_pvalue=ks_pvalue,
                 n_paths=n_paths,
                 exceedance=tuple(rows),
                 rescaled_terminal=resc_term,

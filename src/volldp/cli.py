@@ -13,9 +13,10 @@ Subcommands
 Every run writes its artifacts atomically (temp file, then rename) into the
 output directory together with ``manifest.json`` (config hash, seed,
 package version, command, overrides, ``threads_effective``, the
-worker-pool size of the tail estimators, 1 for commands without a pool, and
-``status``) so results can be reproduced bit-identically.  All numbers are
-printed with 17 significant digits.
+worker-pool size of the tail estimators, 1 for commands without a pool,
+``status``, and the environment: ``python``, ``numpy`` and ``scipy``
+versions and ``platform``) so results can be reproduced bit-identically.
+All numbers are printed with 17 significant digits.
 Exit codes: 0 success, otherwise the failing error category (CONFIG 2,
 DOMAIN 3, VALIDATION 4, NUMERIC 5, INTERNAL 6).  A failure prints one line,
 ``error[CATEGORY]: message``; an exception that is not a package error
@@ -29,6 +30,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 
 _EXIT_CODES = {
@@ -73,6 +75,9 @@ def _write_json(path: str, payload: dict) -> None:
 def _write_manifest(out_dir: str, command: str, config_text: str, seed: int,
                     overrides: dict, threads_effective: int, error) -> None:
     """``error`` is None for a successful run, else its category and message."""
+    import numpy
+    import scipy
+
     from . import __version__
 
     payload = {
@@ -83,6 +88,10 @@ def _write_manifest(out_dir: str, command: str, config_text: str, seed: int,
         "overrides": {k: v for k, v in sorted(overrides.items()) if v is not None},
         "threads_effective": threads_effective,
         "status": "ok" if error is None else "error",
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
     }
     if error is not None:
         payload["error"] = error
@@ -318,11 +327,14 @@ def _cmd_short_time(cfg, out_dir: str) -> None:
         cfg.coeffs, cfg.bank, cfg.grid, cfg.schedule, opts.n_paths, cfg.seed,
         refine=opts.refine,
     )
-    # the report's rescaled route ran at seed + 2 i: these are its samples
-    rows = []
-    for comp in report.comparisons:
-        terminal = comp.rescaled_terminal
-        rows.extend((comp.delta, k, terminal[k]) for k in range(opts.n_paths))
+    # the report's rescaled route ran at seed + 2 i: these are its samples,
+    # generated row by row (a list of every row's tuple costs a full
+    # garbage-collector pass)
+    rows = (
+        (comp.delta, k, value)
+        for comp in report.comparisons
+        for k, value in enumerate(comp.rescaled_terminal)
+    )
     _write_csv(
         os.path.join(out_dir, "samples.csv"), ("delta", "path_id", "value"), rows
     )

@@ -7,10 +7,15 @@ messages, and output artifacts can be checked without spawning a shell.
 import json
 import math
 import os
+import pathlib
+import platform
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 
 from volldp.cli import main
 from volldp.config import parse_config
@@ -507,6 +512,28 @@ n_starts = 2
         assert manifest["overrides"]["z"] == [1.0, 1.0]
         assert manifest["overrides"]["out"] == out
         assert manifest["status"] == "ok" and "error" not in manifest
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        assert manifest["platform"] == platform.platform()
+        keys = {
+            "command", "config_sha256", "seed", "version", "overrides",
+            "threads_effective", "status", "python", "numpy", "scipy",
+            "platform",
+        }
+        assert set(manifest) == keys
+
+        # a failed run writes the same fields plus the error
+        out = str(tmp_path / "failed")
+        assert main(
+            ["terminal-rate", "--config", path, "--out", out, "--z", "nan,1"]
+        ) == 2
+        failed = _manifest(out)
+        assert set(failed) == keys | {"error"}
+        assert failed["status"] == "error"
+        assert failed["error"]["category"] == "CONFIG"
+        for key in ("python", "numpy", "scipy", "platform"):
+            assert failed[key] == manifest[key]
 
 
 class TestVerifyLdp:
@@ -834,3 +861,45 @@ class TestOutDirResolution:
         ) == 0
         assert os.path.exists(os.path.join(flag_out, "kernel_1.csv"))
         assert not os.path.exists(cfg_out)
+
+
+def test_commands_leave_scipy_stats_unimported(tmp_path):
+    # scipy.stats is most of scipy's import time and volldp needs none of
+    # it; a fresh interpreter checks the module table, not a timing bound
+    import volldp
+
+    extra = (
+        "[optimizer]\nn_starts = 2\n"
+        "[rate]\nfunctional = i_uncorrelated\nz = 1.0\n"
+        "[verify-ldp]\nthreshold = 0.5\nepsilons = 0.5, 0.4, 0.3\n"
+        "n_paths = 2000\nestimator = crude\n"
+        "[schedule]\nrule = self_similar\neta = 0.5, 0.25\n"
+        "[short-time]\nn_paths = 1000\nrefine = 2\n"
+    )
+    path = _ini(tmp_path, _one_factor_text(n_steps=8, extra=extra))
+    commands = [
+        [command, "--config", path, "--out", str(tmp_path / command), *more]
+        for command, *more in (
+            ["verify-ldp"], ["short-time"], ["rate"],
+            ["terminal-rate", "--z", "1.0"],
+        )
+    ]
+    script = (
+        "import json, sys\n"
+        "import volldp.cli, volldp\n"
+        "seen = {'import': 'scipy.stats' in sys.modules}\n"
+        f"for argv in {commands!r}:\n"
+        "    code = volldp.cli.main(argv)\n"
+        "    seen[argv[0]] = code, 'scipy.stats' in sys.modules\n"
+        "print(json.dumps(seen))\n"
+    )
+    src = str(pathlib.Path(volldp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {"import": False, "verify-ldp": [0, False],
+                    "short-time": [0, False], "rate": [0, False],
+                    "terminal-rate": [0, False]}

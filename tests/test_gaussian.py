@@ -1,11 +1,15 @@
 """Gaussian driver sampling, covariance quadrature, and replay contracts."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from volldp.errors import DomainError
+from volldp.errors import DomainError, ValidationError
 from volldp.gaussian import (
+    _two_sample_ks,
     bank_discretizations,
     covariance_matrix,
     draw_driver_arrays,
@@ -330,8 +334,54 @@ def test_marginal_gaussianity_proxy():
 def test_marginal_ks_check_passes():
     bank = rl_bank(0.35)
     grid = TimeGrid(1.0, 10)
-    result = marginal_ks_check(bank, grid, 4000, seed=8)
-    assert result.pvalue > 0.01
+    _, pvalue = marginal_ks_check(bank, grid, 4000, seed=8)
+    assert pvalue > 0.01
+
+
+@pytest.mark.parametrize("n", [5, 50, 400, 4000, 10_000])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+def test_two_sample_ks_matches_scipy_exact(n, ties):
+    rng = np.random.default_rng(n)
+    for shift in (0.0, 4.0, 10.0):
+        a = rng.normal(size=n)
+        b = rng.normal(loc=shift / math.sqrt(n), size=n)
+        if ties:
+            a, b = np.round(2.0 * a), np.round(2.0 * b)
+        statistic, pvalue = _two_sample_ks(a, b)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ref = stats.ks_2samp(a, b, method="exact")
+        assert abs(statistic - ref.statistic) <= 1e-15
+        if caught:
+            # scipy's exact sum rounds above 1 at the smallest gap, where
+            # P(D >= 1 / n) = 1, and falls back to its asymptotic value
+            assert (statistic, pvalue) == (1.0 / n, 1.0)
+        else:
+            assert pvalue == pytest.approx(ref.pvalue, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [5, 50, 400])
+def test_two_sample_ks_edge_cases(n):
+    a = np.random.default_rng(1).normal(size=n)
+    assert _two_sample_ks(a, a[::-1]) == (0.0, 1.0)
+    # fully separated: only the paths through the corner reach D = 1
+    statistic, pvalue = _two_sample_ks(a, a + 100.0)
+    assert statistic == 1.0
+    assert pvalue == pytest.approx(2.0 / math.comb(2 * n, n), rel=1e-12)
+    with pytest.raises(ValidationError):
+        _two_sample_ks(a, a[1:])
+
+
+def test_two_sample_ks_gap_to_kstwo():
+    # the exact law lies a little above scipy's asymptotic kstwo(n / 2)
+    # at n = 10,000, by less than 3 % for p-values down to about 0.005
+    n = 10_000
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        statistic, pvalue = _two_sample_ks(rng.normal(size=n),
+                                           rng.normal(size=n))
+        approx = stats.kstwo.sf(statistic, n // 2)
+        assert 0.0 < pvalue / approx - 1.0 < 0.03
 
 
 def test_path_regularity_proxy():
