@@ -7,12 +7,15 @@ typical).  There is one tail estimator: the crude estimate is the same one
 without a control, where no driver is shifted and every weight is 1.  The
 decay rate is then read off as the slope of -log p(eps) against 1 / eps^2.
 
-The estimator cuts the path range into fixed blocks of 8,192 paths.  A
-block's driver draws depend only on (seed, path index), so the blocks run
-on a small thread pool in any order; each returns the log-weights of its
-hits and its count of non-finite paths.  The hits' log-weights are joined
-in block order and reduced once, relative to the largest of them, which
-makes every estimate bitwise independent of the number of threads.
+Every Monte Carlo run here cuts its path range into blocks of one normal
+stream unit, ``gaussian._UNIT_PATHS`` = 1,024 paths (``_run_blocks``).  A
+block's driver draws depend only on (seed, path index) and each block draws
+exactly one unit's stream, so the blocks run on a small thread pool in any
+order and none redraws another's stream.  In the estimator each block
+returns the log-weights of its hits and its count of non-finite paths.  The
+hits' log-weights are joined in block order and reduced once, relative to
+the largest of them, which makes every estimate bitwise independent of the
+number of threads.
 Weights stay in log space until then, so an estimate far below the
 smallest double keeps a finite ``log_prob`` and ``log_stderr``.  A path
 with a non-finite terminal value makes the estimator raise
@@ -27,6 +30,10 @@ simulated through two routes that are equal in law at matched resolution:
   noise by sqrt(delta);
 * direct -- the original kernel on the short horizon with a finer grid,
   under ``Scaling.short_time(1.0)``, subsampled back to the reference nodes.
+
+Both routes run on the same blocks as the estimator: each block returns its
+renormalized rows and the rows are joined in block order, so a path set
+does not depend on the number of threads.
 
 Both routes and the tail estimator (``Scaling.small_noise(eps)``) run the
 one Euler scheme, ``model.euler_paths_array``; every path set is an array
@@ -54,6 +61,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    DomainError,
     NonFinitePathError,
     OptimizationError,
     ValidationError,
@@ -65,9 +73,6 @@ from .model import ModelCoefficients, ProbeLattice, Scaling, euler_paths_array
 from .ratefn import RateSolution
 
 _MIN_TAIL_PATHS = 1000
-# Paths per block of the tail estimators: the unit of work handed to a
-# worker thread and of the block-order reduction.
-_BLOCK_PATHS = 8 * _UNIT_PATHS
 # Short-time consistency: least terminal KS p-value, largest gap in se.
 _KS_LEVEL = 0.01
 _SE_BUDGET = 4.0
@@ -126,32 +131,35 @@ def _validate_tail_args(n_paths: int) -> None:
 
 
 def pool_size(n_paths: int, threads: int | None = None) -> int:
-    """Worker threads the tail estimator uses for ``n_paths`` paths.
+    """Worker threads a Monte Carlo run of ``n_paths`` paths uses.
 
     ``threads`` when given, otherwise the CPUs this process may run on;
-    never more than the number of path blocks, so a one-block run uses
-    no pool.
+    never more than the number of ``_UNIT_PATHS``-path blocks, so a
+    one-block run uses no pool.
     """
     if threads is None:
         threads = len(os.sched_getaffinity(0))
     elif threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
-    return min(threads, -(-n_paths // _BLOCK_PATHS))
+    return min(threads, -(-n_paths // _UNIT_PATHS))
 
 
 def _run_blocks(bank, grid, n_paths: int, threads, block) -> list:
     """``block(first_path, count)`` of every path block, in block order.
 
-    The path range is cut into fixed blocks of ``_BLOCK_PATHS`` paths.  A
-    block's draws depend only on (seed, path index) and the results come
-    back in block order, so whatever is reduced from them is bitwise the
-    same whatever the number of worker threads and the order in which
-    blocks finish.
+    The path range is cut into blocks of one normal-stream unit,
+    ``_UNIT_PATHS`` paths each, so every block starts on a unit boundary
+    and draws exactly one unit's stream.  A block's draws depend only on
+    (seed, path index) and the results come back in block order, so
+    whatever is reduced from them is bitwise the same whatever the number
+    of worker threads and the order in which blocks finish.
     """
+    if n_paths < 1:
+        raise DomainError("n_paths must be >= 1")
     for kernel in bank:  # fill the discretization cache before any worker
         discretize_kernel(kernel, grid)
-    firsts = range(0, n_paths, _BLOCK_PATHS)
-    counts = [min(_BLOCK_PATHS, n_paths - first) for first in firsts]
+    firsts = range(0, n_paths, _UNIT_PATHS)
+    counts = [min(_UNIT_PATHS, n_paths - first) for first in firsts]
     workers = pool_size(n_paths, threads)
     if workers == 1:
         return list(map(block, firsts, counts))
@@ -384,6 +392,23 @@ def _as_entry(scale) -> ScaleEntry:
     return scale
 
 
+def _renormalized_blocks(
+    coeffs, bank, grid, scaling, step, factor, n_paths, seed, threads
+) -> np.ndarray:
+    """Every ``step``-th node of each block's paths times ``factor``.
+
+    The blocks' rows are joined in block order (``_run_blocks``).
+    """
+
+    def block(first: int, count: int) -> np.ndarray:
+        values = euler_paths_array(
+            coeffs, bank, grid, scaling, count, seed, first_path=first
+        ).values
+        return values[:, ::step, :] * factor
+
+    return np.concatenate(_run_blocks(bank, grid, n_paths, threads, block))
+
+
 def short_time_values(
     coeffs: ModelCoefficients,
     bank: KernelBank,
@@ -391,22 +416,25 @@ def short_time_values(
     scale,
     n_paths: int,
     seed: int,
+    threads: int | None = None,
 ) -> np.ndarray:
     """Renormalized short-time paths via the rescaled-kernel route.
 
     Simulates on the unit-horizon reference grid with the kernel rescaled by
     eta under ``Scaling.short_time(delta)`` (the exact time change of the
     short-horizon dynamics), then multiplies by eps / sqrt(delta).  Returns
-    values of shape (n_paths, N + 1, d).
+    values of shape (n_paths, N + 1, d).  Paths run in blocks on up to
+    ``threads`` worker threads (see ``pool_size``); the values do not
+    depend on the thread count.
     """
     _require_driftless(coeffs)
     scale = _as_entry(scale)
     delta = scale.eta
     rescaled = KernelBank(tuple(rescale_kernel(k, scale.eta) for k in bank))
-    values = euler_paths_array(
-        coeffs, rescaled, grid, Scaling.short_time(delta), n_paths, seed
-    ).values
-    return values * (scale.epsilon / np.sqrt(delta))
+    return _renormalized_blocks(
+        coeffs, rescaled, grid, Scaling.short_time(delta), 1,
+        scale.epsilon / np.sqrt(delta), n_paths, seed, threads,
+    )
 
 
 def short_time_direct(
@@ -417,6 +445,7 @@ def short_time_direct(
     n_paths: int,
     seed: int,
     refine: int = 4,
+    threads: int | None = None,
 ) -> np.ndarray:
     """Renormalized short-time paths simulated directly on the short horizon.
 
@@ -425,7 +454,8 @@ def short_time_direct(
     subsamples back to the reference nodes, so the output is comparable
     entry by entry with ``short_time_values``.  At
     refine = 1 and a shared seed the two routes consume identical driver
-    draws and coincide path for path up to rounding.
+    draws and coincide path for path up to rounding.  Paths run in blocks
+    as in ``short_time_values``.
     """
     _require_driftless(coeffs)
     scale = _as_entry(scale)
@@ -433,10 +463,10 @@ def short_time_direct(
         raise ConfigurationError("refine must be a positive integer")
     delta = scale.eta
     fine = TimeGrid(grid.horizon * delta, grid.n_steps * refine)
-    values = euler_paths_array(
-        coeffs, bank, fine, Scaling.short_time(1.0), n_paths, seed
-    ).values
-    return values[:, ::refine, :] * (scale.epsilon / np.sqrt(delta))
+    return _renormalized_blocks(
+        coeffs, bank, fine, Scaling.short_time(1.0), refine,
+        scale.epsilon / np.sqrt(delta), n_paths, seed, threads,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +623,7 @@ def short_time_report(
     n_paths: int,
     seed: int,
     refine: int = 4,
+    threads: int | None = None,
 ) -> ShortTimeReport:
     """Compare the rescaled and direct short-time routes entry by entry.
 
@@ -601,17 +632,23 @@ def short_time_report(
     draws, so any sup-distance reflects a broken scaling identity), and an
     independent run with a refined direct grid is compared through the
     terminal KS statistic and exceedance frequencies at thresholds set at
-    the rescaled route's ``_EXCEEDANCE_LEVELS`` quantiles.
+    the rescaled route's ``_EXCEEDANCE_LEVELS`` quantiles.  Every route
+    runs its paths in blocks on up to ``threads`` worker threads; the
+    report does not depend on the thread count.
     """
     _validate_tail_args(n_paths)
     comps = []
     for i, entry in enumerate(schedule):
         seed_a, seed_b = seed + 2 * i, seed + 2 * i + 1
-        resc = short_time_values(coeffs, bank, grid, entry, n_paths, seed_a)
-        matched = short_time_direct(coeffs, bank, grid, entry, n_paths, seed_a, 1)
+        resc = short_time_values(
+            coeffs, bank, grid, entry, n_paths, seed_a, threads
+        )
+        matched = short_time_direct(
+            coeffs, bank, grid, entry, n_paths, seed_a, 1, threads
+        )
         paired = equivalence_diagnostic(resc, matched)
         direct = short_time_direct(
-            coeffs, bank, grid, entry, n_paths, seed_b, refine
+            coeffs, bank, grid, entry, n_paths, seed_b, refine, threads
         )[:, -1, 0]
         resc_term = resc[:, -1, 0]
         ks_statistic, ks_pvalue = _two_sample_ks(resc_term, direct)

@@ -13,9 +13,10 @@ Subcommands
 Every run writes its artifacts atomically (temp file, then rename) into the
 output directory together with ``manifest.json`` (config hash, seed,
 package version, command, overrides, ``threads_effective``, the
-worker-pool size of the tail estimators, 1 for commands without a pool,
-``status``, and the environment: ``python``, ``numpy`` and ``scipy``
-versions and ``platform``) so results can be reproduced bit-identically.
+worker-pool size of ``verify-ldp`` and ``short-time``, 1 for commands
+without a pool, ``status``, and the environment: ``python``, ``numpy`` and
+``scipy`` versions and ``platform``) so results can be reproduced
+bit-identically.
 All numbers are printed with 17 significant digits.
 Exit codes: 0 success, otherwise the failing error category (CONFIG 2,
 DOMAIN 3, VALIDATION 4, NUMERIC 5, INTERNAL 6).  A failure prints one line,
@@ -50,10 +51,6 @@ _THREAD_ENV_VARS = (
 )
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
-
-
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
     with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
@@ -61,11 +58,19 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header, table) -> None:
+    """One row per row of the 2-D float array ``table``, each cell 17 digits.
+
+    One ``%`` pass over all cells writes the bytes of
+    ``format(float(v), ".17g")`` per cell.
+    """
+    import numpy as np
+
+    table = np.asarray(table, dtype=float)
+    rows, cols = table.shape
+    line = ",".join(("%.17g",) * cols) + "\n"
+    body = (line * rows) % tuple(table.ravel().tolist())
+    _atomic_write(path, ",".join(header) + "\n" + body)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -118,11 +123,13 @@ def _cmd_kernel_table(cfg, out_dir: str) -> None:
         _write_csv(
             os.path.join(out_dir, f"kernel_{ell}.csv"),
             ("t", "s", "value"),
-            zip(tt.ravel(), ss.ravel(), values.ravel()),
+            np.column_stack((tt.ravel(), ss.ravel(), values.ravel())),
         )
 
 
 def _cmd_simulate(cfg, out_dir: str) -> None:
+    import numpy as np
+
     from .model import Scaling, euler_paths_array
 
     opts = cfg.simulate
@@ -132,29 +139,27 @@ def _cmd_simulate(cfg, out_dir: str) -> None:
         cfg.coeffs, cfg.bank, cfg.grid, Scaling.small_noise(opts.epsilon),
         opts.n_paths, cfg.seed, per_path_convolve=True,
     )
-    values = paths.values
-    d = cfg.coeffs.d
+    d, p = cfg.coeffs.d, cfg.coeffs.p
+    nodes = cfg.grid.nodes
+    # one row per (path, node), path-major
+    ids = np.repeat(np.arange(opts.n_paths), nodes.size)
+    times = np.tile(nodes, opts.n_paths)
     header = ("path_id", "t") + tuple(f"z_{i + 1}" for i in range(d))
-    rows = []
-    for k in range(opts.n_paths):
-        for i, t in enumerate(cfg.grid.nodes):
-            rows.append((k, t) + tuple(values[k, i, :]))
-    _write_csv(os.path.join(out_dir, "paths.csv"), header, rows)
+    _write_csv(
+        os.path.join(out_dir, "paths.csv"), header,
+        np.column_stack((ids, times, paths.values.reshape(-1, d))),
+    )
     if opts.emit_drivers:
-        p = cfg.coeffs.p
-        brownian, volterra = paths.brownian, paths.volterra
         header = (
             ("path_id", "t")
             + tuple(f"b_{l + 1}" for l in range(p))
             + tuple(f"bhat_{l + 1}" for l in range(p))
         )
-        rows = []
-        for k in range(opts.n_paths):
-            for i, t in enumerate(cfg.grid.nodes):
-                rows.append(
-                    (k, t) + tuple(brownian[k, i, :]) + tuple(volterra[k, i, :])
-                )
-        _write_csv(os.path.join(out_dir, "drivers.csv"), header, rows)
+        table = np.column_stack((
+            ids, times, paths.brownian.reshape(-1, p),
+            paths.volterra.reshape(-1, p),
+        ))
+        _write_csv(os.path.join(out_dir, "drivers.csv"), header, table)
 
 
 def _read_target_csv(path: str, grid, d: int):
@@ -184,14 +189,13 @@ def _read_target_csv(path: str, grid, d: int):
 
 
 def _solution_outputs(out_dir: str, solution, grid) -> None:
-    _write_csv(os.path.join(out_dir, "value.csv"), ("value",), [(solution.value,)])
+    import numpy as np
+
+    _write_csv(os.path.join(out_dir, "value.csv"), ("value",), [[solution.value]])
     p = solution.control.dim
     header = ("t_left",) + tuple(f"fdot_{l + 1}" for l in range(p))
-    rows = [
-        (grid.nodes[j],) + tuple(solution.control.derivative[j, :])
-        for j in range(grid.n_steps)
-    ]
-    _write_csv(os.path.join(out_dir, "control.csv"), header, rows)
+    table = np.column_stack((grid.nodes[:-1], solution.control.derivative))
+    _write_csv(os.path.join(out_dir, "control.csv"), header, table)
     _write_json(
         os.path.join(out_dir, "diagnostics.json"),
         {
@@ -287,16 +291,16 @@ def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
         estimates.append(est)
     # fit first: a degenerate level fails here, before any artifact exists
     fit = ldp_slope(estimates)
-    rows = [
+    table = np.array([
         (e.epsilon, e.prob, e.stderr, -e.log_prob, e.epsilon**-2,
          -e.log_stderr, e.ess, e.max_weight_share)
         for e in estimates
-    ]
+    ])
     _write_csv(
         os.path.join(out_dir, "ldp.csv"),
         ("epsilon", "p_hat", "stderr", "minus_log_p", "eps_inv_sq",
          "minus_log_stderr", "ess", "max_weight_share"),
-        rows,
+        table,
     )
     target = solution.value
     _write_json(
@@ -314,7 +318,9 @@ def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
     )
 
 
-def _cmd_short_time(cfg, out_dir: str) -> None:
+def _cmd_short_time(cfg, out_dir: str, threads) -> None:
+    import numpy as np
+
     from .errors import ConfigurationError
     from .asymptotics import short_time_report
 
@@ -325,18 +331,17 @@ def _cmd_short_time(cfg, out_dir: str) -> None:
     opts = cfg.short_time
     report = short_time_report(
         cfg.coeffs, cfg.bank, cfg.grid, cfg.schedule, opts.n_paths, cfg.seed,
-        refine=opts.refine,
+        refine=opts.refine, threads=threads,
     )
-    # the report's rescaled route ran at seed + 2 i: these are its samples,
-    # generated row by row (a list of every row's tuple costs a full
-    # garbage-collector pass)
-    rows = (
-        (comp.delta, k, value)
-        for comp in report.comparisons
-        for k, value in enumerate(comp.rescaled_terminal)
-    )
+    # the report's rescaled route ran at seed + 2 i: these are its samples
+    comps = report.comparisons
+    table = np.column_stack((
+        np.repeat([comp.delta for comp in comps], opts.n_paths),
+        np.tile(np.arange(opts.n_paths), len(comps)),
+        np.concatenate([comp.rescaled_terminal for comp in comps]),
+    ))
     _write_csv(
-        os.path.join(out_dir, "samples.csv"), ("delta", "path_id", "value"), rows
+        os.path.join(out_dir, "samples.csv"), ("delta", "path_id", "value"), table
     )
     payload = {
         "all_consistent": report.all_consistent(),
@@ -407,7 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--seed", type=int, default=None,
                              help="override the config seed")
             cmd.add_argument("--threads", type=int, default=None,
-                             help="worker threads of the tail estimators "
+                             help="worker threads of the Monte Carlo path "
+                                  "blocks of verify-ldp and short-time "
                                   "(default: the CPUs available); also "
                                   "exported as the BLAS/OpenMP thread cap")
         cmd.add_argument("--out", default=None, help="output directory")
@@ -488,7 +494,12 @@ def main(argv=None) -> int:
             )
             _cmd_verify_ldp(cfg, out_dir, args.threads)
         elif args.command == "short-time":
-            _cmd_short_time(cfg, out_dir)
+            from .asymptotics import pool_size
+
+            manifest["threads_effective"] = pool_size(
+                cfg.short_time.n_paths, args.threads
+            )
+            _cmd_short_time(cfg, out_dir, args.threads)
     except VolldpError as exc:
         error = {"category": exc.category, "message": str(exc)}
     except Exception as exc:  # every other failure is INTERNAL

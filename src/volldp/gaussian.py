@@ -37,10 +37,11 @@ fills the unit's (paths, draws) slab row by row.  A normal therefore
 depends only on (seed, path, slot, draw count), so path sets are
 reproducible and independent of batch size or generation order;
 regenerating one path redraws the prefix of its unit up to that path.
-The tail estimators rely on this: they draw fixed blocks of paths
-(``first_path`` is the block's first path) on worker threads, join the
-log-weights of each block's hits in block order and reduce them once, so
-their results do not depend on the thread count.
+The Monte Carlo runs rely on this: the tail estimators and the short-time
+routes draw one unit per block (``first_path`` is the unit's first path,
+so no block redraws a unit prefix) on worker threads and join the blocks'
+results in block order, so their results do not depend on the thread
+count.
 """
 
 from dataclasses import dataclass

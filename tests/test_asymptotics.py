@@ -19,10 +19,12 @@ from volldp.asymptotics import (
 )
 from volldp.errors import (
     ConfigurationError,
+    DomainError,
     NonFinitePathError,
     OptimizationError,
     ValidationError,
 )
+from volldp.gaussian import _UNIT_PATHS
 from volldp.grids import TimeGrid
 from volldp.kernels import KernelBank, ScaleEntry, ScalingSchedule
 from volldp.model import (
@@ -89,8 +91,8 @@ def test_tail_prob_determinism():
 
 
 def test_tail_prob_batching_invariance():
-    # 20,000 paths are three counter blocks, the last one partial; one and
-    # two worker threads must reduce them to the same bits
+    # 20,000 paths are 20 unit blocks, the last one partial; one and two
+    # worker threads must reduce them to the same bits
     coeffs = exp_vol_coeffs(0.5, amplitude=0.3)
     bank = rl_bank(0.35)
     grid = TimeGrid(1.0, 8)
@@ -104,7 +106,7 @@ def test_tail_prob_batching_invariance():
 
 def test_tail_prob_counter_blocks_match_one_batch():
     # each estimator's blocked estimate is that of one unblocked batch of all
-    # 20,000 paths (three counter blocks): the same hits, and every other
+    # 20,000 paths (20 unit blocks): the same hits, and every other
     # field from log w of the whole batch by the plain formulas
     coeffs = exp_vol_coeffs(0.5, amplitude=0.3)
     bank = rl_bank(0.35)
@@ -157,12 +159,48 @@ def test_tail_estimators_reject_nonfinite_paths():
 
 
 def test_pool_size_is_capped_by_the_block_count():
-    assert pool_size(8192, threads=4) == 1
-    assert pool_size(8193, threads=4) == 2
+    assert pool_size(1024, threads=4) == 1
+    assert pool_size(1025, threads=4) == 2
     assert pool_size(100_000, threads=3) == 3
     assert pool_size(100_000) >= 1
     with pytest.raises(ConfigurationError):
         pool_size(100_000, threads=0)
+
+
+def test_blocks_are_whole_normal_units(monkeypatch):
+    # every block of the estimator and of both short-time routes draws one
+    # unit's stream from its start, so no run redraws a unit prefix
+    import threading
+
+    import volldp.gaussian
+
+    calls = []
+    lock = threading.Lock()
+    draw = volldp.gaussian.path_normals
+
+    def recording(seed, first_path, n_paths, n_draws):
+        with lock:
+            calls.append((first_path, n_paths))
+        return draw(seed, first_path, n_paths, n_draws)
+
+    monkeypatch.setattr(volldp.gaussian, "path_normals", recording)
+    coeffs = exp_vol_coeffs(0.0, amplitude=0.3)
+    bank = rl_bank(0.35)
+    grid = TimeGrid(1.0, 4)
+    entry = ScaleEntry(eta=0.5, epsilon=0.5**0.35)
+    n = 2 * _UNIT_PATHS + 500
+    runs = (
+        lambda: estimate_tail_prob(coeffs, bank, grid, 0.5,
+                                   TerminalHalfSpace(0.2), n, seed=3, threads=2),
+        lambda: short_time_values(coeffs, bank, grid, entry, n, 3, threads=2),
+        lambda: short_time_direct(coeffs, bank, grid, entry, n, 3, 2, threads=2),
+    )
+    for run in runs:
+        calls.clear()
+        run()
+        assert all(first % _UNIT_PATHS == 0 and 0 < count <= _UNIT_PATHS
+                   for first, count in calls), calls
+        assert sorted(calls) == [(0, 1024), (1024, 1024), (2048, 500)]
 
 
 def test_tail_prob_sample_size_floor(unit_grid):
@@ -474,6 +512,14 @@ def test_short_time_refine_validation(unit_grid):
     with pytest.raises(ConfigurationError):
         short_time_direct(coeffs, rl_bank(0.4), unit_grid, entry, 50, seed=0,
                           refine=0)
+
+
+def test_short_time_routes_reject_empty_path_sets(unit_grid):
+    coeffs = constant_coeffs(1, 1, sigma=[[1.0]])
+    entry = ScaleEntry(eta=0.5, epsilon=0.7)
+    for route in (short_time_values, short_time_direct):
+        with pytest.raises(DomainError, match="n_paths"):
+            route(coeffs, rl_bank(0.4), unit_grid, entry, 0, seed=0)
 
 
 def test_short_time_constant_vol_terminal_variance(unit_grid):

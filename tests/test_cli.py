@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 import scipy
 
-from volldp.cli import main
+from volldp.asymptotics import pool_size
+from volldp.cli import _write_csv, main
 from volldp.config import parse_config
 from volldp.errors import ConfigurationError
 from volldp.kernels import make_kernel
@@ -266,6 +267,39 @@ class TestCliErrors:
 # ---------------------------------------------------------------------------
 # artifact-producing subcommands
 # ---------------------------------------------------------------------------
+
+
+class TestCsvWriter:
+    @staticmethod
+    def _want(header, table):
+        lines = [",".join(header)]
+        lines += [",".join(format(float(v), ".17g") for v in row) for row in table]
+        return "\n".join(lines) + "\n"
+
+    def test_cells_are_format_17g(self, tmp_path):
+        # the one-pass writer must give the bytes of format(float(v), ".17g")
+        # for every cell, special values and integer path ids included
+        rng = np.random.default_rng(4)
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-310,
+                   -5e-324, 2.0**53, 2.0**53 + 2, 1e300, 0.1, 1.0 / 3.0]
+        scaled = rng.standard_normal(20) * 10.0 ** rng.integers(-20, 20, 20)
+        table = np.column_stack((
+            np.arange(len(special) + 20),
+            np.concatenate((special, scaled)),
+            np.concatenate((special[::-1], rng.random(20))),
+        ))
+        path = str(tmp_path / "t.csv")
+        _write_csv(path, ("path_id", "a", "b"), table)
+        with open(path, encoding="utf-8", newline="") as handle:
+            got = handle.read()
+        assert got == self._want(("path_id", "a", "b"), table)
+        assert "\n0,nan,0.33333333333333331\n" in got
+
+    def test_one_column_and_integer_ids(self, tmp_path):
+        path = str(tmp_path / "v.csv")
+        _write_csv(path, ("value",), [[2.0**53], [-0.0], [7]])
+        with open(path, encoding="utf-8", newline="") as handle:
+            assert handle.read() == "value\n9007199254740992\n-0\n7\n"
 
 
 class TestKernelTable:
@@ -600,7 +634,7 @@ class TestVerifyLdp:
                     assert 1.0 < 1.0 / share <= ess < 2000
 
     def test_thread_count_does_not_change_results(self, tmp_path):
-        # 10,000 paths are two counter blocks, so --threads 2 runs a pool
+        # 10,000 paths are ten unit blocks, so --threads 2 runs a pool
         extra = (
             "[optimizer]\nn_starts = 2\n"
             "[verify-ldp]\n"
@@ -669,7 +703,7 @@ class TestVerifyLdp:
         assert manifest["status"] == "error"
         assert manifest["error"]["category"] == "NUMERIC"
         assert manifest["error"]["message"].startswith("66 of 2000")
-        assert manifest["threads_effective"] == 1
+        assert manifest["threads_effective"] == pool_size(2000)
 
     def test_uncorrelated_model_solves_and_samples_one_model(self, tmp_path):
         # the ldp_tilted experiment with sigma_tilde = 0: the rate solve and
@@ -729,7 +763,7 @@ out = {tmp_path / "out"}
                                                    monkeypatch):
         # an exception that is not a package error is INTERNAL: one stderr
         # line, exit 6, and a manifest with the pool size fixed before the
-        # sweep (10,000 paths are two counter blocks)
+        # sweep (10,000 paths are ten unit blocks)
         import volldp.cli
 
         def broken(cfg, out_dir, threads):
@@ -811,6 +845,26 @@ class TestShortTime:
             assert [row[0] for row in got] == [entry.eta] * 1000
             assert [row[1] for row in got] == list(range(1000))
             assert np.array_equal([row[2] for row in got], want)
+
+    def test_thread_count_does_not_change_results(self, tmp_path):
+        # 3,000 paths are three unit blocks, so --threads 2 runs a pool
+        extra = (
+            "[schedule]\nrule = self_similar\neta = 0.5, 0.25\n"
+            "[short-time]\nn_paths = 3000\nrefine = 2\n"
+        )
+        text = _one_factor_text(n_steps=4, extra=extra).replace(
+            "hurst = 0.5", "hurst = 0.4"
+        )
+        path = _ini(tmp_path, text)
+        outputs = {}
+        for threads in (1, 2):
+            out = str(tmp_path / f"t{threads}")
+            assert main(["short-time", "--config", path, "--out", out,
+                         "--threads", str(threads)]) == 0
+            outputs[threads] = _snapshot(out)
+            assert _manifest(out)["threads_effective"] == threads
+        for name in ("samples.csv", "diagnostic.json", "report.txt"):
+            assert outputs[1][name] == outputs[2][name], name
 
     def test_requires_schedule(self, tmp_path, capsys):
         out = str(tmp_path / "out")
