@@ -10,8 +10,9 @@ decay rate is then read off as the slope of -log p(eps) against 1 / eps^2.
 Every Monte Carlo run here cuts its path range into blocks of one normal
 stream unit, ``gaussian._UNIT_PATHS`` = 1,024 paths (``_run_blocks``).  A
 block's driver draws depend only on (seed, path index) and each block draws
-exactly one unit's stream, so the blocks run on a small thread pool in any
-order and none redraws another's stream.  In the estimator each block
+exactly one unit's stream, so the blocks run in any order on a small
+thread pool, at most one worker per 8,192 paths (``pool_size``), and none
+redraws another's stream.  In the estimator each block
 returns the log-weights of its hits and its count of non-finite paths.  The
 hits' log-weights are joined in block order and reduced once, relative to
 the largest of them, which makes every estimate bitwise independent of the
@@ -73,6 +74,9 @@ from .model import ModelCoefficients, ProbeLattice, Scaling, euler_paths_array
 from .ratefn import RateSolution
 
 _MIN_TAIL_PATHS = 1000
+# Paths per worker thread: the pool gains a thread for every 8,192 paths
+# (eight blocks), so a run of up to 8,192 paths stays on the calling thread.
+_WORKER_PATHS = 8 * _UNIT_PATHS
 # Short-time consistency: least terminal KS p-value, largest gap in se.
 _KS_LEVEL = 0.01
 _SE_BUDGET = 4.0
@@ -134,14 +138,15 @@ def pool_size(n_paths: int, threads: int | None = None) -> int:
     """Worker threads a Monte Carlo run of ``n_paths`` paths uses.
 
     ``threads`` when given, otherwise the CPUs this process may run on;
-    never more than the number of ``_UNIT_PATHS``-path blocks, so a
-    one-block run uses no pool.
+    never more than one per ``_WORKER_PATHS`` = 8,192 paths, so a run of
+    up to 8,192 paths uses no pool.  The blocks stay one unit each
+    (``_run_blocks``); the pool only decides how many run at once.
     """
     if threads is None:
         threads = len(os.sched_getaffinity(0))
     elif threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
-    return min(threads, -(-n_paths // _UNIT_PATHS))
+    return min(threads, -(-n_paths // _WORKER_PATHS))
 
 
 def _run_blocks(bank, grid, n_paths: int, threads, block) -> list:

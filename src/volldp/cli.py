@@ -486,20 +486,14 @@ def main(argv=None) -> int:
             _cmd_rate(cfg, out_dir)
         elif args.command == "terminal-rate":
             _cmd_terminal_rate(cfg, out_dir, z_override)
-        elif args.command == "verify-ldp":
+        else:  # the Monte Carlo commands, on the path-block pool
             from .asymptotics import pool_size
 
-            manifest["threads_effective"] = pool_size(
-                cfg.verify_ldp.n_paths, args.threads
-            )
-            _cmd_verify_ldp(cfg, out_dir, args.threads)
-        elif args.command == "short-time":
-            from .asymptotics import pool_size
-
-            manifest["threads_effective"] = pool_size(
-                cfg.short_time.n_paths, args.threads
-            )
-            _cmd_short_time(cfg, out_dir, args.threads)
+            verify = args.command == "verify-ldp"
+            opts = cfg.verify_ldp if verify else cfg.short_time
+            manifest["threads_effective"] = pool_size(opts.n_paths, args.threads)
+            command = _cmd_verify_ldp if verify else _cmd_short_time
+            command(cfg, out_dir, args.threads)
     except VolldpError as exc:
         error = {"category": exc.category, "message": str(exc)}
     except Exception as exc:  # every other failure is INTERNAL

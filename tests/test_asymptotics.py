@@ -159,8 +159,9 @@ def test_tail_estimators_reject_nonfinite_paths():
 
 
 def test_pool_size_is_capped_by_the_block_count():
-    assert pool_size(1024, threads=4) == 1
-    assert pool_size(1025, threads=4) == 2
+    # one worker per eight unit blocks (8,192 paths), however small the blocks
+    assert pool_size(8192, threads=4) == 1
+    assert pool_size(8193, threads=4) == 2
     assert pool_size(100_000, threads=3) == 3
     assert pool_size(100_000) >= 1
     with pytest.raises(ConfigurationError):
@@ -188,7 +189,8 @@ def test_blocks_are_whole_normal_units(monkeypatch):
     bank = rl_bank(0.35)
     grid = TimeGrid(1.0, 4)
     entry = ScaleEntry(eta=0.5, epsilon=0.5**0.35)
-    n = 2 * _UNIT_PATHS + 500
+    n = 8 * _UNIT_PATHS + 500  # nine blocks, on a pool of two workers
+    assert pool_size(n, threads=2) == 2
     runs = (
         lambda: estimate_tail_prob(coeffs, bank, grid, 0.5,
                                    TerminalHalfSpace(0.2), n, seed=3, threads=2),
@@ -200,7 +202,8 @@ def test_blocks_are_whole_normal_units(monkeypatch):
         run()
         assert all(first % _UNIT_PATHS == 0 and 0 < count <= _UNIT_PATHS
                    for first, count in calls), calls
-        assert sorted(calls) == [(0, 1024), (1024, 1024), (2048, 500)]
+        assert sorted(calls) == [(u * _UNIT_PATHS, _UNIT_PATHS)
+                                 for u in range(8)] + [(n - 500, 500)]
 
 
 def test_tail_prob_sample_size_floor(unit_grid):

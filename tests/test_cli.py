@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 import scipy
 
-from volldp.asymptotics import pool_size
 from volldp.cli import _write_csv, main
 from volldp.config import parse_config
 from volldp.errors import ConfigurationError
@@ -634,7 +633,8 @@ class TestVerifyLdp:
                     assert 1.0 < 1.0 / share <= ess < 2000
 
     def test_thread_count_does_not_change_results(self, tmp_path):
-        # 10,000 paths are ten unit blocks, so --threads 2 runs a pool
+        # 10,000 paths are ten unit blocks, more than one worker's 8,192
+        # paths, so --threads 2 runs a pool of two
         extra = (
             "[optimizer]\nn_starts = 2\n"
             "[verify-ldp]\n"
@@ -695,7 +695,8 @@ class TestVerifyLdp:
         path = _ini(tmp_path, text)
         out = str(tmp_path / "o")
         with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["verify-ldp", "--config", path, "--out", out])
+            code = main(["verify-ldp", "--config", path, "--out", out,
+                         "--threads", "1"])
         assert code == 5
         assert "error[NUMERIC]: 66 of 2000" in capsys.readouterr().err
         # the failed run still explains itself
@@ -703,7 +704,7 @@ class TestVerifyLdp:
         assert manifest["status"] == "error"
         assert manifest["error"]["category"] == "NUMERIC"
         assert manifest["error"]["message"].startswith("66 of 2000")
-        assert manifest["threads_effective"] == pool_size(2000)
+        assert manifest["threads_effective"] == 1
 
     def test_uncorrelated_model_solves_and_samples_one_model(self, tmp_path):
         # the ldp_tilted experiment with sigma_tilde = 0: the rate solve and
@@ -763,7 +764,7 @@ out = {tmp_path / "out"}
                                                    monkeypatch):
         # an exception that is not a package error is INTERNAL: one stderr
         # line, exit 6, and a manifest with the pool size fixed before the
-        # sweep (10,000 paths are ten unit blocks)
+        # sweep (10,000 paths are more than one worker's 8,192)
         import volldp.cli
 
         def broken(cfg, out_dir, threads):
@@ -847,10 +848,11 @@ class TestShortTime:
             assert np.array_equal([row[2] for row in got], want)
 
     def test_thread_count_does_not_change_results(self, tmp_path):
-        # 3,000 paths are three unit blocks, so --threads 2 runs a pool
+        # 9,000 paths are nine unit blocks, more than one worker's 8,192
+        # paths, so --threads 2 runs a pool of two
         extra = (
             "[schedule]\nrule = self_similar\neta = 0.5, 0.25\n"
-            "[short-time]\nn_paths = 3000\nrefine = 2\n"
+            "[short-time]\nn_paths = 9000\nrefine = 2\n"
         )
         text = _one_factor_text(n_steps=4, extra=extra).replace(
             "hurst = 0.5", "hurst = 0.4"
