@@ -190,8 +190,6 @@ def _tail_estimate(
                 "tilting requires a converged minimizing control "
                 f"(grad_norm = {control.grad_norm:.3e})"
             )
-        if control.inner_drift is None:
-            raise ValidationError("rate solution carries no Wiener-direction control")
         fdot = control.control.derivative  # (N, p)
         ydot = control.inner_drift  # (N, d)
         if (control.control.grid != grid or control.control.dim != coeffs.p

@@ -42,15 +42,6 @@ _EXIT_CODES = {
     "INTERNAL": 6,
 }
 
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
-
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
     with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
@@ -137,7 +128,7 @@ def _cmd_simulate(cfg, out_dir: str) -> None:
     # produced paths.csv, row for row.
     paths = euler_paths_array(
         cfg.coeffs, cfg.bank, cfg.grid, Scaling.small_noise(opts.epsilon),
-        opts.n_paths, cfg.seed, per_path_convolve=True,
+        opts.n_paths, cfg.seed,
     )
     d, p = cfg.coeffs.d, cfg.coeffs.p
     nodes = cfg.grid.nodes
@@ -414,24 +405,14 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--threads", type=int, default=None,
                              help="worker threads of the Monte Carlo path "
                                   "blocks of verify-ldp and short-time "
-                                  "(default: the CPUs available); also "
-                                  "exported as the BLAS/OpenMP thread cap")
+                                  "(default: the CPUs available); the "
+                                  "BLAS thread count comes from the "
+                                  "environment")
         cmd.add_argument("--out", default=None, help="output directory")
         if name == "terminal-rate":
             cmd.add_argument("--z", default=None,
                              help="comma-separated terminal point")
     return parser
-
-
-def _apply_thread_cap(threads) -> None:
-    from .errors import ConfigurationError
-
-    if threads is None:
-        return
-    if threads < 1:
-        raise ConfigurationError("--threads must be >= 1")
-    for var in _THREAD_ENV_VARS:
-        os.environ[var] = str(threads)
 
 
 def main(argv=None) -> int:
@@ -449,9 +430,8 @@ def main(argv=None) -> int:
             failures = _cmd_selftest(out_dir)
             return 0 if failures == 0 else _EXIT_CODES["VALIDATION"]
 
-        # The BLAS/OpenMP variables reach only pools sized after this point;
-        # numpy, loaded with the package, has already sized its own.
-        _apply_thread_cap(args.threads)
+        if args.threads is not None and args.threads < 1:
+            raise ConfigurationError("--threads must be >= 1")
         from .config import parse_config, read_config_text
 
         config_text = read_config_text(args.config)  # hashed and parsed once

@@ -25,10 +25,7 @@ the covariance behind the Cholesky oracle is ``kernels.slice_products``
 column by column: both are the kernels module's one power-law rule.
 
 A path set is a stack of arrays with the path on the leading axis: dB and V
-of shape (n, N, p), Bhat of shape (n, N + 1, p).  ``replay_volterra``
-recomputes Bhat from stored dB and V arrays bit for bit, provided the draw
-made one product per path (``per_path_convolve``); the batched product
-of the Monte Carlo blocks may differ from it in the last ulp.
+of shape (n, N, p), Bhat of shape (n, N + 1, p).
 
 Randomness is addressed by path: the paths are grouped into fixed units of
 ``_UNIT_PATHS`` = 1,024, unit u of seed s owns its own SFC64 stream
@@ -37,6 +34,13 @@ fills the unit's (paths, draws) slab row by row.  A normal therefore
 depends only on (seed, path, slot, draw count), so path sets are
 reproducible and independent of batch size or generation order;
 regenerating one path redraws the prefix of its unit up to that path.
+The convolution works in the same units: path k is row k % ``_UNIT_PATHS``
+of one (``_UNIT_PATHS``, N) x (N, N + 1) product per factor for its unit,
+with zeros in the rows that a call does not hold.  A row of a matrix
+product reads no other row, so every path meets BLAS in one shape at one
+row position, and Bhat, like the normals, does not depend on batching.
+``replay_volterra`` recomputes Bhat from stored dB and V arrays bit for
+bit, for one path alone too, given the index of the first stored path.
 The Monte Carlo runs rely on this: the tail estimators and the short-time
 routes draw one unit per block (``first_path`` is the unit's first path,
 so no block redraws a unit prefix) on worker threads and join the blocks'
@@ -205,20 +209,15 @@ def draw_driver_arrays(
     seed: int,
     first_path: int = 0,
     extra_draws: int = 0,
-    per_path_convolve: bool = False,
 ):
     """Vectorized draw of (dB, V, Bhat[, extras]) for a block of paths.
 
     Returns arrays of shapes (n, N, p), (n, N, p), (n, N + 1, p) and, when
     ``extra_draws`` > 0, the remaining standard normals of each path's
     budget, shape (n, extra_draws).  The per-path word budget is
-    N * (2 p) + extra_draws, fixed by the call signature.
-
-    With ``per_path_convolve`` the convolution makes one (1, N) x (N, N + 1)
-    product per path, the product ``replay_volterra`` uses, so that stored
-    Bhat values reproduce bit for bit under replay.  The batched default is
-    faster for Monte Carlo blocks but may differ from the replay product in
-    the last ulp (BLAS blocking depends on operand shape).
+    N * (2 p) + extra_draws, fixed by the call signature.  Every value
+    depends only on (seed, path index, budget), not on ``n_paths`` or
+    ``first_path`` (see ``_convolve``).
     """
     n, p = grid.n_steps, bank.n_factors
     if n_paths < 1:
@@ -237,39 +236,60 @@ def draw_driver_arrays(
         resid = disc.kappa_v - disc.kappa_c**2 / dt
         resid = np.sqrt(resid) if resid > 0.0 else 0.0
         singular[:, :, ell] = rho * increments[:, :, ell] + resid * edge_z[:, :, ell]
-    volterra = _convolve(discs, increments, singular, per_path_convolve)
+    volterra = _convolve(discs, increments, singular, first_path)
     return increments, singular, volterra, extras
 
 
-def _convolve(discs, increments, singular, per_path: bool) -> np.ndarray:
-    """Bhat (n, N + 1, p) from dB and V (n, N, p), factor by factor."""
+def _convolve(discs, increments, singular, first_path: int) -> np.ndarray:
+    """Bhat (n, N + 1, p) from dB and V (n, N, p) of paths from ``first_path``.
+
+    Path k is row k % ``_UNIT_PATHS`` of one (``_UNIT_PATHS``, N) x
+    (N, N + 1) product per factor for its unit; the unit's rows that the
+    call does not hold are zero.  A unit that the call holds whole is
+    convolved without a copy.  Both branches hand BLAS C-ordered
+    (``_UNIT_PATHS``, N, p) slabs, so a path's bits do not depend on which
+    branch ran.
+    """
     n_paths, n, p = increments.shape
     volterra = np.empty((n_paths, n + 1, p))
-    for ell, disc in enumerate(discs):
-        if per_path:
-            # a stack of (1, N) rows: numpy's stacked matmul makes one
-            # (1, N) x (N, N + 1) product per path, independent of n
-            volterra[:, :, ell] = disc.convolve_increments(
-                increments[:, None, :, ell], singular[:, None, :, ell]
-            )[:, 0]
+    stop = first_path + n_paths
+    for base in range(first_path - first_path % _UNIT_PATHS, stop, _UNIT_PATHS):
+        lo, hi = max(base, first_path), min(base + _UNIT_PATHS, stop)
+        held = slice(lo - first_path, hi - first_path)
+        rows = slice(lo - base, hi - base)
+        if hi - lo == _UNIT_PATHS:
+            d_b = np.ascontiguousarray(increments[held])
+            v = np.ascontiguousarray(singular[held])
         else:
-            volterra[:, :, ell] = disc.convolve_increments(
-                increments[:, :, ell], singular[:, :, ell]
-            )
+            d_b = np.zeros((_UNIT_PATHS, n, p))
+            v = np.zeros((_UNIT_PATHS, n, p))
+            d_b[rows], v[rows] = increments[held], singular[held]
+        for ell, disc in enumerate(discs):
+            volterra[held, :, ell] = disc.convolve_increments(
+                d_b[:, :, ell], v[:, :, ell]
+            )[rows]
     return volterra
 
 
 def replay_volterra(
-    bank: KernelBank, grid: TimeGrid, increments: np.ndarray, singular: np.ndarray
+    bank: KernelBank,
+    grid: TimeGrid,
+    increments: np.ndarray,
+    singular: np.ndarray,
+    first_path: int = 0,
 ) -> np.ndarray:
     """Recompute Bhat (n, N + 1, p) from stored dB and V arrays (n, N, p).
 
-    Makes one product per path, as ``draw_driver_arrays(...,
-    per_path_convolve=True)`` does, so the result matches the Bhat stored
-    by such a draw bit for bit; tests use this to pin down the convolution
-    contract.
+    Row k holds path ``first_path + k``.  The convolution is the draw's own
+    (``_convolve``), so the result matches bit for bit the Bhat that
+    ``draw_driver_arrays`` or an unshifted ``model.euler_paths_array``
+    returned for those paths, whatever batch they were drawn in.
     """
-    return _convolve(bank_discretizations(bank, grid), increments, singular, True)
+    if first_path < 0:
+        raise DomainError(f"first_path must be >= 0, got {first_path}")
+    return _convolve(
+        bank_discretizations(bank, grid), increments, singular, first_path
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -302,14 +302,12 @@ class RateSolution:
 
     value: float
     control: CameronMartinPath
-    hat_path: np.ndarray  # (N + 1, p), the lifted control at the nodes
-    phi_path: CameronMartinPath
     iterations: int
     grad_norm: float
     converged: bool
     upper_bound_used: float
     multistart_spread: float
-    inner_drift: np.ndarray | None = None  # (N, d), Wiener-direction control
+    inner_drift: np.ndarray  # (N, d), Wiener-direction control
     # one row per optimizer start, in start order, then the refinement on
     # the working grid when the starts ran on a coarse level: value (before
     # the clamp at 0), iterations, criterion (projected-gradient step) and
@@ -582,19 +580,15 @@ def _solve(objective, opt: OptimizerConfig) -> RateSolution:
         table += (_start_row(best),)
     x_best, f_best, _, iters, converged, crit = best
     dmat = x_best.reshape(n, p)
-    fhat, _, _, drift, _ = objective.inner(dmat)
-    phidot = _phi(objective.coeffs, fhat, dmat, objective.span)[1]
     return RateSolution(
         value=max(float(f_best), 0.0),
         control=CameronMartinPath(grid, dmat),
-        hat_path=fhat,
-        phi_path=CameronMartinPath(grid, phidot),
         iterations=iters,
         grad_norm=float(crit),
         converged=converged,
         upper_bound_used=upper,
         multistart_spread=spread,
-        inner_drift=drift,
+        inner_drift=objective.inner(dmat)[3],
         starts=table,
     )
 

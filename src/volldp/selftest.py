@@ -57,7 +57,6 @@ def check_flat_sampler_identity(rng, n_paths: int) -> list:
     grid = TimeGrid(1.0, 32)
     increments, _, volterra, _ = draw_driver_arrays(
         KernelBank((_rl(0.5),)), grid, n_paths, seed=_seed(rng),
-        per_path_convolve=True,
     )
     brownian = np.zeros_like(volterra)
     brownian[:, 1:] = np.cumsum(increments, axis=1)
@@ -68,7 +67,8 @@ def check_flat_sampler_identity(rng, n_paths: int) -> list:
 
 
 def check_replay(rng, n_paths: int) -> list:
-    """Stored dB and V of a per-path Euler draw replay Bhat bit for bit."""
+    """Stored dB and V of an Euler draw replay Bhat bit for bit, all paths
+    at once and the last path alone; the draw straddles two units."""
     grid = TimeGrid(0.9, 14)
     bank = KernelBank((
         _rl(0.3, horizon=0.9),
@@ -83,14 +83,21 @@ def check_replay(rng, n_paths: int) -> list:
         1, p, ConstantMap(np.zeros(1), p), ConstantMap(np.ones((1, 1)), p),
         ConstantMap(np.zeros((1, p)), p),
     )
+    first = 1024 - n_paths // 2
     paths = euler_paths_array(
         coeffs, bank, grid, Scaling.small_noise(0.4), n_paths, seed=_seed(rng),
-        per_path_convolve=True,
+        first_path=first,
     )
-    rebuilt = replay_volterra(bank, grid, paths.increments, paths.singular)
-    if np.array_equal(rebuilt, paths.volterra):
-        return []
-    return ["stored increments do not replay Bhat bit for bit"]
+    failures = []
+    rebuilt = replay_volterra(bank, grid, paths.increments, paths.singular, first)
+    if not np.array_equal(rebuilt, paths.volterra):
+        failures.append("stored increments do not replay Bhat bit for bit")
+    k = n_paths - 1
+    alone = replay_volterra(bank, grid, paths.increments[k:], paths.singular[k:],
+                            first + k)
+    if not np.array_equal(alone[0], paths.volterra[k]):
+        failures.append(f"path {first + k} alone does not replay its Bhat")
+    return failures
 
 
 def check_brownian_covariance(rng, n_cases: int) -> list:

@@ -241,26 +241,6 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err == "error[CONFIG]: --threads must be >= 1\n"
 
-    def test_thread_cap_sets_environment(self, tmp_path):
-        saved = {
-            var: os.environ.get(var)
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
-        }
-        try:
-            path = _ini(
-                tmp_path,
-                _one_factor_text(n_steps=2, out=str(tmp_path / "o")),
-            )
-            code = main(["kernel-table", "--config", path, "--threads", "2"])
-            assert code == 0
-            assert os.environ["OMP_NUM_THREADS"] == "2"
-            assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-        finally:
-            for var, value in saved.items():
-                if value is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = value
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Gaussian driver sampling, covariance quadrature, and replay contracts."""
 
+import functools
 import math
 import warnings
 
@@ -10,12 +11,12 @@ from scipy import stats
 from volldp.errors import DomainError, ValidationError
 from volldp.gaussian import (
     _two_sample_ks,
-    bank_discretizations,
     covariance_matrix,
     draw_driver_arrays,
     empirical_covariance,
     marginal_ks_check,
     path_normals,
+    replay_volterra,
     sample_volterra_cholesky,
     terminal_variance_bound,
 )
@@ -156,9 +157,24 @@ def test_covariance_is_positive_semidefinite():
 # ---------------------------------------------------------------------------
 
 
-def _draw(bank, grid, n_paths, seed):
-    """(dB, V, Bhat) of a draw convolved path by path (replay-exact)."""
-    return draw_driver_arrays(bank, grid, n_paths, seed, per_path_convolve=True)[:3]
+def _draw(bank, grid, n_paths, seed, first_path=0):
+    """(dB, V, Bhat) of paths [first_path, first_path + n_paths)."""
+    return draw_driver_arrays(bank, grid, n_paths, seed, first_path)[:3]
+
+
+def _frame_bank():
+    # two factors, so each factor's convolution operand is a strided slice
+    return KernelBank((
+        rl_kernel(0.3, horizon=0.9),
+        make_kernel("log_fbm", hurst=0.4, scale=1.0, horizon=0.9,
+                    log_exponent=2.0),
+    ))
+
+
+@functools.lru_cache(maxsize=1)
+def _frame_draw(n_steps):
+    """(dB, V, Bhat) of paths [0, 3000): units 0 and 1 and most of unit 2."""
+    return _draw(_frame_bank(), TimeGrid(0.9, n_steps), 3000, seed=9)
 
 
 def _brownian(increments):
@@ -185,31 +201,29 @@ def test_sampler_determinism():
 
 
 def test_first_path_block_consistency():
-    # drawing paths [2, 6) directly must reproduce rows 2..5 of a batch draw
-    bank = rl_bank(0.3)
-    grid = TimeGrid(1.0, 10)
-    full = draw_driver_arrays(bank, grid, 6, seed=9, per_path_convolve=True)
-    tail = draw_driver_arrays(
-        bank, grid, 4, seed=9, first_path=2, per_path_convolve=True
-    )
-    for name in ("increments", "singular", "volterra"):
-        idx = {"increments": 0, "singular": 1, "volterra": 2}[name]
-        assert np.array_equal(full[idx][2:], tail[idx]), name
+    # paths [1500, 2600) drawn alone start inside unit 1 and end inside
+    # unit 2; they reproduce those rows of the 3,000-path draw bit for bit
+    # (a product over the range itself rounds differently from N = 256 on)
+    for n_steps in (10, 64, 512):
+        full = _frame_draw(n_steps)
+        part = _draw(_frame_bank(), TimeGrid(0.9, n_steps), 1100, 9,
+                     first_path=1500)
+        for name, want, got in zip(("dB", "V", "Bhat"), full, part):
+            assert np.array_equal(want[1500:2600], got), (n_steps, name)
 
 
-@pytest.mark.parametrize("n_steps", [1, 7, 64])
-def test_per_path_convolution_matches_path_loop(n_steps):
-    # the stacked product of a per-path draw is, path by path, the
-    # (1, N) x (N, N + 1) product of a loop over the paths
-    bank = mixed_bank()
-    grid = TimeGrid(0.9, n_steps)
-    increments, singular, volterra = _draw(bank, grid, 300, seed=4)
-    for ell, disc in enumerate(bank_discretizations(bank, grid)):
-        for k in range(300):
-            want = disc.convolve_increments(
-                increments[k, None, :, ell], singular[k, None, :, ell]
-            )[0]
-            assert np.array_equal(volterra[k, :, ell], want)
+def test_single_path_replay():
+    # one stored path, given its index, replays the Bhat of the 3,000-path
+    # draw alone, wherever it sits in its unit
+    grid = TimeGrid(0.9, 512)
+    increments, singular, volterra = _frame_draw(512)
+    for k in (0, 1500, 2999):
+        alone = replay_volterra(_frame_bank(), grid, increments[k : k + 1],
+                                singular[k : k + 1], first_path=k)
+        assert np.array_equal(alone[0], volterra[k]), k
+    with pytest.raises(DomainError, match="first_path"):
+        replay_volterra(_frame_bank(), grid, increments[:1], singular[:1],
+                        first_path=-1)
 
 
 def test_path_normals_counter_layout():

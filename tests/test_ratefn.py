@@ -316,7 +316,6 @@ def test_i_uncorrelated_nontrivial_control(unit_grid):
     assert sol.converged
     assert sol.value > 0.0
     assert sol.value <= sol.upper_bound_used + 1e-9
-    assert sol.hat_path is not None
     assert sol.multistart_spread <= 0.01 * max(1.0, abs(sol.value))
 
 
@@ -388,15 +387,6 @@ def test_i_z_correlated_constant_vol_is_rho_invariant(unit_grid):
         assert sol.value == pytest.approx(0.5, rel=1e-5)
         want = rho * np.ones(unit_grid.n_steps)
         assert np.allclose(sol.control.derivative[:, 0], want, atol=1e-3)
-
-
-def test_i_z_phi_path_reported(unit_grid):
-    coeffs = affine_vol_coeffs(0.5, const=0.5, slope=0.1)
-    sol = i_z(CameronMartinPath.straight_line(unit_grid, [0.5]),
-              rl_bank(0.4), coeffs, FAST_OPT)
-    assert sol.phi_path is not None
-    assert sol.hat_path is not None
-    assert sol.phi_path.values.shape == (unit_grid.n_steps + 1, 1)
 
 
 # ---------------------------------------------------------------------------
