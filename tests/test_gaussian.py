@@ -10,7 +10,9 @@ from scipy import stats
 
 from volldp.errors import DomainError, ValidationError
 from volldp.gaussian import (
+    _UNIT_PATHS,
     _two_sample_ks,
+    bank_discretizations,
     covariance_matrix,
     draw_driver_arrays,
     empirical_covariance,
@@ -210,6 +212,25 @@ def test_first_path_block_consistency():
                      first_path=1500)
         for name, want, got in zip(("dB", "V", "Bhat"), full, part):
             assert np.array_equal(want[1500:2600], got), (n_steps, name)
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 64])
+def test_per_path_convolution_matches_path_loop(n_steps):
+    # paths [900, 1200) cross from unit 0 into unit 1; each path's Bhat is,
+    # path by path, its row of a (_UNIT_PATHS, N) x (N, N + 1) product over
+    # a zero frame holding that path alone at row k % _UNIT_PATHS
+    bank = mixed_bank()
+    grid = TimeGrid(0.9, n_steps)
+    first = 900
+    increments, singular, volterra = _draw(bank, grid, 300, 4, first)
+    for ell, disc in enumerate(bank_discretizations(bank, grid)):
+        for k in range(300):
+            row = (first + k) % _UNIT_PATHS
+            d_b = np.zeros((_UNIT_PATHS, n_steps))
+            v = np.zeros((_UNIT_PATHS, n_steps))
+            d_b[row], v[row] = increments[k, :, ell], singular[k, :, ell]
+            want = disc.convolve_increments(d_b, v)[row]
+            assert np.array_equal(volterra[k, :, ell], want), (k, ell)
 
 
 def test_single_path_replay():
