@@ -497,19 +497,6 @@ class EquivalenceReport:
     n_paths: int
     max_sup_distance: float
 
-    def __str__(self) -> str:
-        lines = [
-            f"paired sup-distance over {self.n_paths} paths "
-            f"(max = {self.max_sup_distance:.3e}):"
-        ]
-        for d, f in zip(self.deltas, self.exceedance):
-            lines.append(f"  freq(distance > {d:g}) = {f:.4f}")
-        lines.append(
-            f"terminal two-sample KS = {self.ks_statistic:.4f} "
-            f"(p = {self.ks_pvalue:.3f})"
-        )
-        return "\n".join(lines)
-
 
 def equivalence_diagnostic(
     sample_a, sample_b, deltas=(0.05, 0.1, 0.2)

@@ -172,7 +172,7 @@ def _read_target_csv(path: str, grid, d: int):
             f"target file must have {grid.n_steps + 1} rows (one per node) and "
             f"{d + 1} columns (t plus {d} components); got {data.shape}"
         )
-    if not np.allclose(data[:, 0], grid.nodes, atol=1e-12):
+    if not np.allclose(data[:, 0], grid.nodes, rtol=0.0, atol=1e-12):
         raise ConfigurationError(
             "target file time column must coincide with the grid nodes"
         )

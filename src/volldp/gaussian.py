@@ -39,8 +39,11 @@ of one (``_UNIT_PATHS``, N) x (N, N + 1) product per factor for its unit,
 with zeros in the rows that a call does not hold.  A row of a matrix
 product reads no other row, so every path meets BLAS in one shape at one
 row position, and Bhat, like the normals, does not depend on batching.
-``replay_volterra`` recomputes Bhat from stored dB and V arrays bit for
-bit, for one path alone too, given the index of the first stored path.
+A Brownian shift (the tilt of the drivers along a control) is added to
+dB before V and Bhat are formed, so a shifted draw goes through the same
+convolution.  ``replay_volterra`` recomputes Bhat from stored dB and V
+arrays bit for bit, shifted or not, for one path alone too, given the
+index of the first stored path.
 The Monte Carlo runs rely on this: the tail estimators and the short-time
 routes draw one unit per block (``first_path`` is the unit's first path,
 so no block redraws a unit prefix) on worker threads and join the blocks'
@@ -209,15 +212,19 @@ def draw_driver_arrays(
     seed: int,
     first_path: int = 0,
     extra_draws: int = 0,
+    brownian_shift=None,
 ):
     """Vectorized draw of (dB, V, Bhat[, extras]) for a block of paths.
 
     Returns arrays of shapes (n, N, p), (n, N, p), (n, N + 1, p) and, when
     ``extra_draws`` > 0, the remaining standard normals of each path's
     budget, shape (n, extra_draws).  The per-path word budget is
-    N * (2 p) + extra_draws, fixed by the call signature.  Every value
-    depends only on (seed, path index, budget), not on ``n_paths`` or
-    ``first_path`` (see ``_convolve``).
+    N * (2 p) + extra_draws, fixed by the call signature.
+    ``brownian_shift`` (N, p) is a deterministic per-step drift added to dB
+    before V and Bhat are formed, so a shifted draw is an ordinary draw of
+    shifted increments.  Every value depends only on (seed, path index,
+    budget, shift), not on ``n_paths`` or ``first_path`` (see
+    ``_convolve``).
     """
     n, p = grid.n_steps, bank.n_factors
     if n_paths < 1:
@@ -229,13 +236,13 @@ def draw_driver_arrays(
     extras = z[:, 2 * n * p :] if extra_draws else None
     dt = grid.dt
     increments = incr_z * np.sqrt(dt)
+    if brownian_shift is not None:
+        increments += brownian_shift
     discs = bank_discretizations(bank, grid)
-    singular = np.empty_like(increments)
-    for ell, disc in enumerate(discs):
-        rho = disc.kappa_c / dt
-        resid = disc.kappa_v - disc.kappa_c**2 / dt
-        resid = np.sqrt(resid) if resid > 0.0 else 0.0
-        singular[:, :, ell] = rho * increments[:, :, ell] + resid * edge_z[:, :, ell]
+    kappa_c = np.array([disc.kappa_c for disc in discs])
+    resid = np.array([disc.kappa_v for disc in discs]) - kappa_c**2 / dt
+    # z is independent of dB, so a shift h of dB moves V by kappa_c / dt * h
+    singular = kappa_c / dt * increments + np.sqrt(np.maximum(resid, 0.0)) * edge_z
     volterra = _convolve(discs, increments, singular, first_path)
     return increments, singular, volterra, extras
 
@@ -282,8 +289,8 @@ def replay_volterra(
 
     Row k holds path ``first_path + k``.  The convolution is the draw's own
     (``_convolve``), so the result matches bit for bit the Bhat that
-    ``draw_driver_arrays`` or an unshifted ``model.euler_paths_array``
-    returned for those paths, whatever batch they were drawn in.
+    ``draw_driver_arrays`` or ``model.euler_paths_array`` returned for
+    those paths, shifted or not, whatever batch they were drawn in.
     """
     if first_path < 0:
         raise DomainError(f"first_path must be >= 0, got {first_path}")

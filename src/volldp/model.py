@@ -21,8 +21,10 @@ discrete level.  ``euler_paths_array`` runs that one scheme under a
 ``Scaling.short_time(delta)`` is the time change of the short horizon
 delta * T to the unit one.  It returns one array per quantity, an
 ``EulerPaths`` record of the paths and of the drivers that produced them.
-A path depends only on (seed, path index), since its drivers do (see
-``gaussian``), and its stored dB and V replay its Bhat bit for bit.
+A path depends only on (seed, path index, shift), since its drivers do
+(see ``gaussian``), and its stored dB and V replay its Bhat bit for bit,
+for a tilted draw too: the Brownian shift enters dB before V and Bhat
+are formed.
 
 ``validate_coefficients`` probes the maps for the standing assumptions:
 a non-singular diffusion matrix and the code's own polynomial growth
@@ -35,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularDiffusionError
-from .gaussian import bank_discretizations, draw_driver_arrays
+from .gaussian import draw_driver_arrays
 from .grids import TimeGrid
 from .kernels import KernelBank
 
@@ -482,9 +484,9 @@ def euler_paths_array(
 
     ``brownian_shift`` / ``wiener_shift`` add a deterministic per-step
     drift (N, p) / (N, d) to the increments before the scheme runs -- the
-    exponential-tilting hook.  The unshifted drivers are those of
-    ``gaussian.draw_driver_arrays`` for the same paths, so
-    ``gaussian.replay_volterra`` rebuilds their Bhat bit for bit.
+    exponential-tilting hook.  The drivers are those of
+    ``gaussian.draw_driver_arrays`` for the same paths and Brownian shift,
+    so ``gaussian.replay_volterra`` rebuilds their Bhat bit for bit.
     """
     if bank.n_factors != coeffs.p:
         raise ConfigurationError(
@@ -495,17 +497,9 @@ def euler_paths_array(
 
     increments, singular, volterra, extras = draw_driver_arrays(
         bank, grid, n_paths, seed, first_path=first_path, extra_draws=n * d,
+        brownian_shift=brownian_shift,
     )
     dw = extras.reshape(n_paths, n, d) * np.sqrt(dt)
-    if brownian_shift is not None:
-        # The V variables shift through dB only (conditionally on dB the
-        # auxiliary residual is centered), and Bhat is linear in (dB, V):
-        # Bhat(dB + h) = Bhat(dB) + hhat with hhat = hat_weights @ (h / dt),
-        # so the shifted drivers need no second convolution.
-        increments += brownian_shift
-        for ell, disc in enumerate(bank_discretizations(bank, grid)):
-            singular[:, :, ell] += disc.kappa_c / dt * brownian_shift[:, ell]
-            volterra[:, :, ell] += disc.hat_weights @ (brownian_shift[:, ell] / dt)
     if wiener_shift is not None:
         dw += wiener_shift
 

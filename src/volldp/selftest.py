@@ -12,7 +12,7 @@ live in one place.
 import numpy as np
 
 from .gaussian import (
-    bank_discretizations, covariance_matrix, draw_driver_arrays,
+    _UNIT_PATHS, bank_discretizations, covariance_matrix, draw_driver_arrays,
     replay_volterra, terminal_variance_bound,
 )
 from .grids import TimeGrid
@@ -68,7 +68,8 @@ def check_flat_sampler_identity(rng, n_paths: int) -> list:
 
 def check_replay(rng, n_paths: int) -> list:
     """Stored dB and V of an Euler draw replay Bhat bit for bit, all paths
-    at once and the last path alone; the draw straddles two units."""
+    at once and the last path alone, with and without a random Brownian
+    shift; the draw straddles two units."""
     grid = TimeGrid(0.9, 14)
     bank = KernelBank((
         _rl(0.3, horizon=0.9),
@@ -83,20 +84,27 @@ def check_replay(rng, n_paths: int) -> list:
         1, p, ConstantMap(np.zeros(1), p), ConstantMap(np.ones((1, 1)), p),
         ConstantMap(np.zeros((1, p)), p),
     )
-    first = 1024 - n_paths // 2
-    paths = euler_paths_array(
-        coeffs, bank, grid, Scaling.small_noise(0.4), n_paths, seed=_seed(rng),
-        first_path=first,
-    )
+    first = _UNIT_PATHS - n_paths // 2
+    seed = _seed(rng)
+    # drawn from the case seed, not from rng, so later checks keep their cases
+    tilt = np.random.default_rng(seed).normal(size=(grid.n_steps, p)) * grid.dt
     failures = []
-    rebuilt = replay_volterra(bank, grid, paths.increments, paths.singular, first)
-    if not np.array_equal(rebuilt, paths.volterra):
-        failures.append("stored increments do not replay Bhat bit for bit")
-    k = n_paths - 1
-    alone = replay_volterra(bank, grid, paths.increments[k:], paths.singular[k:],
-                            first + k)
-    if not np.array_equal(alone[0], paths.volterra[k]):
-        failures.append(f"path {first + k} alone does not replay its Bhat")
+    for shift in (None, tilt):
+        paths = euler_paths_array(
+            coeffs, bank, grid, Scaling.small_noise(0.4), n_paths, seed=seed,
+            first_path=first, brownian_shift=shift,
+        )
+        draw = "unshifted" if shift is None else "shifted"
+        rebuilt = replay_volterra(bank, grid, paths.increments, paths.singular,
+                                  first)
+        if not np.array_equal(rebuilt, paths.volterra):
+            failures.append(f"{draw} increments do not replay Bhat bit for bit")
+        k = n_paths - 1
+        alone = replay_volterra(bank, grid, paths.increments[k:],
+                                paths.singular[k:], first + k)
+        if not np.array_equal(alone[0], paths.volterra[k]):
+            failures.append(f"{draw} path {first + k} alone does not replay "
+                            "its Bhat")
     return failures
 
 

@@ -425,6 +425,20 @@ class TestRateCommands:
         assert err.startswith("error[CONFIG]: cannot read target file")
         assert err.count("\n") == 1
 
+    def test_rate_off_grid_target_file(self, tmp_path, capsys):
+        # 9e-6 off the node t = 1 is inside numpy's default relative
+        # tolerance, not inside the absolute one the time column is held to
+        target = tmp_path / "target.csv"
+        times = ("0.0", "0.25", "0.5", "0.75", "1.000009")
+        target.write_text("t,z_1\n" + "".join(f"{t},0.0\n" for t in times))
+        extra = self.OPT + f"[rate]\nfunctional = i_z\ntarget_file = {target}\n"
+        path = _ini(tmp_path, _one_factor_text(
+            n_steps=4, out=str(tmp_path / "out"), extra=extra))
+        assert main(["rate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error[CONFIG]: target file time column must coincide "
+                       "with the grid nodes\n")
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_rate_nonfinite_target_file(self, tmp_path, capsys, cell):
         target = tmp_path / "target.csv"

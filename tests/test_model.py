@@ -14,7 +14,11 @@ from volldp.errors import (
     DomainError,
     SingularDiffusionError,
 )
-from volldp.gaussian import discretize_kernel, draw_driver_arrays
+from volldp.gaussian import (
+    discretize_kernel,
+    draw_driver_arrays,
+    replay_volterra,
+)
 from volldp.grids import TimeGrid
 from volldp.kernels import KernelBank, make_kernel
 from volldp.model import (
@@ -412,37 +416,40 @@ def test_correlated_noise_decomposition():
     assert np.allclose(values[:, -1, 0], z_want, atol=1e-12)
 
 
-def test_brownian_shift_by_linearity_matches_reconvolution():
-    # Bhat(dB + h) is Bhat(dB) plus the convolution of the shift alone;
-    # the reference convolves the shifted increments again
+def test_brownian_shift_replays_bit_for_bit():
+    # the shift enters dB before V and Bhat are formed, so a tilted draw
+    # replays from its stored dB and V like any other, all paths at once
+    # and one path alone, and V moves by the analytic kappa_c / dt * h
     bank = KernelBank((
         rl_bank(0.3)[0],
         make_kernel("molchan_golosov", hurst=0.7, scale=1.0, horizon=1.0),
     ))
     coeffs = constant_coeffs(1, 2, sigma=[[0.5]], sigma_tilde=[[0.3, -0.2]])
-    grid = TimeGrid(1.0, 16)
     rng = np.random.default_rng(4)
-    shift = rng.normal(size=(16, 2)) * grid.dt
-    _, increments, _, singular, volterra = euler_paths_array(
-        coeffs, bank, grid, Scaling.small_noise(0.5), 40, seed=9, first_path=3,
-        brownian_shift=shift,
-    )
-    dB, V, _, _ = draw_driver_arrays(bank, grid, 40, 9, first_path=3,
-                                     extra_draws=16)
-    want = np.empty_like(volterra)
-    for ell, kernel in enumerate(bank):
-        disc = discretize_kernel(kernel, grid)
-        want[:, :, ell] = disc.convolve_increments(
-            dB[:, :, ell] + shift[:, ell],
-            V[:, :, ell] + disc.kappa_c / grid.dt * shift[:, ell],
-        )
-    assert np.array_equal(increments, dB + shift)
-    scale = np.max(np.abs(want))
-    np.testing.assert_allclose(volterra, want, rtol=1e-13, atol=1e-13 * scale)
-    np.testing.assert_allclose(
-        singular, V + np.array([discretize_kernel(k, grid).kappa_c for k in bank])
-        / grid.dt * shift, rtol=1e-13, atol=1e-13 * np.max(np.abs(V)),
-    )
+    for n_steps in (16, 64, 512):
+        grid = TimeGrid(1.0, n_steps)
+        shift = rng.normal(size=(n_steps, 2)) * grid.dt
+        kappa_c = np.array([discretize_kernel(k, grid).kappa_c for k in bank])
+        for first in (0, 3, 1500):
+            _, increments, _, singular, volterra = euler_paths_array(
+                coeffs, bank, grid, Scaling.small_noise(0.5), 40, seed=9,
+                first_path=first, brownian_shift=shift,
+            )
+            assert np.array_equal(
+                replay_volterra(bank, grid, increments, singular, first),
+                volterra,
+            )
+            alone = replay_volterra(bank, grid, increments[-1:],
+                                    singular[-1:], first + 39)
+            assert np.array_equal(alone[0], volterra[-1])
+            dB, V, _, _ = draw_driver_arrays(bank, grid, 40, 9,
+                                             first_path=first,
+                                             extra_draws=n_steps)
+            assert np.array_equal(increments, dB + shift)
+            np.testing.assert_allclose(
+                singular, V + kappa_c / grid.dt * shift,
+                rtol=1e-13, atol=1e-13 * np.max(np.abs(V)),
+            )
 
 
 def test_euler_paths_shapes_and_replay():
