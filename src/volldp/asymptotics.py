@@ -7,16 +7,18 @@ typical).  There is one tail estimator: the crude estimate is the same one
 without a control, where no driver is shifted and every weight is 1.  The
 decay rate is then read off as the slope of -log p(eps) against 1 / eps^2.
 
-Every Monte Carlo run here cuts its path range into blocks of one normal
-stream unit, ``gaussian._UNIT_PATHS`` = 1,024 paths (``_run_blocks``).  A
-block's driver draws depend only on (seed, path index) and each block draws
-exactly one unit's stream, so the blocks run in any order on a small
-thread pool, at most one worker per 8,192 paths (``pool_size``), and none
-redraws another's stream.  In the estimator each block
-returns the log-weights of its hits and its count of non-finite paths.  The
-hits' log-weights are joined in block order and reduced once, relative to
-the largest of them, which makes every estimate bitwise independent of the
-number of threads.
+Every Monte Carlo run here goes through one runner, ``_euler_blocks``: it
+cuts the path range into blocks of one normal stream unit,
+``gaussian._UNIT_PATHS`` = 1,024 paths, runs the one Euler scheme,
+``model.euler_paths_array``, on each block and returns a reducer's value of
+every block in block order.  A block's driver draws depend only on (seed,
+path index) and each block draws exactly one unit's stream, so the blocks
+run in any order on a small thread pool, at most one worker per 8,192 paths
+(``pool_size``), and none redraws another's stream.  The estimator's
+reducer returns the log-weights of a block's hits and its count of
+non-finite paths.  The hits' log-weights are joined in block order and
+reduced once, relative to the largest of them, which makes every estimate
+bitwise independent of the number of threads.
 Weights stay in log space until then, so an estimate far below the
 smallest double keeps a finite ``log_prob`` and ``log_stderr``.  A path
 with a non-finite terminal value makes the estimator raise
@@ -32,22 +34,21 @@ simulated through two routes that are equal in law at matched resolution:
 * direct -- the original kernel on the short horizon with a finer grid,
   under ``Scaling.short_time(1.0)``, subsampled back to the reference nodes.
 
-Both routes run on the same blocks as the estimator: each block returns its
+Both routes run on the same runner as the estimator (the tail estimator
+under ``Scaling.small_noise(eps)``): each route's reducer returns a block's
 renormalized rows and the rows are joined in block order, so a path set
-does not depend on the number of threads.
-
-Both routes and the tail estimator (``Scaling.small_noise(eps)``) run the
-one Euler scheme, ``model.euler_paths_array``; every path set is an array
-of shape (n, N + 1, d).  The uncorrelated model is sigma_tilde = 0, so a
-tilt and its rate solve read one model; the short-time routes need mu = 0.
+does not depend on the number of threads.  Every path set is an array of
+shape (n, N + 1, d).  The uncorrelated model is sigma_tilde = 0, so a tilt
+and its rate solve read one model; the short-time routes need mu = 0.
 
 ``equivalence_diagnostic`` measures the sup-distance between two path sets
 pair by pair, which is informative only when the sets are coupled through
 shared driver noise; ``short_time_report`` provides exactly that coupling by
 running both routes at matched resolution off one seed, and supplements it
-with distribution-level checks (two-sample KS, exceedance frequencies) on
-independent draws.  Every KS p-value is the exact two-sided law of the
-equal-size two-sample statistic (``gaussian._two_sample_ks``), at any n.
+with distribution-level checks on independent draws: a two-sample KS test
+of the terminal values and exceedance frequencies.  The KS p-value is the
+exact two-sided law of the equal-size two-sample statistic
+(``gaussian._two_sample_ks``), at any n.
 Finite samples can support but never establish the vanishing of the
 exceedance rates at every scale, so the report is a consistency check, not
 a proof.
@@ -140,7 +141,7 @@ def pool_size(n_paths: int, threads: int | None = None) -> int:
     ``threads`` when given, otherwise the CPUs this process may run on;
     never more than one per ``_WORKER_PATHS`` = 8,192 paths, so a run of
     up to 8,192 paths uses no pool.  The blocks stay one unit each
-    (``_run_blocks``); the pool only decides how many run at once.
+    (``_euler_blocks``); the pool only decides how many run at once.
     """
     if threads is None:
         threads = len(os.sched_getaffinity(0))
@@ -149,20 +150,29 @@ def pool_size(n_paths: int, threads: int | None = None) -> int:
     return min(threads, -(-n_paths // _WORKER_PATHS))
 
 
-def _run_blocks(bank, grid, n_paths: int, threads, block) -> list:
-    """``block(first_path, count)`` of every path block, in block order.
+def _euler_blocks(
+    coeffs, bank, grid, scaling, n_paths: int, seed, threads, reduce, **shifts
+) -> list:
+    """``reduce(paths)`` of the Euler paths of every path block, in block order.
 
     The path range is cut into blocks of one normal-stream unit,
     ``_UNIT_PATHS`` paths each, so every block starts on a unit boundary
-    and draws exactly one unit's stream.  A block's draws depend only on
-    (seed, path index) and the results come back in block order, so
-    whatever is reduced from them is bitwise the same whatever the number
-    of worker threads and the order in which blocks finish.
+    and draws exactly one unit's stream.  Each block is one
+    ``euler_paths_array`` call with the driver ``shifts``.  A block's draws
+    depend only on (seed, path index) and the results come back in block
+    order, so whatever is reduced from them is bitwise the same whatever
+    the number of worker threads and the order in which blocks finish.
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
     for kernel in bank:  # fill the discretization cache before any worker
         discretize_kernel(kernel, grid)
+
+    def block(first: int, count: int):
+        return reduce(euler_paths_array(
+            coeffs, bank, grid, scaling, count, seed, first_path=first, **shifts
+        ))
+
     firsts = range(0, n_paths, _UNIT_PATHS)
     counts = [min(_UNIT_PATHS, n_paths - first) for first in firsts]
     workers = pool_size(n_paths, threads)
@@ -205,13 +215,10 @@ def _tail_estimate(
         shifts = {"brownian_shift": fdot * dt / epsilon,
                   "wiener_shift": ydot * dt / epsilon}
 
-    def block(first: int, count: int):
+    def reduce(paths):
         """(log w of the block's hits, its count of non-finite paths)."""
-        paths = euler_paths_array(
-            coeffs, bank, grid, scaling, count, seed, first_path=first, **shifts
-        )
         values = paths.values
-        log_w = np.zeros(count) if control is None else (
+        log_w = np.zeros(values.shape[0]) if control is None else (
             const
             - np.einsum("jl,kjl->k", fdot, paths.increments) / epsilon
             - np.einsum("ji,kji->k", ydot, paths.dw) / epsilon
@@ -220,7 +227,9 @@ def _tail_estimate(
         finite = np.all(np.isfinite(values[:, -1, :]), axis=1)
         return log_w[event.indicator(values)], int(np.count_nonzero(~finite))
 
-    parts = _run_blocks(bank, grid, n_paths, threads, block)
+    parts = _euler_blocks(
+        coeffs, bank, grid, scaling, n_paths, seed, threads, reduce, **shifts
+    )
     nonfinite = sum(count for _, count in parts)
     if nonfinite:
         raise NonFinitePathError(
@@ -395,23 +404,6 @@ def _as_entry(scale) -> ScaleEntry:
     return scale
 
 
-def _renormalized_blocks(
-    coeffs, bank, grid, scaling, step, factor, n_paths, seed, threads
-) -> np.ndarray:
-    """Every ``step``-th node of each block's paths times ``factor``.
-
-    The blocks' rows are joined in block order (``_run_blocks``).
-    """
-
-    def block(first: int, count: int) -> np.ndarray:
-        values = euler_paths_array(
-            coeffs, bank, grid, scaling, count, seed, first_path=first
-        ).values
-        return values[:, ::step, :] * factor
-
-    return np.concatenate(_run_blocks(bank, grid, n_paths, threads, block))
-
-
 def short_time_values(
     coeffs: ModelCoefficients,
     bank: KernelBank,
@@ -434,10 +426,11 @@ def short_time_values(
     scale = _as_entry(scale)
     delta = scale.eta
     rescaled = KernelBank(tuple(rescale_kernel(k, scale.eta) for k in bank))
-    return _renormalized_blocks(
-        coeffs, rescaled, grid, Scaling.short_time(delta), 1,
-        scale.epsilon / np.sqrt(delta), n_paths, seed, threads,
-    )
+    factor = scale.epsilon / np.sqrt(delta)
+    return np.concatenate(_euler_blocks(
+        coeffs, rescaled, grid, Scaling.short_time(delta), n_paths, seed,
+        threads, lambda paths: paths.values * factor,
+    ))
 
 
 def short_time_direct(
@@ -466,10 +459,11 @@ def short_time_direct(
         raise ConfigurationError("refine must be a positive integer")
     delta = scale.eta
     fine = TimeGrid(grid.horizon * delta, grid.n_steps * refine)
-    return _renormalized_blocks(
-        coeffs, bank, fine, Scaling.short_time(1.0), refine,
-        scale.epsilon / np.sqrt(delta), n_paths, seed, threads,
-    )
+    factor = scale.epsilon / np.sqrt(delta)
+    return np.concatenate(_euler_blocks(
+        coeffs, bank, fine, Scaling.short_time(1.0), n_paths, seed, threads,
+        lambda paths: paths.values[:, ::refine] * factor,
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -488,30 +482,25 @@ def _as_values(sample) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Paired sup-distance exceedance rates plus a terminal two-sample KS."""
+    """Paired sup-distance exceedance rates of two path sets."""
 
     deltas: tuple
     exceedance: tuple  # frequency of sup-distance > delta, per delta
-    ks_statistic: float
-    ks_pvalue: float
-    n_paths: int
     max_sup_distance: float
 
 
 def equivalence_diagnostic(
     sample_a, sample_b, deltas=(0.05, 0.1, 0.2)
 ) -> EquivalenceReport:
-    """Compare two path sets pair by pair and at the terminal marginal.
+    """Compare two path sets pair by pair.
 
     Takes two arrays of shape (n, N + 1, d) on matched grids with matched
     counts.  Path k of one set is compared with path k of the other
-    through the sup over grid nodes of the Euclidean distance;
-    the report carries the frequency of exceedances at each delta together
-    with a two-sample KS test of the first terminal coordinate, whose
-    p-value is the exact equal-size two-sample law, not an asymptotic
-    approximation.  The paired column is meaningful for coupled samples
-    (shared driver noise); for independent samples only the KS part is
-    informative.
+    through the sup over grid nodes of the Euclidean distance; the report
+    carries the frequency of exceedances at each delta and the largest
+    sup-distance.  It is meaningful for coupled samples (shared driver
+    noise) only; independent samples are compared by their laws, as
+    ``short_time_report`` does with its KS test.
     """
     a = _as_values(sample_a)
     b = _as_values(sample_b)
@@ -521,14 +510,9 @@ def equivalence_diagnostic(
             f"and {b.shape}"
         )
     sup = np.max(np.linalg.norm(a - b, axis=2), axis=1)
-    freqs = tuple(float(np.mean(sup > d)) for d in deltas)
-    ks_statistic, ks_pvalue = _two_sample_ks(a[:, -1, 0], b[:, -1, 0])
     return EquivalenceReport(
         deltas=tuple(float(d) for d in deltas),
-        exceedance=freqs,
-        ks_statistic=ks_statistic,
-        ks_pvalue=ks_pvalue,
-        n_paths=a.shape[0],
+        exceedance=tuple(float(np.mean(sup > d)) for d in deltas),
         max_sup_distance=float(np.max(sup)),
     )
 
@@ -554,15 +538,20 @@ class ExceedanceRow:
 class DeltaComparison:
     """Two-route comparison at one horizon fraction.
 
-    ``paired`` couples the routes through one seed at matched resolution,
-    where they must coincide path for path; the KS and exceedance columns
-    compare independent draws with the direct route on a refined grid.
-    ``rescaled_terminal`` holds the first terminal coordinate of every
-    rescaled-route path, the sample the thresholds are set from.
+    Its fields other than ``rescaled_terminal`` are the comparison's entry
+    of ``diagnostic.json``, under the same names.  The ``paired_`` fields
+    couple the routes through one seed at matched resolution, where they
+    must coincide path for path: the frequency of a sup-distance above
+    each delta, keyed by str(delta), and the largest sup-distance.  The KS
+    and exceedance columns compare independent draws with the direct route
+    on a refined grid.  ``rescaled_terminal`` holds the first terminal
+    coordinate of every rescaled-route path, the sample the thresholds are
+    set from.
     """
 
     delta: float  # the horizon fraction, the schedule entry's eta
-    paired: EquivalenceReport
+    paired_exceedance: dict
+    paired_max_sup_distance: float
     ks_statistic: float
     ks_pvalue: float
     n_paths: int
@@ -578,7 +567,7 @@ class ShortTimeReport:
 
     def all_consistent(self) -> bool:
         for comp in self.comparisons:
-            if any(f > 0.0 for f in comp.paired.exceedance):
+            if any(f > 0.0 for f in comp.paired_exceedance.values()):
                 return False
             if comp.ks_pvalue < _KS_LEVEL:
                 return False
@@ -591,7 +580,7 @@ class ShortTimeReport:
         for comp in self.comparisons:
             lines.append(
                 f"delta = {comp.delta:g}: matched-resolution max sup-distance "
-                f"= {comp.paired.max_sup_distance:.3e}, independent KS = "
+                f"= {comp.paired_max_sup_distance:.3e}, independent KS = "
                 f"{comp.ks_statistic:.4f} (p = {comp.ks_pvalue:.3f}, "
                 f"n = {comp.n_paths})"
             )
@@ -659,7 +648,10 @@ def short_time_report(
         comps.append(
             DeltaComparison(
                 delta=entry.eta,
-                paired=paired,
+                paired_exceedance={
+                    str(d): f for d, f in zip(paired.deltas, paired.exceedance)
+                },
+                paired_max_sup_distance=paired.max_sup_distance,
                 ks_statistic=ks_statistic,
                 ks_pvalue=ks_pvalue,
                 n_paths=n_paths,

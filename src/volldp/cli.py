@@ -310,6 +310,8 @@ def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
 
 
 def _cmd_short_time(cfg, out_dir: str, threads) -> None:
+    from dataclasses import asdict
+
     import numpy as np
 
     from .errors import ConfigurationError
@@ -334,33 +336,11 @@ def _cmd_short_time(cfg, out_dir: str, threads) -> None:
     _write_csv(
         os.path.join(out_dir, "samples.csv"), ("delta", "path_id", "value"), table
     )
-    payload = {
-        "all_consistent": report.all_consistent(),
-        "comparisons": [
-            {
-                "delta": comp.delta,
-                "paired_exceedance": {
-                    str(d): f
-                    for d, f in zip(comp.paired.deltas, comp.paired.exceedance)
-                },
-                "paired_max_sup_distance": comp.paired.max_sup_distance,
-                "ks_statistic": comp.ks_statistic,
-                "ks_pvalue": comp.ks_pvalue,
-                "n_paths": comp.n_paths,
-                "exceedance": [
-                    {
-                        "threshold": row.threshold,
-                        "prob_rescaled": row.prob_rescaled,
-                        "stderr_rescaled": row.stderr_rescaled,
-                        "prob_direct": row.prob_direct,
-                        "stderr_direct": row.stderr_direct,
-                    }
-                    for row in comp.exceedance
-                ],
-            }
-            for comp in report.comparisons
-        ],
-    }
+    # each comparison record is its diagnostic.json entry
+    entries = [asdict(comp) for comp in comps]
+    for entry in entries:
+        del entry["rescaled_terminal"]  # written to samples.csv above
+    payload = {"all_consistent": report.all_consistent(), "comparisons": entries}
     _write_json(os.path.join(out_dir, "diagnostic.json"), payload)
     _atomic_write(os.path.join(out_dir, "report.txt"), str(report) + "\n")
 
@@ -432,6 +412,8 @@ def main(argv=None) -> int:
 
         if args.threads is not None and args.threads < 1:
             raise ConfigurationError("--threads must be >= 1")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigurationError("--seed must be >= 0")
         from .config import parse_config, read_config_text
 
         config_text = read_config_text(args.config)  # hashed and parsed once

@@ -113,10 +113,6 @@ class AffineMap:
     def shape(self):
         return self.const.shape
 
-    @property
-    def in_dim(self):
-        return self.slope.shape[-1]
-
     def __call__(self, y):
         return self.const + _tensor_apply(self.slope, np.asarray(y, dtype=float))
 
@@ -149,10 +145,6 @@ class ExpLinearMap:
     @property
     def shape(self):
         return self.amplitude.shape
-
-    @property
-    def in_dim(self):
-        return self.weights.shape[-1]
 
     def __call__(self, y):
         expo = _tensor_apply(self.weights, np.asarray(y, dtype=float))

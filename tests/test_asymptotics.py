@@ -7,6 +7,9 @@ import pytest
 from scipy import stats
 
 from volldp.asymptotics import (
+    DeltaComparison,
+    ExceedanceRow,
+    ShortTimeReport,
     TerminalHalfSpace,
     equivalence_diagnostic,
     estimate_tail_prob,
@@ -24,7 +27,7 @@ from volldp.errors import (
     OptimizationError,
     ValidationError,
 )
-from volldp.gaussian import _UNIT_PATHS
+from volldp.gaussian import _UNIT_PATHS, _two_sample_ks
 from volldp.grids import TimeGrid
 from volldp.kernels import KernelBank, ScaleEntry, ScalingSchedule
 from volldp.model import (
@@ -557,8 +560,6 @@ def test_equivalence_diagnostic_identical_samples(unit_grid):
     rep = equivalence_diagnostic(values, values.copy())
     assert rep.max_sup_distance == 0.0
     assert all(f == 0.0 for f in rep.exceedance)
-    assert rep.ks_pvalue == pytest.approx(1.0)
-    assert rep.n_paths == 500
 
 
 def test_equivalence_diagnostic_shape_mismatch(unit_grid):
@@ -569,21 +570,22 @@ def test_equivalence_diagnostic_shape_mismatch(unit_grid):
 
 
 def test_equivalence_diagnostic_detects_scale_mismatch(unit_grid):
+    # the independent-draw check of short_time_report: a terminal KS test
     rng = np.random.default_rng(2)
     a = rng.normal(size=(2000, unit_grid.n_steps + 1, 1))
     b = 2.0 * rng.normal(size=(2000, unit_grid.n_steps + 1, 1))
-    rep = equivalence_diagnostic(a, b)
-    assert rep.ks_pvalue < 1e-6
+    _, pvalue = _two_sample_ks(a[:, -1, 0], b[:, -1, 0])
+    assert pvalue < 1e-6
 
 
-def test_equivalence_diagnostic_same_law_calibration(unit_grid):
-    # independent same-law samples should rarely fail at the 1% level
+def test_two_sample_ks_same_law_calibration(unit_grid):
+    # independent same-law terminal samples should rarely fail at the 1% level
     rng = np.random.default_rng(4)
     rejections = 0
     for _ in range(60):
         a = rng.normal(size=(400, unit_grid.n_steps + 1, 1))
         b = rng.normal(size=(400, unit_grid.n_steps + 1, 1))
-        rejections += equivalence_diagnostic(a, b).ks_pvalue < 0.01
+        rejections += _two_sample_ks(a[:, -1, 0], b[:, -1, 0])[1] < 0.01
     assert rejections <= 3
 
 
@@ -596,11 +598,32 @@ def test_short_time_report_consistency():
                                refine=2)
     assert len(report.comparisons) == 2
     for comp in report.comparisons:
-        assert all(f == 0.0 for f in comp.paired.exceedance)
+        assert all(f == 0.0 for f in comp.paired_exceedance.values())
         assert comp.ks_pvalue > 0.01
     assert report.all_consistent()
     text = str(report)
     assert "delta" in text
+
+
+def test_all_consistent_fails_on_each_broken_check():
+    row = ExceedanceRow(threshold=1.0, prob_rescaled=0.1, stderr_rescaled=0.01,
+                        prob_direct=0.11, stderr_direct=0.01)
+    comp = DeltaComparison(
+        delta=0.5, paired_exceedance={"0.05": 0.0, "0.1": 0.0, "0.2": 0.0},
+        paired_max_sup_distance=1e-15, ks_statistic=0.02, ks_pvalue=0.5,
+        n_paths=1000, exceedance=(row, row), rescaled_terminal=np.zeros(1000),
+    )
+    assert ShortTimeReport((comp, comp)).all_consistent()
+    far = 0.1 + 4.01 * np.hypot(0.01, 0.01)  # just over 4 se from 0.1
+    broken = (
+        dataclasses.replace(
+            comp, paired_exceedance={**comp.paired_exceedance, "0.2": 0.001}),
+        dataclasses.replace(comp, ks_pvalue=0.009),
+        dataclasses.replace(
+            comp, exceedance=(row, dataclasses.replace(row, prob_direct=far))),
+    )
+    for bad in broken:
+        assert not ShortTimeReport((comp, bad)).all_consistent()
 
 
 def test_short_time_report_sample_floor(unit_grid):

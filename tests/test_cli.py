@@ -241,6 +241,14 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err == "error[CONFIG]: --threads must be >= 1\n"
 
+    def test_seed_override_rejects_negative(self, tmp_path, capsys):
+        # the bound of [run] seed applies to its override too
+        out = tmp_path / "o"
+        path = _ini(tmp_path, _one_factor_text(n_steps=2, out=str(out)))
+        assert main(["simulate", "--config", path, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error[CONFIG]: --seed must be >= 0\n"
+        assert not out.exists()
+
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +395,19 @@ class TestRateCommands:
             "control_energy", "iterations", "grad_norm",
             "upper_bound_used", "multistart_spread",
         } <= set(diag)
+
+    def test_rate_i_z_m_matches_library(self, tmp_path):
+        from volldp.ratefn import CameronMartinPath, i_z_m
+
+        out = str(tmp_path / "out")
+        extra = self.OPT + "[rate]\nfunctional = i_z_m\nm = 2\nz = 0.8\n"
+        text = _one_factor_text(n_steps=8, rho=-0.5, out=out, extra=extra)
+        assert main(["rate", "--config", _ini(tmp_path, text)]) == 0
+        _, rows = _read_csv(os.path.join(out, "value.csv"))
+        cfg = parse_config(text)
+        target = CameronMartinPath.straight_line(cfg.grid, np.array([0.8]))
+        want = i_z_m(target, 2, cfg.bank, cfg.coeffs, cfg.optimizer)
+        assert rows == [[want.value]]
 
     def test_rate_needs_target(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -804,14 +825,24 @@ class TestShortTime:
         assert len(deltas) == 2
 
         diag = _read_json(os.path.join(out, "diagnostic.json"))
+        assert set(diag) == {"all_consistent", "comparisons"}
         assert isinstance(diag["all_consistent"], bool)
         assert len(diag["comparisons"]) == 2
         for comp in diag["comparisons"]:
+            assert set(comp) == {
+                "delta", "paired_exceedance", "paired_max_sup_distance",
+                "ks_statistic", "ks_pvalue", "n_paths", "exceedance",
+            }
             assert comp["n_paths"] == 1000
             assert 0.0 <= comp["ks_pvalue"] <= 1.0
-            assert comp["paired_exceedance"]  # nonempty dict
+            assert set(comp["paired_exceedance"]) == {"0.05", "0.1", "0.2"}
             assert comp["paired_max_sup_distance"] >= 0.0
-            assert comp["exceedance"]
+            assert len(comp["exceedance"]) == 3
+            for row in comp["exceedance"]:
+                assert set(row) == {
+                    "threshold", "prob_rescaled", "stderr_rescaled",
+                    "prob_direct", "stderr_direct",
+                }
 
         with open(os.path.join(out, "report.txt"), encoding="utf-8") as handle:
             report = handle.read()

@@ -137,6 +137,13 @@ def test_custom_schedule_takes_no_delta():
         parse_config(text)
 
 
+def test_custom_schedule_takes_the_given_entries():
+    text = _with(_BASE, "schedule",
+                 "rule = custom\neta = 0.5, 0.25\nepsilon = 0.6, 0.3")
+    assert parse_config(text).schedule == kernels.ScalingSchedule(
+        (0.5, 0.25), (0.6, 0.3))
+
+
 def test_log_fbm_rule_takes_its_speed_from_the_first_kernel():
     text = _BASE.replace("horizon = 1.0", "horizon = 0.5").replace(
         "family = riemann_liouville\nhurst = 0.5",
