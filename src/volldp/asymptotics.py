@@ -55,6 +55,7 @@ a proof.
 """
 
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -68,7 +69,7 @@ from .errors import (
     OptimizationError,
     ValidationError,
 )
-from .gaussian import _UNIT_PATHS, _two_sample_ks, discretize_kernel
+from .gaussian import _UNIT_PATHS, Workspace, _two_sample_ks, discretize_kernel
 from .grids import TimeGrid
 from .kernels import KernelBank, ScaleEntry, ScalingSchedule, rescale_kernel
 from .model import ModelCoefficients, ProbeLattice, Scaling, euler_paths_array
@@ -162,15 +163,24 @@ def _euler_blocks(
     depend only on (seed, path index) and the results come back in block
     order, so whatever is reduced from them is bitwise the same whatever
     the number of worker threads and the order in which blocks finish.
+    Each worker thread draws every block it runs into one ``Workspace`` of
+    unit-sized arrays, made for this call, so a block reuses the memory of
+    the one before instead of mapping fresh pages; the values are the
+    same to the bit.  ``paths`` is therefore overwritten by the worker's
+    next block: ``reduce`` must return new arrays, never views of it.
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
     for kernel in bank:  # fill the discretization cache before any worker
         discretize_kernel(kernel, grid)
+    local = threading.local()
 
     def block(first: int, count: int):
+        if not hasattr(local, "work"):
+            local.work = Workspace()
         return reduce(euler_paths_array(
-            coeffs, bank, grid, scaling, count, seed, first_path=first, **shifts
+            coeffs, bank, grid, scaling, count, seed, first_path=first,
+            work=local.work, **shifts
         ))
 
     firsts = range(0, n_paths, _UNIT_PATHS)

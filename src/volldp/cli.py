@@ -15,8 +15,8 @@ output directory together with ``manifest.json`` (config hash, seed,
 package version, command, overrides, ``threads_effective``, the
 worker-pool size of ``verify-ldp`` and ``short-time``, 1 for commands
 without a pool, ``status``, and the environment: ``python``, ``numpy`` and
-``scipy`` versions and ``platform``) so results can be reproduced
-bit-identically.
+``scipy`` versions, ``blas`` and ``platform``) so results can be
+reproduced bit-identically.
 All numbers are printed with 17 significant digits.
 Exit codes: 0 success, otherwise the failing error category (CONFIG 2,
 DOMAIN 3, VALIDATION 4, NUMERIC 5, INTERNAL 6).  A failure prints one line,
@@ -68,12 +68,27 @@ def _write_json(path: str, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_manifest(out_dir: str, command: str, config_text: str, seed: int,
-                    overrides: dict, threads_effective: int, error) -> None:
-    """``error`` is None for a successful run, else its category and message."""
+def environment() -> dict:
+    """The versions and platform that ``manifest.json`` records.
+
+    ``blas`` is "<name> <version>" of the BLAS numpy was built with.
+    """
     import numpy
     import scipy
 
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "platform": platform.platform(),
+    }
+
+
+def _write_manifest(out_dir: str, command: str, config_text: str, seed: int,
+                    overrides: dict, threads_effective: int, error) -> None:
+    """``error`` is None for a successful run, else its category and message."""
     from . import __version__
 
     payload = {
@@ -84,10 +99,7 @@ def _write_manifest(out_dir: str, command: str, config_text: str, seed: int,
         "overrides": {k: v for k, v in sorted(overrides.items()) if v is not None},
         "threads_effective": threads_effective,
         "status": "ok" if error is None else "error",
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
-        "platform": platform.platform(),
+        **environment(),
     }
     if error is not None:
         payload["error"] = error

@@ -48,9 +48,16 @@ The Monte Carlo runs rely on this: the tail estimators and the short-time
 routes draw one unit per block (``first_path`` is the unit's first path,
 so no block redraws a unit prefix) on worker threads and join the blocks'
 results in block order, so their results do not depend on the thread
-count.
+count.  Each worker draws every block it runs into one ``Workspace``, a
+set of unit-sized arrays that ``path_normals``, ``draw_driver_arrays``,
+the convolution and the Euler step write into in place, with the same
+operands in the same order, so no bit changes; dead slices stand in for
+extra arrays.  A block's arrays are overwritten by the worker's next
+block, so whatever a run keeps from a block is a new array, never a view
+of the block's paths.  A draw without a workspace gets new arrays.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,11 +85,39 @@ _UNIT_PATHS = 1024  # paths per normal stream
 
 
 # ---------------------------------------------------------------------------
+# per-thread arrays
+# ---------------------------------------------------------------------------
+
+
+class Workspace:
+    """Named arrays that one thread reuses from draw to draw.
+
+    ``take(name, shape)`` returns a C-ordered view of the flat array called
+    ``name``, allocated on first use and again only when a larger shape is
+    asked for, so a block reuses the memory of the block before and its
+    pages stay mapped.  A taken array holds whatever its last user left,
+    and the next ``take`` of its name hands the same memory out again.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+# ---------------------------------------------------------------------------
 # path-addressed normal streams
 # ---------------------------------------------------------------------------
 
 
-def path_normals(seed: int, first_path: int, n_paths: int, n_draws: int) -> np.ndarray:
+def path_normals(
+    seed: int, first_path: int, n_paths: int, n_draws: int, out=None
+) -> np.ndarray:
     """Standard normals for paths [first_path, first_path + n_paths).
 
     Path k is row k % ``_UNIT_PATHS`` of its unit k // ``_UNIT_PATHS``, whose
@@ -91,6 +126,8 @@ def path_normals(seed: int, first_path: int, n_paths: int, n_draws: int) -> np.n
     identical under any batching of the path range: a unit that starts
     before ``first_path`` is drawn from its start and its leading rows are
     dropped, and the last unit draws only the rows up to the last path.
+    ``out``, a C-ordered (n_paths, n_draws) array, receives the normals
+    instead of a new array.
     """
     if n_draws <= 0 or n_paths <= 0:
         raise DomainError("n_paths and n_draws must be positive")
@@ -98,7 +135,8 @@ def path_normals(seed: int, first_path: int, n_paths: int, n_draws: int) -> np.n
         raise DomainError(f"first_path must be >= 0, got {first_path}")
     entropy = int(seed) & ((1 << 64) - 1)
     stop = first_path + n_paths
-    out = np.empty((n_paths, n_draws))
+    if out is None:
+        out = np.empty((n_paths, n_draws))
     for unit in range(first_path // _UNIT_PATHS, (stop - 1) // _UNIT_PATHS + 1):
         base = unit * _UNIT_PATHS
         lo, hi = max(base, first_path), min(base + _UNIT_PATHS, stop)
@@ -149,10 +187,14 @@ class KernelDiscretization:
         return c
 
     def convolve_increments(
-        self, increments: np.ndarray, singular: np.ndarray
+        self, increments: np.ndarray, singular: np.ndarray, out=None
     ) -> np.ndarray:
-        """Bhat at every node for stacked paths (leading axis = path)."""
-        vals = increments @ self.mean_weights.T
+        """Bhat at every node for stacked paths (leading axis = path).
+
+        ``out``, C-ordered like the result, receives it instead of a new
+        array.
+        """
+        vals = np.matmul(increments, self.mean_weights.T, out=out)
         vals[..., 1:] += singular * self.edge_coeff[1:]
         return vals
 
@@ -213,6 +255,7 @@ def draw_driver_arrays(
     first_path: int = 0,
     extra_draws: int = 0,
     brownian_shift=None,
+    work=None,
 ):
     """Vectorized draw of (dB, V, Bhat[, extras]) for a block of paths.
 
@@ -224,30 +267,37 @@ def draw_driver_arrays(
     before V and Bhat are formed, so a shifted draw is an ordinary draw of
     shifted increments.  Every value depends only on (seed, path index,
     budget, shift), not on ``n_paths`` or ``first_path`` (see
-    ``_convolve``).
+    ``_convolve``).  The arrays are taken from the ``Workspace`` ``work``,
+    so the next draw into it overwrites them; without one they are new.
     """
     n, p = grid.n_steps, bank.n_factors
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
+    work = Workspace() if work is None else work
     n_draws = n * 2 * p + extra_draws
-    z = path_normals(seed, first_path, n_paths, n_draws)
+    z = path_normals(seed, first_path, n_paths, n_draws,
+                     out=work.take("normals", (n_paths, n_draws)))
     incr_z = z[:, : n * p].reshape(n_paths, n, p)
     edge_z = z[:, n * p : 2 * n * p].reshape(n_paths, n, p)
     extras = z[:, 2 * n * p :] if extra_draws else None
     dt = grid.dt
-    increments = incr_z * np.sqrt(dt)
+    increments = np.multiply(incr_z, np.sqrt(dt),
+                             out=work.take("increments", (n_paths, n, p)))
     if brownian_shift is not None:
         increments += brownian_shift
     discs = bank_discretizations(bank, grid)
     kappa_c = np.array([disc.kappa_c for disc in discs])
     resid = np.array([disc.kappa_v for disc in discs]) - kappa_c**2 / dt
-    # z is independent of dB, so a shift h of dB moves V by kappa_c / dt * h
-    singular = kappa_c / dt * increments + np.sqrt(np.maximum(resid, 0.0)) * edge_z
-    volterra = _convolve(discs, increments, singular, first_path)
+    # z is independent of dB, so a shift h of dB moves V by kappa_c / dt * h;
+    # the edge normals are read once, so their slice holds their term of V
+    singular = np.multiply(kappa_c / dt, increments,
+                           out=work.take("singular", (n_paths, n, p)))
+    singular += np.multiply(np.sqrt(np.maximum(resid, 0.0)), edge_z, out=edge_z)
+    volterra = _convolve(discs, increments, singular, first_path, work)
     return increments, singular, volterra, extras
 
 
-def _convolve(discs, increments, singular, first_path: int) -> np.ndarray:
+def _convolve(discs, increments, singular, first_path: int, work) -> np.ndarray:
     """Bhat (n, N + 1, p) from dB and V (n, N, p) of paths from ``first_path``.
 
     Path k is row k % ``_UNIT_PATHS`` of one (``_UNIT_PATHS``, N) x
@@ -255,10 +305,13 @@ def _convolve(discs, increments, singular, first_path: int) -> np.ndarray:
     call does not hold are zero.  A unit that the call holds whole is
     convolved without a copy.  Both branches hand BLAS C-ordered
     (``_UNIT_PATHS``, N, p) slabs, so a path's bits do not depend on which
-    branch ran.
+    branch ran.  Bhat and the product are taken from the ``Workspace``
+    ``work``; the product, named "convolution", is not read after the
+    call.
     """
     n_paths, n, p = increments.shape
-    volterra = np.empty((n_paths, n + 1, p))
+    volterra = work.take("volterra", (n_paths, n + 1, p))
+    product = work.take("convolution", (_UNIT_PATHS, n + 1))
     stop = first_path + n_paths
     for base in range(first_path - first_path % _UNIT_PATHS, stop, _UNIT_PATHS):
         lo, hi = max(base, first_path), min(base + _UNIT_PATHS, stop)
@@ -273,7 +326,7 @@ def _convolve(discs, increments, singular, first_path: int) -> np.ndarray:
             d_b[rows], v[rows] = increments[held], singular[held]
         for ell, disc in enumerate(discs):
             volterra[held, :, ell] = disc.convolve_increments(
-                d_b[:, :, ell], v[:, :, ell]
+                d_b[:, :, ell], v[:, :, ell], out=product
             )[rows]
     return volterra
 
@@ -295,7 +348,8 @@ def replay_volterra(
     if first_path < 0:
         raise DomainError(f"first_path must be >= 0, got {first_path}")
     return _convolve(
-        bank_discretizations(bank, grid), increments, singular, first_path
+        bank_discretizations(bank, grid), increments, singular, first_path,
+        Workspace(),
     )
 
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularDiffusionError
-from .gaussian import draw_driver_arrays
+from .gaussian import Workspace, draw_driver_arrays
 from .grids import TimeGrid
 from .kernels import KernelBank
 
@@ -471,6 +471,7 @@ def euler_paths_array(
     first_path: int = 0,
     brownian_shift=None,
     wiener_shift=None,
+    work=None,
 ) -> EulerPaths:
     """Vectorized Euler scheme for paths [first_path, first_path + n_paths).
 
@@ -479,6 +480,9 @@ def euler_paths_array(
     exponential-tilting hook.  The drivers are those of
     ``gaussian.draw_driver_arrays`` for the same paths and Brownian shift,
     so ``gaussian.replay_volterra`` rebuilds their Bhat bit for bit.
+    The arrays are taken from the ``gaussian.Workspace`` ``work``, so the
+    next call with it overwrites them; without one they are new.  Either
+    way every value is the same to the bit.
     """
     if bank.n_factors != coeffs.p:
         raise ConfigurationError(
@@ -486,24 +490,37 @@ def euler_paths_array(
         )
     n, d, p = grid.n_steps, coeffs.d, coeffs.p
     dt = grid.dt
+    work = Workspace() if work is None else work
 
     increments, singular, volterra, extras = draw_driver_arrays(
         bank, grid, n_paths, seed, first_path=first_path, extra_draws=n * d,
-        brownian_shift=brownian_shift,
+        brownian_shift=brownian_shift, work=work,
     )
-    dw = extras.reshape(n_paths, n, d) * np.sqrt(dt)
+    dw = np.multiply(extras.reshape(n_paths, n, d), np.sqrt(dt),
+                     out=work.take("dw", (n_paths, n, d)))
     if wiener_shift is not None:
         dw += wiener_shift
 
-    y = scaling.vol_arg * volterra[:, :-1, :]        # (n_paths, N, p)
+    # the convolution's product is not read again, so it holds y
+    y = np.multiply(scaling.vol_arg, volterra[:, :-1, :],
+                    out=work.take("convolution", (n_paths, n, p)))
     sig = coeffs.sigma(y)                            # (n_paths, N, d, d)
     mu = coeffs.mu(y)                                # (n_paths, N, d)
     sigt = coeffs.sigma_tilde(y)                     # (n_paths, N, d, p)
-    ito = np.sum(sig**2, axis=-1) + np.sum(sigt**2, axis=-1)
-    noise = (np.einsum("knij,knj->kni", sig, dw)
-             + np.einsum("knil,knl->kni", sigt, increments))
-    steps = (mu - 0.5 * scaling.noise_var * ito) * dt
-    steps += np.sqrt(scaling.noise_var) * noise
-    values = np.zeros((n_paths, n + 1, d))
-    values[:, 1:, :] = np.cumsum(steps, axis=1)
+    # steps = (mu - noise_var / 2 * ito) dt + sqrt(noise_var) noise, each
+    # operation in place in the order of that formula; the maps' values
+    # are new arrays, so y is not read again and its memory holds noise
+    steps = np.sum(sig**2, axis=-1, out=work.take("steps", (n_paths, n, d)))
+    steps += np.sum(sigt**2, axis=-1)                # ito
+    noise = np.einsum("knij,knj->kni", sig, dw,
+                      out=work.take("convolution", (n_paths, n, d)))
+    noise += np.einsum("knil,knl->kni", sigt, increments)
+    steps *= 0.5 * scaling.noise_var
+    np.subtract(mu, steps, out=steps)
+    steps *= dt
+    noise *= np.sqrt(scaling.noise_var)
+    steps += noise
+    values = work.take("values", (n_paths, n + 1, d))
+    values[:, 0, :] = 0.0
+    np.cumsum(steps, axis=1, out=values[:, 1:, :])
     return EulerPaths(values, increments, dw, singular, volterra)

@@ -11,6 +11,7 @@ live in one place.
 
 import numpy as np
 
+from .asymptotics import _euler_blocks
 from .gaussian import (
     _UNIT_PATHS, bank_discretizations, covariance_matrix, draw_driver_arrays,
     replay_volterra, terminal_variance_bound,
@@ -68,8 +69,11 @@ def check_flat_sampler_identity(rng, n_paths: int) -> list:
 
 def check_replay(rng, n_paths: int) -> list:
     """Stored dB and V of an Euler draw replay Bhat bit for bit, all paths
-    at once and the last path alone, with and without a random Brownian
-    shift; the draw straddles two units."""
+    at once and the last path alone, with and without a random shift; the
+    draw straddles two units.  Each of these paths, drawn in a block of
+    the Monte Carlo runner ``_euler_blocks`` (whose arrays each block
+    reuses), has the Euler values and dW of the same path redrawn alone,
+    bit for bit, under a volatility that varies with Bhat."""
     grid = TimeGrid(0.9, 14)
     bank = KernelBank((
         _rl(0.3, horizon=0.9),
@@ -81,20 +85,26 @@ def check_replay(rng, n_paths: int) -> list:
     ))
     p = bank.n_factors
     coeffs = ModelCoefficients(
-        1, p, ConstantMap(np.zeros(1), p), ConstantMap(np.ones((1, 1)), p),
-        ConstantMap(np.zeros((1, p)), p),
+        1, p, ConstantMap(np.zeros(1), p),
+        ExpLinearMap(np.array([[0.3]]), np.array([[[0.5, -0.3, 0.2, 0.4]]])),
+        AffineMap(np.array([[-0.1, 0.05, 0.0, 0.1]]), np.full((1, p, p), 0.02)),
     )
+    scaling = Scaling.small_noise(0.4)
     first = _UNIT_PATHS - n_paths // 2
     seed = _seed(rng)
     # drawn from the case seed, not from rng, so later checks keep their cases
-    tilt = np.random.default_rng(seed).normal(size=(grid.n_steps, p)) * grid.dt
+    tilt_rng = np.random.default_rng(seed)
+    tilt = {
+        "brownian_shift": tilt_rng.normal(size=(grid.n_steps, p)) * grid.dt,
+        "wiener_shift": tilt_rng.normal(size=(grid.n_steps, 1)) * grid.dt,
+    }
     failures = []
-    for shift in (None, tilt):
+    for shifts in ({}, tilt):
         paths = euler_paths_array(
-            coeffs, bank, grid, Scaling.small_noise(0.4), n_paths, seed=seed,
-            first_path=first, brownian_shift=shift,
+            coeffs, bank, grid, scaling, n_paths, seed=seed, first_path=first,
+            **shifts,
         )
-        draw = "unshifted" if shift is None else "shifted"
+        draw = "shifted" if shifts else "unshifted"
         rebuilt = replay_volterra(bank, grid, paths.increments, paths.singular,
                                   first)
         if not np.array_equal(rebuilt, paths.volterra):
@@ -105,6 +115,18 @@ def check_replay(rng, n_paths: int) -> list:
         if not np.array_equal(alone[0], paths.volterra[k]):
             failures.append(f"{draw} path {first + k} alone does not replay "
                             "its Bhat")
+        blocks = _euler_blocks(
+            coeffs, bank, grid, scaling, first + n_paths, seed, 1,
+            lambda block: (block.values.copy(), block.dw.copy()), **shifts,
+        )
+        values, dw = (np.concatenate(part) for part in zip(*blocks))
+        for k in range(first, first + n_paths):
+            alone = euler_paths_array(coeffs, bank, grid, scaling, 1, seed,
+                                      first_path=k, **shifts)
+            if not (np.array_equal(alone.values[0], values[k])
+                    and np.array_equal(alone.dw[0], dw[k])):
+                failures.append(f"{draw} path {k} alone does not replay its "
+                                "values and dW of the Monte Carlo blocks")
     return failures
 
 

@@ -11,6 +11,7 @@ from volldp.asymptotics import (
     ExceedanceRow,
     ShortTimeReport,
     TerminalHalfSpace,
+    _euler_blocks,
     equivalence_diagnostic,
     estimate_tail_prob,
     ldp_slope,
@@ -27,11 +28,12 @@ from volldp.errors import (
     OptimizationError,
     ValidationError,
 )
-from volldp.gaussian import _UNIT_PATHS, _two_sample_ks
+from volldp.gaussian import _UNIT_PATHS, Workspace, _two_sample_ks
 from volldp.grids import TimeGrid
-from volldp.kernels import KernelBank, ScaleEntry, ScalingSchedule
+from volldp.kernels import KernelBank, ScaleEntry, ScalingSchedule, make_kernel
 from volldp.model import (
-    ConstantMap, ModelCoefficients, Scaling, euler_paths_array, make_map,
+    ConstantMap, EulerPaths, ModelCoefficients, Scaling, euler_paths_array,
+    make_map,
 )
 from volldp.ratefn import (
     CameronMartinPath,
@@ -182,10 +184,10 @@ def test_blocks_are_whole_normal_units(monkeypatch):
     lock = threading.Lock()
     draw = volldp.gaussian.path_normals
 
-    def recording(seed, first_path, n_paths, n_draws):
+    def recording(seed, first_path, n_paths, n_draws, **kwargs):
         with lock:
             calls.append((first_path, n_paths))
-        return draw(seed, first_path, n_paths, n_draws)
+        return draw(seed, first_path, n_paths, n_draws, **kwargs)
 
     monkeypatch.setattr(volldp.gaussian, "path_normals", recording)
     coeffs = exp_vol_coeffs(0.0, amplitude=0.3)
@@ -207,6 +209,57 @@ def test_blocks_are_whole_normal_units(monkeypatch):
                    for first, count in calls), calls
         assert sorted(calls) == [(u * _UNIT_PATHS, _UNIT_PATHS)
                                  for u in range(8)] + [(n - 500, 500)]
+
+
+def _two_factor_model():
+    """d = p = 2: a rough factor and a fractional OU one, exp-linear sigma
+    and affine sigma_tilde."""
+    bank = KernelBank((
+        make_kernel("riemann_liouville", hurst=0.3, scale=1.0, horizon=1.0),
+        make_kernel("fractional_ou", hurst=0.4, scale=0.8, horizon=1.0,
+                    mean_reversion=1.5),
+    ))
+    coeffs = ModelCoefficients(
+        d=2, p=2, mu=make_map("constant", (2,), 2, values=[0.05, -0.02]),
+        sigma=make_map("exp_linear", (2, 2), 2, amplitude=[0.3, 0.0, 0.08, 0.25],
+                       weights=[0.8, 0.1, 0.0, 0.0, 0.1, 0.0, 0.2, 0.6]),
+        sigma_tilde=make_map("affine", (2, 2), 2,
+                             constant=[-0.12, 0.04, 0.03, -0.1],
+                             linear=[0.02, 0.0, 0.0, 0.01, 0.01, 0.0, 0.0, 0.02]),
+    )
+    return coeffs, bank
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_reused_block_arrays_give_a_fresh_draw_bit_for_bit(threads):
+    # every worker draws its blocks into one set of reused arrays; the
+    # blocks' copies, joined, are one fresh draw of all paths, tilted or
+    # not, on one- and two-factor models and on grids of different N in a
+    # row; so does one workspace carried from grid to grid
+    n = 8 * _UNIT_PATHS + 500  # nine blocks, the last one partial
+    assert pool_size(n, threads) == threads
+    one_factor = exp_vol_coeffs(-0.5, amplitude=0.3), rl_bank(0.3)
+    rng = np.random.default_rng(4)
+    scaling = Scaling.small_noise(0.5)
+    for coeffs, bank in (one_factor, _two_factor_model()):
+        carried = Workspace()
+        for n_steps in (6, 4, 8):
+            grid = TimeGrid(1.0, n_steps)
+            shifts = {
+                "brownian_shift": 0.1 * rng.normal(size=(n_steps, coeffs.p)),
+                "wiener_shift": 0.1 * rng.normal(size=(n_steps, coeffs.d)),
+            }
+            parts = _euler_blocks(
+                coeffs, bank, grid, scaling, n, 5, threads,
+                lambda paths: tuple(np.array(a) for a in paths), **shifts,
+            )
+            whole = euler_paths_array(coeffs, bank, grid, scaling, n, 5, **shifts)
+            again = euler_paths_array(coeffs, bank, grid, scaling, n, 5,
+                                      work=carried, **shifts)
+            for k, name in enumerate(EulerPaths._fields):
+                joined = np.concatenate([part[k] for part in parts])
+                assert np.array_equal(joined, whole[k]), (name, n_steps)
+                assert np.array_equal(again[k], whole[k]), (name, n_steps)
 
 
 def test_tail_prob_sample_size_floor(unit_grid):

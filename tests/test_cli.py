@@ -564,10 +564,12 @@ n_starts = 2
         assert manifest["numpy"] == np.__version__
         assert manifest["scipy"] == scipy.__version__
         assert manifest["platform"] == platform.platform()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == f"{blas['name']} {blas['version']}"
         keys = {
             "command", "config_sha256", "seed", "version", "overrides",
             "threads_effective", "status", "python", "numpy", "scipy",
-            "platform",
+            "blas", "platform",
         }
         assert set(manifest) == keys
 
@@ -580,7 +582,7 @@ n_starts = 2
         assert set(failed) == keys | {"error"}
         assert failed["status"] == "error"
         assert failed["error"]["category"] == "CONFIG"
-        for key in ("python", "numpy", "scipy", "platform"):
+        for key in ("python", "numpy", "scipy", "blas", "platform"):
             assert failed[key] == manifest[key]
 
 
