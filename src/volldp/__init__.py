@@ -34,20 +34,15 @@ from .kernels import (
     ScalingSchedule,
     VolterraKernel,
     kernel_l2_slice,
-    limit_kernel_error,
     make_kernel,
-    modulus_of_continuity,
     rescale_kernel,
 )
 from .gaussian import (
     covariance_matrix,
     discretize_kernel,
     draw_driver_arrays,
-    empirical_covariance,
-    marginal_ks_check,
     path_normals,
     replay_volterra,
-    sample_volterra_cholesky,
     terminal_variance_bound,
 )
 from .model import (
@@ -73,10 +68,6 @@ from .ratefn import (
     i_uncorrelated,
     i_z,
     i_z_m,
-    j_m_correlated,
-    j_rate,
-    phi_m,
-    phi_map,
     terminal_rate,
 )
 from .asymptotics import (

@@ -139,13 +139,18 @@ def _validate_tail_args(n_paths: int) -> None:
 def pool_size(n_paths: int, threads: int | None = None) -> int:
     """Worker threads a Monte Carlo run of ``n_paths`` paths uses.
 
-    ``threads`` when given, otherwise the CPUs this process may run on;
-    never more than one per ``_WORKER_PATHS`` = 8,192 paths, so a run of
-    up to 8,192 paths uses no pool.  The blocks stay one unit each
-    (``_euler_blocks``); the pool only decides how many run at once.
+    ``threads`` when given, otherwise the CPUs this process may run on
+    (all CPUs where the platform has no ``os.sched_getaffinity``, as on
+    macOS and Windows); never more than one per ``_WORKER_PATHS`` = 8,192
+    paths, so a run of up to 8,192 paths uses no pool.  The blocks stay
+    one unit each (``_euler_blocks``); the pool only decides how many run
+    at once.
     """
     if threads is None:
-        threads = len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity"):
+            threads = len(os.sched_getaffinity(0))
+        else:
+            threads = os.cpu_count() or 1
     elif threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
     return min(threads, -(-n_paths // _WORKER_PATHS))
@@ -340,10 +345,6 @@ class SlopeEstimate:
     intercept: float
     r_squared: float
     slope_stderr: float
-
-    @property
-    def n_points(self) -> int:
-        return len(self.epsilons)
 
 
 def ldp_slope(estimates) -> SlopeEstimate:

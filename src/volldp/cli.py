@@ -432,7 +432,9 @@ def main(argv=None) -> int:
         cfg = parse_config(config_text)
         seed = cfg.seed if args.seed is None else args.seed
         if seed != cfg.seed:
-            cfg = _reseeded(cfg, seed)
+            from dataclasses import replace
+
+            cfg = replace(cfg, seed=seed)
         out_dir = args.out if args.out is not None else cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
         overrides = {"z": None, "out": args.out, "threads": args.threads}
@@ -480,12 +482,6 @@ def main(argv=None) -> int:
     if error is None:
         return 0
     return _EXIT_CODES.get(error["category"], _EXIT_CODES["INTERNAL"])
-
-
-def _reseeded(cfg, seed: int):
-    from dataclasses import replace
-
-    return replace(cfg, seed=seed)
 
 
 if __name__ == "__main__":

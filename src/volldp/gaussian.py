@@ -21,8 +21,11 @@ values come from one evaluation of the kernel on the grid's lower triangle
 (``kernels.eval_lower_triangle``); A_1, whose cell starts at the
 origin, is calibrated at the cell midpoint for kernels singular there.
 The cell moments Cov(dB, V) and Var(V) are ``kernels.cell_moments``, and
-the covariance behind the Cholesky oracle is ``kernels.slice_products``
-column by column: both are the kernels module's one power-law rule.
+the quadrature covariance ``covariance_matrix`` is
+``kernels.slice_products`` column by column: both are the kernels module's
+one power-law rule.  The Cholesky sampler that the tests draw from that
+covariance, an independent route to the same law, is a test reference
+(``tests/reference.py``).
 
 A path set is a stack of arrays with the path on the leading axis: dB and V
 of shape (n, N, p), Bhat of shape (n, N + 1, p).
@@ -392,71 +395,6 @@ def covariance_matrix(
                 f"min eig {eigs[0]:.3e} < {-tol:.3e}"
             )
     return blocks
-
-
-def empirical_covariance(paths: np.ndarray) -> np.ndarray:
-    """Unbiased sample covariance per factor across paths, node pair by pair.
-
-    ``paths`` is one path set of shape (n, N + 1, p), for instance the Bhat
-    or B array of a draw; returns an array of shape (p, N + 1, N + 1).
-    Requires n >= 2.
-    """
-    paths = np.asarray(paths, dtype=float)
-    if paths.ndim != 3:
-        raise DomainError(f"path set must have shape (n, N + 1, p), got {paths.shape}")
-    n_samp, n_nodes, p = paths.shape
-    if n_samp < 2:
-        raise DomainError("empirical covariance needs at least two samples")
-    centered = paths - paths.mean(axis=0)
-    out = np.empty((p, n_nodes, n_nodes))
-    for ell in range(p):
-        x = centered[:, :, ell]
-        out[ell] = x.T @ x / (n_samp - 1)
-    return out
-
-
-def sample_volterra_cholesky(
-    bank: KernelBank,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    n_quad: int = 256,
-) -> np.ndarray:
-    """Exact-covariance Gaussian sampler used as a cross-check oracle.
-
-    Draws Bhat from a Cholesky factor of the quadrature covariance, shape
-    (n_paths, N + 1, p).  This is an independent route from the convolution
-    sampler and is kept solely for distributional cross-checks.
-    """
-    cov = covariance_matrix(bank, grid, n_quad)
-    n, p = grid.n_steps, bank.n_factors
-    chols = []
-    for ell in range(p):
-        block = cov[ell]
-        jitter = 1e-12 * max(np.trace(block), 1.0)
-        chols.append(np.linalg.cholesky(block + jitter * np.eye(n)))
-    z = path_normals(seed, 0, n_paths, n * p).reshape(n_paths, n, p)
-    out = np.zeros((n_paths, n + 1, p))
-    for ell in range(p):
-        out[:, 1:, ell] = z[:, :, ell] @ chols[ell].T
-    return out
-
-
-def marginal_ks_check(
-    bank: KernelBank,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    factor: int = 0,
-    n_quad: int = 256,
-):
-    """Two-sample KS of Bhat(T): convolution sampler vs Cholesky oracle.
-
-    Returns the ``(statistic, pvalue)`` tuple of ``_two_sample_ks``.
-    """
-    _, _, volterra, _ = draw_driver_arrays(bank, grid, n_paths, seed)
-    chol = sample_volterra_cholesky(bank, grid, n_paths, seed + 1, n_quad)
-    return _two_sample_ks(volterra[:, -1, factor], chol[:, -1, factor])
 
 
 def _two_sample_ks(a, b) -> tuple:

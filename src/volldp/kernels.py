@@ -9,14 +9,15 @@ the small interface implemented in this module:
 
 * pointwise evaluation with exact zero above the diagonal,
 * row-by-row evaluation on the lower triangle of a grid
-  (``eval_lower_triangle``), the one grid evaluator behind discretization,
-  kernel tables and the limit-kernel error,
-* slice products  int_lo^s K(t, u) K(s, u) du  by singularity-splitting
-  quadrature (``slice_products``), the one rule behind the slice norm, the
-  covariance of the Gaussian driver and the L^2 modulus of continuity in
-  the first argument,
-* parabolic rescaling  K^eta(t, s) = sqrt(eta) K(eta t, eta s),
-* the distance of a rescaled kernel to a candidate limit kernel.
+  (``eval_lower_triangle``), the one grid evaluator behind discretization
+  and kernel tables,
+* slice products  int_0^s K(t, u) K(s, u) du  by singularity-splitting
+  quadrature (``slice_products``), the one rule behind the slice norm and
+  the covariance of the Gaussian driver,
+* parabolic rescaling  K^eta(t, s) = sqrt(eta) K(eta t, eta s).
+
+The distance of a rescaled kernel to a candidate limit kernel, which no
+command reads, is a test reference (``tests/reference.py``).
 
 The Molchan-Golosov kernel is evaluated in closed form through the Gauss
 hypergeometric function.  The fractional Ornstein-Uhlenbeck kernel is, at a
@@ -46,7 +47,6 @@ from scipy.special import beta as _beta
 from scipy.special import hyp2f1
 
 from .errors import ConfigurationError, DomainError
-from .grids import TimeGrid
 
 _GL32 = np.polynomial.legendre.leggauss(32)
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -201,10 +201,11 @@ class MolchanGolosovKernel(VolterraKernel):
     def origin_exponent(self) -> float:
         return -abs(self.hurst - 0.5)
 
-    def _c_h(self) -> float:
+    def _constant(self) -> float:
+        """C of the closed form: c_H for H < 1/2, c_H / (H - 1/2) for H > 1/2."""
         h = self.hurst
         if h > 0.5:
-            return np.sqrt(h * (2 * h - 1) / _beta(2 - 2 * h, h - 0.5))
+            return np.sqrt(h * (2 * h - 1) / _beta(2 - 2 * h, h - 0.5)) / (h - 0.5)
         return np.sqrt(2 * h / ((1 - 2 * h) * _beta(1 - 2 * h, h + 0.5)))
 
     def _raw(self, t, s):
@@ -212,27 +213,19 @@ class MolchanGolosovKernel(VolterraKernel):
         if abs(h - 0.5) < 1e-14:
             return self.scale * np.ones_like(t)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self._raw_nonbrownian(t, s)
-
-    def _constant(self) -> float:
-        """C of the closed form: c_H for H < 1/2, c_H / (H - 1/2) for H > 1/2."""
-        h = self.hurst
-        return self._c_h() if h < 0.5 else self._c_h() / (h - 0.5)
-
-    def _raw_nonbrownian(self, t, s):
-        h = self.hurst
-        c = self._constant()
-        pos = s > 0.0
-        tp, sp = t[pos], s[pos]
-        res = np.zeros_like(t)
-        res[pos] = (
-            c * (tp - sp) ** (h - 0.5)
-            * hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1.0 - tp / sp)
-        )
-        # s = 0: the kernel has an integrable s^(-|H - 1/2|) blow-up there;
-        # the quadratures never evaluate it at s = 0 (the origin cell is
-        # calibrated at its midpoint), so clamp to 0 rather than return inf.
-        return self.scale * res
+            c = self._constant()
+            pos = s > 0.0
+            tp, sp = t[pos], s[pos]
+            res = np.zeros_like(t)
+            res[pos] = (
+                c * (tp - sp) ** (h - 0.5)
+                * hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1.0 - tp / sp)
+            )
+            # s = 0: the kernel has an integrable s^(-|H - 1/2|) blow-up
+            # there; the quadratures never evaluate it at s = 0 (the origin
+            # cell is calibrated at its midpoint), so clamp to 0 rather than
+            # return inf.
+            return self.scale * res
 
 
 @dataclass(frozen=True)
@@ -514,25 +507,24 @@ def origin_cell_weight(kernel: VolterraKernel) -> float:
 
 
 def slice_products(
-    kernel: VolterraKernel, s: float, upper, n_quad: int, lo: float = 0.0
+    kernel: VolterraKernel, s: float, upper, n_quad: int
 ) -> np.ndarray:
-    """int_lo^s K(t, u) K(s, u) du for every t in ``upper`` (upper[0] == s).
+    """int_0^s K(t, u) K(s, u) du for every t in ``upper`` (upper[0] == s).
 
     Singularity-splitting quadrature on n_quad cells of width
-    h = (s - lo) / n_quad: the midpoint rule on all cells but the last, the
-    first one weighted by ``origin_cell_weight`` when lo <= 0; the cell
-    [s - h, s] against the calibrated power law A (s - u)^kappa of
-    ``edge_coefficient``, with K(t, .) for t > s frozen at the cell edge
-    s - h.  Returns zeros when s <= lo.
+    h = s / n_quad: the midpoint rule on all cells but the last, the first
+    one weighted by ``origin_cell_weight``; the cell [s - h, s] against the
+    calibrated power law A (s - u)^kappa of ``edge_coefficient``, with
+    K(t, .) for t > s frozen at the cell edge s - h.  Returns zeros when
+    s <= 0.
     """
     upper = np.atleast_1d(_as_array(upper))
-    if s <= lo:
+    if s <= 0.0:
         return np.zeros(upper.size)
-    h = (s - lo) / n_quad
-    mids = lo + (np.arange(n_quad - 1) + 0.5) * h
+    h = s / n_quad
+    mids = (np.arange(n_quad - 1) + 0.5) * h
     vals_s = kernel.eval(s, mids)
-    if lo <= 0.0:
-        vals_s[0] *= origin_cell_weight(kernel)
+    vals_s[0] *= origin_cell_weight(kernel)
     out = (kernel.eval(upper[:, None], mids[None, :]) @ vals_s) * h
     a_edge = float(edge_coefficient(kernel, s, s - h, h))
     m1, m2 = cell_moments(kernel.singular_exponent, h)
@@ -548,45 +540,6 @@ def kernel_l2_slice(kernel: VolterraKernel, t: float, n_quad: int = 256) -> floa
     if t < 0 or t > kernel.horizon * (1 + 1e-12):
         raise DomainError(f"t={t} outside [0, {kernel.horizon}]")
     return float(slice_products(kernel, t, t, n_quad)[0])
-
-
-def modulus_of_continuity(
-    kernel: VolterraKernel,
-    delta: float,
-    n_probe: int = 64,
-    n_quad: int = 256,
-) -> float:
-    """L^2 modulus  max over probe pairs of int_0^T |K(t1, s) - K(t2, s)|^2 ds.
-
-    Probes n_probe pairs (t1, t2 = t1 + delta) spanning the horizon.  The
-    integral splits at t1 and t2; the two diagonal-adjacent cells use the
-    calibrated power-law rule, everything else the midpoint rule.
-    """
-    if delta < 0:
-        raise DomainError(f"delta must be nonnegative, got {delta}")
-    if delta == 0.0:
-        return 0.0
-    T = kernel.horizon
-    if delta > T:
-        raise DomainError(f"delta={delta} exceeds the horizon {T}")
-    kappa = kernel.singular_exponent
-    worst = 0.0
-    for t1 in np.linspace(0.0, T - delta, n_probe):
-        t2 = t1 + delta
-        total = 0.0
-        if t1 > 0.0:
-            h = t1 / n_quad
-            mids = (np.arange(n_quad - 1) + 0.5) * h
-            diff = kernel.eval(t1, mids) - kernel.eval(t2, mids)
-            total += float(np.sum(diff**2)) * h
-            # cell [t1 - h, t1]: K(t1, .) by power law, K(t2, .) frozen
-            a1 = float(edge_coefficient(kernel, t1, t1 - h, h))
-            k2bar = float(kernel.eval(t2, t1 - 0.5 * h))
-            m1, m2 = cell_moments(kappa, h)
-            total += a1**2 * m2 - 2 * a1 * k2bar * m1 + k2bar**2 * h
-        total += float(slice_products(kernel, t2, t2, n_quad, lo=t1)[0])
-        worst = max(worst, total)
-    return worst
 
 
 def rescale_kernel(kernel: VolterraKernel, eta: float) -> VolterraKernel:
@@ -618,29 +571,6 @@ def rescale_kernel(kernel: VolterraKernel, eta: float) -> VolterraKernel:
         base=kernel,
         eta=eta,
     )
-
-
-def limit_kernel_error(
-    kernel: VolterraKernel,
-    eta: float,
-    epsilon: float,
-    limit: VolterraKernel,
-    grid: TimeGrid,
-) -> float:
-    """sup over grid pairs s < t of |K^eta(t, s) / epsilon - K_limit(t, s)|.
-
-    Measures how far the speed-normalized rescaled kernel is from its
-    candidate scaling limit on the given grid.
-    """
-    if epsilon <= 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    scaled = rescale_kernel(kernel, eta)
-    nodes = grid.nodes
-    diff = (
-        eval_lower_triangle(scaled, nodes, 0.0, lag=1)[:, 0] / epsilon
-        - eval_lower_triangle(limit, nodes, 0.0, lag=1)[:, 0]
-    )
-    return float(np.max(np.abs(diff)))
 
 
 # ---------------------------------------------------------------------------

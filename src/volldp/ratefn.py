@@ -10,6 +10,10 @@ building blocks are
 * the correlation integrals      Phi (sigma_tilde along fhat) and Phi^m
   (sigma_tilde frozen at block left endpoints).
 
+Gamma and the lift are functions here; J, Phi and Phi^m exist only inside
+the objective below.  The tests hold standalone reference versions of J
+and Phi^m (``tests/reference.py``) and check the objective against them.
+
 On the grid the lift is triangular: fhat_l(t_0) = 0 and fhat_l[1:] = L_l fdot_l
 with L_l the N x N lower-triangular block of the cell integrals, so the lift
 and its adjoint are BLAS triangular matrix-vector products.  The induced
@@ -115,10 +119,6 @@ class CameronMartinPath:
         return float(np.sum(self.derivative**2) * self.grid.dt)
 
     @classmethod
-    def zero(cls, grid: TimeGrid, dim: int) -> "CameronMartinPath":
-        return cls(grid, np.zeros((grid.n_steps, dim)))
-
-    @classmethod
     def from_values(cls, grid: TimeGrid, values) -> "CameronMartinPath":
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
@@ -157,30 +157,6 @@ def gamma_functional(x: CameronMartinPath, a_path: np.ndarray) -> float:
         )
     xd = x.derivative
     return 0.5 * float(np.einsum("ji,jik,jk->", xd, a_path, xd)) * x.grid.dt
-
-
-def _require_node_path(path, grid: TimeGrid, p: int, name: str) -> np.ndarray:
-    """``path`` as an (N + 1, p) array of values at the nodes of ``grid``."""
-    path = np.asarray(path, dtype=float)
-    if path.shape != (grid.n_steps + 1, p):
-        raise DomainError(
-            f"{name} has shape {path.shape}, expected ({grid.n_steps + 1}, {p})"
-        )
-    return path
-
-
-def j_rate(x: CameronMartinPath, phi, coeffs: ModelCoefficients) -> float:
-    """J(x | phi) = 1/2 int (xdot - mu(phi))^T a(phi)^(-1) (xdot - mu(phi)) dt.
-
-    ``phi`` holds the volatility path at the nodes of x's grid, (N + 1, p).
-    """
-    phi = _require_node_path(phi, x.grid, coeffs.p, "phi")
-    y = phi[: x.grid.n_steps]
-    a = coeffs.a(y)
-    _require_nonsingular(a, "diffusion matrix")
-    resid = x.derivative - coeffs.mu(y)
-    w = np.linalg.solve(a, resid[..., None])[..., 0]
-    return 0.5 * float(np.sum(resid * w)) * x.grid.dt
 
 
 def _lift(tri, dmat) -> np.ndarray:
@@ -235,45 +211,6 @@ def _phi(coeffs: ModelCoefficients, g: np.ndarray, dmat: np.ndarray, span):
     n = dmat.shape[0]
     sigt = np.repeat(coeffs.sigma_tilde(g[:n:span]), span, axis=0)
     return sigt, np.einsum("jil,jl->ji", sigt, dmat)
-
-
-def phi_m(
-    f: CameronMartinPath, g, m: int, coeffs: ModelCoefficients
-) -> CameronMartinPath:
-    """Block-frozen correlation integral Phi^m(f, g).
-
-    ``g`` holds the lifted path at the nodes of f's grid, (N + 1, p).
-    Within each of the m blocks, sigma_tilde is frozen at g evaluated at the
-    block's left endpoint and integrated against the increments of f; at a
-    block boundary the completed-block branch applies.
-    """
-    if f.dim != coeffs.p:
-        raise DomainError("f must have one component per factor")
-    g = _require_node_path(g, f.grid, coeffs.p, "g")
-    f.grid.require_divisible(m)
-    phidot = _phi(coeffs, g, f.derivative, f.grid.n_steps // m)[1]
-    return CameronMartinPath(f.grid, phidot)
-
-
-def phi_map(
-    f: CameronMartinPath, bank: KernelBank, coeffs: ModelCoefficients
-) -> CameronMartinPath:
-    """Correlation integral Phi_i(f, fhat)(t) = sum_l int sigmat_il(fhat) fdot_l ds."""
-    phidot = _phi(coeffs, hat_map(f, bank), f.derivative, 1)[1]
-    return CameronMartinPath(f.grid, phidot)
-
-
-def j_m_correlated(
-    x: CameronMartinPath,
-    f: CameronMartinPath,
-    g,
-    m: int,
-    coeffs: ModelCoefficients,
-) -> float:
-    """Frozen-block objective J(x - Phi^m(f, g) | g); g is (N + 1, p)."""
-    pm = phi_m(f, g, m, coeffs)
-    shifted = CameronMartinPath(x.grid, x.derivative - pm.derivative)
-    return j_rate(shifted, g, coeffs)
 
 
 # ---------------------------------------------------------------------------

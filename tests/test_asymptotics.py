@@ -173,6 +173,19 @@ def test_pool_size_is_capped_by_the_block_count():
         pool_size(100_000, threads=0)
 
 
+def test_pool_size_without_cpu_affinity(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: the default is the
+    # CPU count there
+    import os
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert pool_size(100_000) == 3
+    assert pool_size(10_000) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pool_size(100_000) == 1
+
+
 def test_blocks_are_whole_normal_units(monkeypatch):
     # every block of the estimator and of both short-time routes draws one
     # unit's stream from its start, so no run redraws a unit prefix
@@ -290,7 +303,7 @@ def test_degenerate_frequency_warning(unit_grid):
 def zero_control_solution(grid, d=1, p=1):
     return RateSolution(
         value=0.0,
-        control=CameronMartinPath.zero(grid, p),
+        control=CameronMartinPath(grid, np.zeros((grid.n_steps, p))),
         iterations=0,
         grad_norm=0.0,
         converged=True,
@@ -477,7 +490,7 @@ def test_ldp_slope_exact_recovery():
     fit = ldp_slope(synthetic_estimates(c, [0.5, 0.4, 0.3, 0.25, 0.2]))
     assert fit.slope == pytest.approx(c, rel=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-10)
-    assert fit.n_points == 5
+    assert len(fit.epsilons) == 5
     assert 0.0 < fit.slope_stderr < 0.01
 
 

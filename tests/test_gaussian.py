@@ -15,11 +15,8 @@ from volldp.gaussian import (
     bank_discretizations,
     covariance_matrix,
     draw_driver_arrays,
-    empirical_covariance,
-    marginal_ks_check,
     path_normals,
     replay_volterra,
-    sample_volterra_cholesky,
     terminal_variance_bound,
 )
 from volldp.grids import TimeGrid
@@ -37,6 +34,7 @@ from volldp.selftest import (
 )
 
 from conftest import rl_bank, rl_kernel
+from reference import sample_volterra_cholesky
 
 
 def mixed_bank(horizon=0.9):
@@ -322,25 +320,12 @@ def test_empirical_covariance_fidelity():
     grid = TimeGrid(1.0, 16)
     n = 30_000
     volterra = _draw(bank, grid, n, 2024)[2]
-    emp = empirical_covariance(volterra)
     want = covariance_matrix(bank, grid)[0]
-    got = emp[0][1:, 1:]
+    got = np.cov(volterra[:, 1:, 0].T)
     se = np.sqrt(
         (np.outer(np.diag(want), np.diag(want)) + want**2) / n
     )
     assert np.max(np.abs(got - want) / se) <= 4.0
-
-
-def test_empirical_covariance_validation():
-    bank = rl_bank(0.4)
-    grid = TimeGrid(1.0, 6)
-    volterra = _draw(bank, grid, 4, 1)[2]
-    with pytest.raises(DomainError):
-        empirical_covariance(volterra[:1])
-    with pytest.raises(DomainError):
-        empirical_covariance(volterra[:0])
-    with pytest.raises(DomainError):
-        empirical_covariance(volterra[0])
 
 
 def test_empirical_covariance_brownian_component():
@@ -348,7 +333,7 @@ def test_empirical_covariance_brownian_component():
     grid = TimeGrid(1.0, 6)
     n = 50_000
     increments = _draw(bank, grid, n, 77)[0]
-    emp = empirical_covariance(_brownian(increments))[0]
+    emp = np.cov(_brownian(increments)[:, :, 0].T)
     t = grid.nodes
     want = np.minimum.outer(t, t)
     se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / n)
@@ -364,13 +349,6 @@ def test_marginal_gaussianity_proxy():
     z = (terminal - terminal.mean()) / terminal.std()
     assert abs(stats.skew(z)) < 0.05
     assert abs(stats.kurtosis(z, fisher=True)) < 0.1
-
-
-def test_marginal_ks_check_passes():
-    bank = rl_bank(0.35)
-    grid = TimeGrid(1.0, 10)
-    _, pvalue = marginal_ks_check(bank, grid, 4000, seed=8)
-    assert pvalue > 0.01
 
 
 @pytest.mark.parametrize("n", [5, 50, 400, 4000, 10_000])
@@ -453,15 +431,19 @@ def test_terminal_variance_bound_dominates_slices():
 # ---------------------------------------------------------------------------
 
 
-def test_cholesky_route_matches_hybrid_route_marginals():
+@pytest.mark.parametrize("hurst, n_steps, seeds", [
+    (0.75, 16, (101, 707)),
+    (0.35, 10, (8, 9)),
+], ids=["H0.75", "H0.35"])
+def test_cholesky_route_matches_hybrid_route_marginals(hurst, n_steps, seeds):
     # independent covariance-based sampler agrees with the hybrid scheme in
     # distribution at the terminal node (two-sample KS)
-    bank = rl_bank(0.75)
-    grid = TimeGrid(1.0, 16)
+    bank = rl_bank(hurst)
+    grid = TimeGrid(1.0, n_steps)
     n = 4000
-    hybrid = _draw(bank, grid, n, 101)[2]
+    hybrid = _draw(bank, grid, n, seeds[0])[2]
     hyb_term = hybrid[:, -1, 0]
-    chol = sample_volterra_cholesky(bank, grid, n, seed=707)
+    chol = sample_volterra_cholesky(bank, grid, n, seed=seeds[1])
     result = stats.ks_2samp(hyb_term, chol[:, -1, 0])
     assert result.pvalue > 0.01
 

@@ -1,4 +1,5 @@
-"""Dead-code guards: unused imports, unused parameters and unread fields.
+"""Dead-code guards: unused imports, unused parameters, unread fields and
+unreached definitions.
 
 No linter ships with the toolchain, so these stdlib ``ast`` scans stand in
 for pyflakes' unused-import rule and for an unused-argument rule.  Every
@@ -8,12 +9,17 @@ every function in ``src/volldp`` is read in its body, apart from the
 receivers ``self`` and ``cls`` and the exemptions listed in ``_UNUSED_OK``.
 Every field of a dataclass or ``NamedTuple`` in ``src/volldp`` is read
 somewhere in ``src``, ``tests`` or ``bench``, apart from the exemptions
-listed in ``_UNREAD_OK``, and so is every module-level function and class
-of ``src/volldp`` outside ``__init__.py`` and every method and property of
-its classes other than the dunders, apart from those listed in
-``_UNREFERENCED_OK``.
-"""
+listed in ``_UNREAD_OK``.
 
+The package holds only what its users reach: every module-level function
+and class of ``src/volldp`` outside ``__init__.py``, and every method and
+property of its classes other than the dunders, is reached by name from a
+command (``cli.main``), from ``selftest.run_selftest`` or from ``bench/``,
+apart from those listed in ``_UNREACHED_OK``.  A use from a test does not
+count: code that only tests call is a test reference and lives in
+``tests/reference.py``.  Every name ``volldp/__init__.py`` re-exports is
+reached or exempt too.
+"""
 import ast
 import collections
 import fnmatch
@@ -40,11 +46,6 @@ _UNUSED_OK = {
 
 # Record fields nothing reads, by (module, class).
 _UNREAD_OK = {}
-
-# Module-level functions and classes, and methods ("Class.method"), nothing
-# references, by (module, name), with the reason each stays.
-_UNREFERENCED_OK = {}
-
 
 def _own_nodes(scope):
     """Nodes of ``scope`` outside the functions nested in it."""
@@ -226,87 +227,153 @@ def test_every_record_field_is_read():
                       in _UNREAD_OK.items() for name in names}
 
 
-def defined_names(source: str) -> list:
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def defined_names(tree) -> list:
     """(name, node) for every function and class defined at module level,
     and ("Class.method", node) for every method and property of a class
     other than the dunders, which Python itself calls."""
     out = []
-    for node in ast.parse(source).body:
+    for node in tree.body:
         if isinstance(node, (*_SCOPES, ast.ClassDef)):
             out.append((node.name, node))
         if isinstance(node, ast.ClassDef):
             out.extend((f"{node.name}.{item.name}", item) for item in node.body
-                       if isinstance(item, _SCOPES)
-                       and not (item.name.startswith("__")
-                                and item.name.endswith("__")))
+                       if isinstance(item, _SCOPES) and not _is_dunder(item.name))
     return out
 
 
-def references(tree) -> collections.Counter:
+def references(tree) -> set:
     """Names and attribute names loaded in ``tree``, and its string
     constants (a name given by string, as ``bench/tracer.py`` gives its
-    targets), each with its count."""
-    found = collections.Counter()
+    targets)."""
+    found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found[node.id] += 1
+            found.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            found[node.attr] += 1
+            found.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found[node.value] += 1
+            found.add(node.value)
     return found
 
 
-def unreferenced(definitions: dict, readers: list) -> set:
-    """(module, name) of every definition that nothing references outside
-    its own body.
+def unreached(modules: dict, roots, readers: list) -> set:
+    """(module, name) of every definition of ``modules`` that a walk by name
+    from the definitions ``roots`` and the sources ``readers`` never reaches.
 
-    ``definitions`` maps a module name to its source, ``readers`` lists the
-    sources that may reference them (the defining modules among them).  A
-    method counts as referenced by any load of its bare name, whatever the
-    object it is loaded from.
+    ``modules`` maps a module name to its source.  Their module-level
+    statements that define nothing run on import, so they are read too;
+    an import is no use.  A definition is reached by a load of its bare
+    name in anything read, whatever the object it is loaded from, and is
+    then read itself: a function whole, a class apart from its methods
+    other than the dunders, which are reached by their own names.
     """
-    total = sum((references(ast.parse(text)) for text in readers),
-                collections.Counter())
-    return {(module, name)
-            for module, text in definitions.items()
-            for name, node in defined_names(text)
-            for bare in [name.rsplit(".", 1)[-1]]
-            if total[bare] == references(node)[bare]}
+    defs = collections.defaultdict(list)  # bare name -> (module, name, node)
+    pending = [ast.parse(text) for text in readers]
+    for module, text in modules.items():
+        tree = ast.parse(text)
+        for name, node in defined_names(tree):
+            defs[name.rsplit(".", 1)[-1]].append((module, name, node))
+        pending.extend(node for node in tree.body
+                       if not isinstance(node, (*_SCOPES, ast.ClassDef)))
+    missed = {entry[:2] for entries in defs.values() for entry in entries}
+
+    def read(module, name, node):
+        missed.discard((module, name))
+        if isinstance(node, ast.ClassDef):
+            pending.extend((*node.decorator_list, *node.bases, *node.keywords))
+            pending.extend(item for item in node.body
+                           if not isinstance(item, _SCOPES) or _is_dunder(item.name))
+        else:
+            pending.append(node)
+
+    for entries in defs.values():
+        for entry in entries:
+            if entry[:2] in roots:
+                read(*entry)
+    while pending:
+        for bare in references(pending.pop()):
+            for entry in defs.pop(bare, ()):
+                read(*entry)
+    return missed
 
 
-def test_scan_finds_an_unreferenced_helper():
+def test_scan_finds_an_unreached_helper():
     source = (
-        "def f(n):\n    return f(n - 1)\n"          # only calls itself
-        "def g():\n    return 'h'\n"                # names h by string
-        "def h():\n    pass\n"
-        "class C:\n    def m(self) -> 'C':\n        return C()\n"
-        "class D:\n    pass\n"
-        "def k():\n    pass\n"
-        "class E:\n"
-        "    def __len__(self):\n        return 0\n"   # a dunder
-        "    @property\n    def size(self):\n        return self.size\n"
+        "import os\n"
+        "def main():\n    return run(C())\n"             # the root
+        "def run(c):\n    return c.used()\n"
+        "class C:\n"
+        "    def __init__(self):\n        helper()\n"    # a dunder, read with C
         "    def used(self):\n        pass\n"
-        "    def named(self):\n        pass\n"
         "    def own(self):\n        return self.own()\n"
+        "def helper():\n    pass\n"
+        "def dead():\n    return gone()\n"               # unreached, so gone too
+        "def gone():\n    pass\n"
+        "def named():\n    pass\n"
+        "def tabled():\n    pass\n"
+        "TABLE = [tabled]\n"                              # runs on import
+        "def stored():\n    pass\n"
     )
-    other = (
-        "import a\nprint(a.g, D, a.E().used)\n"
-        "k = 1\n"                                    # k is stored, not loaded
-        "getattr(x, 'named')\n"
-    )
-    assert unreferenced({"a.py": source}, [source, other]) == {
-        ("a.py", "f"), ("a.py", "C"), ("a.py", "C.m"), ("a.py", "k"),
-        ("a.py", "E.size"), ("a.py", "E.own")}
+    bench = "from a import stored\nstored = 1\nTARGETS = ('named',)\n"
+    assert unreached({"a.py": source}, [("a.py", "main")], [bench]) == {
+        ("a.py", "C.own"), ("a.py", "dead"), ("a.py", "gone"), ("a.py", "stored")}
 
 
-def test_every_helper_is_referenced():
-    # this module is no reader: its exemption keys name the exempt helpers
-    readers = [path.read_text(encoding="utf-8")
-               for folder in ("src/volldp", "tests", "bench")
-               for path in sorted((_ROOT / folder).glob("*.py"))
-               if path != pathlib.Path(__file__).resolve()]
-    found = unreferenced(
-        {path.name: path.read_text(encoding="utf-8") for path in _SRC}, readers)
+# Where a user enters the package: the console script and the selftest
+# battery.  The benchmark (bench/) enters it too, by its imports and the
+# tracer's target names, so its sources are read whole.
+_ROOTS = (("cli.py", "main"), ("selftest.py", "run_selftest"))
+
+# Definitions of src/volldp that nothing above reaches, by (module, name),
+# with the reason each stays.
+_UNREACHED_OK = {
+    ("model.py", "validate_coefficients"):
+        "the paper's hypotheses on the coefficients; ROADMAP item 11 wires "
+        "it into the commands",
+    ("model.py", "AssumptionCheck"): "one check of validate_coefficients",
+    ("model.py", "ValidationReport"): "what validate_coefficients returns",
+    ("model.py", "ValidationReport.all_passed"):
+        "the verdict of validate_coefficients",
+}
+
+
+def _unreached_in_src() -> set:
+    return unreached(
+        {path.name: path.read_text(encoding="utf-8") for path in _SRC}, _ROOTS,
+        [path.read_text(encoding="utf-8")
+         for path in sorted((_ROOT / "bench").glob("*.py"))])
+
+
+def test_every_definition_is_reached():
     # equality: an exemption that matches nothing has outlived its reason
-    assert found == set(_UNREFERENCED_OK)
+    assert _unreached_in_src() == set(_UNREACHED_OK)
+
+
+def reexports(source: str) -> set:
+    """(module, name) of every name a package's ``__init__.py`` imports
+    from one of its modules."""
+    return {(f"{node.module}.py", alias.name) for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def test_scan_finds_an_unreached_reexport():
+    source = ("def main():\n    return kept()\n"
+              "def kept():\n    pass\ndef dead():\n    pass\n")
+    init = "import sys\nfrom .a import kept, dead as alias\nfrom os import path\n"
+    exported = reexports(init)
+    assert exported == {("a.py", "kept"), ("a.py", "dead")}
+    assert exported & unreached({"a.py": source}, [("a.py", "main")], []) == {
+        ("a.py", "dead")}
+
+
+def test_every_reexport_is_reached():
+    # a name only tests use is not part of the package's API; equality: an
+    # exempt re-export that is reached has outlived its exemption
+    exported = reexports(
+        (_ROOT / "src" / "volldp" / "__init__.py").read_text(encoding="utf-8"))
+    assert exported & _unreached_in_src() == exported & set(_UNREACHED_OK)

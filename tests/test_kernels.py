@@ -1,4 +1,4 @@
-"""Kernel evaluation, slice integrals, modulus, rescaling, scaling schedules."""
+"""Kernel evaluation, slice integrals, rescaling, limit error, schedules."""
 
 import math
 
@@ -17,16 +17,14 @@ from volldp.kernels import (
     edge_coefficient,
     eval_lower_triangle,
     kernel_l2_slice,
-    limit_kernel_error,
     make_kernel,
-    modulus_of_continuity,
     origin_cell_weight,
     rescale_kernel,
-    slice_products,
 )
 from volldp.selftest import check_kernel_closed_forms
 
 from conftest import rl_kernel
+from reference import limit_kernel_error
 
 
 def all_families(horizon=0.9):
@@ -538,15 +536,12 @@ def test_first_cell_amplitude_of_origin_singular_kernels(family, hurst):
     assert disc.row_l2()[1] == pytest.approx(want, rel=0.11)
 
 
-def _l2_between_reference(kernel, t, lo, n_quad):
-    """int_lo^t K(t, s)^2 ds by the slice rule, written out on its own."""
-    if t <= lo:
-        return 0.0
-    h = (t - lo) / n_quad
-    mids = lo + (np.arange(n_quad - 1) + 0.5) * h
+def _l2_slice_reference(kernel, t, n_quad):
+    """int_0^t K(t, s)^2 ds by the slice rule, written out on its own."""
+    h = t / n_quad
+    mids = (np.arange(n_quad - 1) + 0.5) * h
     sq = kernel.eval(t, mids) ** 2
-    if lo <= 0.0:
-        sq[0] *= origin_cell_weight(kernel)
+    sq[0] *= origin_cell_weight(kernel)
     interior = float(np.sum(sq)) * h
     a_edge = float(edge_coefficient(kernel, t, t - h, h))
     kappa = kernel.singular_exponent
@@ -557,16 +552,10 @@ def _l2_between_reference(kernel, t, lo, n_quad):
 def test_slice_norm_matches_reference_rule(kernel):
     for t in (0.05, 0.3, 0.9):
         for n_quad in (2, 64, 256):
-            want = _l2_between_reference(kernel, t, 0.0, n_quad)
+            want = _l2_slice_reference(kernel, t, n_quad)
             assert kernel_l2_slice(kernel, t, n_quad) == pytest.approx(
                 want, rel=1e-14
             )
-            # the [t1, t2] part of the modulus: no origin cell
-            got = slice_products(kernel, t, t, n_quad, lo=0.4 * t)[0]
-            want = _l2_between_reference(kernel, t, 0.4 * t, n_quad)
-            assert got == pytest.approx(want, rel=1e-14)
-    assert np.array_equal(slice_products(kernel, 0.3, [0.3, 0.5], 8, lo=0.3),
-                          np.zeros(2))
 
 
 def test_l2_slice_nondecreasing_in_t():
@@ -580,54 +569,6 @@ def test_l2_slice_finite_sup():
     for k in all_families():
         sup = max(kernel_l2_slice(k, t) for t in np.linspace(0.0, 0.9, 13))
         assert np.isfinite(sup)
-
-
-# ---------------------------------------------------------------------------
-# modulus of continuity
-# ---------------------------------------------------------------------------
-
-
-def _modulus_oracle(kernel, delta, n_pairs=25):
-    """Independent adaptive-quadrature estimate of the L2 modulus."""
-    worst = 0.0
-    for t1 in np.linspace(0.0, kernel.horizon - delta, n_pairs):
-        t2 = t1 + delta
-        total = 0.0
-        if t1 > 0:
-            part, _ = integrate.quad(
-                lambda s: (float(kernel.eval(t1, s)) - float(kernel.eval(t2, s))) ** 2,
-                0.0, t1, points=[t1 * 0.999999], limit=400,
-            )
-            total += part
-        part, _ = integrate.quad(
-            lambda s: float(kernel.eval(t2, s)) ** 2,
-            t1, t2, points=[t2 * 0.999999], limit=400,
-        )
-        worst = max(worst, total + part)
-    return worst
-
-
-def test_modulus_trivial_and_monotone():
-    k = rl_kernel(0.3)
-    assert modulus_of_continuity(k, 0.0) == 0.0
-    assert modulus_of_continuity(k, 0.05) <= modulus_of_continuity(k, 0.1)
-    k = rl_kernel(0.75)
-    assert modulus_of_continuity(k, 0.05) <= modulus_of_continuity(k, 0.1)
-
-
-@pytest.mark.parametrize("hurst", [0.3, 0.75])
-def test_modulus_power_law_bound(hurst):
-    # Calibrate the bound constant from an independent quadrature estimate at
-    # a reference width, then check the library modulus obeys
-    # M(delta) <= c * delta^(2 H) across a logarithmic probe set.
-    k = rl_kernel(hurst)
-    alpha = 2.0 * hurst
-    ref = _modulus_oracle(k, 0.1)
-    lib = modulus_of_continuity(k, 0.1)
-    assert lib == pytest.approx(ref, rel=0.05)
-    c = 1.25 * ref / 0.1**alpha
-    for delta in (0.02, 0.05, 0.1, 0.2, 0.4):
-        assert modulus_of_continuity(k, delta) <= c * delta**alpha
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,11 @@ from volldp.model import (
     make_map,
     validate_coefficients,
 )
-from volldp.ratefn import CameronMartinPath, j_rate
+from volldp.ratefn import CameronMartinPath
 from volldp.selftest import check_martingale
 
 from conftest import affine_vol_coeffs, constant_coeffs, exp_vol_coeffs, rl_bank
+from reference import j_rate
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +146,9 @@ def test_one_factor_noise_split():
 # ---------------------------------------------------------------------------
 
 
-# ``j_rate`` is the public functional that evaluates a(phi) = sigma sigma^T
-# along a volatility path and applies the package's singularity rule.
+# The reference ``j_rate`` evaluates a(phi) = sigma sigma^T along a
+# volatility path and applies the package's singularity rule,
+# ``model._require_nonsingular``.
 
 
 def test_diffusion_path_identity_coefficients():
@@ -174,11 +176,7 @@ def test_diffusion_path_singular_matrix():
     coeffs = constant_coeffs(2, 2, sigma=sigma)
     grid = TimeGrid(1.0, 2)
     with pytest.raises(SingularDiffusionError):
-        j_rate(
-            CameronMartinPath.zero(grid, 2),
-            np.zeros((3, 2)),
-            coeffs,
-        )
+        j_rate(CameronMartinPath(grid, np.zeros((2, 2))), np.zeros((3, 2)), coeffs)
 
 
 def test_diffusion_path_rejects_nan_determinant():
@@ -186,7 +184,7 @@ def test_diffusion_path_rejects_nan_determinant():
     grid = TimeGrid(1.0, 2)
     values = np.array([[0.0], [np.nan], [0.0]])
     with pytest.raises(SingularDiffusionError, match="node 1"):
-        j_rate(CameronMartinPath.zero(grid, 1), values, coeffs)
+        j_rate(CameronMartinPath(grid, np.zeros((2, 1))), values, coeffs)
 
 
 def test_diffusion_path_dimension_mismatch():
@@ -195,7 +193,7 @@ def test_diffusion_path_dimension_mismatch():
     grid = TimeGrid(1.0, 2)
     for shape in ((3, 2), (4, 1), (3,)):
         with pytest.raises(DomainError):
-            j_rate(CameronMartinPath.zero(grid, 1), np.zeros(shape), coeffs)
+            j_rate(CameronMartinPath(grid, np.zeros((2, 1))), np.zeros(shape), coeffs)
 
 
 # ---------------------------------------------------------------------------

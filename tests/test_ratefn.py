@@ -18,10 +18,6 @@ from volldp.ratefn import (
     i_uncorrelated,
     i_z,
     i_z_m,
-    j_m_correlated,
-    j_rate,
-    phi_m,
-    phi_map,
     terminal_rate,
 )
 from volldp.model import ConstantMap, ModelCoefficients, make_map
@@ -31,6 +27,7 @@ from volldp.ratefn import (
 )
 
 from conftest import affine_vol_coeffs, constant_coeffs, exp_vol_coeffs, rl_bank
+from reference import j_rate, phi_m
 
 FAST_OPT = OptimizerConfig(n_starts=2)
 
@@ -41,7 +38,7 @@ FAST_OPT = OptimizerConfig(n_starts=2)
 
 
 def test_cameron_martin_basics(unit_grid):
-    zero = CameronMartinPath.zero(unit_grid, 2)
+    zero = CameronMartinPath(unit_grid, np.zeros((unit_grid.n_steps, 2)))
     assert zero.h1_norm_sq == 0.0
     assert np.all(zero.values == 0.0)
 
@@ -68,7 +65,7 @@ def test_cameron_martin_validation(unit_grid):
 
 
 def test_gamma_zero_path(unit_grid):
-    x = CameronMartinPath.zero(unit_grid, 1)
+    x = CameronMartinPath(unit_grid, np.zeros((unit_grid.n_steps, 1)))
     a = np.ones((unit_grid.n_steps, 1, 1))
     assert gamma_functional(x, a) == 0.0
 
@@ -125,7 +122,7 @@ def test_j_rate_constant_diffusion(unit_grid):
 
 
 def test_hat_map_zero_control(unit_grid):
-    f = CameronMartinPath.zero(unit_grid, 1)
+    f = CameronMartinPath(unit_grid, np.zeros((unit_grid.n_steps, 1)))
     fhat = hat_map(f, rl_bank(0.3))
     assert np.all(fhat == 0.0)
 
@@ -163,7 +160,7 @@ def test_hat_map_energy_bound():
 def test_phi_m_zero_and_constant(unit_grid):
     coeffs = affine_vol_coeffs(0.5, const=0.8, slope=0.0)
     g = np.zeros((unit_grid.n_steps + 1, 1))
-    zero = CameronMartinPath.zero(unit_grid, 1)
+    zero = CameronMartinPath(unit_grid, np.zeros((unit_grid.n_steps, 1)))
     assert np.all(phi_m(zero, g, 4, coeffs).values == 0.0)
 
     rng = np.random.default_rng(2)
@@ -202,27 +199,26 @@ def affine_sigma_tilde_is_identity():
 def test_phi_m_divisibility(unit_grid):
     coeffs = affine_vol_coeffs(0.5)
     g = np.zeros((unit_grid.n_steps + 1, 1))
-    f = CameronMartinPath.zero(unit_grid, 1)
+    f = CameronMartinPath(unit_grid, np.zeros((unit_grid.n_steps, 1)))
     with pytest.raises(Exception) as exc:
         phi_m(f, g, 5, coeffs)
     assert "5" in str(exc.value) and "16" in str(exc.value)
 
 
 def test_phi_map_matches_fine_blocks():
-    # the exact correlation integral is the m -> N limit of the frozen one
+    # the exact correlation integral Phi = Phi^N is the limit of the frozen one
     grid = TimeGrid(1.0, 256)
     coeffs = affine_vol_coeffs(0.5, const=0.5, slope=0.1)
     bank = rl_bank(0.4)
     rng = np.random.default_rng(3)
     f = CameronMartinPath(grid, rng.normal(size=(256, 1)))
     g = hat_map(f, bank)
-    exact = phi_map(f, bank, coeffs)
+    exact = phi_m(f, g, 256, coeffs)
     gaps = []
-    for m in (4, 16, 64, 256):
+    for m in (4, 16, 64):
         frozen = phi_m(f, g, m, coeffs)
         gaps.append(np.max(np.abs(frozen.values - exact.values)))
     assert gaps[0] > gaps[1] > gaps[2]
-    assert gaps[3] < 1e-3
 
 
 def test_phi_m_cauchy_schwarz_bound():
@@ -242,8 +238,13 @@ def test_phi_m_cauchy_schwarz_bound():
 
 
 # ---------------------------------------------------------------------------
-# frozen-block objective
+# frozen-block objective J(x - Phi^m(f, g) | g)
 # ---------------------------------------------------------------------------
+
+
+def _less_phi_m(x, f, g, m, coeffs):
+    """The path x - Phi^m(f, g)."""
+    return CameronMartinPath(x.grid, x.derivative - phi_m(f, g, m, coeffs).derivative)
 
 
 def test_j_m_zero_at_own_image(unit_grid):
@@ -254,7 +255,9 @@ def test_j_m_zero_at_own_image(unit_grid):
     g = hat_map(f, bank)
     image = phi_m(f, g, 4, coeffs)
     x = CameronMartinPath.from_values(unit_grid, image.values)
-    assert j_m_correlated(x, f, g, 4, coeffs) == pytest.approx(0.0, abs=1e-18)
+    assert j_rate(_less_phi_m(x, f, g, 4, coeffs), g, coeffs) == pytest.approx(
+        0.0, abs=1e-18
+    )
 
 
 def test_j_m_reduces_to_j_rate_without_correlation(unit_grid):
@@ -264,7 +267,7 @@ def test_j_m_reduces_to_j_rate_without_correlation(unit_grid):
     f = CameronMartinPath(unit_grid, rng.normal(size=(unit_grid.n_steps, 1)))
     g = hat_map(f, bank)
     x = CameronMartinPath.straight_line(unit_grid, [0.7])
-    assert j_m_correlated(x, f, g, 4, coeffs) == pytest.approx(
+    assert j_rate(_less_phi_m(x, f, g, 4, coeffs), g, coeffs) == pytest.approx(
         j_rate(x, g, coeffs), rel=1e-12
     )
 
@@ -277,7 +280,7 @@ def test_j_m_hand_case():
     g = grid.nodes[:, None]
     f = CameronMartinPath(grid, np.ones((4, 1)))
     x = CameronMartinPath.straight_line(grid, [1.0])
-    assert j_m_correlated(x, f, g, 2, coeffs) == pytest.approx(
+    assert j_rate(_less_phi_m(x, f, g, 2, coeffs), g, coeffs) == pytest.approx(
         0.3125, rel=1e-12
     )
 
@@ -526,10 +529,9 @@ def test_inner_drift_reproduces_the_target(functional):
         y = fhat[:16]
         if functional == "i_x":
             phi = np.zeros((17, 2))
-        elif functional == "i_z_m":
-            phi = phi_m(f, fhat, m, coeffs).values
-        else:
-            phi = phi_map(f, bank, coeffs).values
+        else:  # Phi^m, and Phi = Phi^N
+            blocks = m if functional == "i_z_m" else 16
+            phi = phi_m(f, fhat, blocks, coeffs).values
         rate = (
             np.einsum("jik,jk->ji", coeffs.sigma(y), drift)
             + coeffs.mu(y)
