@@ -71,7 +71,6 @@ from .ratefn import (
     terminal_rate,
 )
 from .asymptotics import (
-    EquivalenceReport,
     ShortTimeReport,
     SlopeEstimate,
     TailEstimate,

@@ -482,50 +482,27 @@ def short_time_direct(
 # ---------------------------------------------------------------------------
 
 
-def _as_values(sample) -> np.ndarray:
-    sample = np.asarray(sample)
-    if sample.ndim != 3:
-        raise ValidationError(
-            f"path set must have shape (n, N + 1, d), got {sample.shape}"
-        )
-    return sample
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Paired sup-distance exceedance rates of two path sets."""
-
-    deltas: tuple
-    exceedance: tuple  # frequency of sup-distance > delta, per delta
-    max_sup_distance: float
-
-
-def equivalence_diagnostic(
-    sample_a, sample_b, deltas=(0.05, 0.1, 0.2)
-) -> EquivalenceReport:
+def equivalence_diagnostic(sample_a, sample_b, deltas=(0.05, 0.1, 0.2)):
     """Compare two path sets pair by pair.
 
     Takes two arrays of shape (n, N + 1, d) on matched grids with matched
     counts.  Path k of one set is compared with path k of the other
-    through the sup over grid nodes of the Euclidean distance; the report
-    carries the frequency of exceedances at each delta and the largest
+    through the sup over grid nodes of the Euclidean distance.  Returns
+    the ``paired_`` fields of ``DeltaComparison``: the frequency of a
+    sup-distance above each delta, keyed by str(delta), and the largest
     sup-distance.  It is meaningful for coupled samples (shared driver
     noise) only; independent samples are compared by their laws, as
     ``short_time_report`` does with its KS test.
     """
-    a = _as_values(sample_a)
-    b = _as_values(sample_b)
-    if a.shape != b.shape:
+    a, b = np.asarray(sample_a), np.asarray(sample_b)
+    if a.ndim != 3 or a.shape != b.shape:
         raise ValidationError(
-            f"path sets must have matched grids and counts, got {a.shape} "
-            f"and {b.shape}"
+            "path sets must have shape (n, N + 1, d) with matched grids and "
+            f"counts, got {a.shape} and {b.shape}"
         )
     sup = np.max(np.linalg.norm(a - b, axis=2), axis=1)
-    return EquivalenceReport(
-        deltas=tuple(float(d) for d in deltas),
-        exceedance=tuple(float(np.mean(sup > d)) for d in deltas),
-        max_sup_distance=float(np.max(sup)),
-    )
+    exceedance = {str(float(d)): float(np.mean(sup > d)) for d in deltas}
+    return exceedance, float(np.max(sup))
 
 
 @dataclass(frozen=True)
@@ -636,7 +613,7 @@ def short_time_report(
         matched = short_time_direct(
             coeffs, bank, grid, entry, n_paths, seed_a, 1, threads
         )
-        paired = equivalence_diagnostic(resc, matched)
+        paired_exceedance, paired_max_sup = equivalence_diagnostic(resc, matched)
         direct = short_time_direct(
             coeffs, bank, grid, entry, n_paths, seed_b, refine, threads
         )[:, -1, 0]
@@ -659,10 +636,8 @@ def short_time_report(
         comps.append(
             DeltaComparison(
                 delta=entry.eta,
-                paired_exceedance={
-                    str(d): f for d, f in zip(paired.deltas, paired.exceedance)
-                },
-                paired_max_sup_distance=paired.max_sup_distance,
+                paired_exceedance=paired_exceedance,
+                paired_max_sup_distance=paired_max_sup,
                 ks_statistic=ks_statistic,
                 ks_pvalue=ks_pvalue,
                 n_paths=n_paths,

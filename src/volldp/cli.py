@@ -27,12 +27,12 @@ directory exists the manifest is written on failure too, with ``status``
 """
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import platform
 import sys
+from dataclasses import asdict, replace
 
 _EXIT_CODES = {
     "CONFIG": 2,
@@ -68,6 +68,12 @@ def _write_json(path: str, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _fields(record, *omit) -> dict:
+    """The fields of the dataclass ``record`` but ``omit``, by name (nested
+    records as dicts): a JSON artifact names each value as its record does."""
+    return {k: v for k, v in asdict(record).items() if k not in omit}
+
+
 def environment() -> dict:
     """The versions and platform that ``manifest.json`` records.
 
@@ -86,14 +92,14 @@ def environment() -> dict:
     }
 
 
-def _write_manifest(out_dir: str, command: str, config_text: str, seed: int,
+def _write_manifest(out_dir: str, command: str, config_sha256: str, seed: int,
                     overrides: dict, threads_effective: int, error) -> None:
     """``error`` is None for a successful run, else its category and message."""
     from . import __version__
 
     payload = {
         "command": command,
-        "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
+        "config_sha256": config_sha256,
         "seed": seed,
         "version": __version__,
         "overrides": {k: v for k, v in sorted(overrides.items()) if v is not None},
@@ -199,18 +205,11 @@ def _solution_outputs(out_dir: str, solution, grid) -> None:
     header = ("t_left",) + tuple(f"fdot_{l + 1}" for l in range(p))
     table = np.column_stack((grid.nodes[:-1], solution.control.derivative))
     _write_csv(os.path.join(out_dir, "control.csv"), header, table)
+    # the control went to control.csv; inner_drift is the tilt's alone
     _write_json(
         os.path.join(out_dir, "diagnostics.json"),
-        {
-            "value": solution.value,
-            "control_energy": solution.control.h1_norm_sq,
-            "iterations": solution.iterations,
-            "grad_norm": solution.grad_norm,
-            "converged": solution.converged,
-            "upper_bound_used": solution.upper_bound_used,
-            "multistart_spread": solution.multistart_spread,
-            "starts": list(solution.starts),
-        },
+        {**_fields(solution, "control", "inner_drift"),
+         "control_energy": solution.control.h1_norm_sq},
     )
 
 
@@ -309,10 +308,7 @@ def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
     _write_json(
         os.path.join(out_dir, "summary.json"),
         {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "slope_stderr": fit.slope_stderr,
-            "r_squared": fit.r_squared,
+            **_fields(fit, "epsilons"),  # ldp.csv holds the levels
             "target_rate": target,
             "relative_gap": abs(fit.slope - target) / target if target else None,
             "estimator": opts.estimator,
@@ -322,8 +318,6 @@ def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
 
 
 def _cmd_short_time(cfg, out_dir: str, threads) -> None:
-    from dataclasses import asdict
-
     import numpy as np
 
     from .errors import ConfigurationError
@@ -348,10 +342,8 @@ def _cmd_short_time(cfg, out_dir: str, threads) -> None:
     _write_csv(
         os.path.join(out_dir, "samples.csv"), ("delta", "path_id", "value"), table
     )
-    # each comparison record is its diagnostic.json entry
-    entries = [asdict(comp) for comp in comps]
-    for entry in entries:
-        del entry["rescaled_terminal"]  # written to samples.csv above
+    # each comparison record, but the samples above, is its diagnostic.json entry
+    entries = [_fields(comp, "rescaled_terminal") for comp in comps]
     payload = {"all_consistent": report.all_consistent(), "comparisons": entries}
     _write_json(os.path.join(out_dir, "diagnostic.json"), payload)
     _atomic_write(os.path.join(out_dir, "report.txt"), str(report) + "\n")
@@ -426,22 +418,19 @@ def main(argv=None) -> int:
             raise ConfigurationError("--threads must be >= 1")
         if args.seed is not None and args.seed < 0:
             raise ConfigurationError("--seed must be >= 0")
-        from .config import parse_config, read_config_text
+        from .config import load_config
 
-        config_text = read_config_text(args.config)  # hashed and parsed once
-        cfg = parse_config(config_text)
+        cfg = load_config(args.config)
         seed = cfg.seed if args.seed is None else args.seed
         if seed != cfg.seed:
-            from dataclasses import replace
-
             cfg = replace(cfg, seed=seed)
         out_dir = args.out if args.out is not None else cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
         overrides = {"z": None, "out": args.out, "threads": args.threads}
         manifest = {
             "out_dir": out_dir, "command": args.command,
-            "config_text": config_text, "seed": seed, "overrides": overrides,
-            "threads_effective": 1,
+            "config_sha256": cfg.config_sha256, "seed": seed,
+            "overrides": overrides, "threads_effective": 1,
         }
 
         z_override = None

@@ -14,6 +14,7 @@ type and default, or in the name -> type maps below for ``[model]``,
 for: the factor count p is the number of ``[kernel.N]`` sections, so
 ``[model]`` holds only the asset count d of the generic layout, and the
 one-factor layout (``[model.volatility]``) has no ``[model]`` section;
+a kernel's horizon is the grid's, not an option of ``[kernel.N]``;
 a schedule rule reads H and the log exponent from the first kernel.
 The coefficient sections hand every key but ``family`` (and ``rho``) to
 ``model.make_map``, which knows each family's parameters.  The reader is
@@ -24,6 +25,7 @@ or ``[model.sigma]`` beside ``[model.volatility]``, a non-empty
 """
 
 import configparser
+import hashlib
 import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -201,6 +203,7 @@ class ExperimentConfig:
     optimizer: OptimizerConfig
     seed: int
     out_dir: str
+    config_sha256: str  # of the text it was parsed from
     simulate: SimulateOptions = field(default_factory=SimulateOptions)
     rate: RateOptions = field(default_factory=RateOptions)
     terminal: TerminalRateOptions = field(default_factory=TerminalRateOptions)
@@ -224,6 +227,8 @@ def _parse_bank(cp, grid: TimeGrid) -> KernelBank:
     while cp.has_section(sec := f"kernel.{len(kernels) + 1}"):
         family = _read(cp, sec, {"family": str}, unknown=None)["family"]
         cls = _build(sec, kernel_class, family)
+        if cp.has_option(sec, "horizon"):
+            _fail(sec, "horizon", "not an option: kernels take the grid's")
         params = _read(cp, sec, cls, skip=("family",),
                        unknown="unknown kernel parameter", horizon=grid.horizon)
         kernels.append(_build(sec, cls, **params))
@@ -310,9 +315,13 @@ def _parse_subcommands(cp, grid: TimeGrid) -> dict:
         _fail("rate", "functional", f"unknown functional {rate.functional!r}")
     if rate.functional == "i_z_m" and rate.m is None:
         _fail("rate", "m", "required when functional = i_z_m")
-    estimator = opts["verify-ldp"].estimator
-    if estimator not in ("tilted", "crude"):
-        _fail("verify-ldp", "estimator", f"unknown estimator {estimator!r}")
+    ldp = opts["verify-ldp"]
+    if ldp.estimator not in ("tilted", "crude"):
+        _fail("verify-ldp", "estimator", f"unknown estimator {ldp.estimator!r}")
+    eps = ldp.epsilons  # the slope fit's demands, checked before any draw
+    if len(eps) < 3 or min(eps) <= 0.0 or len(set(eps)) == 1:
+        _fail("verify-ldp", "epsilons", "the slope fit needs at least 3 "
+              f"levels, all > 0 and not all equal, got {list(eps)}")
     return opts
 
 
@@ -343,21 +352,18 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         grid=grid, bank=bank, coeffs=coeffs, schedule=schedule,
         optimizer=optimizer, seed=run["seed"], out_dir=run["out"],
+        config_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
         simulate=opts["simulate"], rate=opts["rate"],
         terminal=opts["terminal-rate"], verify_ldp=opts["verify-ldp"],
         short_time=opts["short-time"],
     )
 
 
-def read_config_text(path: str) -> str:
-    """The text of a config file; an unreadable file is a ConfigurationError."""
+def load_config(path: str) -> ExperimentConfig:
+    """Read and parse a config file; an unreadable one is a ConfigurationError."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-
-
-def load_config(path: str) -> ExperimentConfig:
-    """Read and parse a config file from disk."""
-    return parse_config(read_config_text(path))
+    return parse_config(text)

@@ -24,7 +24,11 @@ class DomainError(VolldpError, ValueError):
 
 
 class ValidationError(VolldpError):
-    """Model assumptions violated on the probe set."""
+    """Inputs that break an assumption of the computation: a model
+    assumption on the probe set (the short-time routes' mu = 0), a tilt
+    control that does not fit the run, slope-fit estimates outside (0, 1)
+    or with equal noise levels, path sets of mismatched shapes, or KS
+    samples of unequal sizes."""
 
     category = "VALIDATION"
 

@@ -486,9 +486,12 @@ def TailEstimate_like(prob, stderr, n_paths, epsilon):
 
 
 def test_ldp_slope_exact_recovery():
-    c = 0.7
-    fit = ldp_slope(synthetic_estimates(c, [0.5, 0.4, 0.3, 0.25, 0.2]))
+    # -log p = -log(prefactor) + c / eps^2 exactly
+    c, prefactor = 0.7, 0.3
+    fit = ldp_slope(synthetic_estimates(c, [0.5, 0.4, 0.3, 0.25, 0.2],
+                                        prefactor=prefactor))
     assert fit.slope == pytest.approx(c, rel=1e-10)
+    assert fit.intercept == pytest.approx(-np.log(prefactor), rel=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-10)
     assert len(fit.epsilons) == 5
     assert 0.0 < fit.slope_stderr < 0.01
@@ -623,9 +626,9 @@ def test_short_time_coupled_routes_agree(unit_grid):
 def test_equivalence_diagnostic_identical_samples(unit_grid):
     rng = np.random.default_rng(0)
     values = rng.normal(size=(500, unit_grid.n_steps + 1, 1))
-    rep = equivalence_diagnostic(values, values.copy())
-    assert rep.max_sup_distance == 0.0
-    assert all(f == 0.0 for f in rep.exceedance)
+    exceedance, max_sup = equivalence_diagnostic(values, values.copy())
+    assert max_sup == 0.0
+    assert exceedance == {"0.05": 0.0, "0.1": 0.0, "0.2": 0.0}
 
 
 def test_equivalence_diagnostic_shape_mismatch(unit_grid):
@@ -633,9 +636,12 @@ def test_equivalence_diagnostic_shape_mismatch(unit_grid):
     b = np.zeros((11, unit_grid.n_steps + 1, 1))
     with pytest.raises(ValidationError):
         equivalence_diagnostic(a, b)
+    # matched shapes, but not path sets
+    with pytest.raises(ValidationError):
+        equivalence_diagnostic(a[..., 0], a[..., 0])
 
 
-def test_equivalence_diagnostic_detects_scale_mismatch(unit_grid):
+def test_two_sample_ks_detects_scale_mismatch(unit_grid):
     # the independent-draw check of short_time_report: a terminal KS test
     rng = np.random.default_rng(2)
     a = rng.normal(size=(2000, unit_grid.n_steps + 1, 1))

@@ -100,8 +100,10 @@ _MISSPELLED = [
     ("short-time", "quantile = 0.9", "quantile"),
 ]
 # values the reader does not take: the schedule's speed comes from the first
-# kernel, and the optimizer's settings and the exceedance levels are constants
+# kernel, a kernel's horizon is the grid's, and the optimizer's settings and
+# the exceedance levels are constants
 _NOT_SETTABLE = [
+    ("kernel.1", "horizon = 1.0", "horizon"),
     ("schedule", "eta = 0.5\nhurst = 0.3", "hurst"),
     ("schedule", "rule = log_fbm\neta = 0.5\nlog_exponent = 2", "log_exponent"),
     ("schedule", "rule = log_fbm\neta = 0.5\nspeed_log_exponent = 2",
@@ -202,6 +204,23 @@ def test_unknown_section_is_rejected(text, section):
     with pytest.raises(ConfigurationError,
                        match=re.escape(f"config section [{section}]: unknown section")):
         parse_config(text)
+
+
+@pytest.mark.parametrize("levels", ["0.4 0.3", "0.4 0.3 -0.2", "0.4 0.4 0.4"],
+                         ids=["two-levels", "negative", "all-equal"])
+def test_verify_ldp_epsilons_must_admit_a_slope_fit(tmp_path, capsys, levels):
+    # rejected on reading, not by the fit after the levels have been sampled
+    text = _with(_BASE, "verify-ldp", f"epsilons = {levels}")
+    where = "config section [verify-ldp], field 'epsilons'"
+    with pytest.raises(ConfigurationError, match=re.escape(where)):
+        parse_config(text)
+    out = tmp_path / "o"
+    path = tmp_path / "exp.ini"
+    path.write_text(text.replace("seed = 7", f"seed = 7\nout = {out}"),
+                    encoding="utf-8")
+    assert main(["verify-ldp", "--config", str(path)]) == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_misspelled_key_before_any_output(tmp_path, capsys):
@@ -380,6 +399,7 @@ def _accepted_options() -> dict:
     kernel = {"family": ("str", None)}
     for cls in kernels._FAMILIES.values():
         kernel.update(_record_options(cls, with_defaults=False))
+    del kernel["horizon"]  # the grid's
     schedule = dict(config._SCHEDULE)
     for extra in config._SCHEDULE_RULES.values():
         schedule.update(extra)
