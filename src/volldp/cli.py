@@ -14,9 +14,11 @@ Every run writes its artifacts atomically (temp file, then rename) into the
 output directory together with ``manifest.json`` (config hash, seed,
 package version, command, overrides, ``threads_effective``, the
 worker-pool size of ``verify-ldp`` and ``short-time``, 1 for commands
-without a pool, ``status``, and the environment: ``python``, ``numpy`` and
+without a pool, ``status``, the run's ``warnings`` as a list of
+``{category, message}``, and the environment: ``python``, ``numpy`` and
 ``scipy`` versions, ``blas`` and ``platform``) so results can be
-reproduced bit-identically.
+reproduced bit-identically.  Each warning is still printed to stderr, once
+the run ends.
 All numbers are printed with 17 significant digits.
 Exit codes: 0 success, otherwise the failing error category (CONFIG 2,
 DOMAIN 3, VALIDATION 4, NUMERIC 5, INTERNAL 6).  A failure prints one line,
@@ -32,6 +34,7 @@ import math
 import os
 import platform
 import sys
+import warnings
 from dataclasses import asdict, replace
 
 _EXIT_CODES = {
@@ -93,8 +96,11 @@ def environment() -> dict:
 
 
 def _write_manifest(out_dir: str, command: str, config_sha256: str, seed: int,
-                    overrides: dict, threads_effective: int, error) -> None:
-    """``error`` is None for a successful run, else its category and message."""
+                    overrides: dict, threads_effective: int, caught,
+                    error) -> None:
+    """``caught`` holds the run's warnings as ``warnings.catch_warnings``
+    records them; ``error`` is None for a successful run, else its category
+    and message."""
     from . import __version__
 
     payload = {
@@ -105,6 +111,10 @@ def _write_manifest(out_dir: str, command: str, config_sha256: str, seed: int,
         "overrides": {k: v for k, v in sorted(overrides.items()) if v is not None},
         "threads_effective": threads_effective,
         "status": "ok" if error is None else "error",
+        "warnings": [
+            {"category": w.category.__name__, "message": str(w.message)}
+            for w in caught
+        ],
         **environment(),
     }
     if error is not None:
@@ -406,6 +416,7 @@ def main(argv=None) -> int:
 
     manifest = None  # the manifest's fields, once the output directory exists
     error = None
+    caught = []  # the run's warnings, recorded for the manifest
     try:
         if args.command == "selftest":
             out_dir = args.out
@@ -414,60 +425,63 @@ def main(argv=None) -> int:
             failures = _cmd_selftest(out_dir)
             return 0 if failures == 0 else _EXIT_CODES["VALIDATION"]
 
-        if args.threads is not None and args.threads < 1:
-            raise ConfigurationError("--threads must be >= 1")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigurationError("--seed must be >= 0")
-        from .config import load_config
+        with warnings.catch_warnings(record=True) as caught:
+            if args.threads is not None and args.threads < 1:
+                raise ConfigurationError("--threads must be >= 1")
+            if args.seed is not None and args.seed < 0:
+                raise ConfigurationError("--seed must be >= 0")
+            from .config import load_config
 
-        cfg = load_config(args.config)
-        seed = cfg.seed if args.seed is None else args.seed
-        if seed != cfg.seed:
-            cfg = replace(cfg, seed=seed)
-        out_dir = args.out if args.out is not None else cfg.out_dir
-        os.makedirs(out_dir, exist_ok=True)
-        overrides = {"z": None, "out": args.out, "threads": args.threads}
-        manifest = {
-            "out_dir": out_dir, "command": args.command,
-            "config_sha256": cfg.config_sha256, "seed": seed,
-            "overrides": overrides, "threads_effective": 1,
-        }
+            cfg = load_config(args.config)
+            seed = cfg.seed if args.seed is None else args.seed
+            if seed != cfg.seed:
+                cfg = replace(cfg, seed=seed)
+            out_dir = args.out if args.out is not None else cfg.out_dir
+            os.makedirs(out_dir, exist_ok=True)
+            overrides = {"z": None, "out": args.out, "threads": args.threads}
+            manifest = {
+                "out_dir": out_dir, "command": args.command,
+                "config_sha256": cfg.config_sha256, "seed": seed,
+                "overrides": overrides, "threads_effective": 1,
+            }
 
-        z_override = None
-        if getattr(args, "z", None) is not None:
-            try:
-                z_override = tuple(float(tok) for tok in args.z.split(","))
-            except ValueError as exc:
-                raise ConfigurationError(f"--z: {exc}") from exc
-            if not all(map(math.isfinite, z_override)):
-                raise ConfigurationError(f"--z: {args.z!r} is not finite")
-            overrides["z"] = list(z_override)
+            z_override = None
+            if getattr(args, "z", None) is not None:
+                try:
+                    z_override = tuple(float(tok) for tok in args.z.split(","))
+                except ValueError as exc:
+                    raise ConfigurationError(f"--z: {exc}") from exc
+                if not all(map(math.isfinite, z_override)):
+                    raise ConfigurationError(f"--z: {args.z!r} is not finite")
+                overrides["z"] = list(z_override)
 
-        if args.command == "kernel-table":
-            _cmd_kernel_table(cfg, out_dir)
-        elif args.command == "simulate":
-            _cmd_simulate(cfg, out_dir)
-        elif args.command == "rate":
-            _cmd_rate(cfg, out_dir)
-        elif args.command == "terminal-rate":
-            _cmd_terminal_rate(cfg, out_dir, z_override)
-        else:  # the Monte Carlo commands, on the path-block pool
-            from .asymptotics import pool_size
+            if args.command == "kernel-table":
+                _cmd_kernel_table(cfg, out_dir)
+            elif args.command == "simulate":
+                _cmd_simulate(cfg, out_dir)
+            elif args.command == "rate":
+                _cmd_rate(cfg, out_dir)
+            elif args.command == "terminal-rate":
+                _cmd_terminal_rate(cfg, out_dir, z_override)
+            else:  # the Monte Carlo commands, on the path-block pool
+                from .asymptotics import pool_size
 
-            verify = args.command == "verify-ldp"
-            opts = cfg.verify_ldp if verify else cfg.short_time
-            manifest["threads_effective"] = pool_size(opts.n_paths, args.threads)
-            command = _cmd_verify_ldp if verify else _cmd_short_time
-            command(cfg, out_dir, args.threads)
+                verify = args.command == "verify-ldp"
+                opts = cfg.verify_ldp if verify else cfg.short_time
+                manifest["threads_effective"] = pool_size(opts.n_paths, args.threads)
+                command = _cmd_verify_ldp if verify else _cmd_short_time
+                command(cfg, out_dir, args.threads)
     except VolldpError as exc:
         error = {"category": exc.category, "message": str(exc)}
     except Exception as exc:  # every other failure is INTERNAL
         message = " ".join(f"{type(exc).__name__}: {exc}".split())
         error = {"category": "INTERNAL", "message": message}
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     if error is not None:
         print(f"error[{error['category']}]: {error['message']}", file=sys.stderr)
     if manifest is not None:
-        _write_manifest(**manifest, error=error)
+        _write_manifest(**manifest, caught=caught, error=error)
     if error is None:
         return 0
     return _EXIT_CODES.get(error["category"], _EXIT_CODES["INTERNAL"])

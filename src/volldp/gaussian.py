@@ -62,7 +62,7 @@ of the block's paths.  A draw without a workspace gets new arrays.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -174,19 +174,21 @@ class KernelDiscretization:
     kappa_c: float
     kappa_v: float
 
-    @property
+    @cached_property
     def hat_weights(self) -> np.ndarray:
         """Cell integrals c_ij with  fhat(t_i) = sum_j c_ij fdot(t_j).
 
         Only cells j <= i - 1 are filled (mean weights at j <= i - 2, the
         edge cell at j = i - 1), for every kernel: row 0 is zero and
         ``hat_weights[1:]`` is N x N lower triangular with its diagonal.
-        The rate objective's lift reads only that triangle.
+        The rate objective's lift reads only that triangle.  Built on the
+        first read and shared after it, so the array is read-only.
         """
         c = self.mean_weights * self.grid.dt
         n = self.grid.n_steps
         idx = np.arange(1, n + 1)
         c[idx, idx - 1] = self.edge_coeff[1:] * self.kappa_c
+        c.setflags(write=False)
         return c
 
     def convolve_increments(

@@ -45,13 +45,23 @@ energy ball |f|^2 <= 2 F(0), inside which the minimizer is guaranteed to
 live; for the pathwise functionals 2 F(0) is
 C_x = int (xdot - mu(0))^T a^(-1)(0) (xdot - mu(0)) dt.
 
+The starts run in lockstep.  The objective's forward pass and adjoint are
+written once, over a stack of controls, and no step of them mixes rows, so
+a row's value and gradient are the bits it has evaluated alone; a row whose
+segment-mean a is singular gets +inf and a zero gradient.  Each round
+evaluates the pending point of every running start in one call on their
+stack, each start keeps its own curvature pairs, line search, projection
+and stopping test, and a start that stops leaves the stack.  Every start's
+result is bitwise that of the start run alone, and a multi-start costs as
+many evaluations as its longest start.
+
 The multi-start runs on a coarse level when the grid allows one: N is
 halved while it is even and the halved grid keeps at least 64 steps (and,
 for I_Z^m, a multiple of m steps).  The coarse objective keeps the end
 nodes that lie on the coarse grid, with the same values of Z, and the best
 coarse start, repeated onto the working grid, is refined by one more
-minimizer run there.  The start table lists the coarse starts, then the
-refinement; the spread check reads the coarse starts only.
+minimizer run there, a stack of one.  The start table lists the coarse
+starts, then the refinement; the spread check reads the coarse starts only.
 """
 
 import warnings
@@ -61,12 +71,14 @@ import numpy as np
 from scipy.linalg.blas import dtrmv
 
 from .errors import (
-    ConfigurationError, DomainError, OptimizationError, SingularDiffusionError,
+    ConfigurationError, DomainError, OptimizationError,
 )
 from .gaussian import discretize_kernel
 from .grids import TimeGrid
 from .kernels import KernelBank
-from .model import ConstantMap, ModelCoefficients, _require_nonsingular
+from .model import (
+    ConstantMap, ModelCoefficients, _require_nonsingular, _singularity_margin,
+)
 
 
 # The minimizer's settings: tolerance on the projected-gradient step,
@@ -160,26 +172,33 @@ def gamma_functional(x: CameronMartinPath, a_path: np.ndarray) -> float:
 
 
 def _lift(tri, dmat) -> np.ndarray:
-    """fhat at every node, (N + 1, p): fhat(t_0) = 0, fhat[1:, l] = L_l fdot_l.
+    """fhat at every node, (..., N + 1, p), of controls (..., N, p):
+    fhat(t_0) = 0, fhat[1:, l] = L_l fdot_l.
 
     ``tri`` holds each factor's L = hat_weights[1:], N x N lower triangular
     (see ``KernelDiscretization.hat_weights``).  Its transpose is the
-    Fortran-ordered upper triangle BLAS reads without a copy.
+    Fortran-ordered upper triangle BLAS reads without a copy.  One
+    triangular product per control and factor, so a control's lift does
+    not depend on the stack it is in.
     """
-    fhat = np.zeros((dmat.shape[0] + 1, dmat.shape[1]))
-    for ell, low in enumerate(tri):
-        fhat[1:, ell] = dtrmv(low.T, dmat[:, ell], trans=1)
+    n, p = dmat.shape[-2:]
+    fhat = np.zeros(dmat.shape[:-2] + (n + 1, p))
+    for row, out in zip(dmat.reshape(-1, n, p), fhat.reshape(-1, n + 1, p)):
+        for ell, low in enumerate(tri):
+            out[1:, ell] = dtrmv(low.T, row[:, ell], trans=1)
     return fhat
 
 
 def _lift_adjoint(tri, s_nodes) -> np.ndarray:
-    """L_l^T s_l per factor, (N, p): node sensitivities pulled back to fdot.
+    """L_l^T s_l per factor, (..., N, p): node sensitivities pulled back to fdot.
 
-    ``s_nodes`` is (N + 1, p); node 0 drops out, as fhat(t_0) = 0.
+    ``s_nodes`` is (..., N + 1, p); node 0 drops out, as fhat(t_0) = 0.
     """
-    out = np.empty((s_nodes.shape[0] - 1, s_nodes.shape[1]))
-    for ell, low in enumerate(tri):
-        out[:, ell] = dtrmv(low.T, s_nodes[1:, ell])
+    n, p = s_nodes.shape[-2] - 1, s_nodes.shape[-1]
+    out = np.empty(s_nodes.shape[:-2] + (n, p))
+    for row, pulled in zip(s_nodes.reshape(-1, n + 1, p), out.reshape(-1, n, p)):
+        for ell, low in enumerate(tri):
+            pulled[:, ell] = dtrmv(low.T, row[1:, ell])
     return out
 
 
@@ -203,14 +222,14 @@ def hat_map(f: CameronMartinPath, bank: KernelBank) -> np.ndarray:
 
 
 def _phi(coeffs: ModelCoefficients, g: np.ndarray, dmat: np.ndarray, span):
-    """Per-step sigma_tilde and Phidot_j = sigma_tilde_j fdot_j, (N, d).
+    """Per-step sigma_tilde and Phidot_j = sigma_tilde_j fdot_j, (..., N, d).
 
-    sigma_tilde is read from the node values ``g`` at the left end of each
-    block of ``span`` steps and held across the block.
+    sigma_tilde is read from the node values ``g`` (..., N + 1, p) at the
+    left end of each block of ``span`` steps and held across the block.
     """
-    n = dmat.shape[0]
-    sigt = np.repeat(coeffs.sigma_tilde(g[:n:span]), span, axis=0)
-    return sigt, np.einsum("jil,jl->ji", sigt, dmat)
+    n = dmat.shape[-2]
+    sigt = np.repeat(coeffs.sigma_tilde(g[..., :n:span, :]), span, axis=-3)
+    return sigt, np.einsum("...jil,...jl->...ji", sigt, dmat)
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +271,16 @@ class RateSolution:
     starts: tuple = ()
 
 
-def _lbfgs(value_grad, x0, dt, radius_sq):
-    """Projected L-BFGS with Armijo backtracking on flat arrays.
+def _lbfgs_run(x0, dt, radius_sq):
+    """One start of projected L-BFGS with Armijo backtracking on flat arrays.
 
-    The feasible set is the energy ball dt * |x|^2 <= radius_sq (radial
-    projection).  Convergence once the projected gradient step satisfies
-    |x - P(x - g)| <= _TOL * (1 + |F|), within ``_MAX_ITER`` iterations and
-    with the last ``_MEMORY`` curvature pairs.
+    A generator: it yields each point it needs evaluated, is sent back that
+    point's (value, gradient), and returns (x, F, gradient, iterations,
+    converged, criterion).  The feasible set is the energy ball
+    dt * |x|^2 <= radius_sq (radial projection).  Convergence once the
+    projected gradient step satisfies |x - P(x - g)| <= _TOL * (1 + |F|),
+    within ``_MAX_ITER`` iterations and with the last ``_MEMORY``
+    curvature pairs.
     """
 
     def project(x):
@@ -268,7 +290,7 @@ def _lbfgs(value_grad, x0, dt, radius_sq):
         return x * np.sqrt(radius_sq / nrm)
 
     x = project(x0.copy())
-    f, g = value_grad(x)
+    f, g = yield x
     if not np.isfinite(f):
         raise OptimizationError("objective not finite at the starting point")
     s_hist, y_hist, rho_hist = [], [], []
@@ -297,7 +319,7 @@ def _lbfgs(value_grad, x0, dt, radius_sq):
         accepted = False
         for _ in range(50):
             x_new = project(x + step * direction)
-            f_new, g_new = value_grad(x_new)
+            f_new, g_new = yield x_new
             if np.isfinite(f_new) and f_new <= f + 1e-4 * (g @ (x_new - x)):
                 accepted = True
                 break
@@ -322,8 +344,31 @@ def _lbfgs(value_grad, x0, dt, radius_sq):
     return x, f, g, n_iter, converged, float(crit)
 
 
+def _lbfgs(value_grad, starts, dt, radius_sq) -> list:
+    """Run ``_lbfgs_run`` from each start in lockstep; one result per start.
+
+    Each round evaluates the pending point of every running start in one
+    ``value_grad`` call on their stack, and a start that stops leaves the
+    stack.  Each start keeps its own curvature pairs, line search and
+    stopping test, and ``value_grad`` gives a row the bits it gives the row
+    alone, so every result is bitwise that of the start run by itself.
+    """
+    runs = [_lbfgs_run(x0, dt, radius_sq) for x0 in starts]
+    pending = {k: next(run) for k, run in enumerate(runs)}
+    results = [None] * len(runs)
+    while pending:
+        values, grads = value_grad(np.stack(list(pending.values())))
+        for k, f, g in zip(list(pending), values, grads):
+            try:
+                pending[k] = runs[k].send((f, g))
+            except StopIteration as stop:
+                results[k] = stop.value
+                del pending[k]
+    return results
+
+
 def _start_row(result) -> dict:
-    """One row of ``RateSolution.starts`` from an ``_lbfgs`` result."""
+    """One row of ``RateSolution.starts`` from an ``_lbfgs_run`` result."""
     _, f, _, n_iter, converged, crit = result
     return {"value": float(f), "iterations": n_iter, "criterion": crit,
             "converged": converged}
@@ -332,6 +377,8 @@ def _start_row(result) -> dict:
 def _multistart(value_grad, shape, dt, radius_sq, cfg: OptimizerConfig):
     """Run the minimizer from zero plus Gaussian-seeded starts; keep the best.
 
+    The starts advance in lockstep (``_lbfgs``): each round is one
+    objective evaluation on the stack of the starts still running.
     Returns the best run, the relative spread of the start values and the
     per-start table of ``RateSolution.starts``.
     """
@@ -344,7 +391,7 @@ def _multistart(value_grad, shape, dt, radius_sq, cfg: OptimizerConfig):
         nrm = np.sqrt(dt) * np.linalg.norm(z)
         scale = radius * (0.15 + 0.2 * k) / max(nrm, 1e-300)
         starts.append(z * scale)
-    results = [_lbfgs(value_grad, x0, dt, radius_sq) for x0 in starts]
+    results = _lbfgs(value_grad, starts, dt, radius_sq)
     best = min(results, key=lambda r: r[1])
     table = tuple(_start_row(r) for r in results)
     values = np.array([r[1] for r in results])
@@ -395,64 +442,98 @@ class _Objective:
         self.lengths = np.diff(self.ends, prepend=0)
         self.tri = _lift_factors(bank, grid)
 
-    def inner(self, dmat):
-        """(fhat, sigma_tilde per step, w, sigma^T w, inner value) at ``dmat``.
+    def _diffusion(self, dmat):
+        """fhat, sigma per step and the segment means abar_i of
+        a = sigma sigma^T, for a stack of controls ``dmat`` (rows, N, p)."""
+        fhat = _lift(self.tri, dmat)
+        sig = self.coeffs.sigma(fhat[:, : self.n])
+        a = sig @ np.swapaxes(sig, -1, -2)
+        a_bar = np.add.reduceat(a, self.first_steps, axis=1) / (
+            self.lengths[:, None, None])
+        return fhat, sig, a_bar
 
-        On segment i of L_i steps, with abar_i the mean of a = sigma sigma^T
-        and rbar_i the target rate less the mean of mu + Phidot, the weight
-        w_i = abar_i^(-1) rbar_i is held over the segment and the inner
-        value is 1/2 sum_i L_i dt rbar_i.w_i.  sigma^T w is the
-        Wiener-direction control.  Raises ``SingularDiffusionError`` where
-        an abar_i is singular.
+    def _weights(self, dmat, fhat, sig, a_bar):
+        """(sigma_tilde per step, w, sigma^T w, inner value) of each control
+        of a stack, from ``_diffusion``'s output with every abar_i
+        nonsingular.
+
+        On segment i of L_i steps, with rbar_i the target rate less the mean
+        of mu + Phidot, the weight w_i = abar_i^(-1) rbar_i is held over the
+        segment and the inner value is 1/2 sum_i L_i dt rbar_i.w_i.
+        sigma^T w is the Wiener-direction control.
         """
         co = self.coeffs
-        fhat = _lift(self.tri, dmat)
-        y = fhat[: self.n]
-        sig = co.sigma(y)
         sigt, phidot = _phi(co, fhat, dmat, self.span)
         first, steps = self.first_steps, self.lengths[:, None]
-        a = sig @ np.swapaxes(sig, -1, -2)
-        a_bar = np.add.reduceat(a, first) / steps[..., None]
-        _require_nonsingular(a_bar, "segment-mean diffusion matrix")
-        r_bar = (self.rate - np.add.reduceat(co.mu(y), first) / steps) - (
-            np.add.reduceat(phidot, first) / steps)
+        mu_bar = np.add.reduceat(co.mu(fhat[:, : self.n]), first, axis=1) / steps
+        r_bar = (self.rate - mu_bar) - np.add.reduceat(phidot, first, axis=1) / steps
         w_bar = np.linalg.solve(a_bar, r_bar[..., None])[..., 0]
-        value = 0.5 * np.sum(steps * r_bar * w_bar) * self.dt
-        w = np.repeat(w_bar, self.lengths, axis=0)
-        return fhat, sigt, w, np.einsum("jik,ji->jk", sig, w), value
+        terms = (steps * r_bar * w_bar).reshape(len(dmat), self.ends.size * co.d)
+        value = 0.5 * np.sum(terms, axis=1) * self.dt
+        w = np.repeat(w_bar, self.lengths, axis=1)
+        return sigt, w, np.einsum("...jik,...ji->...jk", sig, w), value
+
+    def inner(self, dmat):
+        """(fhat, sigma_tilde per step, w, sigma^T w, inner value) at one
+        control ``dmat`` (N, p), a stack of one.
+
+        Raises ``SingularDiffusionError`` where an abar_i is singular.
+        """
+        stack = dmat[None]
+        fhat, sig, a_bar = self._diffusion(stack)
+        _require_nonsingular(a_bar[0], "segment-mean diffusion matrix")
+        fields = (fhat,) + self._weights(stack, fhat, sig, a_bar)
+        return tuple(field[0] for field in fields)
 
     def value_grad(self, flat):
-        """Objective and its adjoint gradient; +inf where a is singular.
+        """Objective and adjoint gradient at each row of a stack of flat
+        controls (rows, N p): values (rows,) and gradients (rows, N p); one
+        flat control (N p,) gives one value and one gradient.
 
+        A row where an abar_i is singular (a negative
+        ``_singularity_margin``) gets +inf and a zero gradient and leaves
+        the rest of the pass.  No step of the pass mixes rows, so a row's
+        value and gradient are the bits it has evaluated alone.
         With w held over each segment, d/d(mu_j + Phidot_j) = -w_j dt and
         d/d(sigma_j) = -w_j (sigma_j^T w_j)^T dt.
         """
-        dmat = flat.reshape(self.n, self.p)
-        try:
-            fhat, sigt, w, sw, inner = self.inner(dmat)
-        except SingularDiffusionError:
-            return np.inf, np.zeros_like(flat)
         co, dt, n, p, d = self.coeffs, self.dt, self.n, self.p, self.coeffs.d
-        value = 0.5 * np.sum(dmat * dmat) * dt + inner
-        y = fhat[:n]
+        stack = flat.reshape(-1, n, p)
+        values = np.full(len(stack), np.inf)
+        grads = np.zeros(stack.shape)
+        fhat, sig, a_bar = self._diffusion(stack)
+        margin = _singularity_margin(a_bar)[0].reshape(len(stack), -1)
+        ok = np.min(margin, axis=1) >= 0.0
+        dmat = stack
+        if not ok.all():
+            dmat, fhat, sig, a_bar = stack[ok], fhat[ok], sig[ok], a_bar[ok]
+        sigt, w, sw, inner = self._weights(dmat, fhat, sig, a_bar)
+        rows, y = len(dmat), fhat[:, :n]
 
         dmu = co.mu.jacobian(y)
-        dsig = co.sigma.jacobian(y).reshape(n, d * d, p)
+        dsig = co.sigma.jacobian(y).reshape(rows, n, d * d, p)
         # sum_ik w_i (sigma^T w)_k dsigma_ik/dy_m as the outer product
         # w (sigma^T w)^T, flattened, against the flattened Jacobian
-        wsw = (w[:, :, None] * sw[:, None, :]).reshape(n, d * d)
-        s_nodes = np.zeros((n + 1, p))
-        s_nodes[:n] -= np.einsum("ji,jim->jm", w, dmu) * dt
-        s_nodes[:n] -= np.einsum("jq,jqm->jm", wsw, dsig) * dt
+        wsw = (w[..., :, None] * sw[..., None, :]).reshape(rows, n, d * d)
+        s_nodes = np.zeros((rows, n + 1, p))
+        s_nodes[:, :n] -= np.einsum("...ji,...jim->...jm", w, dmu) * dt
+        s_nodes[:, :n] -= np.einsum("...jq,...jqm->...jm", wsw, dsig) * dt
         # sigma_tilde is read once per block: sum w fdot^T over the block,
         # then contract with the Jacobian at its left end
         span = self.span
-        wf = (w[:, :, None] * dmat[:, None, :]).reshape(-1, span, d * p)
-        dsigt = co.sigma_tilde.jacobian(fhat[:n:span]).reshape(-1, d * p, p)
-        s_nodes[:n:span] -= np.einsum("bq,bqm->bm", wf.sum(axis=1), dsigt) * dt
-        grad = dmat * dt - np.einsum("jil,ji->jl", sigt, w) * dt
+        blocks = n // span
+        wf = (w[..., :, None] * dmat[..., None, :]).reshape(rows, blocks, span, d * p)
+        dsigt = co.sigma_tilde.jacobian(fhat[:, :n:span]).reshape(
+            rows, blocks, d * p, p)
+        s_nodes[:, :n:span] -= np.einsum(
+            "...bq,...bqm->...bm", wf.sum(axis=2), dsigt) * dt
+        grad = dmat * dt - np.einsum("...jil,...ji->...jl", sigt, w) * dt
         grad += _lift_adjoint(self.tri, s_nodes)
-        return value, grad.reshape(-1)
+        energy = np.sum((dmat * dmat).reshape(rows, n * p), axis=1)
+        values[ok] = 0.5 * energy * dt + inner
+        grads[ok] = grad
+        # a flat control's value is the 0-d entry, read out as a scalar
+        return values.reshape(flat.shape[:-1])[()], grads.reshape(flat.shape)
 
 
 def _coarsen(objective):
@@ -513,7 +594,8 @@ def _solve(objective, opt: OptimizerConfig) -> RateSolution:
             2.0 * _value_at_zero(coarse), opt,
         )
         x0 = np.repeat(winner[0].reshape(coarse.n, p), n // coarse.n, axis=0)
-        best = _lbfgs(objective.value_grad, x0.reshape(-1), grid.dt, 2.0 * upper)
+        best = _lbfgs(objective.value_grad, [x0.reshape(-1)], grid.dt,
+                      2.0 * upper)[0]
         table += (_start_row(best),)
     x_best, f_best, _, iters, converged, crit = best
     dmat = x_best.reshape(n, p)

@@ -568,10 +568,11 @@ n_starts = 2
         assert manifest["blas"] == f"{blas['name']} {blas['version']}"
         keys = {
             "command", "config_sha256", "seed", "version", "overrides",
-            "threads_effective", "status", "python", "numpy", "scipy",
-            "blas", "platform",
+            "threads_effective", "status", "warnings", "python", "numpy",
+            "scipy", "blas", "platform",
         }
         assert set(manifest) == keys
+        assert manifest["warnings"] == []
 
         # a failed run writes the same fields plus the error
         out = str(tmp_path / "failed")
@@ -584,6 +585,61 @@ n_starts = 2
         assert failed["error"]["category"] == "CONFIG"
         for key in ("python", "numpy", "scipy", "blas", "platform"):
             assert failed[key] == manifest[key]
+
+    @pytest.mark.parametrize("command, code", [
+        ("terminal-rate", 0), ("verify-ldp", 4),
+    ])
+    def test_warnings_are_printed_and_recorded(self, tmp_path, command, code):
+        # sigma(y) = 0.05 + y vanishes at y = -0.05, so the optimizer starts
+        # settle in the two wells on either side and disagree.  The crude
+        # estimator sees no path reach 3.0, warns that the frequency is
+        # degenerate, and the slope fit then fails: an error run warns too.
+        text = """
+[grid]
+horizon = 1.0
+n_steps = 16
+
+[kernel.1]
+family = riemann_liouville
+hurst = 0.3
+scale = 1.0
+
+[model.volatility]
+family = affine
+constant = 0.05
+linear = 1.0
+rho = 0.0
+
+[terminal-rate]
+z = 1.0
+
+[verify-ldp]
+threshold = 3.0
+epsilons = 0.3 0.2 0.1
+n_paths = 2000
+estimator = crude
+
+[run]
+seed = 3
+"""
+        out = str(tmp_path / "out")
+        path = _ini(tmp_path, text)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            assert main([command, "--config", path, "--out", out,
+                         "--threads", "1"]) == code
+        recorded = _manifest(out)["warnings"]
+        assert recorded == [
+            {"category": w.category.__name__, "message": str(w.message)}
+            for w in shown
+        ]
+        categories = [w["category"] for w in recorded]
+        assert categories[0] == "MultistartSpreadWarning"
+        assert "disagree" in recorded[0]["message"]
+        if command == "verify-ldp":
+            assert _manifest(out)["status"] == "error"
+            assert "RuntimeWarning" in categories
+            assert any("degenerate" in w["message"] for w in recorded)
 
 
 class TestVerifyLdp:

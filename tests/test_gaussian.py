@@ -231,6 +231,18 @@ def test_per_path_convolution_matches_path_loop(n_steps):
             assert np.array_equal(volterra[k, :, ell], want), (k, ell)
 
 
+def test_hat_weights_are_built_once_and_read_only():
+    # every rate objective on a grid reads the same lift triangle, so it is
+    # built on the first read and shared: a write to it must fail
+    for disc in bank_discretizations(mixed_bank(), TimeGrid(0.9, 16)):
+        first = disc.hat_weights
+        assert disc.hat_weights is first
+        with pytest.raises(ValueError):
+            first[1, 0] = 0.0
+        with pytest.raises(ValueError):
+            first[1:] *= 2.0
+
+
 def test_single_path_replay():
     # one stored path, given its index, replays the Bhat of the 3,000-path
     # draw alone, wherever it sits in its unit

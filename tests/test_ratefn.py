@@ -22,8 +22,8 @@ from volldp.ratefn import (
 )
 from volldp.model import ConstantMap, ModelCoefficients, make_map
 from volldp.ratefn import (
-    _SPREAD_WARN, _Objective, _lift, _lift_adjoint, _lift_factors, _multistart,
-    _solve, _uncorrelated,
+    _SPREAD_WARN, _Objective, _lbfgs, _lift, _lift_adjoint, _lift_factors,
+    _multistart, _solve, _uncorrelated,
 )
 
 from conftest import affine_vol_coeffs, constant_coeffs, exp_vol_coeffs, rl_bank
@@ -868,3 +868,114 @@ def test_two_well_landscape_warns(n_steps):
         sol = terminal_rate(1.0, bank, coeffs, grid)
     assert sol.multistart_spread > _SPREAD_WARN
     assert sol.converged
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation and lockstep starts
+# ---------------------------------------------------------------------------
+
+
+def stack_problem(model, functional, n_steps):
+    """An objective of ``functional`` (i_t, i_z or i_z_m with 4 blocks) on
+    the d = p = 1, rate-surface or d = 2, p = 3 model."""
+    grid = TimeGrid(1.0, n_steps)
+    if model == "d1_p1":
+        bank, coeffs = rl_bank(0.35), exp_vol_coeffs(0.5, amplitude=0.3)
+    elif model == "surface":
+        bank, coeffs = surface_model()
+    else:
+        bank, coeffs = three_factor_bank(), d2_p3_coeffs()
+    z = np.array([0.6, -0.4])[: coeffs.d]
+    if functional == "i_t":
+        return _Objective(grid, bank, coeffs, (n_steps,), z[None] / grid.horizon)
+    xdot = CameronMartinPath.straight_line(grid, z).derivative
+    m = 4 if functional == "i_z_m" else None
+    return _Objective(grid, bank, coeffs, np.arange(1, n_steps + 1), xdot, m)
+
+
+@pytest.mark.parametrize("model, functional", [
+    ("d1_p1", "i_t"), ("d1_p1", "i_z"), ("d1_p1", "i_z_m"),
+    ("surface", "i_t"), ("surface", "i_z"), ("surface", "i_z_m"),
+    ("d2_p3", "i_t"), ("d2_p3", "i_z_m"),
+])
+def test_stacked_rows_are_the_bits_of_each_row_alone(model, functional):
+    # the lockstep optimizer relies on this: a row's value and gradient do
+    # not depend on the rows stacked beside it, nor on its place
+    problem = stack_problem(model, functional, 64)
+    rng = np.random.default_rng(61)
+    size = 64 * problem.p
+    stack = rng.normal(size=(5, size)) * np.array([0.0, 0.2, 0.5, 0.9, 1.4])[:, None]
+    values, grads = problem.value_grad(stack)
+    assert values.shape == (5,) and grads.shape == (5, size)
+    assert np.all(np.isfinite(values))
+    flipped_values, flipped_grads = problem.value_grad(stack[::-1].copy())
+    for k, row in enumerate(stack):
+        value, grad = problem.value_grad(row)
+        assert np.ndim(value) == 0 and grad.shape == (size,)
+        assert values[k] == value and np.array_equal(grads[k], grad)
+        assert flipped_values[4 - k] == value
+        assert np.array_equal(flipped_grads[4 - k], grad)
+        # the inner pass at one control is the same stack of one
+        inner = problem.inner(row.reshape(64, problem.p))[-1]
+        assert value == 0.5 * np.sum(row * row) * problem.dt + inner
+
+
+def test_singular_rows_give_inf_beside_finite_rows():
+    # sigma(y) = y: the zero control has fhat = 0, so a = 0 over the only
+    # segment of I_T, while a random control keeps a well away from 0
+    grid = TimeGrid(1.0, 16)
+    coeffs = affine_vol_coeffs(0.0, const=0.0, slope=1.0)
+    problem = _Objective(grid, rl_bank(0.3), coeffs, (16,), [[0.5]])
+    rng = np.random.default_rng(62)
+    stack = rng.normal(size=(4, 16))
+    stack[[1, 3]] = 0.0
+    values, grads = problem.value_grad(stack)
+    assert np.all(values[[1, 3]] == np.inf)
+    assert np.all(grads[[1, 3]] == 0.0)
+    for k in (0, 2):
+        value, grad = problem.value_grad(stack[k])
+        assert np.isfinite(value)
+        assert values[k] == value and np.array_equal(grads[k], grad)
+    values, grads = problem.value_grad(stack[[1, 3]])
+    assert np.all(values == np.inf) and np.all(grads == 0.0)
+    with pytest.raises(SingularDiffusionError, match="segment-mean"):
+        problem.inner(np.zeros((16, 1)))
+
+
+@pytest.mark.parametrize("case", ["surface", "two_well"])
+def test_lockstep_starts_equal_each_start_run_alone(case):
+    # the starts stop in different rounds; each result is bitwise the lone
+    # run's, and the lockstep needs as many evaluations as its longest start
+    if case == "surface":
+        problem = stack_problem("surface", "i_t", 64)
+    else:  # starts in two wells, line searches that meet a = 0
+        bank, coeffs = two_well_model()
+        grid = TimeGrid(1.0, 16)
+        problem = _Objective(grid, bank, coeffs, (16,), [[1.0]])
+    size = problem.n * problem.p
+    radius_sq = 2.0 * problem.inner(np.zeros((problem.n, problem.p)))[-1]
+    rng = np.random.default_rng(63)
+    starts = [np.zeros(size)] + [
+        z * np.sqrt(radius_sq / problem.dt) * (0.15 + 0.2 * k) / np.linalg.norm(z)
+        for k, z in enumerate(rng.normal(size=(4, size)))
+    ]
+    rows = []
+
+    def counted(flat):
+        rows.append(len(flat))
+        return problem.value_grad(flat)
+
+    together = _lbfgs(counted, starts, problem.dt, radius_sq)
+    rounds, evaluated = len(rows), sum(rows)
+    alone = []
+    for x0 in starts:
+        rows.clear()
+        alone.append(_lbfgs(counted, [x0], problem.dt, radius_sq)[0])
+        alone[-1] += (len(rows),)
+    assert len({run[3] for run in together}) > 1
+    assert rounds == max(run[-1] for run in alone)
+    assert evaluated == sum(run[-1] for run in alone)
+    for run, lone in zip(together, alone):
+        x, f, g, iterations, converged, crit = run
+        assert np.array_equal(x, lone[0]) and np.array_equal(g, lone[2])
+        assert (f, iterations, converged, crit) == lone[1:2] + lone[3:6]
