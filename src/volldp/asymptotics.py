@@ -7,16 +7,16 @@ typical).  There is one tail estimator: the crude estimate is the same one
 without a control, where no driver is shifted and every weight is 1.  The
 decay rate is then read off as the slope of -log p(eps) against 1 / eps^2.
 
-Every Monte Carlo run here goes through one runner, ``_euler_blocks``: it
-cuts the path range into blocks of one normal stream unit,
-``gaussian._UNIT_PATHS`` = 1,024 paths, runs the one Euler scheme,
-``model.euler_paths_array``, on each block and returns a reducer's value of
-every block in block order.  A block's driver draws depend only on (seed,
-path index) and each block draws exactly one unit's stream, so the blocks
-run in any order on a small thread pool, at most one worker per 8,192 paths
-(``pool_size``), and none redraws another's stream.  The estimator's
-reducer returns the log-weights of a block's hits and its count of
-non-finite paths.  The hits' log-weights are joined in block order and
+Every Monte Carlo run here goes through one runner, ``_blocks``: it cuts the
+path range into blocks of one normal stream unit, ``gaussian._UNIT_PATHS`` =
+1,024 paths, and returns a body's value of every block in block order; each
+body here runs the one Euler scheme, ``model.euler_paths_array``, on its block
+and returns new arrays, never views of its workspace.  A block's driver draws
+depend only on (seed, path index) and each block draws exactly one unit's
+stream, so the blocks run in any order on a small thread pool, at most one
+worker per 8,192 paths (``pool_size``), and none redraws another's stream.
+The estimator's body returns the log-weights of a block's hits and its count
+of non-finite paths.  The hits' log-weights are joined in block order and
 reduced once, relative to the largest of them, which makes every estimate
 bitwise independent of the number of threads.
 Weights stay in log space until then, so an estimate far below the
@@ -35,7 +35,7 @@ simulated through two routes that are equal in law at matched resolution:
   under ``Scaling.short_time(1.0)``, subsampled back to the reference nodes.
 
 Both routes run on the same runner as the estimator (the tail estimator
-under ``Scaling.small_noise(eps)``): each route's reducer returns a block's
+under ``Scaling.small_noise(eps)``): each route's body returns a block's
 renormalized rows and the rows are joined in block order, so a path set
 does not depend on the number of threads.  Every path set is an array of
 shape (n, N + 1, d).  The uncorrelated model is sigma_tilde = 0, so a tilt
@@ -69,7 +69,7 @@ from .errors import (
     OptimizationError,
     ValidationError,
 )
-from .gaussian import _UNIT_PATHS, Workspace, _two_sample_ks, discretize_kernel
+from .gaussian import _UNIT_PATHS, Workspace, _two_sample_ks, bank_discretizations
 from .grids import TimeGrid
 from .kernels import KernelBank, ScaleEntry, ScalingSchedule, rescale_kernel
 from .model import ModelCoefficients, ProbeLattice, Scaling, euler_paths_array
@@ -143,7 +143,7 @@ def pool_size(n_paths: int, threads: int | None = None) -> int:
     (all CPUs where the platform has no ``os.sched_getaffinity``, as on
     macOS and Windows); never more than one per ``_WORKER_PATHS`` = 8,192
     paths, so a run of up to 8,192 paths uses no pool.  The blocks stay
-    one unit each (``_euler_blocks``); the pool only decides how many run
+    one unit each (``_blocks``); the pool only decides how many run
     at once.
     """
     if threads is None:
@@ -156,37 +156,28 @@ def pool_size(n_paths: int, threads: int | None = None) -> int:
     return min(threads, -(-n_paths // _WORKER_PATHS))
 
 
-def _euler_blocks(
-    coeffs, bank, grid, scaling, n_paths: int, seed, threads, reduce, **shifts
-) -> list:
-    """``reduce(paths)`` of the Euler paths of every path block, in block order.
+def _blocks(n_paths: int, threads, body) -> list:
+    """``body(first, count, work)`` of every path block, in block order.
 
-    The path range is cut into blocks of one normal-stream unit,
-    ``_UNIT_PATHS`` paths each, so every block starts on a unit boundary
-    and draws exactly one unit's stream.  Each block is one
-    ``euler_paths_array`` call with the driver ``shifts``.  A block's draws
-    depend only on (seed, path index) and the results come back in block
-    order, so whatever is reduced from them is bitwise the same whatever
-    the number of worker threads and the order in which blocks finish.
-    Each worker thread draws every block it runs into one ``Workspace`` of
-    unit-sized arrays, made for this call, so a block reuses the memory of
-    the one before instead of mapping fresh pages; the values are the
-    same to the bit.  ``paths`` is therefore overwritten by the worker's
-    next block: ``reduce`` must return new arrays, never views of it.
+    The path range is cut into blocks [first, first + count) of one
+    normal-stream unit, ``_UNIT_PATHS`` paths each, so every block starts on a
+    unit boundary and draws exactly one unit's stream.  A block's draws depend
+    only on (seed, path index) and the results come back in block order, so
+    whatever a body reduces from them is bitwise the same whatever the number of
+    worker threads and the order in which blocks finish.  Each worker thread
+    hands every block it runs one ``Workspace`` of unit-sized arrays, made for
+    this call, so a block reuses the memory of the one before instead of mapping
+    fresh pages; the values are the same to the bit.  The worker's next block
+    overwrites them: ``body`` must return new arrays, never views of ``work``.
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
-    for kernel in bank:  # fill the discretization cache before any worker
-        discretize_kernel(kernel, grid)
     local = threading.local()
 
     def block(first: int, count: int):
         if not hasattr(local, "work"):
             local.work = Workspace()
-        return reduce(euler_paths_array(
-            coeffs, bank, grid, scaling, count, seed, first_path=first,
-            work=local.work, **shifts
-        ))
+        return body(first, count, local.work)
 
     firsts = range(0, n_paths, _UNIT_PATHS)
     counts = [min(_UNIT_PATHS, n_paths - first) for first in firsts]
@@ -208,7 +199,7 @@ def _tail_estimate(
     """
     _validate_tail_args(n_paths)
     scaling = Scaling.small_noise(epsilon)
-    shifts = {}
+    brownian_shift = wiener_shift = None
     if control is not None:
         if not control.converged:
             raise OptimizationError(
@@ -227,24 +218,24 @@ def _tail_estimate(
         f_sq = float(np.sum(fdot**2)) * dt
         y_sq = float(np.sum(ydot**2)) * dt
         const = (f_sq + y_sq) / (2.0 * epsilon**2)
-        shifts = {"brownian_shift": fdot * dt / epsilon,
-                  "wiener_shift": ydot * dt / epsilon}
+        brownian_shift, wiener_shift = fdot * dt / epsilon, ydot * dt / epsilon
 
-    def reduce(paths):
+    def body(first, count, work):
         """(log w of the block's hits, its count of non-finite paths)."""
+        paths = euler_paths_array(coeffs, bank, grid, scaling, count, seed,
+                                  first_path=first, brownian_shift=brownian_shift,
+                                  wiener_shift=wiener_shift, work=work)
         values = paths.values
         log_w = np.zeros(values.shape[0]) if control is None else (
             const
             - np.einsum("jl,kjl->k", fdot, paths.increments) / epsilon
             - np.einsum("ji,kji->k", ydot, paths.dw) / epsilon
         )
-        del paths  # the driver arrays are not read past this point
         finite = np.all(np.isfinite(values[:, -1, :]), axis=1)
         return log_w[event.indicator(values)], int(np.count_nonzero(~finite))
 
-    parts = _euler_blocks(
-        coeffs, bank, grid, scaling, n_paths, seed, threads, reduce, **shifts
-    )
+    bank_discretizations(bank, grid)  # fill the cache before any worker
+    parts = _blocks(n_paths, threads, body)
     nonfinite = sum(count for _, count in parts)
     if nonfinite:
         raise NonFinitePathError(
@@ -256,12 +247,13 @@ def _tail_estimate(
     hits = hit_log_w.size
     if control is None and (hits < 10 or hits == n_paths):
         warnings.warn(
-            f"event frequency is degenerate ({hits} of {n_paths} paths); "
-            "the estimate carries no rate information -- consider the "
-            "tilted estimator or a different noise level"
+            f"event frequency is degenerate at epsilon = {epsilon:g} ({hits} "
+            f"of {n_paths} paths); the estimate carries no rate information "
+            "-- consider the tilted estimator or a different noise level"
             if hits in (0, n_paths) else
-            f"only {hits} of {n_paths} paths hit the event; the crude "
-            "estimate is nearly degenerate -- consider the tilted estimator",
+            f"only {hits} of {n_paths} paths hit the event at epsilon = "
+            f"{epsilon:g}; the crude estimate is nearly degenerate -- consider "
+            "the tilted estimator",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -438,10 +430,14 @@ def short_time_values(
     delta = scale.eta
     rescaled = KernelBank(tuple(rescale_kernel(k, scale.eta) for k in bank))
     factor = scale.epsilon / np.sqrt(delta)
-    return np.concatenate(_euler_blocks(
-        coeffs, rescaled, grid, Scaling.short_time(delta), n_paths, seed,
-        threads, lambda paths: paths.values * factor,
-    ))
+
+    def body(first, count, work):
+        paths = euler_paths_array(coeffs, rescaled, grid, Scaling.short_time(delta),
+                                  count, seed, first_path=first, work=work)
+        return paths.values * factor
+
+    bank_discretizations(rescaled, grid)  # fill the cache before any worker
+    return np.concatenate(_blocks(n_paths, threads, body))
 
 
 def short_time_direct(
@@ -471,10 +467,14 @@ def short_time_direct(
     delta = scale.eta
     fine = TimeGrid(grid.horizon * delta, grid.n_steps * refine)
     factor = scale.epsilon / np.sqrt(delta)
-    return np.concatenate(_euler_blocks(
-        coeffs, bank, fine, Scaling.short_time(1.0), n_paths, seed, threads,
-        lambda paths: paths.values[:, ::refine] * factor,
-    ))
+
+    def body(first, count, work):
+        paths = euler_paths_array(coeffs, bank, fine, Scaling.short_time(1.0),
+                                  count, seed, first_path=first, work=work)
+        return paths.values[:, ::refine] * factor
+
+    bank_discretizations(bank, fine)  # fill the cache before any worker
+    return np.concatenate(_blocks(n_paths, threads, body))
 
 
 # ---------------------------------------------------------------------------

@@ -47,17 +47,17 @@ dB before V and Bhat are formed, so a shifted draw goes through the same
 convolution.  ``replay_volterra`` recomputes Bhat from stored dB and V
 arrays bit for bit, shifted or not, for one path alone too, given the
 index of the first stored path.
-The Monte Carlo runs rely on this: the tail estimators and the short-time
-routes draw one unit per block (``first_path`` is the unit's first path,
-so no block redraws a unit prefix) on worker threads and join the blocks'
-results in block order, so their results do not depend on the thread
-count.  Each worker draws every block it runs into one ``Workspace``, a
-set of unit-sized arrays that ``path_normals``, ``draw_driver_arrays``,
-the convolution and the Euler step write into in place, with the same
+The Monte Carlo runs rely on this: ``asymptotics._blocks`` runs a body on
+one unit per block (``first_path`` is the unit's first path, so no block
+redraws a unit prefix) on worker threads and joins the bodies' results in
+block order, so their results do not depend on the thread count.  Each
+worker draws every block it runs into one ``Workspace``, a set of
+unit-sized arrays that ``path_normals``, ``draw_driver_arrays``, the
+convolution and the Euler step write into in place, with the same
 operands in the same order, so no bit changes; dead slices stand in for
 extra arrays.  A block's arrays are overwritten by the worker's next
-block, so whatever a run keeps from a block is a new array, never a view
-of the block's paths.  A draw without a workspace gets new arrays.
+block, so a body returns new arrays, never views of its workspace.  A
+draw without a workspace gets new arrays.
 """
 
 import math

@@ -212,7 +212,10 @@ def hat_map(f: CameronMartinPath, bank: KernelBank) -> np.ndarray:
     at every node, (N + 1, p).
 
     Uses the same cell-exact weights as the path sampler, so fhat is exactly
-    the Cameron-Martin shift of the discrete convolution scheme.
+    the Cameron-Martin shift of dB alone in the discrete convolution scheme:
+    the edge normals xi that ``gaussian.draw_driver_arrays`` adds to each
+    singular cell stay at zero.  With a non-Brownian factor the rate reported
+    from this lift is therefore an upper bound of the N-step scheme's rate.
     """
     if f.dim != bank.n_factors:
         raise DomainError(

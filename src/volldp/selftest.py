@@ -11,7 +11,7 @@ live in one place.
 
 import numpy as np
 
-from .asymptotics import _euler_blocks
+from .asymptotics import _blocks
 from .gaussian import (
     _UNIT_PATHS, bank_discretizations, covariance_matrix, draw_driver_arrays,
     replay_volterra, terminal_variance_bound,
@@ -71,7 +71,7 @@ def check_replay(rng, n_paths: int) -> list:
     """Stored dB and V of an Euler draw replay Bhat bit for bit, all paths
     at once and the last path alone, with and without a random shift; the
     draw straddles two units.  Each of these paths, drawn in a block of
-    the Monte Carlo runner ``_euler_blocks`` (whose arrays each block
+    the Monte Carlo runner ``_blocks`` (whose workspace each block
     reuses), has the Euler values and dW of the same path redrawn alone,
     bit for bit, under a volatility that varies with Bhat."""
     grid = TimeGrid(0.9, 14)
@@ -94,17 +94,14 @@ def check_replay(rng, n_paths: int) -> list:
     seed = _seed(rng)
     # drawn from the case seed, not from rng, so later checks keep their cases
     tilt_rng = np.random.default_rng(seed)
-    tilt = {
-        "brownian_shift": tilt_rng.normal(size=(grid.n_steps, p)) * grid.dt,
-        "wiener_shift": tilt_rng.normal(size=(grid.n_steps, 1)) * grid.dt,
-    }
+    tilt = (tilt_rng.normal(size=(grid.n_steps, p)) * grid.dt,
+            tilt_rng.normal(size=(grid.n_steps, 1)) * grid.dt)
     failures = []
-    for shifts in ({}, tilt):
+    for draw, (db_shift, dw_shift) in (("unshifted", (None, None)), ("shifted", tilt)):
         paths = euler_paths_array(
             coeffs, bank, grid, scaling, n_paths, seed=seed, first_path=first,
-            **shifts,
+            brownian_shift=db_shift, wiener_shift=dw_shift,
         )
-        draw = "shifted" if shifts else "unshifted"
         rebuilt = replay_volterra(bank, grid, paths.increments, paths.singular,
                                   first)
         if not np.array_equal(rebuilt, paths.volterra):
@@ -115,16 +112,19 @@ def check_replay(rng, n_paths: int) -> list:
         if not np.array_equal(alone[0], paths.volterra[k]):
             failures.append(f"{draw} path {first + k} alone does not replay "
                             "its Bhat")
-        blocks = _euler_blocks(
-            coeffs, bank, grid, scaling, first + n_paths, seed, 1,
-            lambda block: (block.values.copy(), block.dw.copy()), **shifts,
-        )
+
+        def block(first, count, work=None):
+            paths = euler_paths_array(
+                coeffs, bank, grid, scaling, count, seed, first_path=first,
+                brownian_shift=db_shift, wiener_shift=dw_shift, work=work)
+            return paths.values.copy(), paths.dw.copy()
+
+        blocks = _blocks(first + n_paths, 1, block)
         values, dw = (np.concatenate(part) for part in zip(*blocks))
         for k in range(first, first + n_paths):
-            alone = euler_paths_array(coeffs, bank, grid, scaling, 1, seed,
-                                      first_path=k, **shifts)
-            if not (np.array_equal(alone.values[0], values[k])
-                    and np.array_equal(alone.dw[0], dw[k])):
+            alone_values, alone_dw = block(k, 1)
+            if not (np.array_equal(alone_values[0], values[k])
+                    and np.array_equal(alone_dw[0], dw[k])):
                 failures.append(f"{draw} path {k} alone does not replay its "
                                 "values and dW of the Monte Carlo blocks")
     return failures

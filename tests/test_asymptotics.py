@@ -1,6 +1,8 @@
 """Tail probability estimators, LDP slope fits, and short-time diagnostics."""
 
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from volldp.asymptotics import (
     ExceedanceRow,
     ShortTimeReport,
     TerminalHalfSpace,
-    _euler_blocks,
+    _blocks,
     equivalence_diagnostic,
     estimate_tail_prob,
     ldp_slope,
@@ -28,7 +30,9 @@ from volldp.errors import (
     OptimizationError,
     ValidationError,
 )
-from volldp.gaussian import _UNIT_PATHS, Workspace, _two_sample_ks
+from volldp.gaussian import (
+    _UNIT_PATHS, Workspace, _two_sample_ks, bank_discretizations,
+)
 from volldp.grids import TimeGrid
 from volldp.kernels import KernelBank, ScaleEntry, ScalingSchedule, make_kernel
 from volldp.model import (
@@ -262,10 +266,14 @@ def test_reused_block_arrays_give_a_fresh_draw_bit_for_bit(threads):
                 "brownian_shift": 0.1 * rng.normal(size=(n_steps, coeffs.p)),
                 "wiener_shift": 0.1 * rng.normal(size=(n_steps, coeffs.d)),
             }
-            parts = _euler_blocks(
-                coeffs, bank, grid, scaling, n, 5, threads,
-                lambda paths: tuple(np.array(a) for a in paths), **shifts,
-            )
+            bank_discretizations(bank, grid)  # fill the cache before any worker
+
+            def body(first, count, work):
+                paths = euler_paths_array(coeffs, bank, grid, scaling, count, 5,
+                                          first_path=first, work=work, **shifts)
+                return tuple(np.array(a) for a in paths)
+
+            parts = _blocks(n, threads, body)
             whole = euler_paths_array(coeffs, bank, grid, scaling, n, 5, **shifts)
             again = euler_paths_array(coeffs, bank, grid, scaling, n, 5,
                                       work=carried, **shifts)
@@ -273,6 +281,31 @@ def test_reused_block_arrays_give_a_fresh_draw_bit_for_bit(threads):
                 joined = np.concatenate([part[k] for part in parts])
                 assert np.array_equal(joined, whole[k]), (name, n_steps)
                 assert np.array_equal(again[k], whole[k]), (name, n_steps)
+
+
+def test_block_runner_threads_and_workspaces():
+    # what the bits cannot show: a run of up to 8,192 paths runs every block
+    # on the calling thread with one workspace, a pooled run gives each worker
+    # thread one workspace, and both return the bodies' results in block
+    # order.  The early blocks sleep longest, so pooled blocks finish out of
+    # order.
+    def body(first, count, work):
+        time.sleep(1e-3 * (8 - first // _UNIT_PATHS))
+        return first, count, threading.get_ident(), id(work)
+
+    for n, workers in ((8 * _UNIT_PATHS, 1), (8 * _UNIT_PATHS + 500, 2)):
+        assert pool_size(n, threads=2) == workers
+        results = _blocks(n, 2, body)
+        assert [r[:2] for r in results] == [
+            (first, min(_UNIT_PATHS, n - first)) for first in range(0, n, _UNIT_PATHS)
+        ]
+        used = {(thread, work) for *_, thread, work in results}
+        threads = {thread for thread, _ in used}
+        if workers == 1:
+            assert used == {(threading.get_ident(), results[0][3])}
+        else:  # one workspace per worker thread, none on the calling thread
+            assert len(used) == len(threads) <= workers
+            assert threading.get_ident() not in threads
 
 
 def test_tail_prob_sample_size_floor(unit_grid):

@@ -85,6 +85,39 @@ def _snapshot(out_dir):
 # ---------------------------------------------------------------------------
 
 
+# sigma(y) = 0.05 + y vanishes at y = -0.05, so the optimizer starts settle
+# in the two wells on either side and disagree; no path reaches 3.0 at any
+# of the three noise levels of the crude estimator
+_TWO_WELLS = """
+[grid]
+horizon = 1.0
+n_steps = 16
+
+[kernel.1]
+family = riemann_liouville
+hurst = 0.3
+scale = 1.0
+
+[model.volatility]
+family = affine
+constant = 0.05
+linear = 1.0
+rho = 0.0
+
+[terminal-rate]
+z = 1.0
+
+[verify-ldp]
+threshold = 3.0
+epsilons = 0.3 0.2 0.1
+n_paths = 2000
+estimator = crude
+
+[run]
+seed = 3
+"""
+
+
 class TestParseConfig:
     def test_minimal_one_factor(self):
         cfg = parse_config(_one_factor_text(n_steps=16, seed=123, rho=0.3))
@@ -590,40 +623,11 @@ n_starts = 2
         ("terminal-rate", 0), ("verify-ldp", 4),
     ])
     def test_warnings_are_printed_and_recorded(self, tmp_path, command, code):
-        # sigma(y) = 0.05 + y vanishes at y = -0.05, so the optimizer starts
-        # settle in the two wells on either side and disagree.  The crude
-        # estimator sees no path reach 3.0, warns that the frequency is
-        # degenerate, and the slope fit then fails: an error run warns too.
-        text = """
-[grid]
-horizon = 1.0
-n_steps = 16
-
-[kernel.1]
-family = riemann_liouville
-hurst = 0.3
-scale = 1.0
-
-[model.volatility]
-family = affine
-constant = 0.05
-linear = 1.0
-rho = 0.0
-
-[terminal-rate]
-z = 1.0
-
-[verify-ldp]
-threshold = 3.0
-epsilons = 0.3 0.2 0.1
-n_paths = 2000
-estimator = crude
-
-[run]
-seed = 3
-"""
+        # the optimizer starts disagree.  The crude estimator sees no path
+        # reach 3.0, warns that the frequency is degenerate, and the slope
+        # fit then fails: an error run warns too.
         out = str(tmp_path / "out")
-        path = _ini(tmp_path, text)
+        path = _ini(tmp_path, _TWO_WELLS)
         with warnings.catch_warnings(record=True) as shown:
             warnings.simplefilter("always")
             assert main([command, "--config", path, "--out", out,
@@ -640,6 +644,22 @@ seed = 3
             assert _manifest(out)["status"] == "error"
             assert "RuntimeWarning" in categories
             assert any("degenerate" in w["message"] for w in recorded)
+
+    def test_degenerate_warning_names_its_noise_level(self, tmp_path):
+        # under the default filter, which shows a warning once per message
+        # and location, each noise level that no path reaches keeps its own
+        # manifest entry
+        out = str(tmp_path / "out")
+        path = _ini(tmp_path, _TWO_WELLS)
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("default", RuntimeWarning)
+            assert main(["verify-ldp", "--config", path, "--out", out,
+                         "--threads", "1"]) == 4
+        degenerate = [w["message"] for w in _manifest(out)["warnings"]
+                      if "degenerate" in w["message"]]
+        assert len(degenerate) == 3
+        for eps, message in zip(("0.3", "0.2", "0.1"), degenerate):
+            assert f"at epsilon = {eps} (0 of 2000 paths)" in message
 
 
 class TestVerifyLdp:
