@@ -332,7 +332,6 @@ def tilted_estimate(
 class SlopeEstimate:
     """Weighted least-squares fit of -log p against 1 / eps^2."""
 
-    epsilons: tuple
     slope: float
     intercept: float
     r_squared: float
@@ -379,7 +378,6 @@ def ldp_slope(estimates) -> SlopeEstimate:
     ss_tot = float(np.sum(w * (y - ybar) ** 2))
     r_squared = 1.0 if ss_tot <= 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return SlopeEstimate(
-        epsilons=tuple(float(v) for v in eps),
         slope=slope,
         intercept=intercept,
         r_squared=r_squared,

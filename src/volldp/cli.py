@@ -26,6 +26,8 @@ DOMAIN 3, VALIDATION 4, NUMERIC 5, INTERNAL 6).  A failure prints one line,
 (``LinAlgError``, ``MemoryError``, ...) is INTERNAL.  Once the output
 directory exists the manifest is written on failure too, with ``status``
 "error" and the error's category and message.
+Imports are module-level, where the package import has loaded them already;
+the selftest battery, which nothing else loads, is imported when it runs.
 """
 
 import argparse
@@ -36,6 +38,20 @@ import platform
 import sys
 import warnings
 from dataclasses import asdict, replace
+
+import numpy as np
+import scipy
+
+from . import __version__
+from .asymptotics import (
+    TerminalHalfSpace, estimate_tail_prob, ldp_slope, pool_size,
+    short_time_report, tilted_estimate,
+)
+from .config import load_config
+from .errors import ConfigurationError, VolldpError
+from .kernels import eval_lower_triangle
+from .model import Scaling, euler_paths_array
+from .ratefn import CameronMartinPath, i_uncorrelated, i_z, i_z_m, terminal_rate
 
 _EXIT_CODES = {
     "CONFIG": 2,
@@ -58,8 +74,6 @@ def _write_csv(path: str, header, table) -> None:
     One ``%`` pass over all cells writes the bytes of
     ``format(float(v), ".17g")`` per cell.
     """
-    import numpy as np
-
     table = np.asarray(table, dtype=float)
     rows, cols = table.shape
     line = ",".join(("%.17g",) * cols) + "\n"
@@ -82,44 +96,14 @@ def environment() -> dict:
 
     ``blas`` is "<name> <version>" of the BLAS numpy was built with.
     """
-    import numpy
-    import scipy
-
-    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": f"{blas['name']} {blas['version']}",
         "platform": platform.platform(),
     }
-
-
-def _write_manifest(out_dir: str, command: str, config_sha256: str, seed: int,
-                    overrides: dict, threads_effective: int, caught,
-                    error) -> None:
-    """``caught`` holds the run's warnings as ``warnings.catch_warnings``
-    records them; ``error`` is None for a successful run, else its category
-    and message."""
-    from . import __version__
-
-    payload = {
-        "command": command,
-        "config_sha256": config_sha256,
-        "seed": seed,
-        "version": __version__,
-        "overrides": {k: v for k, v in sorted(overrides.items()) if v is not None},
-        "threads_effective": threads_effective,
-        "status": "ok" if error is None else "error",
-        "warnings": [
-            {"category": w.category.__name__, "message": str(w.message)}
-            for w in caught
-        ],
-        **environment(),
-    }
-    if error is not None:
-        payload["error"] = error
-    _write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +112,6 @@ def _write_manifest(out_dir: str, command: str, config_sha256: str, seed: int,
 
 
 def _cmd_kernel_table(cfg, out_dir: str) -> None:
-    import numpy as np
-
-    from .kernels import eval_lower_triangle
-
     nodes = cfg.grid.nodes
     n = nodes.size
     tt, ss = np.meshgrid(nodes, nodes, indexing="ij")
@@ -147,10 +127,6 @@ def _cmd_kernel_table(cfg, out_dir: str) -> None:
 
 
 def _cmd_simulate(cfg, out_dir: str) -> None:
-    import numpy as np
-
-    from .model import Scaling, euler_paths_array
-
     opts = cfg.simulate
     # One draw feeds both files so drivers.csv holds the B and Bhat that
     # produced paths.csv, row for row.
@@ -182,11 +158,6 @@ def _cmd_simulate(cfg, out_dir: str) -> None:
 
 
 def _read_target_csv(path: str, grid, d: int):
-    import numpy as np
-
-    from .errors import ConfigurationError
-    from .ratefn import CameronMartinPath
-
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:  # ValueError: a cell is not a number
@@ -208,8 +179,6 @@ def _read_target_csv(path: str, grid, d: int):
 
 
 def _solution_outputs(out_dir: str, solution, grid) -> None:
-    import numpy as np
-
     _write_csv(os.path.join(out_dir, "value.csv"), ("value",), [[solution.value]])
     p = solution.control.dim
     header = ("t_left",) + tuple(f"fdot_{l + 1}" for l in range(p))
@@ -224,11 +193,6 @@ def _solution_outputs(out_dir: str, solution, grid) -> None:
 
 
 def _cmd_rate(cfg, out_dir: str) -> None:
-    import numpy as np
-
-    from .errors import ConfigurationError
-    from .ratefn import CameronMartinPath, i_uncorrelated, i_z, i_z_m
-
     opts = cfg.rate
     d = cfg.coeffs.d
     if opts.target_file is not None:
@@ -254,11 +218,6 @@ def _cmd_rate(cfg, out_dir: str) -> None:
 
 
 def _cmd_terminal_rate(cfg, out_dir: str, z_override) -> None:
-    import numpy as np
-
-    from .errors import ConfigurationError
-    from .ratefn import terminal_rate
-
     z = z_override if z_override is not None else cfg.terminal.z
     if z is None:
         raise ConfigurationError(
@@ -275,13 +234,6 @@ def _cmd_terminal_rate(cfg, out_dir: str, z_override) -> None:
 
 
 def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
-    import numpy as np
-
-    from .asymptotics import (
-        TerminalHalfSpace, estimate_tail_prob, ldp_slope, tilted_estimate,
-    )
-    from .ratefn import terminal_rate
-
     opts = cfg.verify_ldp
     event = TerminalHalfSpace(threshold=opts.threshold)
     z = np.zeros(cfg.coeffs.d)
@@ -318,7 +270,7 @@ def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
     _write_json(
         os.path.join(out_dir, "summary.json"),
         {
-            **_fields(fit, "epsilons"),  # ldp.csv holds the levels
+            **_fields(fit),
             "target_rate": target,
             "relative_gap": abs(fit.slope - target) / target if target else None,
             "estimator": opts.estimator,
@@ -328,11 +280,6 @@ def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
 
 
 def _cmd_short_time(cfg, out_dir: str, threads) -> None:
-    import numpy as np
-
-    from .errors import ConfigurationError
-    from .asymptotics import short_time_report
-
     if cfg.schedule is None:
         raise ConfigurationError(
             "short-time needs a [schedule] section with an eta sequence"
@@ -360,6 +307,7 @@ def _cmd_short_time(cfg, out_dir: str, threads) -> None:
 
 
 def _cmd_selftest(out_dir: str) -> int:
+    # deferred: neither the package import nor another command loads it
     from .selftest import run_selftest
 
     failures = run_selftest(sys.stdout)
@@ -411,10 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-
-    from .errors import ConfigurationError, VolldpError
-
-    manifest = None  # the manifest's fields, once the output directory exists
+    manifest = None  # the manifest's payload, once the output directory exists
     error = None
     caught = []  # the run's warnings, recorded for the manifest
     try:
@@ -430,19 +375,18 @@ def main(argv=None) -> int:
                 raise ConfigurationError("--threads must be >= 1")
             if args.seed is not None and args.seed < 0:
                 raise ConfigurationError("--seed must be >= 0")
-            from .config import load_config
-
             cfg = load_config(args.config)
             seed = cfg.seed if args.seed is None else args.seed
             if seed != cfg.seed:
                 cfg = replace(cfg, seed=seed)
             out_dir = args.out if args.out is not None else cfg.out_dir
             os.makedirs(out_dir, exist_ok=True)
-            overrides = {"z": None, "out": args.out, "threads": args.threads}
+            overrides = {"out": args.out, "threads": args.threads}
             manifest = {
-                "out_dir": out_dir, "command": args.command,
-                "config_sha256": cfg.config_sha256, "seed": seed,
-                "overrides": overrides, "threads_effective": 1,
+                "command": args.command, "config_sha256": cfg.config_sha256,
+                "seed": seed, "version": __version__,
+                "overrides": {k: v for k, v in overrides.items() if v is not None},
+                "threads_effective": 1,
             }
 
             z_override = None
@@ -453,7 +397,7 @@ def main(argv=None) -> int:
                     raise ConfigurationError(f"--z: {exc}") from exc
                 if not all(map(math.isfinite, z_override)):
                     raise ConfigurationError(f"--z: {args.z!r} is not finite")
-                overrides["z"] = list(z_override)
+                manifest["overrides"]["z"] = list(z_override)
 
             if args.command == "kernel-table":
                 _cmd_kernel_table(cfg, out_dir)
@@ -464,8 +408,6 @@ def main(argv=None) -> int:
             elif args.command == "terminal-rate":
                 _cmd_terminal_rate(cfg, out_dir, z_override)
             else:  # the Monte Carlo commands, on the path-block pool
-                from .asymptotics import pool_size
-
                 verify = args.command == "verify-ldp"
                 opts = cfg.verify_ldp if verify else cfg.short_time
                 manifest["threads_effective"] = pool_size(opts.n_paths, args.threads)
@@ -481,7 +423,15 @@ def main(argv=None) -> int:
     if error is not None:
         print(f"error[{error['category']}]: {error['message']}", file=sys.stderr)
     if manifest is not None:
-        _write_manifest(**manifest, caught=caught, error=error)
+        manifest.update(
+            status="ok" if error is None else "error",
+            warnings=[{"category": w.category.__name__, "message": str(w.message)}
+                      for w in caught],
+            **environment(),
+        )
+        if error is not None:
+            manifest["error"] = error
+        _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     if error is None:
         return 0
     return _EXIT_CODES.get(error["category"], _EXIT_CODES["INTERNAL"])

@@ -298,9 +298,12 @@ def _parse_schedule(cp, bank: KernelBank):
         return _build("schedule", ScalingSchedule.self_similar,
                       hurst=float(first.hurst), **opts)
     if rule == "log_fbm":
+        if first.family != "log_fbm":
+            _fail("schedule", "rule", "log_fbm needs a log_fbm first kernel, "
+                  f"[kernel.1] is {first.family}")
         return _build("schedule", ScalingSchedule.for_log_kernel,
                       hurst=float(first.hurst),
-                      log_exponent=float(getattr(first, "log_exponent", 0.0)), **opts)
+                      log_exponent=float(first.log_exponent), **opts)
     return _build("schedule", ScalingSchedule, **opts)
 
 

@@ -376,8 +376,6 @@ def covariance_matrix(
     fails the positive-semidefiniteness tolerance (min eigenvalue
     >= -1e-10 * trace).
     """
-    if n_quad < 2:
-        raise DomainError(f"n_quad must be >= 2, got {n_quad}")
     n, p = grid.n_steps, bank.n_factors
     t = grid.nodes
     blocks = np.zeros((p, n, n))

@@ -516,8 +516,10 @@ def slice_products(
     one weighted by ``origin_cell_weight``; the cell [s - h, s] against the
     calibrated power law A (s - u)^kappa of ``edge_coefficient``, with
     K(t, .) for t > s frozen at the cell edge s - h.  Returns zeros when
-    s <= 0.
+    s <= 0.  Raises ``DomainError`` unless n_quad >= 2.
     """
+    if n_quad < 2:
+        raise DomainError(f"n_quad must be >= 2, got {n_quad}")
     upper = np.atleast_1d(_as_array(upper))
     if s <= 0.0:
         return np.zeros(upper.size)
@@ -535,8 +537,6 @@ def slice_products(
 
 def kernel_l2_slice(kernel: VolterraKernel, t: float, n_quad: int = 256) -> float:
     """Slice norm int_0^t K(t, s)^2 ds, the diagonal of ``slice_products``."""
-    if n_quad < 2:
-        raise DomainError(f"n_quad must be >= 2, got {n_quad}")
     if t < 0 or t > kernel.horizon * (1 + 1e-12):
         raise DomainError(f"t={t} outside [0, {kernel.horizon}]")
     return float(slice_products(kernel, t, t, n_quad)[0])

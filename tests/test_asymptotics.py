@@ -526,7 +526,6 @@ def test_ldp_slope_exact_recovery():
     assert fit.slope == pytest.approx(c, rel=1e-10)
     assert fit.intercept == pytest.approx(-np.log(prefactor), rel=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-10)
-    assert len(fit.epsilons) == 5
     assert 0.0 < fit.slope_stderr < 0.01
 
 

@@ -155,6 +155,15 @@ def test_log_fbm_rule_takes_its_speed_from_the_first_kernel():
         (0.2, 0.1), 0.4, 3.0)
 
 
+def test_log_fbm_rule_needs_a_log_fbm_first_kernel():
+    # a kernel without a log exponent would give the self-similar speeds
+    text = _with(_BASE, "schedule", "rule = log_fbm\neta = 0.2, 0.1")
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("[schedule], field 'rule'")) as excinfo:
+        parse_config(text)
+    assert "riemann_liouville" in str(excinfo.value)
+
+
 def test_misspelled_key_in_a_generic_model_section():
     text = _GENERIC.replace("d = 1", "d = 1\ndd = 1")
     with pytest.raises(ConfigurationError, match=r"\[model\], field 'dd'"):

@@ -4,7 +4,9 @@ unreached definitions.
 No linter ships with the toolchain, so these stdlib ``ast`` scans stand in
 for pyflakes' unused-import rule and for an unused-argument rule.  Every
 name a module imports is referenced in it (``volldp/__init__.py`` is
-exempt: its imports are the package's re-exports), and every parameter of
+exempt: its imports are the package's re-exports), no function of
+``src/volldp`` imports a module that ``import volldp`` has loaded already,
+since such an import defers nothing, and every parameter of
 every function in ``src/volldp`` is read in its body, apart from the
 receivers ``self`` and ``cls`` and the exemptions listed in ``_UNUSED_OK``.
 Every field of a dataclass or ``NamedTuple`` in ``src/volldp`` is read
@@ -23,7 +25,10 @@ reached or exempt too.
 import ast
 import collections
 import fnmatch
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -93,6 +98,54 @@ def test_scan_finds_a_dead_import():
 )
 def test_no_dead_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def deferred_imports(source: str, package: str, loaded) -> list:
+    """(function, module) for every import inside a function of a module of
+    ``package`` from a module that ``loaded`` already holds.
+
+    ``from m import a`` counts as an import of ``m``.
+    """
+    out = []
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, _SCOPES):
+            continue
+        for node in _own_nodes(scope):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+                names = [".".join(filter(None, (base, node.module)))]
+            else:
+                continue
+            out.extend((scope.name, name) for name in names if name in loaded)
+    return out
+
+
+def test_scan_finds_a_deferred_import():
+    source = (
+        "import json\n"
+        "def f():\n    import json, numpy.linalg\n    import zlib\n"
+        "    def g():\n        from . import x\n        from .a import y\n"
+        "        from .b import z\n"
+    )
+    loaded = {"json", "numpy.linalg", "pkg", "pkg.a"}
+    assert sorted(deferred_imports(source, "pkg", loaded)) == [
+        ("f", "json"), ("f", "numpy.linalg"), ("g", "pkg"), ("g", "pkg.a")]
+
+
+def test_no_import_defers_nothing():
+    # the modules one fresh interpreter holds after the package import
+    src = str(_ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, volldp; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(done.stdout.split())
+    assert [(path.name, *found) for path in _SRC
+            for found in deferred_imports(path.read_text(encoding="utf-8"),
+                                          "volldp", loaded)] == []
 
 
 def unused_parameters(source: str) -> list:

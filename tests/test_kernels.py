@@ -20,6 +20,7 @@ from volldp.kernels import (
     make_kernel,
     origin_cell_weight,
     rescale_kernel,
+    slice_products,
 )
 from volldp.selftest import check_kernel_closed_forms
 
@@ -421,6 +422,13 @@ def test_l2_slice_closed_forms():
         0.8**0.6 / 0.6, rel=2e-4
     )
     assert kernel_l2_slice(rl_kernel(0.3), 0.0) == 0.0
+
+
+def test_slice_products_needs_two_cells():
+    # one cell leaves no midpoint cell for the origin weight; none, no width
+    for n_quad in (1, 0):
+        with pytest.raises(DomainError, match="n_quad must be >= 2"):
+            slice_products(rl_kernel(0.3), 0.5, [0.5], n_quad)
 
 
 def test_l2_slice_against_adaptive_quadrature():
