@@ -30,7 +30,6 @@ from .kernels import (
     MolchanGolosovKernel,
     RescaledKernel,
     RiemannLiouvilleKernel,
-    ScaleEntry,
     ScalingSchedule,
     VolterraKernel,
     kernel_l2_slice,

@@ -25,8 +25,9 @@ with a non-finite terminal value makes the estimator raise
 ``NonFinitePathError``.
 
 Short-time side: the process observed on a shrinking horizon delta * T and
-renormalized by eps / sqrt(delta), with delta the schedule's eta, is
-simulated through two routes that are equal in law at matched resolution:
+renormalized by eps / sqrt(delta), with (delta, eps) a schedule's
+(eta, epsilon) pair, is simulated through two routes that are equal in law
+at matched resolution:
 
 * rescaled -- unit horizon, kernel K^eta(t, s) = sqrt(eta) K(eta t, eta s),
   under ``Scaling.short_time(delta)``: variance drift scaled by delta and
@@ -34,12 +35,14 @@ simulated through two routes that are equal in law at matched resolution:
 * direct -- the original kernel on the short horizon with a finer grid,
   under ``Scaling.short_time(1.0)``, subsampled back to the reference nodes.
 
-Both routes run on the same runner as the estimator (the tail estimator
-under ``Scaling.small_noise(eps)``): each route's body returns a block's
-renormalized rows and the rows are joined in block order, so a path set
-does not depend on the number of threads.  Every path set is an array of
-shape (n, N + 1, d).  The uncorrelated model is sigma_tilde = 0, so a tilt
-and its rate solve read one model; the short-time routes need mu = 0.
+Each route only builds its (bank, grid, ``Scaling``) triple, its stride
+back to the reference nodes and the factor eps / sqrt(delta); one runner,
+``_route``, runs the Euler scheme on that triple through ``_blocks``, whose
+body returns a block's subsampled, renormalized rows.  The rows are joined
+in block order, so a path set does not depend on the number of threads.
+Every path set is an array of shape (n, N + 1, d).  The uncorrelated model
+is sigma_tilde = 0, so a tilt and its rate solve read one model; the
+short-time routes need mu = 0.
 
 ``equivalence_diagnostic`` measures the sup-distance between two path sets
 pair by pair, which is informative only when the sets are coupled through
@@ -71,7 +74,7 @@ from .errors import (
 )
 from .gaussian import _UNIT_PATHS, Workspace, _two_sample_ks, bank_discretizations
 from .grids import TimeGrid
-from .kernels import KernelBank, ScaleEntry, ScalingSchedule, rescale_kernel
+from .kernels import KernelBank, ScalingSchedule, rescale_kernel
 from .model import ModelCoefficients, ProbeLattice, Scaling, euler_paths_array
 from .ratefn import RateSolution
 
@@ -82,6 +85,8 @@ _WORKER_PATHS = 8 * _UNIT_PATHS
 # Short-time consistency: least terminal KS p-value, largest gap in se.
 _KS_LEVEL = 0.01
 _SE_BUDGET = 4.0
+# Sup-distances above which a coupled pair counts as a paired exceedance.
+_PAIRED_DELTAS = (0.05, 0.1, 0.2)
 # Quantiles of the rescaled terminal sample that set the exceedance thresholds.
 _EXCEEDANCE_LEVELS = (0.8, 0.9, 0.95)
 
@@ -399,17 +404,32 @@ def _require_driftless(coeffs: ModelCoefficients) -> None:
         )
 
 
-def _as_entry(scale) -> ScaleEntry:
-    if not isinstance(scale, ScaleEntry):
-        raise ConfigurationError(f"not a scaling entry: {scale!r}")
-    return scale
+def _route(coeffs, bank, grid, scaling, stride, factor, n_paths, seed, threads):
+    """Every ``stride``-th node of Euler paths on (bank, grid, scaling), times
+    ``factor``: an array of shape (n_paths, N / stride + 1, d) for a grid of
+    N steps.
+
+    Needs a driftless model.  Paths run in blocks on up to ``threads`` worker
+    threads (see ``pool_size``); the values do not depend on the thread
+    count.
+    """
+    _require_driftless(coeffs)
+
+    def body(first, count, work):
+        paths = euler_paths_array(coeffs, bank, grid, scaling, count, seed,
+                                  first_path=first, work=work)
+        return paths.values[:, ::stride] * factor
+
+    bank_discretizations(bank, grid)  # fill the cache before any worker
+    return np.concatenate(_blocks(n_paths, threads, body))
 
 
 def short_time_values(
     coeffs: ModelCoefficients,
     bank: KernelBank,
     grid: TimeGrid,
-    scale,
+    eta: float,
+    epsilon: float,
     n_paths: int,
     seed: int,
     threads: int | None = None,
@@ -417,32 +437,21 @@ def short_time_values(
     """Renormalized short-time paths via the rescaled-kernel route.
 
     Simulates on the unit-horizon reference grid with the kernel rescaled by
-    eta under ``Scaling.short_time(delta)`` (the exact time change of the
-    short-horizon dynamics), then multiplies by eps / sqrt(delta).  Returns
-    values of shape (n_paths, N + 1, d).  Paths run in blocks on up to
-    ``threads`` worker threads (see ``pool_size``); the values do not
-    depend on the thread count.
+    eta under ``Scaling.short_time(eta)`` (the exact time change of the
+    short-horizon dynamics), then multiplies by epsilon / sqrt(eta).  Returns
+    values of shape (n_paths, N + 1, d), run as in ``_route``.
     """
-    _require_driftless(coeffs)
-    scale = _as_entry(scale)
-    delta = scale.eta
-    rescaled = KernelBank(tuple(rescale_kernel(k, scale.eta) for k in bank))
-    factor = scale.epsilon / np.sqrt(delta)
-
-    def body(first, count, work):
-        paths = euler_paths_array(coeffs, rescaled, grid, Scaling.short_time(delta),
-                                  count, seed, first_path=first, work=work)
-        return paths.values * factor
-
-    bank_discretizations(rescaled, grid)  # fill the cache before any worker
-    return np.concatenate(_blocks(n_paths, threads, body))
+    rescaled = KernelBank(tuple(rescale_kernel(k, eta) for k in bank))
+    return _route(coeffs, rescaled, grid, Scaling.short_time(eta), 1,
+                  epsilon / np.sqrt(eta), n_paths, seed, threads)
 
 
 def short_time_direct(
     coeffs: ModelCoefficients,
     bank: KernelBank,
     grid: TimeGrid,
-    scale,
+    eta: float,
+    epsilon: float,
     n_paths: int,
     seed: int,
     refine: int = 4,
@@ -451,28 +460,18 @@ def short_time_direct(
     """Renormalized short-time paths simulated directly on the short horizon.
 
     Runs the original dynamics (``Scaling.short_time(1.0)``) on
-    [0, delta * T] with ``refine`` times the reference resolution and
+    [0, eta * T] with ``refine`` times the reference resolution and
     subsamples back to the reference nodes, so the output is comparable
     entry by entry with ``short_time_values``.  At
     refine = 1 and a shared seed the two routes consume identical driver
-    draws and coincide path for path up to rounding.  Paths run in blocks
-    as in ``short_time_values``.
+    draws and coincide path for path up to rounding.  Paths run as in
+    ``_route``.
     """
-    _require_driftless(coeffs)
-    scale = _as_entry(scale)
     if refine < 1:
         raise ConfigurationError("refine must be a positive integer")
-    delta = scale.eta
-    fine = TimeGrid(grid.horizon * delta, grid.n_steps * refine)
-    factor = scale.epsilon / np.sqrt(delta)
-
-    def body(first, count, work):
-        paths = euler_paths_array(coeffs, bank, fine, Scaling.short_time(1.0),
-                                  count, seed, first_path=first, work=work)
-        return paths.values[:, ::refine] * factor
-
-    bank_discretizations(bank, fine)  # fill the cache before any worker
-    return np.concatenate(_blocks(n_paths, threads, body))
+    fine = TimeGrid(grid.horizon * eta, grid.n_steps * refine)
+    return _route(coeffs, bank, fine, Scaling.short_time(1.0), refine,
+                  epsilon / np.sqrt(eta), n_paths, seed, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +479,17 @@ def short_time_direct(
 # ---------------------------------------------------------------------------
 
 
-def equivalence_diagnostic(sample_a, sample_b, deltas=(0.05, 0.1, 0.2)):
+def equivalence_diagnostic(sample_a, sample_b):
     """Compare two path sets pair by pair.
 
     Takes two arrays of shape (n, N + 1, d) on matched grids with matched
     counts.  Path k of one set is compared with path k of the other
     through the sup over grid nodes of the Euclidean distance.  Returns
     the ``paired_`` fields of ``DeltaComparison``: the frequency of a
-    sup-distance above each delta, keyed by str(delta), and the largest
-    sup-distance.  It is meaningful for coupled samples (shared driver
-    noise) only; independent samples are compared by their laws, as
-    ``short_time_report`` does with its KS test.
+    sup-distance above each delta of ``_PAIRED_DELTAS``, keyed by
+    str(delta), and the largest sup-distance.  It is meaningful for coupled
+    samples (shared driver noise) only; independent samples are compared by
+    their laws, as ``short_time_report`` does with its KS test.
     """
     a, b = np.asarray(sample_a), np.asarray(sample_b)
     if a.ndim != 3 or a.shape != b.shape:
@@ -499,7 +498,7 @@ def equivalence_diagnostic(sample_a, sample_b, deltas=(0.05, 0.1, 0.2)):
             f"counts, got {a.shape} and {b.shape}"
         )
     sup = np.max(np.linalg.norm(a - b, axis=2), axis=1)
-    exceedance = {str(float(d)): float(np.mean(sup > d)) for d in deltas}
+    exceedance = {str(float(d)): float(np.mean(sup > d)) for d in _PAIRED_DELTAS}
     return exceedance, float(np.max(sup))
 
 
@@ -515,9 +514,13 @@ class ExceedanceRow:
 
     @property
     def gap_in_se(self) -> float:
+        """|gap| over the pooled binomial stderr; a zero gap is 0 se even at
+        zero stderr, a nonzero gap at zero stderr is inf."""
         se = np.hypot(self.stderr_rescaled, self.stderr_direct)
         gap = abs(self.prob_rescaled - self.prob_direct)
-        return float(gap / se) if se > 0.0 else np.inf
+        if se > 0.0:
+            return float(gap / se)
+        return 0.0 if gap == 0.0 else np.inf
 
 
 @dataclass(frozen=True)
@@ -603,17 +606,17 @@ def short_time_report(
     """
     _validate_tail_args(n_paths)
     comps = []
-    for i, entry in enumerate(schedule):
+    for i, (eta, epsilon) in enumerate(schedule):
         seed_a, seed_b = seed + 2 * i, seed + 2 * i + 1
         resc = short_time_values(
-            coeffs, bank, grid, entry, n_paths, seed_a, threads
+            coeffs, bank, grid, eta, epsilon, n_paths, seed_a, threads
         )
         matched = short_time_direct(
-            coeffs, bank, grid, entry, n_paths, seed_a, 1, threads
+            coeffs, bank, grid, eta, epsilon, n_paths, seed_a, 1, threads
         )
         paired_exceedance, paired_max_sup = equivalence_diagnostic(resc, matched)
         direct = short_time_direct(
-            coeffs, bank, grid, entry, n_paths, seed_b, refine, threads
+            coeffs, bank, grid, eta, epsilon, n_paths, seed_b, refine, threads
         )[:, -1, 0]
         resc_term = resc[:, -1, 0]
         ks_statistic, ks_pvalue = _two_sample_ks(resc_term, direct)
@@ -633,7 +636,7 @@ def short_time_report(
             )
         comps.append(
             DeltaComparison(
-                delta=entry.eta,
+                delta=eta,
                 paired_exceedance=paired_exceedance,
                 paired_max_sup_distance=paired_max_sup,
                 ks_statistic=ks_statistic,

@@ -579,14 +579,6 @@ def rescale_kernel(kernel: VolterraKernel, eta: float) -> VolterraKernel:
 
 
 @dataclass(frozen=True)
-class ScaleEntry:
-    """One (eta, epsilon) pair of a scaling schedule."""
-
-    eta: float
-    epsilon: float
-
-
-@dataclass(frozen=True)
 class ScalingSchedule:
     """Joint schedule (eta_n, epsilon_n) for scaling-limit runs.
 
@@ -597,7 +589,8 @@ class ScalingSchedule:
     * ``for_log_kernel``: epsilon_n^(-2) = eta_n^(-2H) (-log eta_n)^(2a).
 
     The short-time horizon fraction is eta_n itself: the rescaled route is
-    the exact time change of the short horizon only then.
+    the exact time change of the short horizon only then.  Iterating yields
+    the (eta_n, epsilon_n) pairs as floats.
     """
 
     eta: tuple
@@ -621,16 +614,11 @@ class ScalingSchedule:
     def __len__(self):
         return len(self.eta)
 
-    def entry(self, i: int) -> ScaleEntry:
-        return ScaleEntry(float(self.eta[i]), float(self.epsilon[i]))
-
     def __iter__(self):
-        return (self.entry(i) for i in range(len(self)))
+        return ((float(e), float(s)) for e, s in zip(self.eta, self.epsilon))
 
     @classmethod
     def self_similar(cls, eta, hurst: float) -> "ScalingSchedule":
-        if np.isscalar(eta):
-            eta = (eta,)
         eta = tuple(float(e) for e in eta)
         return cls(eta=eta, epsilon=tuple(e**hurst for e in eta))
 
@@ -643,8 +631,6 @@ class ScalingSchedule:
         The exponent on the slowly varying factor is 2 * log_exponent,
         which makes K^eta / epsilon converge to the plain power-law kernel.
         """
-        if np.isscalar(eta):
-            eta = (eta,)
         eta = tuple(float(e) for e in eta)
         if any(e >= 1.0 for e in eta):
             raise ConfigurationError("log-fbm schedule requires eta < 1")

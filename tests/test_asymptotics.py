@@ -34,7 +34,7 @@ from volldp.gaussian import (
     _UNIT_PATHS, Workspace, _two_sample_ks, bank_discretizations,
 )
 from volldp.grids import TimeGrid
-from volldp.kernels import KernelBank, ScaleEntry, ScalingSchedule, make_kernel
+from volldp.kernels import KernelBank, ScalingSchedule, make_kernel
 from volldp.model import (
     ConstantMap, EulerPaths, ModelCoefficients, Scaling, euler_paths_array,
     make_map,
@@ -210,14 +210,14 @@ def test_blocks_are_whole_normal_units(monkeypatch):
     coeffs = exp_vol_coeffs(0.0, amplitude=0.3)
     bank = rl_bank(0.35)
     grid = TimeGrid(1.0, 4)
-    entry = ScaleEntry(eta=0.5, epsilon=0.5**0.35)
+    eta, eps = 0.5, 0.5**0.35
     n = 8 * _UNIT_PATHS + 500  # nine blocks, on a pool of two workers
     assert pool_size(n, threads=2) == 2
     runs = (
         lambda: estimate_tail_prob(coeffs, bank, grid, 0.5,
                                    TerminalHalfSpace(0.2), n, seed=3, threads=2),
-        lambda: short_time_values(coeffs, bank, grid, entry, n, 3, threads=2),
-        lambda: short_time_direct(coeffs, bank, grid, entry, n, 3, 2, threads=2),
+        lambda: short_time_values(coeffs, bank, grid, eta, eps, n, 3, threads=2),
+        lambda: short_time_direct(coeffs, bank, grid, eta, eps, n, 3, 2, threads=2),
     )
     for run in runs:
         calls.clear()
@@ -578,8 +578,8 @@ def test_ldp_slope_matches_rate_for_constant_model():
 def test_short_time_unit_scale_reduces_to_plain_dynamics(unit_grid):
     coeffs = exp_vol_coeffs(0.5, amplitude=0.3)
     bank = rl_bank(0.35)
-    entry = ScaleEntry(eta=1.0, epsilon=1.0)
-    values = short_time_values(coeffs, bank, unit_grid, entry, 50, seed=5)
+    eta, eps = 1.0, 1.0
+    values = short_time_values(coeffs, bank, unit_grid, eta, eps, 50, seed=5)
     plain = euler_paths_array(
         coeffs, bank, unit_grid, Scaling.small_noise(1.0), 50, seed=5
     ).values
@@ -588,11 +588,11 @@ def test_short_time_unit_scale_reduces_to_plain_dynamics(unit_grid):
 
 def test_short_time_requires_driftless_model(unit_grid):
     coeffs = constant_coeffs(1, 1, sigma=[[1.0]], mu=[0.1])
-    entry = ScaleEntry(eta=0.5, epsilon=0.7)
+    eta, eps = 0.5, 0.7
     with pytest.raises(ValidationError):
-        short_time_values(coeffs, rl_bank(0.4), unit_grid, entry, 50, seed=0)
+        short_time_values(coeffs, rl_bank(0.4), unit_grid, eta, eps, 50, seed=0)
     with pytest.raises(ValidationError):
-        short_time_direct(coeffs, rl_bank(0.4), unit_grid, entry, 50, seed=0)
+        short_time_direct(coeffs, rl_bank(0.4), unit_grid, eta, eps, 50, seed=0)
     # mu(y) = y_1 - y_2 vanishes on the diagonal y_1 = y_2 only
     bank = KernelBank((rl_bank(0.4)[0], rl_bank(0.3)[0]))
     skew = ModelCoefficients(
@@ -604,23 +604,23 @@ def test_short_time_requires_driftless_model(unit_grid):
     )
     for route in (short_time_values, short_time_direct):
         with pytest.raises(ValidationError, match="driftless"):
-            route(skew, bank, unit_grid, entry, 50, seed=0)
+            route(skew, bank, unit_grid, eta, eps, 50, seed=0)
 
 
 def test_short_time_refine_validation(unit_grid):
     coeffs = constant_coeffs(1, 1, sigma=[[1.0]])
-    entry = ScaleEntry(eta=0.5, epsilon=0.7)
+    eta, eps = 0.5, 0.7
     with pytest.raises(ConfigurationError):
-        short_time_direct(coeffs, rl_bank(0.4), unit_grid, entry, 50, seed=0,
+        short_time_direct(coeffs, rl_bank(0.4), unit_grid, eta, eps, 50, seed=0,
                           refine=0)
 
 
 def test_short_time_routes_reject_empty_path_sets(unit_grid):
     coeffs = constant_coeffs(1, 1, sigma=[[1.0]])
-    entry = ScaleEntry(eta=0.5, epsilon=0.7)
+    eta, eps = 0.5, 0.7
     for route in (short_time_values, short_time_direct):
         with pytest.raises(DomainError, match="n_paths"):
-            route(coeffs, rl_bank(0.4), unit_grid, entry, 0, seed=0)
+            route(coeffs, rl_bank(0.4), unit_grid, eta, eps, 0, seed=0)
 
 
 def test_short_time_constant_vol_terminal_variance(unit_grid):
@@ -628,9 +628,9 @@ def test_short_time_constant_vol_terminal_variance(unit_grid):
     # horizon fraction eta
     s, eps = 1.4, 0.6
     coeffs = constant_coeffs(1, 1, sigma=[[s]])
-    entry = ScaleEntry(eta=0.3, epsilon=eps)
+    eta = 0.3
     n = 100_000
-    values = short_time_values(coeffs, rl_bank(0.5), unit_grid, entry, n,
+    values = short_time_values(coeffs, rl_bank(0.5), unit_grid, eta, eps, n,
                                seed=17)
     want = eps**2 * s**2 * unit_grid.horizon
     got = float(np.var(values[:, -1, 0]))
@@ -638,14 +638,24 @@ def test_short_time_constant_vol_terminal_variance(unit_grid):
     assert abs(got - want) <= 3 * se
 
 
-def test_short_time_coupled_routes_agree(unit_grid):
+@pytest.mark.parametrize("family, params", [
+    ("riemann_liouville", {"hurst": 0.35}),
+    ("log_fbm", {"hurst": 0.35, "log_exponent": 2.0, "horizon": 0.9}),
+    ("molchan_golosov", {"hurst": 0.35}),
+    ("molchan_golosov", {"hurst": 0.7}),
+    ("fractional_ou", {"hurst": 0.35, "mean_reversion": 1.3}),
+], ids=["riemann_liouville", "log_fbm", "molchan_golosov_h035",
+        "molchan_golosov_h07", "fractional_ou"])
+def test_short_time_coupled_routes_agree(family, params):
     # same seed, matched resolution: the rescaled route and the direct
-    # route are the same discrete map on the same draws
+    # route are the same discrete map on the same draws, for every family
+    params = {"scale": 1.0, "horizon": 1.0, **params}
+    grid = TimeGrid(params["horizon"], 16)
     coeffs = exp_vol_coeffs(-0.4, amplitude=0.3)
-    bank = rl_bank(0.35)
-    entry = ScaleEntry(eta=0.2, epsilon=0.2**0.35)
-    a = short_time_values(coeffs, bank, unit_grid, entry, 100, seed=23)
-    b = short_time_direct(coeffs, bank, unit_grid, entry, 100, seed=23,
+    bank = KernelBank((make_kernel(family, **params),))
+    eta, eps = 0.2, 0.2**0.35
+    a = short_time_values(coeffs, bank, grid, eta, eps, 100, seed=23)
+    b = short_time_direct(coeffs, bank, grid, eta, eps, 100, seed=23,
                           refine=1)
     assert np.max(np.abs(a - b)) < 1e-12
 
@@ -728,6 +738,21 @@ def test_all_consistent_fails_on_each_broken_check():
     )
     for bad in broken:
         assert not ShortTimeReport((comp, bad)).all_consistent()
+
+
+def test_identical_routes_are_consistent_at_zero_stderr():
+    # a zero-coefficient model: both routes are identically 0, so every
+    # exceedance frequency is 1 with stderr 0 and every gap is 0 se
+    coeffs = constant_coeffs(1, 1, sigma=[[0.0]])
+    sched = ScalingSchedule.self_similar([0.2], 0.3)
+    report = short_time_report(coeffs, rl_bank(0.3), TimeGrid(1.0, 8), sched,
+                               1000, seed=0, refine=2)
+    rows = report.comparisons[0].exceedance
+    assert [(row.prob_rescaled, row.prob_direct) for row in rows] == [(1.0, 1.0)] * 3
+    assert [row.gap_in_se for row in rows] == [0.0] * 3
+    assert report.all_consistent()
+    # a nonzero gap at zero stderr stays infinitely many se
+    assert dataclasses.replace(rows[0], prob_direct=0.0).gap_in_se == np.inf
 
 
 def test_short_time_report_sample_floor(unit_grid):

@@ -941,12 +941,12 @@ class TestShortTime:
         assert main(["short-time", "--config", path]) == 0
         _, rows = _read_csv(os.path.join(out, "samples.csv"))
         cfg = parse_config(text)
-        for i, entry in enumerate(cfg.schedule):
+        for i, (eta, eps) in enumerate(cfg.schedule):
             want = short_time_values(
-                cfg.coeffs, cfg.bank, cfg.grid, entry, 1000, cfg.seed + 2 * i,
+                cfg.coeffs, cfg.bank, cfg.grid, eta, eps, 1000, cfg.seed + 2 * i,
             )[:, -1, 0]
             got = rows[1000 * i : 1000 * (i + 1)]
-            assert [row[0] for row in got] == [entry.eta] * 1000
+            assert [row[0] for row in got] == [eta] * 1000
             assert [row[1] for row in got] == list(range(1000))
             assert np.array_equal([row[2] for row in got], want)
 

@@ -12,7 +12,6 @@ from volldp.gaussian import discretize_kernel
 from volldp.grids import TimeGrid
 from volldp.kernels import (
     KernelBank,
-    ScaleEntry,
     ScalingSchedule,
     edge_coefficient,
     eval_lower_triangle,
@@ -677,7 +676,7 @@ def test_limit_error_log_kernel_decreasing():
     limit = rl_kernel(h, horizon=0.5)
     sched = ScalingSchedule.for_log_kernel([1e-2, 1e-3, 1e-4], h, a)
     errs = [
-        limit_kernel_error(k, e.eta, e.epsilon, limit, grid) for e in sched
+        limit_kernel_error(k, eta, eps, limit, grid) for eta, eps in sched
     ]
     assert errs[0] > errs[1] > errs[2]
 
@@ -690,20 +689,20 @@ def test_limit_error_log_kernel_decreasing():
 def test_schedule_self_similar_rule():
     sched = ScalingSchedule.self_similar([0.5, 0.2, 0.1], 0.4)
     assert len(sched) == 3
-    for entry in sched:
-        assert isinstance(entry, ScaleEntry)
-        assert entry.epsilon == pytest.approx(entry.eta**0.4, rel=1e-12)
-    single = ScalingSchedule.self_similar(0.3, 0.4)
+    for eta, eps in sched:
+        assert type(eta) is float and type(eps) is float
+        assert eps == pytest.approx(eta**0.4, rel=1e-12)
+    single = ScalingSchedule.self_similar((0.3,), 0.4)
     assert len(single) == 1
-    assert single.entry(0).eta == 0.3
+    assert next(iter(single))[0] == 0.3
 
 
 def test_schedule_log_rule_default_exponent():
     h, a = 0.4, 2.0
     sched = ScalingSchedule.for_log_kernel([0.2, 0.1], h, a)
-    for entry in sched:
-        want = entry.eta**h * (-math.log(entry.eta)) ** (-a)
-        assert entry.epsilon == pytest.approx(want, rel=1e-12)
+    for eta, eps in sched:
+        want = eta**h * (-math.log(eta)) ** (-a)
+        assert eps == pytest.approx(want, rel=1e-12)
 
 
 def test_schedule_validation():
