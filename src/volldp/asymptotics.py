@@ -3,26 +3,29 @@
 Small-noise side: tail probabilities P(Z^eps in E) are estimated under an
 exponential change of measure built from a minimizing control (the
 estimator stays unbiased for any shift; a good shift makes the event
-typical).  There is one tail estimator: the crude estimate is the same one
-without a control, where no driver is shifted and every weight is 1.  The
-decay rate is then read off as the slope of -log p(eps) against 1 / eps^2.
+typical).  There is one tail estimator, ``estimate_tail_prob``: the crude
+estimate is the same one without a control, where no driver is shifted and
+every weight is 1.  The decay rate is then read off as the slope of
+-log p(eps) against 1 / eps^2.
 
-Every Monte Carlo run here goes through one runner, ``_blocks``: it cuts the
-path range into blocks of one normal stream unit, ``gaussian._UNIT_PATHS`` =
-1,024 paths, and returns a body's value of every block in block order; each
-body here runs the one Euler scheme, ``model.euler_paths_array``, on its block
-and returns new arrays, never views of its workspace.  A block's driver draws
+Every Monte Carlo run here goes through one runner, ``_blocks``: it fills
+the discretization cache of its (bank, grid), cuts the path range into
+blocks of one normal stream unit, ``gaussian._UNIT_PATHS`` = 1,024 paths,
+and returns a body's value of every block in block order; each body here
+runs the one Euler scheme, ``model.euler_paths_array``, on its block and
+returns new arrays, never views of its workspace.  A block's driver draws
 depend only on (seed, path index) and each block draws exactly one unit's
 stream, so the blocks run in any order on a small thread pool, at most one
 worker per 8,192 paths (``pool_size``), and none redraws another's stream.
-The estimator's body returns the log-weights of a block's hits and its count
-of non-finite paths.  The hits' log-weights are joined in block order and
+The estimator's body returns the log-weights of a block's hits and its
+terminal values.  The hits' log-weights are joined in block order and
 reduced once, relative to the largest of them, which makes every estimate
 bitwise independent of the number of threads.
 Weights stay in log space until then, so an estimate far below the
-smallest double keeps a finite ``log_prob`` and ``log_stderr``.  A path
-with a non-finite terminal value makes the estimator raise
-``NonFinitePathError``.
+smallest double keeps a finite ``log_prob`` and ``log_stderr``.  Every
+sampled path set, the estimator's and each short-time route's, meets one
+non-finite rule, ``model._require_finite``: a path with a non-finite
+terminal value raises ``NonFinitePathError``.
 
 Short-time side: the process observed on a shrinking horizon delta * T and
 renormalized by eps / sqrt(delta), with (delta, eps) a schedule's
@@ -68,14 +71,15 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DomainError,
-    NonFinitePathError,
     OptimizationError,
     ValidationError,
 )
 from .gaussian import _UNIT_PATHS, Workspace, _two_sample_ks, bank_discretizations
 from .grids import TimeGrid
 from .kernels import KernelBank, ScalingSchedule, rescale_kernel
-from .model import ModelCoefficients, ProbeLattice, Scaling, euler_paths_array
+from .model import (
+    ModelCoefficients, ProbeLattice, Scaling, _require_finite, euler_paths_array,
+)
 from .ratefn import RateSolution
 
 _MIN_TAIL_PATHS = 1000
@@ -161,13 +165,15 @@ def pool_size(n_paths: int, threads: int | None = None) -> int:
     return min(threads, -(-n_paths // _WORKER_PATHS))
 
 
-def _blocks(n_paths: int, threads, body) -> list:
+def _blocks(bank, grid, n_paths: int, threads, body) -> list:
     """``body(first, count, work)`` of every path block, in block order.
 
-    The path range is cut into blocks [first, first + count) of one
-    normal-stream unit, ``_UNIT_PATHS`` paths each, so every block starts on a
-    unit boundary and draws exactly one unit's stream.  A block's draws depend
-    only on (seed, path index) and the results come back in block order, so
+    The discretizations of ``bank`` on ``grid`` are computed and cached
+    first, so no block body, on any worker, computes one.  The path range
+    is cut into blocks [first, first + count) of one normal-stream unit,
+    ``_UNIT_PATHS`` paths each, so every block starts on a unit boundary and
+    draws exactly one unit's stream.  A block's draws depend only on
+    (seed, path index) and the results come back in block order, so
     whatever a body reduces from them is bitwise the same whatever the number of
     worker threads and the order in which blocks finish.  Each worker thread
     hands every block it runs one ``Workspace`` of unit-sized arrays, made for
@@ -177,6 +183,7 @@ def _blocks(n_paths: int, threads, body) -> list:
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
+    bank_discretizations(bank, grid)
     local = threading.local()
 
     def block(first: int, count: int):
@@ -193,14 +200,28 @@ def _blocks(n_paths: int, threads, body) -> list:
         return list(pool.map(block, firsts, counts))
 
 
-def _tail_estimate(
-    coeffs, bank, grid, epsilon, event, control, n_paths, seed, threads
+def estimate_tail_prob(
+    coeffs: ModelCoefficients,
+    bank: KernelBank,
+    grid: TimeGrid,
+    epsilon: float,
+    event,
+    n_paths: int,
+    seed: int,
+    threads: int | None = None,
+    control: RateSolution | None = None,
 ) -> TailEstimate:
-    """P(Z^eps in event) under the shift by ``control``; crude for None.
+    """Monte Carlo estimate of P(Z^eps in event), tilted by ``control``.
 
-    A control shifts both driver families by its rates scaled by 1 / eps,
-    and log w is the exact Gaussian log-likelihood ratio of a path.  Without
-    a control nothing is shifted and log w = 0 on every path.
+    A control, solved on ``grid`` for this model's d and p, shifts both
+    driver families by its rates scaled by 1 / eps, and log w is the exact
+    Gaussian log-likelihood ratio of a path, so the estimate is unbiased at
+    every resolution.  Without a control it is the crude estimator: nothing
+    is shifted, every weight is 1, and the estimate is the hit frequency
+    with its binomial error; it warns when fewer than 10 paths, or all of
+    them, hit.  Paths run in fixed blocks on up to ``threads`` worker
+    threads (see ``pool_size``); the estimate does not depend on the thread
+    count.  A non-finite path raises ``NonFinitePathError``.
     """
     _validate_tail_args(n_paths)
     scaling = Scaling.small_noise(epsilon)
@@ -226,7 +247,7 @@ def _tail_estimate(
         brownian_shift, wiener_shift = fdot * dt / epsilon, ydot * dt / epsilon
 
     def body(first, count, work):
-        """(log w of the block's hits, its count of non-finite paths)."""
+        """(log w of the block's hits, its terminal values)."""
         paths = euler_paths_array(coeffs, bank, grid, scaling, count, seed,
                                   first_path=first, brownian_shift=brownian_shift,
                                   wiener_shift=wiener_shift, work=work)
@@ -236,18 +257,10 @@ def _tail_estimate(
             - np.einsum("jl,kjl->k", fdot, paths.increments) / epsilon
             - np.einsum("ji,kji->k", ydot, paths.dw) / epsilon
         )
-        finite = np.all(np.isfinite(values[:, -1, :]), axis=1)
-        return log_w[event.indicator(values)], int(np.count_nonzero(~finite))
+        return log_w[event.indicator(values)], values[:, -1].copy()
 
-    bank_discretizations(bank, grid)  # fill the cache before any worker
-    parts = _blocks(n_paths, threads, body)
-    nonfinite = sum(count for _, count in parts)
-    if nonfinite:
-        raise NonFinitePathError(
-            f"{nonfinite} of {n_paths} simulated paths have a non-finite "
-            "terminal value (the Euler scheme overflowed); the tail estimate "
-            "would count them as misses"
-        )
+    parts = _blocks(bank, grid, n_paths, threads, body)
+    _require_finite(np.concatenate([terminal for _, terminal in parts]))
     hit_log_w = np.concatenate([log_w for log_w, _ in parts])
     hits = hit_log_w.size
     if control is None and (hits < 10 or hits == n_paths):
@@ -260,7 +273,7 @@ def _tail_estimate(
             f"{epsilon:g}; the crude estimate is nearly degenerate -- consider "
             "the tilted estimator",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     # the hits' weights relative to the largest, exp(log w - log_scale) <= 1,
     # and their mean and variance over all paths
@@ -281,29 +294,6 @@ def _tail_estimate(
     )
 
 
-def estimate_tail_prob(
-    coeffs: ModelCoefficients,
-    bank: KernelBank,
-    grid: TimeGrid,
-    epsilon: float,
-    event,
-    n_paths: int,
-    seed: int,
-    threads: int | None = None,
-) -> TailEstimate:
-    """Crude Monte Carlo estimate of P(Z^eps in event).
-
-    The tilted estimator without a control: no driver is shifted and every
-    path has weight 1, so the estimate is the hit frequency with its
-    binomial error.  Paths run in fixed blocks on up to ``threads``
-    worker threads (see ``pool_size``); the estimate does not depend on the
-    thread count.  Warns when fewer than 10 paths, or all of them, hit.
-    """
-    return _tail_estimate(
-        coeffs, bank, grid, epsilon, event, None, n_paths, seed, threads
-    )
-
-
 def tilted_estimate(
     coeffs: ModelCoefficients,
     bank: KernelBank,
@@ -315,16 +305,9 @@ def tilted_estimate(
     seed: int,
     threads: int | None = None,
 ) -> TailEstimate:
-    """Importance-sampled estimate under the minimizing-control shift.
-
-    Both driver families are shifted by the optimal controls scaled by
-    1 / eps; each path is reweighted by the exact Gaussian likelihood ratio,
-    so the estimator is unbiased at every resolution.  The control must be
-    solved on ``grid`` for this model's d and p.  Paths run in fixed
-    blocks as in ``estimate_tail_prob``.
-    """
-    return _tail_estimate(
-        coeffs, bank, grid, epsilon, event, control, n_paths, seed, threads
+    """``estimate_tail_prob`` under the minimizing-control shift."""
+    return estimate_tail_prob(
+        coeffs, bank, grid, epsilon, event, n_paths, seed, threads, control
     )
 
 
@@ -411,7 +394,7 @@ def _route(coeffs, bank, grid, scaling, stride, factor, n_paths, seed, threads):
 
     Needs a driftless model.  Paths run in blocks on up to ``threads`` worker
     threads (see ``pool_size``); the values do not depend on the thread
-    count.
+    count.  A non-finite path raises ``NonFinitePathError``.
     """
     _require_driftless(coeffs)
 
@@ -420,8 +403,9 @@ def _route(coeffs, bank, grid, scaling, stride, factor, n_paths, seed, threads):
                                   first_path=first, work=work)
         return paths.values[:, ::stride] * factor
 
-    bank_discretizations(bank, grid)  # fill the cache before any worker
-    return np.concatenate(_blocks(n_paths, threads, body))
+    values = np.concatenate(_blocks(bank, grid, n_paths, threads, body))
+    _require_finite(values[:, -1])
+    return values
 
 
 def short_time_values(

@@ -45,12 +45,12 @@ import scipy
 from . import __version__
 from .asymptotics import (
     TerminalHalfSpace, estimate_tail_prob, ldp_slope, pool_size,
-    short_time_report, tilted_estimate,
+    short_time_report,
 )
 from .config import load_config
 from .errors import ConfigurationError, VolldpError
 from .kernels import eval_lower_triangle
-from .model import Scaling, euler_paths_array
+from .model import Scaling, _require_finite, euler_paths_array
 from .ratefn import CameronMartinPath, i_uncorrelated, i_z, i_z_m, terminal_rate
 
 _EXIT_CODES = {
@@ -82,7 +82,9 @@ def _write_csv(path: str, header, table) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # strict JSON: a NaN or infinity raises instead of writing a bare token
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    _atomic_write(path, text + "\n")
 
 
 def _fields(record, *omit) -> dict:
@@ -134,6 +136,7 @@ def _cmd_simulate(cfg, out_dir: str) -> None:
         cfg.coeffs, cfg.bank, cfg.grid, Scaling.small_noise(opts.epsilon),
         opts.n_paths, cfg.seed,
     )
+    _require_finite(paths.values[:, -1])
     d, p = cfg.coeffs.d, cfg.coeffs.p
     nodes = cfg.grid.nodes
     # one row per (path, node), path-major
@@ -239,20 +242,12 @@ def _cmd_verify_ldp(cfg, out_dir: str, threads) -> None:
     z = np.zeros(cfg.coeffs.d)
     z[0] = opts.threshold
     solution = terminal_rate(z, cfg.bank, cfg.coeffs, cfg.grid, cfg.optimizer)
-    estimates = []
-    for i, eps in enumerate(opts.epsilons):
-        seed = cfg.seed + i
-        if opts.estimator == "tilted":
-            est = tilted_estimate(
-                cfg.coeffs, cfg.bank, cfg.grid, eps, event, solution,
-                opts.n_paths, seed, threads=threads,
-            )
-        else:
-            est = estimate_tail_prob(
-                cfg.coeffs, cfg.bank, cfg.grid, eps, event, opts.n_paths,
-                seed, threads=threads,
-            )
-        estimates.append(est)
+    control = solution if opts.estimator == "tilted" else None
+    estimates = [
+        estimate_tail_prob(cfg.coeffs, cfg.bank, cfg.grid, eps, event,
+                           opts.n_paths, cfg.seed + i, threads, control)
+        for i, eps in enumerate(opts.epsilons)
+    ]
     # fit first: a degenerate level fails here, before any artifact exists
     fit = ldp_slope(estimates)
     table = np.array([

@@ -36,7 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SingularDiffusionError
+from .errors import (
+    ConfigurationError, DomainError, NonFinitePathError, SingularDiffusionError,
+)
 from .gaussian import Workspace, draw_driver_arrays
 from .grids import TimeGrid
 from .kernels import KernelBank
@@ -293,6 +295,23 @@ def _require_nonsingular(a, what: str) -> None:
         raise SingularDiffusionError(
             f"{what} singular{at}: |det| = {dets[worst]:.3e}, singularity "
             f"margin {margin[worst]:.3e} < 0"
+        )
+
+
+def _require_finite(terminal) -> None:
+    """Raise ``NonFinitePathError`` if a row of ``terminal`` (n, d), the
+    terminal values of paths 0, ..., n - 1 of a run, is not finite.
+
+    The package's one non-finite rule for sampled path sets: a non-finite
+    path would end as a miss, an exceedance or a CSV row, biasing what is
+    computed from it.  The message names the count and the first such path.
+    """
+    bad = np.flatnonzero(~np.all(np.isfinite(terminal), axis=1))
+    if bad.size:
+        raise NonFinitePathError(
+            f"{bad.size} of {len(terminal)} simulated paths have a non-finite "
+            "terminal value (the Euler scheme overflowed); the first is path "
+            f"{bad[0]}"
         )
 
 

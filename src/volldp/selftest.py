@@ -119,7 +119,7 @@ def check_replay(rng, n_paths: int) -> list:
                 brownian_shift=db_shift, wiener_shift=dw_shift, work=work)
             return paths.values.copy(), paths.dw.copy()
 
-        blocks = _blocks(first + n_paths, 1, block)
+        blocks = _blocks(bank, grid, first + n_paths, 1, block)
         values, dw = (np.concatenate(part) for part in zip(*blocks))
         for k in range(first, first + n_paths):
             alone_values, alone_dw = block(k, 1)

@@ -31,7 +31,7 @@ from volldp.errors import (
     ValidationError,
 )
 from volldp.gaussian import (
-    _UNIT_PATHS, Workspace, _two_sample_ks, bank_discretizations,
+    _UNIT_PATHS, Workspace, _two_sample_ks, discretize_kernel,
 )
 from volldp.grids import TimeGrid
 from volldp.kernels import KernelBank, ScalingSchedule, make_kernel
@@ -154,17 +154,35 @@ def test_tail_prob_counter_blocks_match_one_batch():
 
 def test_tail_estimators_reject_nonfinite_paths():
     # exponential volatility with weight 120 overflows the Euler scheme on
-    # 66 of these 2,000 paths; counting them as misses would bias the estimate
+    # 66 of these 2,000 paths; counting them as misses would bias the
+    # estimate.  The error names the first, path 11, which replays alone.
     coeffs = exp_vol_coeffs(-0.5, weight=120)
     bank = rl_bank(0.3)
     grid = TimeGrid(1.0, 32)
     event = TerminalHalfSpace(0.5)
+    named = r"66 of 2000 .*; the first is path 11$"
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFinitePathError, match="66 of 2000"):
+        with pytest.raises(NonFinitePathError, match=named):
             estimate_tail_prob(coeffs, bank, grid, 1.0, event, 2000, seed=3)
-        with pytest.raises(NonFinitePathError, match="66 of 2000"):
+        with pytest.raises(NonFinitePathError, match=named):
             tilted_estimate(coeffs, bank, grid, 1.0, event,
                             zero_control_solution(grid), 2000, seed=3)
+        scaling = Scaling.small_noise(1.0)
+        rows = euler_paths_array(coeffs, bank, grid, scaling, 12, 3).values
+        alone = euler_paths_array(coeffs, bank, grid, scaling, 1, 3,
+                                  first_path=11).values
+    assert np.all(np.isfinite(rows[:11, -1]))
+    assert np.array_equal(alone[0], rows[11], equal_nan=True)
+    assert not np.all(np.isfinite(alone[0, -1]))
+
+
+def test_short_time_routes_reject_nonfinite_paths():
+    # the overflowing model of the tail test, on the rescaled route
+    coeffs = exp_vol_coeffs(-0.5, weight=120)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinitePathError, match="55 of 2000"):
+            short_time_values(coeffs, rl_bank(0.3), TimeGrid(1.0, 16), 1.0,
+                              1.0, 2000, 3)
 
 
 def test_pool_size_is_capped_by_the_block_count():
@@ -266,14 +284,12 @@ def test_reused_block_arrays_give_a_fresh_draw_bit_for_bit(threads):
                 "brownian_shift": 0.1 * rng.normal(size=(n_steps, coeffs.p)),
                 "wiener_shift": 0.1 * rng.normal(size=(n_steps, coeffs.d)),
             }
-            bank_discretizations(bank, grid)  # fill the cache before any worker
-
             def body(first, count, work):
                 paths = euler_paths_array(coeffs, bank, grid, scaling, count, 5,
                                           first_path=first, work=work, **shifts)
                 return tuple(np.array(a) for a in paths)
 
-            parts = _blocks(n, threads, body)
+            parts = _blocks(bank, grid, n, threads, body)
             whole = euler_paths_array(coeffs, bank, grid, scaling, n, 5, **shifts)
             again = euler_paths_array(coeffs, bank, grid, scaling, n, 5,
                                       work=carried, **shifts)
@@ -281,6 +297,27 @@ def test_reused_block_arrays_give_a_fresh_draw_bit_for_bit(threads):
                 joined = np.concatenate([part[k] for part in parts])
                 assert np.array_equal(joined, whole[k]), (name, n_steps)
                 assert np.array_equal(again[k], whole[k]), (name, n_steps)
+
+
+def test_block_runner_fills_the_cache_before_any_body():
+    # pooled (two workers) and on the calling thread, every body finds the
+    # bank's discretizations on its grid, new to the cache, already cached
+    bank = KernelBank((
+        make_kernel("fractional_ou", hurst=0.4, scale=0.8, horizon=1.0,
+                    mean_reversion=1.7),
+        make_kernel("riemann_liouville", hurst=0.27, scale=1.1, horizon=1.0),
+    ))
+    for n, workers, grid in ((8 * _UNIT_PATHS + 500, 2, TimeGrid(1.0, 7)),
+                             (2 * _UNIT_PATHS, 1, TimeGrid(1.0, 9))):
+
+        def body(first, count, work):
+            before = discretize_kernel.cache_info().misses
+            for kernel in bank:
+                discretize_kernel(kernel, grid)
+            return discretize_kernel.cache_info().misses - before
+
+        assert pool_size(n, threads=2) == workers
+        assert set(_blocks(bank, grid, n, 2, body)) == {0}
 
 
 def test_block_runner_threads_and_workspaces():
@@ -293,9 +330,10 @@ def test_block_runner_threads_and_workspaces():
         time.sleep(1e-3 * (8 - first // _UNIT_PATHS))
         return first, count, threading.get_ident(), id(work)
 
+    bank, grid = rl_bank(0.35), TimeGrid(1.0, 4)
     for n, workers in ((8 * _UNIT_PATHS, 1), (8 * _UNIT_PATHS + 500, 2)):
         assert pool_size(n, threads=2) == workers
-        results = _blocks(n, 2, body)
+        results = _blocks(bank, grid, n, 2, body)
         assert [r[:2] for r in results] == [
             (first, min(_UNIT_PATHS, n - first)) for first in range(0, n, _UNIT_PATHS)
         ]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy
 
-from volldp.cli import _write_csv, main
+from volldp.cli import _write_csv, _write_json, main
 from volldp.config import parse_config
 from volldp.errors import ConfigurationError
 from volldp.kernels import make_kernel
@@ -53,6 +53,27 @@ seed = {seed}
 
 {extra}
 """
+
+
+def _overflow_text(n_steps, extra):
+    """RL H = 0.3 under exponential volatility of weight 120: the Euler
+    scheme overflows on some paths."""
+    return _one_factor_text(n_steps=n_steps, seed=3, rho=-0.5, extra=extra).replace(
+        "hurst = 0.5", "hurst = 0.3").replace(
+        "family = constant\nvalues = 1.0",
+        "family = exp_linear\namplitude = 0.3\nweights = 120.0",
+    )
+
+
+def _assert_nonfinite_failure(out, err, count):
+    """The run failed as NUMERIC with ``count`` of 2000 paths named, and
+    wrote no artifact but the manifest, which explains the failure."""
+    assert f"error[NUMERIC]: {count} of 2000" in err
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+    manifest = _manifest(out)
+    assert manifest["status"] == "error"
+    assert manifest["error"]["category"] == "NUMERIC"
+    assert manifest["error"]["message"].startswith(f"{count} of 2000")
 
 
 def _read_csv(path):
@@ -315,6 +336,11 @@ class TestCsvWriter:
         assert got == self._want(("path_id", "a", "b"), table)
         assert "\n0,nan,0.33333333333333331\n" in got
 
+    def test_json_artifacts_are_strict(self, tmp_path):
+        # a NaN fails the run instead of writing a token JSON parsers reject
+        with pytest.raises(ValueError):
+            _write_json(str(tmp_path / "x.json"), {"x": math.nan})
+
     def test_one_column_and_integer_ids(self, tmp_path):
         path = str(tmp_path / "v.csv")
         _write_csv(path, ("value",), [[2.0**53], [-0.0], [7]])
@@ -398,6 +424,16 @@ class TestSimulate:
         _, rows_b = _read_csv(os.path.join(out_b, "paths.csv"))
         assert rows_a != rows_b
         assert _manifest(out_b)["seed"] == 99
+
+    def test_nonfinite_paths_exit_code(self, tmp_path, capsys):
+        # 66 of these 2,000 paths overflow; no paths.csv holds them
+        path = _ini(tmp_path, _overflow_text(
+            32, "[simulate]\nn_paths = 2000\nepsilon = 1.0\n"))
+        out = str(tmp_path / "o")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", "--config", path, "--out", out])
+        assert code == 5
+        _assert_nonfinite_failure(out, capsys.readouterr().err, 66)
 
 
 class TestRateCommands:
@@ -773,31 +809,22 @@ class TestVerifyLdp:
 
     def test_nonfinite_paths_exit_code(self, tmp_path, capsys):
         # exponential volatility with weight 120 overflows the Euler scheme
-        text = _one_factor_text(n_steps=32, seed=3, rho=-0.5, extra=(
+        path = _ini(tmp_path, _overflow_text(32, (
             "[optimizer]\nn_starts = 2\n"
             "[verify-ldp]\n"
             "threshold = 0.5\n"
             "epsilons = 1.0, 0.9, 0.8\n"
             "n_paths = 2000\n"
             "estimator = crude\n"
-        ))
-        text = text.replace("hurst = 0.5", "hurst = 0.3").replace(
-            "family = constant\nvalues = 1.0",
-            "family = exp_linear\namplitude = 0.3\nweights = 120.0",
-        )
-        path = _ini(tmp_path, text)
+        )))
         out = str(tmp_path / "o")
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["verify-ldp", "--config", path, "--out", out,
                          "--threads", "1"])
         assert code == 5
-        assert "error[NUMERIC]: 66 of 2000" in capsys.readouterr().err
         # the failed run still explains itself
-        manifest = _manifest(out)
-        assert manifest["status"] == "error"
-        assert manifest["error"]["category"] == "NUMERIC"
-        assert manifest["error"]["message"].startswith("66 of 2000")
-        assert manifest["threads_effective"] == 1
+        _assert_nonfinite_failure(out, capsys.readouterr().err, 66)
+        assert _manifest(out)["threads_effective"] == 1
 
     def test_uncorrelated_model_solves_and_samples_one_model(self, tmp_path):
         # the ldp_tilted experiment with sigma_tilde = 0: the rate solve and
@@ -970,6 +997,20 @@ class TestShortTime:
             assert _manifest(out)["threads_effective"] == threads
         for name in ("samples.csv", "diagnostic.json", "report.txt"):
             assert outputs[1][name] == outputs[2][name], name
+
+    def test_nonfinite_paths_exit_code(self, tmp_path, capsys):
+        # 55 of the first route's 2,000 paths overflow: no diagnostic holds
+        # a NaN sup-distance and no samples.csv a non-finite row
+        path = _ini(tmp_path, _overflow_text(16, (
+            "[schedule]\nrule = self_similar\neta = 1.0, 0.5\n"
+            "[short-time]\nn_paths = 2000\nrefine = 2\n"
+        )))
+        out = str(tmp_path / "o")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["short-time", "--config", path, "--out", out,
+                         "--threads", "1"])
+        assert code == 5
+        _assert_nonfinite_failure(out, capsys.readouterr().err, 55)
 
     def test_requires_schedule(self, tmp_path, capsys):
         out = str(tmp_path / "out")
