@@ -519,7 +519,7 @@ class DeltaComparison:
     and exceedance columns compare independent draws with the direct route
     on a refined grid.  ``rescaled_terminal`` holds the first terminal
     coordinate of every rescaled-route path, the sample the thresholds are
-    set from.
+    set from: a copy, so the path set it was read from is freed.
     """
 
     delta: float  # the horizon fraction, the schedule entry's eta
@@ -599,10 +599,12 @@ def short_time_report(
             coeffs, bank, grid, eta, epsilon, n_paths, seed_a, 1, threads
         )
         paired_exceedance, paired_max_sup = equivalence_diagnostic(resc, matched)
+        # copies of the terminal columns, so no path set outlives its reading
+        resc_term = resc[:, -1, 0].copy()
+        del resc, matched
         direct = short_time_direct(
             coeffs, bank, grid, eta, epsilon, n_paths, seed_b, refine, threads
-        )[:, -1, 0]
-        resc_term = resc[:, -1, 0]
+        )[:, -1, 0].copy()
         ks_statistic, ks_pvalue = _two_sample_ks(resc_term, direct)
         rows = []
         for q in _EXCEEDANCE_LEVELS:

@@ -17,8 +17,10 @@ worker-pool size of ``verify-ldp`` and ``short-time``, 1 for commands
 without a pool, ``status``, the run's ``warnings`` as a list of
 ``{category, message}``, and the environment: ``python``, ``numpy`` and
 ``scipy`` versions, ``blas`` and ``platform``) so results can be
-reproduced bit-identically.  Each warning is still printed to stderr, once
-the run ends.
+reproduced bit-identically, and ``peak_rss_mb``, the process's peak
+resident set size in MB when the manifest is written (null where the
+platform has no ``resource`` module).  Each warning is still printed to
+stderr, once the run ends.
 All numbers are printed with 17 significant digits.
 Exit codes: 0 success, otherwise the failing error category (CONFIG 2,
 DOMAIN 3, VALIDATION 4, NUMERIC 5, INTERNAL 6).  A failure prints one line,
@@ -41,6 +43,11 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import scipy
+
+try:
+    import resource
+except ImportError:  # Windows has no getrusage
+    resource = None
 
 from . import __version__
 from .asymptotics import (
@@ -106,6 +113,18 @@ def environment() -> dict:
         "blas": f"{blas['name']} {blas['version']}",
         "platform": platform.platform(),
     }
+
+
+def _peak_rss_mb():
+    """The process's peak resident set size in MB (2**20 bytes), or None
+    where the platform has no ``resource`` module.
+
+    ``ru_maxrss`` counts KiB on Linux and bytes on macOS.
+    """
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +439,7 @@ def main(argv=None) -> int:
     if manifest is not None:
         manifest.update(
             status="ok" if error is None else "error",
+            peak_rss_mb=_peak_rss_mb(),
             warnings=[{"category": w.category.__name__, "message": str(w.message)}
                       for w in caught],
             **environment(),

@@ -57,7 +57,11 @@ convolution and the Euler step write into in place, with the same
 operands in the same order, so no bit changes; dead slices stand in for
 extra arrays.  A block's arrays are overwritten by the worker's next
 block, so a body returns new arrays, never views of its workspace.  A
-draw without a workspace gets new arrays.
+draw without a workspace gets new arrays.  What a worker holds is its
+unit-sized arrays plus one row slice: the convolution's edge term, like
+the Euler coefficient step, runs on row slices of at most
+``_SLICE_BYTES`` = 256 KiB per array (``slice_rows``), and a partial
+unit's zero frames are workspace arrays too.
 """
 
 import math
@@ -85,6 +89,19 @@ from .kernels import (
 
 _GL4 = np.polynomial.legendre.leggauss(4)
 _UNIT_PATHS = 1024  # paths per normal stream
+# bytes of the largest array a row slice of a unit may hold (``slice_rows``)
+_SLICE_BYTES = 1 << 18
+
+
+def slice_rows(n_paths: int, row_doubles: int) -> int:
+    """Rows of a slice whose arrays of ``row_doubles`` doubles per row fit
+    ``_SLICE_BYTES``: at least 1, at most ``n_paths``.
+
+    Row-independent operations on a block run slice by slice, so their
+    temporaries are bounded by the budget rather than by the block; a row's
+    values do not depend on the slice it is computed in.
+    """
+    return min(max(_SLICE_BYTES // (8 * row_doubles), 1), n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +214,14 @@ class KernelDiscretization:
         """Bhat at every node for stacked paths (leading axis = path).
 
         ``out``, C-ordered like the result, receives it instead of a new
-        array.
+        array.  The edge term is added in row slices (``slice_rows``), so
+        its product is never as large as the operands.
         """
         vals = np.matmul(increments, self.mean_weights.T, out=out)
-        vals[..., 1:] += singular * self.edge_coeff[1:]
+        edge = self.edge_coeff[1:]
+        step = slice_rows(len(vals), vals[0].size)
+        for lo in range(0, len(vals), step):
+            vals[lo : lo + step, ..., 1:] += singular[lo : lo + step] * edge
         return vals
 
     def row_l2(self) -> np.ndarray:
@@ -308,11 +329,12 @@ def _convolve(discs, increments, singular, first_path: int, work) -> np.ndarray:
     Path k is row k % ``_UNIT_PATHS`` of one (``_UNIT_PATHS``, N) x
     (N, N + 1) product per factor for its unit; the unit's rows that the
     call does not hold are zero.  A unit that the call holds whole is
-    convolved without a copy.  Both branches hand BLAS C-ordered
+    convolved without a copy; a partial unit is copied into two frames
+    whose other rows are zeroed in place.  Both branches hand BLAS C-ordered
     (``_UNIT_PATHS``, N, p) slabs, so a path's bits do not depend on which
-    branch ran.  Bhat and the product are taken from the ``Workspace``
-    ``work``; the product, named "convolution", is not read after the
-    call.
+    branch ran.  Bhat, the frames and the product are taken from the
+    ``Workspace`` ``work``; the frames and the product, named
+    "convolution", are not read after the call.
     """
     n_paths, n, p = increments.shape
     volterra = work.take("volterra", (n_paths, n + 1, p))
@@ -326,9 +348,12 @@ def _convolve(discs, increments, singular, first_path: int, work) -> np.ndarray:
             d_b = np.ascontiguousarray(increments[held])
             v = np.ascontiguousarray(singular[held])
         else:
-            d_b = np.zeros((_UNIT_PATHS, n, p))
-            v = np.zeros((_UNIT_PATHS, n, p))
-            d_b[rows], v[rows] = increments[held], singular[held]
+            d_b = work.take("frame_increments", (_UNIT_PATHS, n, p))
+            v = work.take("frame_singular", (_UNIT_PATHS, n, p))
+            for frame, held_rows in ((d_b, increments[held]), (v, singular[held])):
+                frame[: rows.start] = 0.0
+                frame[rows] = held_rows
+                frame[rows.stop :] = 0.0
         for ell, disc in enumerate(discs):
             volterra[held, :, ell] = disc.convolve_increments(
                 d_b[:, :, ell], v[:, :, ell], out=product

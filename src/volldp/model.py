@@ -24,7 +24,13 @@ delta * T to the unit one.  It returns one array per quantity, an
 A path depends only on (seed, path index, shift), since its drivers do
 (see ``gaussian``), and its stored dB and V replay its Bhat bit for bit,
 for a tilted draw too: the Brownian shift enters dB before V and Bhat
-are formed.
+are formed.  A draw holds its unit-sized arrays (the drivers, dW and the
+values) in a ``gaussian.Workspace`` plus one row slice: the coefficient
+step (the maps, the Ito sum, the noise and the cumulative sum) runs on
+slices of at most ``gaussian._SLICE_BYTES`` = 256 KiB per array, so a
+block allocates nothing of its own size.  A grid whose unit-sized arrays
+would exceed ``_UNIT_BUDGET`` = 1 GiB per worker is rejected before any
+draw.
 
 ``validate_coefficients`` probes the maps for the standing assumptions:
 a non-singular diffusion matrix and the code's own polynomial growth
@@ -39,7 +45,7 @@ import numpy as np
 from .errors import (
     ConfigurationError, DomainError, NonFinitePathError, SingularDiffusionError,
 )
-from .gaussian import Workspace, draw_driver_arrays
+from .gaussian import _UNIT_PATHS, Workspace, draw_driver_arrays, slice_rows
 from .grids import TimeGrid
 from .kernels import KernelBank
 
@@ -49,6 +55,8 @@ _DET_TOL = 1e-12
 _PROBE_COUNT = 7
 _PROBE_EXTRA = 64
 _PROBE_SEED = 0
+# the most bytes one worker's unit-sized arrays may take (``_unit_bytes``)
+_UNIT_BUDGET = 1 << 30
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +488,19 @@ class EulerPaths(NamedTuple):
         return out
 
 
+def _unit_bytes(n: int, d: int, p: int) -> int:
+    """Bytes of the unit-sized ``Workspace`` arrays of one worker's Euler
+    blocks of N = ``n`` steps, d assets and p factors.
+
+    Per path: the normals, N (2 p + d); dB, V and the two frames of a
+    partial unit, N p each; Bhat, (N + 1) p; the convolution product,
+    N + 1; dW, N d; and the Euler values, (N + 1) d.  The coefficient step's
+    slice arrays (``gaussian.slice_rows``) come on top.
+    """
+    row = n * (2 * p + d) + 4 * n * p + (n + 1) * (p + 1) + n * d + (n + 1) * d
+    return 8 * _UNIT_PATHS * row
+
+
 def euler_paths_array(
     coeffs: ModelCoefficients,
     bank: KernelBank,
@@ -500,14 +521,25 @@ def euler_paths_array(
     ``gaussian.draw_driver_arrays`` for the same paths and Brownian shift,
     so ``gaussian.replay_volterra`` rebuilds their Bhat bit for bit.
     The arrays are taken from the ``gaussian.Workspace`` ``work``, so the
-    next call with it overwrites them; without one they are new.  Either
-    way every value is the same to the bit.
+    next call with it overwrites them; without one they are new.  The
+    coefficient step runs on row slices (``gaussian.slice_rows``) into
+    slice-sized arrays of ``work``.  Either way every value is the same to
+    the bit.  Before anything is drawn, ``ConfigurationError`` rejects a
+    grid whose unit-sized arrays (``_unit_bytes``) exceed ``_UNIT_BUDGET``
+    = 1 GiB.
     """
     if bank.n_factors != coeffs.p:
         raise ConfigurationError(
             f"kernel bank has {bank.n_factors} factors, coefficients expect {coeffs.p}"
         )
     n, d, p = grid.n_steps, coeffs.d, coeffs.p
+    need = _unit_bytes(n, d, p)
+    if need > _UNIT_BUDGET:
+        raise ConfigurationError(
+            f"Euler blocks at N = {n}, d = {d}, p = {p} need {need:,} bytes of "
+            f"unit-sized arrays per worker, more than the budget of "
+            f"{_UNIT_BUDGET:,} bytes; use fewer steps"
+        )
     dt = grid.dt
     work = Workspace() if work is None else work
 
@@ -520,26 +552,35 @@ def euler_paths_array(
     if wiener_shift is not None:
         dw += wiener_shift
 
-    # the convolution's product is not read again, so it holds y
-    y = np.multiply(scaling.vol_arg, volterra[:, :-1, :],
-                    out=work.take("convolution", (n_paths, n, p)))
-    sig = coeffs.sigma(y)                            # (n_paths, N, d, d)
-    mu = coeffs.mu(y)                                # (n_paths, N, d)
-    sigt = coeffs.sigma_tilde(y)                     # (n_paths, N, d, p)
-    # steps = (mu - noise_var / 2 * ito) dt + sqrt(noise_var) noise, each
-    # operation in place in the order of that formula; the maps' values
-    # are new arrays, so y is not read again and its memory holds noise
-    steps = np.sum(sig**2, axis=-1, out=work.take("steps", (n_paths, n, d)))
-    steps += np.sum(sigt**2, axis=-1)                # ito
-    noise = np.einsum("knij,knj->kni", sig, dw,
-                      out=work.take("convolution", (n_paths, n, d)))
-    noise += np.einsum("knil,knl->kni", sigt, increments)
-    steps *= 0.5 * scaling.noise_var
-    np.subtract(mu, steps, out=steps)
-    steps *= dt
-    noise *= np.sqrt(scaling.noise_var)
-    steps += noise
+    # the coefficient step reads and writes whole rows, so it runs on row
+    # slices, and its temporaries are slice-sized
     values = work.take("values", (n_paths, n + 1, d))
     values[:, 0, :] = 0.0
-    np.cumsum(steps, axis=1, out=values[:, 1:, :])
+    step = slice_rows(n_paths, n * max(d * d, d * p, p))
+    for lo in range(0, n_paths, step):
+        rows = slice(lo, min(lo + step, n_paths))
+        m = rows.stop - lo
+        y = np.multiply(scaling.vol_arg, volterra[rows, :-1, :],
+                        out=work.take("slice_y", (m, n, p)))
+        sig = coeffs.sigma(y)                        # (m, N, d, d)
+        mu = coeffs.mu(y)                            # (m, N, d)
+        sigt = coeffs.sigma_tilde(y)                 # (m, N, d, p)
+        # steps = (mu - noise_var / 2 * ito) dt + sqrt(noise_var) noise,
+        # each operation in place in the order of that formula; the two
+        # squares share one array, and the Ito part's array holds the
+        # second noise term once it is added
+        square = np.square(sig, out=work.take("slice_square", sig.shape))
+        steps = np.sum(square, axis=-1, out=work.take("slice_steps", (m, n, d)))
+        square = np.square(sigt, out=work.take("slice_square", sigt.shape))
+        part = np.sum(square, axis=-1, out=work.take("slice_part", (m, n, d)))
+        steps += part                                # ito
+        noise = np.einsum("knij,knj->kni", sig, dw[rows],
+                          out=work.take("slice_noise", (m, n, d)))
+        noise += np.einsum("knil,knl->kni", sigt, increments[rows], out=part)
+        steps *= 0.5 * scaling.noise_var
+        np.subtract(mu, steps, out=steps)
+        steps *= dt
+        noise *= np.sqrt(scaling.noise_var)
+        steps += noise
+        np.cumsum(steps, axis=1, out=values[rows, 1:, :])
     return EulerPaths(values, increments, dw, singular, volterra)

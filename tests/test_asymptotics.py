@@ -755,6 +755,11 @@ def test_short_time_report_consistency():
     assert report.all_consistent()
     text = str(report)
     assert "delta" in text
+    # the kept terminal column is a copy: no rescaled path set outlives
+    # the report's reading of it
+    for comp in report.comparisons:
+        assert comp.rescaled_terminal.base is None
+        assert comp.rescaled_terminal.shape == (2000,)
 
 
 def test_all_consistent_fails_on_each_broken_check():

@@ -638,7 +638,7 @@ n_starts = 2
         keys = {
             "command", "config_sha256", "seed", "version", "overrides",
             "threads_effective", "status", "warnings", "python", "numpy",
-            "scipy", "blas", "platform",
+            "scipy", "blas", "platform", "peak_rss_mb",
         }
         assert set(manifest) == keys
         assert manifest["warnings"] == []
@@ -654,6 +654,45 @@ n_starts = 2
         assert failed["error"]["category"] == "CONFIG"
         for key in ("python", "numpy", "scipy", "blas", "platform"):
             assert failed[key] == manifest[key]
+
+    def test_manifest_records_the_peak_rss(self, tmp_path, monkeypatch):
+        # ru_maxrss counts KiB on Linux and bytes on macOS; the manifest
+        # holds MB, and null where the platform has no resource module
+        import resource
+
+        from volldp import cli
+
+        path = _ini(tmp_path, _one_factor_text(
+            extra="[simulate]\nn_paths = 3\nepsilon = 0.5\n"))
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", path, "--out", out]) == 0
+        peak = _manifest(out)["peak_rss_mb"]
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        unit = 2**20 if sys.platform == "darwin" else 2**10
+        assert isinstance(peak, float) and 0.0 < peak <= after / unit
+
+        monkeypatch.setattr(cli, "resource", None)
+        assert main(["simulate", "--config", path, "--out", out]) == 0
+        assert _manifest(out)["peak_rss_mb"] is None
+
+    def test_unit_budget_is_a_config_error(self, tmp_path, monkeypatch):
+        # a grid whose unit-sized arrays exceed the budget exits 2 before
+        # any path is drawn, naming the bytes needed and the budget
+        from volldp import gaussian, model
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(model, "_UNIT_BUDGET", 1000)
+        monkeypatch.setattr(gaussian, "path_normals", no_draw)
+        path = _ini(tmp_path, _one_factor_text(
+            extra="[simulate]\nn_paths = 3\nepsilon = 0.5\n"))
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", path, "--out", out]) == 2
+        message = _manifest(out)["error"]["message"]
+        need = model._unit_bytes(8, 1, 1)
+        assert f"need {need:,} bytes" in message
+        assert "budget of 1,000 bytes" in message
 
     @pytest.mark.parametrize("command, code", [
         ("terminal-rate", 0), ("verify-ldp", 4),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from volldp import gaussian, model
 from volldp.errors import (
     ConfigurationError,
     DomainError,
     SingularDiffusionError,
 )
 from volldp.gaussian import (
+    _UNIT_PATHS,
+    Workspace,
     discretize_kernel,
     draw_driver_arrays,
     replay_volterra,
@@ -28,6 +32,7 @@ from volldp.model import (
     Scaling,
     euler_paths_array,
     _tensor_apply,
+    _unit_bytes,
     make_map,
     validate_coefficients,
 )
@@ -464,3 +469,105 @@ def test_euler_paths_shapes_and_replay():
     assert np.allclose(
         brownian[:, 1:] - brownian[:, :-1], paths.increments, atol=1e-14
     )
+
+
+# ---------------------------------------------------------------------------
+# bounded block memory
+# ---------------------------------------------------------------------------
+
+
+class _CountedMap:
+    """A coefficient map that records the path count of every call."""
+
+    def __init__(self, inner, calls):
+        self.inner, self.calls = inner, calls
+
+    def __call__(self, y):
+        self.calls.append(len(y))
+        return self.inner(y)
+
+
+def test_row_slices_do_not_change_a_bit(monkeypatch):
+    # a d = p = 2 model at N = 64 run as one slice and as ten: every array
+    # is the same to the bit, and a path replayed alone from the middle of
+    # a slice is its row; paths [900, 1200) cross a unit boundary, so both
+    # zero frames and the edge term's own slices are used too
+    n_steps, n, first = 64, 300, 900
+    calls = []
+    coeffs = ModelCoefficients(
+        d=2, p=2, mu=make_map("constant", (2,), 2, values=[0.05, -0.02]),
+        sigma=_CountedMap(make_map(
+            "exp_linear", (2, 2), 2, amplitude=[0.3, 0.0, 0.08, 0.25],
+            weights=[0.8, 0.1, 0.0, 0.0, 0.1, 0.0, 0.2, 0.6]), calls),
+        sigma_tilde=make_map("affine", (2, 2), 2,
+                             constant=[-0.12, 0.04, 0.03, -0.1],
+                             linear=[0.02, 0.0, 0.0, 0.01, 0.01, 0.0, 0.0, 0.02]),
+    )
+    bank = KernelBank((
+        rl_bank(0.3)[0],
+        make_kernel("fractional_ou", hurst=0.4, scale=0.8, horizon=1.0,
+                    mean_reversion=1.5),
+    ))
+    grid = TimeGrid(1.0, n_steps)
+    scaling = Scaling.small_noise(0.5)
+    row_bytes = 8 * n_steps * 2 * 2  # the widest slice array, sigma's N d^2
+    fields = ("values", "dw", "increments", "singular", "volterra")
+
+    def run(budget, count, start):
+        monkeypatch.setattr(gaussian, "_SLICE_BYTES", budget)
+        calls.clear()
+        return euler_paths_array(coeffs, bank, grid, scaling, count, 11,
+                                 first_path=start)
+
+    whole = run(n * row_bytes, n, first)
+    assert calls == [n]
+    sliced = run(32 * row_bytes, n, first)
+    assert calls == [32] * 9 + [12]
+    for name in fields:
+        assert np.array_equal(getattr(sliced, name), getattr(whole, name)), name
+    k = 45  # row 13 of the slice of rows [32, 64)
+    alone = run(32 * row_bytes, 1, first + k)
+    for name in fields:
+        assert np.array_equal(getattr(alone, name)[0],
+                              getattr(whole, name)[k]), name
+
+
+def test_euler_block_allocates_less_than_two_unit_arrays():
+    # into a warmed workspace, one 1,024-path block at N = 512 allocates
+    # only slice-sized arrays: its peak stays under two (1,024, 512) arrays
+    coeffs = exp_vol_coeffs(-0.5)
+    grid = TimeGrid(1.0, 512)
+    work = Workspace()
+    args = (coeffs, rl_bank(0.3), grid, Scaling.small_noise(0.5), _UNIT_PATHS, 3)
+    euler_paths_array(*args, work=work)
+    tracemalloc.start()
+    try:
+        euler_paths_array(*args, work=work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * _UNIT_PATHS * 512
+
+
+def test_unit_budget_rejects_a_grid_before_any_draw(monkeypatch):
+    # _unit_bytes is what one worker's unit-sized arrays take; a budget
+    # one byte short stops the draw before anything is allocated
+    coeffs = ModelCoefficients(
+        d=2, p=3, mu=ConstantMap(np.zeros(2), 3),
+        sigma=ConstantMap(np.eye(2), 3), sigma_tilde=ConstantMap(np.zeros((2, 3)), 3),
+    )
+    bank = KernelBank(tuple(rl_bank(h)[0] for h in (0.3, 0.4, 0.6)))
+    grid = TimeGrid(1.0, 12)
+    need = _unit_bytes(12, 2, 3)
+    args = (coeffs, bank, grid, Scaling.small_noise(0.5), _UNIT_PATHS, 2)
+    monkeypatch.setattr(model, "_UNIT_BUDGET", need - 1)
+    work = Workspace()
+    with pytest.raises(ConfigurationError,
+                       match=f"need {need:,} bytes .* budget of {need - 1:,}"):
+        euler_paths_array(*args, first_path=1, work=work)
+    assert work._flat == {}
+    monkeypatch.setattr(model, "_UNIT_BUDGET", need)
+    euler_paths_array(*args, first_path=1, work=work)
+    unit = {name: flat.nbytes for name, flat in work._flat.items()
+            if not name.startswith("slice_")}
+    assert sum(unit.values()) == need, unit
