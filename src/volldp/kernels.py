@@ -43,8 +43,6 @@ place this rule is written.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta as _beta
-from scipy.special import hyp2f1
 
 from .errors import ConfigurationError, DomainError
 
@@ -197,28 +195,40 @@ class MolchanGolosovKernel(VolterraKernel):
 
     family = "molchan_golosov"
 
+    def __post_init__(self):
+        super().__post_init__()
+        # scipy.special loads when the first such kernel is built (an fOU
+        # kernel builds one), so a run on the other families never imports
+        # it; ``_raw`` finds it loaded
+        from scipy.special import beta
+
+        # C of the closed form: c_H for H < 1/2, c_H / (H - 1/2) for
+        # H > 1/2, and 1 for H = 1/2, where K = 1
+        h = self.hurst
+        if abs(h - 0.5) < 1e-14:
+            c = 1.0
+        elif h > 0.5:
+            c = np.sqrt(h * (2 * h - 1) / beta(2 - 2 * h, h - 0.5)) / (h - 0.5)
+        else:
+            c = np.sqrt(2 * h / ((1 - 2 * h) * beta(1 - 2 * h, h + 0.5)))
+        object.__setattr__(self, "_c", c)
+
     @property
     def origin_exponent(self) -> float:
         return -abs(self.hurst - 0.5)
 
-    def _constant(self) -> float:
-        """C of the closed form: c_H for H < 1/2, c_H / (H - 1/2) for H > 1/2."""
-        h = self.hurst
-        if h > 0.5:
-            return np.sqrt(h * (2 * h - 1) / _beta(2 - 2 * h, h - 0.5)) / (h - 0.5)
-        return np.sqrt(2 * h / ((1 - 2 * h) * _beta(1 - 2 * h, h + 0.5)))
-
     def _raw(self, t, s):
+        from scipy.special import hyp2f1
+
         h = self.hurst
         if abs(h - 0.5) < 1e-14:
             return self.scale * np.ones_like(t)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            c = self._constant()
             pos = s > 0.0
             tp, sp = t[pos], s[pos]
             res = np.zeros_like(t)
             res[pos] = (
-                c * (tp - sp) ** (h - 0.5)
+                self._c * (tp - sp) ** (h - 0.5)
                 * hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1.0 - tp / sp)
             )
             # s = 0: the kernel has an integrable s^(-|H - 1/2|) blow-up
@@ -268,15 +278,14 @@ class FractionalOUKernel(VolterraKernel):
             raise ConfigurationError(
                 f"mean_reversion must be positive, got {self.mean_reversion}"
             )
+        # K_H with unit scale, built once: its constant C serves every row
+        # step and its closed form every pointwise evaluation
+        object.__setattr__(self, "_base", MolchanGolosovKernel(
+            hurst=self.hurst, scale=1.0, horizon=self.horizon))
 
     @property
     def origin_exponent(self) -> float:
         return -abs(self.hurst - 0.5)
-
-    def _base(self) -> MolchanGolosovKernel:
-        return MolchanGolosovKernel(
-            hurst=self.hurst, scale=1.0, horizon=self.horizon
-        )
 
     def _raw(self, t, s):
         # Substitute u = s + (t - s) v^(1/(H + 1/2)): the Jacobian cancels
@@ -284,7 +293,7 @@ class FractionalOUKernel(VolterraKernel):
         # the fixed Gauss-Legendre rule sees a regular integrand.
         a = self.mean_reversion
         h = self.hurst
-        base = self._base()
+        base = self._base
         xg, wg = _GL32
         beta = 1.0 / (h + 0.5)
         v = 0.5 * (xg + 1.0)
@@ -323,7 +332,7 @@ class FractionalOUKernel(VolterraKernel):
         if abs(kappa) < 1e-14:  # K_H = 1: no forcing, K = e^(-a (t - s))
             forcing = 0.0
         else:
-            weights = (0.5 * width * kappa * self._base()._constant()) * (
+            weights = (0.5 * width * kappa * self._base._c) * (
                 wg * np.exp(-a * (t1 - u))
             )
             sc = s[:, None]

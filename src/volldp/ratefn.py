@@ -16,8 +16,8 @@ and Phi^m (``tests/reference.py``) and check the objective against them.
 
 On the grid the lift is triangular: fhat_l(t_0) = 0 and fhat_l[1:] = L_l fdot_l
 with L_l the N x N lower-triangular block of the cell integrals, so the lift
-and its adjoint are BLAS triangular matrix-vector products.  The induced
-variational problems are
+and its adjoint are triangular matrix-vector products, taken in panels of
+rows.  The induced variational problems are
 
     I_X(x)   = inf_f 1/2 |f|^2 + J(x | fhat)                    (uncorrelated)
     I_Z^m(x) = inf_f 1/2 |f|^2 + J(x - Phi^m(f, fhat) | fhat)   (frozen blocks)
@@ -68,7 +68,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import dtrmv
 
 from .errors import (
     ConfigurationError, DomainError, OptimizationError,
@@ -87,6 +86,11 @@ _TOL = 1e-8
 _MAX_ITER = 500
 _MEMORY = 10
 _SPREAD_WARN = 0.01
+
+# Rows of L per panel of the triangular lift: each panel multiplies the
+# zeros above the diagonal of its diagonal block, so a wider panel reads
+# more of them and a narrower one makes more products.
+_PANEL = 128
 
 
 class MultistartSpreadWarning(RuntimeWarning):
@@ -176,16 +180,20 @@ def _lift(tri, dmat) -> np.ndarray:
     fhat(t_0) = 0, fhat[1:, l] = L_l fdot_l.
 
     ``tri`` holds each factor's L = hat_weights[1:], N x N lower triangular
-    (see ``KernelDiscretization.hat_weights``).  Its transpose is the
-    Fortran-ordered upper triangle BLAS reads without a copy.  One
-    triangular product per control and factor, so a control's lift does
-    not depend on the stack it is in.
+    (see ``KernelDiscretization.hat_weights``).  The rows of L go in panels
+    of ``_PANEL``: panel [lo, hi) is L[lo:hi, :hi] against fdot[:hi], the
+    zeros above the diagonal included.  The trailing unit axis makes each
+    control of the stack its own matrix-vector product, so a control's
+    lift does not depend on the stack it is in.
     """
     n, p = dmat.shape[-2:]
     fhat = np.zeros(dmat.shape[:-2] + (n + 1, p))
-    for row, out in zip(dmat.reshape(-1, n, p), fhat.reshape(-1, n + 1, p)):
-        for ell, low in enumerate(tri):
-            out[1:, ell] = dtrmv(low.T, row[:, ell], trans=1)
+    for ell, low in enumerate(tri):
+        x = dmat[..., ell:ell + 1]
+        for lo in range(0, n, _PANEL):
+            hi = min(lo + _PANEL, n)
+            np.matmul(low[lo:hi, :hi], x[..., :hi, :],
+                      out=fhat[..., 1 + lo:1 + hi, ell:ell + 1])
     return fhat
 
 
@@ -193,12 +201,17 @@ def _lift_adjoint(tri, s_nodes) -> np.ndarray:
     """L_l^T s_l per factor, (..., N, p): node sensitivities pulled back to fdot.
 
     ``s_nodes`` is (..., N + 1, p); node 0 drops out, as fhat(t_0) = 0.
+    Column panel [lo, hi) of L is L[lo:, lo:hi]^T against s[lo:], one
+    matrix-vector product per control, as in ``_lift``.
     """
     n, p = s_nodes.shape[-2] - 1, s_nodes.shape[-1]
     out = np.empty(s_nodes.shape[:-2] + (n, p))
-    for row, pulled in zip(s_nodes.reshape(-1, n + 1, p), out.reshape(-1, n, p)):
-        for ell, low in enumerate(tri):
-            pulled[:, ell] = dtrmv(low.T, row[1:, ell])
+    for ell, low in enumerate(tri):
+        s = s_nodes[..., 1:, ell:ell + 1]
+        for lo in range(0, n, _PANEL):
+            hi = min(lo + _PANEL, n)
+            np.matmul(low[lo:, lo:hi].T, s[..., lo:, :],
+                      out=out[..., lo:hi, ell:ell + 1])
     return out
 
 

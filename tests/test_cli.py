@@ -1102,11 +1102,30 @@ class TestOutDirResolution:
         assert not os.path.exists(cfg_out)
 
 
-def test_commands_leave_scipy_stats_unimported(tmp_path):
-    # scipy.stats is most of scipy's import time and volldp needs none of
-    # it; a fresh interpreter checks the module table, not a timing bound
+# scipy subpackages volldp never needs on a Riemann-Liouville run:
+# scipy.stats is most of scipy's import time, and scipy.special and
+# scipy.linalg each pull in scipy's array-API layer and numpy.f2py
+_UNNEEDED_SCIPY = ("scipy.stats", "scipy.special", "scipy.linalg")
+
+
+def _fresh_interpreter(script: str) -> str:
+    """The last line ``script`` prints, run by a fresh interpreter that
+    imports this checkout's volldp."""
     import volldp
 
+    src = str(pathlib.Path(volldp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_commands_leave_scipy_stats_unimported(tmp_path):
+    # a fresh interpreter checks the module table, not a timing bound: the
+    # import and every command on a Riemann-Liouville config leave each of
+    # _UNNEEDED_SCIPY unloaded
     extra = (
         "[optimizer]\nn_starts = 2\n"
         "[rate]\nfunctional = i_uncorrelated\nz = 1.0\n"
@@ -1126,19 +1145,31 @@ def test_commands_leave_scipy_stats_unimported(tmp_path):
     script = (
         "import json, sys\n"
         "import volldp.cli, volldp\n"
-        "seen = {'import': 'scipy.stats' in sys.modules}\n"
+        f"unneeded = {_UNNEEDED_SCIPY!r}\n"
+        "loaded = lambda: [m for m in unneeded if m in sys.modules]\n"
+        "seen = {'import': loaded()}\n"
         f"for argv in {commands!r}:\n"
         "    code = volldp.cli.main(argv)\n"
-        "    seen[argv[0]] = code, 'scipy.stats' in sys.modules\n"
+        "    seen[argv[0]] = code, loaded()\n"
         "print(json.dumps(seen))\n"
     )
-    src = str(pathlib.Path(volldp.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr
-    seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == {"import": False, "verify-ldp": [0, False],
-                    "short-time": [0, False], "rate": [0, False],
-                    "terminal-rate": [0, False]}
+    seen = json.loads(_fresh_interpreter(script))
+    assert seen == {"import": [], "verify-ldp": [0, []],
+                    "short-time": [0, []], "rate": [0, []],
+                    "terminal-rate": [0, []]}
+
+
+@pytest.mark.parametrize("family, extra", [
+    ("molchan_golosov", ""), ("fractional_ou", ", mean_reversion=1.0"),
+])
+def test_building_a_hypergeometric_kernel_loads_scipy_special(family, extra):
+    # the two families with a closed form in 2F1 load scipy.special when
+    # they are built, never when the package is imported
+    script = (
+        "import sys, volldp\n"
+        "before = 'scipy.special' in sys.modules\n"
+        f"volldp.make_kernel({family!r}, hurst=0.3, scale=1.0, "
+        f"horizon=1.0{extra})\n"
+        "print(before, 'scipy.special' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(script) == "False True"

@@ -360,6 +360,29 @@ def test_fou_grid_work_is_linear_in_the_grid(monkeypatch):
     assert counted[1] < 1.06e6 / 20
 
 
+def test_fou_evaluation_builds_no_kernel(monkeypatch):
+    # the fOU kernel holds its base K_H, and with it the closed form's
+    # constant, from construction: neither a grid nor a point evaluation
+    # builds another kernel
+    from volldp.kernels import MolchanGolosovKernel
+
+    k = make_kernel("fractional_ou", hurst=0.3, scale=1.0, horizon=1.0,
+                    mean_reversion=1.0)
+    built = []
+    init = MolchanGolosovKernel.__post_init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(MolchanGolosovKernel, "__post_init__", counting_init)
+    discretize_kernel.cache_clear()
+    discretize_kernel(k, TimeGrid(1.0, 32))
+    discretize_kernel.cache_clear()
+    k.eval(np.array([0.5, 0.9]), np.array([0.25, 0.1]))
+    assert built == []
+
+
 def test_fou_rescaling_stays_in_the_family():
     # sqrt(eta) K(eta t, eta s) is the fOU kernel with scale eta^H and
     # mean reversion a eta, so the rescaled route keeps the row recursion

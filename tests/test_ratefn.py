@@ -703,25 +703,28 @@ def test_gradients_match_finite_differences_d2_p3(kind):
         assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("family", ["rl", "log_fbm", "mg", "fou", "rescaled"])
+LIFT_KERNELS = {
+    "rl": lambda: make_kernel("riemann_liouville", hurst=0.3, scale=1.0,
+                              horizon=0.9),
+    "log_fbm": lambda: make_kernel("log_fbm", hurst=0.3, scale=1.0,
+                                   horizon=0.9),
+    "mg": lambda: make_kernel("molchan_golosov", hurst=0.7, scale=1.0,
+                              horizon=0.9),
+    "fou": lambda: make_kernel("fractional_ou", hurst=0.2, scale=1.0,
+                               horizon=0.9, mean_reversion=2.0),
+    "rescaled": lambda: rescale_kernel(
+        make_kernel("molchan_golosov", hurst=0.3, scale=1.0, horizon=0.9),
+        0.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(LIFT_KERNELS))
 def test_lift_is_triangular(family):
-    # dtrmv reads only the lower triangle of hat_weights[1:]; a kernel that
-    # filled any other cell would be truncated silently
-    kernels = {
-        "rl": lambda: make_kernel("riemann_liouville", hurst=0.3, scale=1.0,
-                                  horizon=0.9),
-        "log_fbm": lambda: make_kernel("log_fbm", hurst=0.3, scale=1.0,
-                                       horizon=0.9),
-        "mg": lambda: make_kernel("molchan_golosov", hurst=0.7, scale=1.0,
-                                  horizon=0.9),
-        "fou": lambda: make_kernel("fractional_ou", hurst=0.2, scale=1.0,
-                                   horizon=0.9, mean_reversion=2.0),
-        "rescaled": lambda: rescale_kernel(
-            make_kernel("molchan_golosov", hurst=0.3, scale=1.0, horizon=0.9),
-            0.5,
-        ),
-    }
-    kernel = kernels[family]()
+    # the panels of the lift multiply the cells above the diagonal inside
+    # each diagonal block of hat_weights[1:], so those cells must be exact
+    # zeros; a kernel that filled one would leak into the lift silently
+    kernel = LIFT_KERNELS[family]()
     grid = TimeGrid(0.9, 24)
     c = discretize_kernel(kernel, grid).hat_weights
     assert np.all(c[0] == 0.0)
@@ -744,6 +747,30 @@ def test_lift_is_triangular(family):
         # <L x, s> = <x, L^T s>
         lhs, rhs = float(np.sum(lifted * s)), float(np.sum(x * pulled))
         assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+@pytest.mark.parametrize("family", list(LIFT_KERNELS))
+@pytest.mark.parametrize("n_steps", [64, 320, 512])
+def test_lift_panels_are_the_dense_products(family, n_steps):
+    # N = 64 is one panel, 320 ends in a partial panel and 512 spans four
+    # whole ones; every panel must give the dense L x and L^T s of the
+    # triangle
+    kernel = LIFT_KERNELS[family]()
+    grid = TimeGrid(0.9, n_steps)
+    low = discretize_kernel(kernel, grid).hat_weights[1:]
+    tri = _lift_factors(KernelBank((kernel,)), grid)
+    rng = np.random.default_rng(52)
+    x = rng.normal(size=(3, n_steps, 1))
+    s = rng.normal(size=(3, n_steps + 1, 1))
+    lifted, pulled = _lift(tri, x), _lift_adjoint(tri, s)
+    assert lifted.shape == (3, n_steps + 1, 1) and pulled.shape == x.shape
+    assert np.all(lifted[:, 0] == 0.0)
+    dense = low @ x
+    dense_adj = low.T @ s[:, 1:]
+    assert np.max(np.abs(lifted[:, 1:] - dense)) <= (
+        1e-13 * np.max(np.abs(dense)))
+    assert np.max(np.abs(pulled - dense_adj)) <= (
+        1e-13 * np.max(np.abs(dense_adj)))
 
 
 # ---------------------------------------------------------------------------
@@ -900,24 +927,27 @@ def stack_problem(model, functional, n_steps):
 ])
 def test_stacked_rows_are_the_bits_of_each_row_alone(model, functional):
     # the lockstep optimizer relies on this: a row's value and gradient do
-    # not depend on the rows stacked beside it, nor on its place
-    problem = stack_problem(model, functional, 64)
-    rng = np.random.default_rng(61)
-    size = 64 * problem.p
-    stack = rng.normal(size=(5, size)) * np.array([0.0, 0.2, 0.5, 0.9, 1.4])[:, None]
-    values, grads = problem.value_grad(stack)
-    assert values.shape == (5,) and grads.shape == (5, size)
-    assert np.all(np.isfinite(values))
-    flipped_values, flipped_grads = problem.value_grad(stack[::-1].copy())
-    for k, row in enumerate(stack):
-        value, grad = problem.value_grad(row)
-        assert np.ndim(value) == 0 and grad.shape == (size,)
-        assert values[k] == value and np.array_equal(grads[k], grad)
-        assert flipped_values[4 - k] == value
-        assert np.array_equal(flipped_grads[4 - k], grad)
-        # the inner pass at one control is the same stack of one
-        inner = problem.inner(row.reshape(64, problem.p))[-1]
-        assert value == 0.5 * np.sum(row * row) * problem.dt + inner
+    # not depend on the rows stacked beside it, nor on its place; N = 64 is
+    # one panel of the lift, N = 320 three, the last of them partial
+    for n_steps in (64, 320):
+        problem = stack_problem(model, functional, n_steps)
+        rng = np.random.default_rng(61)
+        size = n_steps * problem.p
+        stack = rng.normal(size=(5, size)) * np.array(
+            [0.0, 0.2, 0.5, 0.9, 1.4])[:, None]
+        values, grads = problem.value_grad(stack)
+        assert values.shape == (5,) and grads.shape == (5, size)
+        assert np.all(np.isfinite(values))
+        flipped_values, flipped_grads = problem.value_grad(stack[::-1].copy())
+        for k, row in enumerate(stack):
+            value, grad = problem.value_grad(row)
+            assert np.ndim(value) == 0 and grad.shape == (size,)
+            assert values[k] == value and np.array_equal(grads[k], grad)
+            assert flipped_values[4 - k] == value
+            assert np.array_equal(flipped_grads[4 - k], grad)
+            # the inner pass at one control is the same stack of one
+            inner = problem.inner(row.reshape(n_steps, problem.p))[-1]
+            assert value == 0.5 * np.sum(row * row) * problem.dt + inner
 
 
 def test_singular_rows_give_inf_beside_finite_rows():
